@@ -114,23 +114,17 @@ struct InferRun {
   constinf::ConstCounts Counts;
   unsigned NumVars = 0;
   unsigned NumConstraints = 0;
-  SolverStats Stats; ///< Solver instrumentation from the first repeat.
 };
 
 /// Runs const inference over \p C, timed; averaged over \p Repeats runs as
-/// in the paper ("average of five"). \p CollapseCycles toggles the solver's
-/// SCC collapsing for the scaling ablation; \p CollapsePressureFactor tunes
-/// its rebuild eagerness (0 = rebuild every solve).
+/// in the paper ("average of five").
 inline InferRun inferTimed(Compiled &C, bool Polymorphic,
-                           unsigned Repeats = 5, bool CollapseCycles = true,
-                           unsigned CollapsePressureFactor = 2) {
+                           unsigned Repeats = 5) {
   InferRun Run;
   double Total = 0;
   for (unsigned I = 0; I != Repeats; ++I) {
     constinf::ConstInference::Options Opts;
     Opts.Polymorphic = Polymorphic;
-    Opts.CollapseCycles = CollapseCycles;
-    Opts.CollapsePressureFactor = CollapsePressureFactor;
     constinf::ConstInference Inf(C.TU, *C.Diags, Opts);
     Timer T;
     Run.Ok = Inf.run();
@@ -144,7 +138,6 @@ inline InferRun inferTimed(Compiled &C, bool Polymorphic,
       Run.Counts = Inf.counts();
       Run.NumVars = Inf.numQualVars();
       Run.NumConstraints = Inf.numConstraints();
-      Run.Stats = Inf.solverStats();
     }
   }
   Run.Seconds = Total / Repeats;

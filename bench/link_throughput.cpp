@@ -8,23 +8,22 @@
 // Measures the separate-compilation pipeline end to end: a qualgen TU
 // split is summarized per TU on the thread pool (the `qualcc
 // --emit-summary` path, serialize + deserialize included so the bytes on
-// the wire are what gets timed), then linked and globally solved at a
-// sweep of --solver-jobs values. The headline numbers are the per-TU
-// summarize throughput and the -jN link speedup over -j1.
+// the wire are what gets timed), then linked and globally solved. The
+// headline numbers are the per-TU summarize throughput and the link time.
 //
 //   link_throughput [--smoke] [--tus N] [--lines N] [--max-jobs N] [--seed S]
 //
-// Output is a JSON document (checked in as BENCH_link.json):
+// --max-jobs caps the summarize pool's workers. Output is a JSON document
+// (checked in as BENCH_link.json):
 //
 //   {"tus":16,"lines":12000,"summary_bytes":...,"hardware_threads":8,
-//    "summarize_seconds":...,"link_seconds":{"j1":...,"j4":...},
-//    "speedup_best":...,"wall_seconds":...,"identical":true}
+//    "summarize_seconds":...,"link_seconds":...,"wall_seconds":...,
+//    "identical":true}
 //
-// The run aborts (exit 1) if any job count's linked classification -- the
-// full rendered position listing and counts banner -- differs from the
-// -j1 bytes, or if a reversed summary order changes them: a fast link
-// that broke the determinism contract (docs/LINK.md) would be a bug, not
-// a result. `--smoke` runs the small configuration as ctest's
+// The run aborts (exit 1) if a reversed summary order changes the linked
+// classification -- the full rendered position listing and counts banner:
+// a fast link that broke the determinism contract (docs/LINK.md) would be
+// a bug, not a result. `--smoke` runs the small configuration as ctest's
 // perf.link_smoke gate.
 //
 //===----------------------------------------------------------------------===//
@@ -52,7 +51,7 @@ using namespace quals;
 namespace {
 
 /// Renders a link result the way quallink --positions does, so byte
-/// comparison across job counts covers every classification and count.
+/// comparison across summary orders covers every classification and count.
 std::string render(const link::LinkResult &R) {
   std::string Out;
   char Line[256];
@@ -148,49 +147,29 @@ int main(int argc, char **argv) {
     TotalBytes += Bytes[I];
   }
 
-  // The global solve at each job count. linkSummaries canonicalizes its
-  // input vector in place, so every run gets a fresh copy.
-  std::vector<unsigned> JobCounts;
-  for (unsigned J = 1; J <= MaxJobs; J *= 2)
-    JobCounts.push_back(J);
+  // The global solve. linkSummaries canonicalizes its input vector in
+  // place, so the run gets a fresh copy.
   std::string Baseline;
-  std::string LinkJson;
-  double J1Seconds = 0, BestSeconds = 0;
-  for (unsigned J : JobCounts) {
-    link::LinkOptions Opts;
-    Opts.SolverJobs = J;
-    Opts.Pool = &Pool;
+  double LinkSeconds = 0;
+  {
     std::vector<link::TuSummary> Input = Wire;
     Timer T;
-    link::LinkResult R = link::linkSummaries(Input, Opts);
-    double Seconds = T.seconds();
+    link::LinkResult R = link::linkSummaries(Input, link::LinkOptions());
+    LinkSeconds = T.seconds();
     if (!R.LoadOk || !R.LinkOk || !R.SolveOk) {
-      std::fprintf(stderr, "link_throughput: link failed at -j%u:\n", J);
+      std::fprintf(stderr, "link_throughput: link failed:\n");
       for (const std::string &D : R.Diagnostics)
         std::fprintf(stderr, "%s\n", D.c_str());
       return 1;
     }
-    std::string Rendered = render(R);
-    if (J == 1) {
-      Baseline = Rendered;
-      J1Seconds = BestSeconds = Seconds;
-    } else if (Rendered != Baseline) {
-      std::fprintf(stderr,
-                   "link_throughput: -j%u classification differs from -j1\n",
-                   J);
-      return 1;
-    }
-    BestSeconds = std::min(BestSeconds, Seconds);
-    LinkJson += (J == JobCounts.front() ? "" : ",") + std::string("\"j") +
-                std::to_string(J) + "\":" + bench::fmt(Seconds, 4);
+    Baseline = render(R);
   }
 
   // Argument-order independence: linking the summaries reversed must
   // produce the same bytes.
   {
     std::vector<link::TuSummary> Reversed(Wire.rbegin(), Wire.rend());
-    link::LinkOptions Opts;
-    link::LinkResult R = link::linkSummaries(Reversed, Opts);
+    link::LinkResult R = link::linkSummaries(Reversed, link::LinkOptions());
     if (!R.SolveOk || render(R) != Baseline) {
       std::fprintf(stderr,
                    "link_throughput: reversed summary order changed the "
@@ -203,11 +182,9 @@ int main(int argc, char **argv) {
   // runners (docs/PARALLEL.md).
   std::printf("{\"tus\":%u,\"lines\":%u,\"summary_bytes\":%zu,"
               "%s\n"
-              " \"summarize_seconds\":%.4f,\"link_seconds\":{%s},"
-              "\"speedup_best\":%.2f,\n"
+              " \"summarize_seconds\":%.4f,\"link_seconds\":%.4f,\n"
               " \"wall_seconds\":%.4f,\"identical\":true}\n",
               Tus, Lines, TotalBytes, bench::hardwareThreadsJson().c_str(),
-              SummarizeSeconds, LinkJson.c_str(),
-              BestSeconds > 0 ? J1Seconds / BestSeconds : 0.0, Wall.seconds());
+              SummarizeSeconds, LinkSeconds, Wall.seconds());
   return 0;
 }

@@ -17,16 +17,6 @@
 /// linear), and the poly/mono ratio. A least-squares log-log slope near 1.0
 /// confirms linearity.
 ///
-/// Each size also runs the polymorphic inference two more ways so the
-/// solver's cycle collapsing is an ablation with numbers, not an assertion:
-/// with collapsing disabled outright ("nc") and with an eager rebuild
-/// policy that compacts the graph on every solve ("eager"). Under the
-/// default pressure-triggered policy this one-shot workload never crosses
-/// the rebuild threshold (the worklist drains in about one pass per edge),
-/// so the default column should match "nc" -- that is the point: the
-/// rebuild only fires when it can pay for itself. The SCC/dedup counters
-/// therefore come from the eager run's instrumentation (SolverStats).
-///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -53,16 +43,6 @@ int main() {
   T.addColumn("Poly ms/kLoC", Align::Right);
   T.addColumn("Poly/Mono", Align::Right);
 
-  TextTable Collapse;
-  Collapse.addColumn("Lines", Align::Right);
-  Collapse.addColumn("Poly (s)", Align::Right);
-  Collapse.addColumn("Poly nc (s)", Align::Right);
-  Collapse.addColumn("Poly eager (s)", Align::Right);
-  Collapse.addColumn("nc/default", Align::Right);
-  Collapse.addColumn("SCCs collapsed", Align::Right);
-  Collapse.addColumn("Vars folded", Align::Right);
-  Collapse.addColumn("Edges deduped", Align::Right);
-
   std::vector<double> LogSize, LogMono, LogPoly;
   bool AllOk = true;
   double MaxRatio = 0;
@@ -77,12 +57,7 @@ int main() {
     }
     InferRun Mono = inferTimed(*C, false, /*Repeats=*/5);
     InferRun Poly = inferTimed(*C, true, /*Repeats=*/5);
-    InferRun PolyNc =
-        inferTimed(*C, true, /*Repeats=*/5, /*CollapseCycles=*/false);
-    InferRun PolyEager = inferTimed(*C, true, /*Repeats=*/5,
-                                    /*CollapseCycles=*/true,
-                                    /*CollapsePressureFactor=*/0);
-    if (!Mono.Ok || !Poly.Ok || !PolyNc.Ok || !PolyEager.Ok) {
+    if (!Mono.Ok || !Poly.Ok) {
       AllOk = false;
       continue;
     }
@@ -94,24 +69,11 @@ int main() {
               fmt(1e6 * Mono.Seconds / Prog.LineCount, 2),
               fmt(1e6 * Poly.Seconds / Prog.LineCount, 2),
               fmt(Ratio, 2) + "x"});
-    Collapse.addRow(
-        {std::to_string(Prog.LineCount), fmt(Poly.Seconds, 4),
-         fmt(PolyNc.Seconds, 4), fmt(PolyEager.Seconds, 4),
-         Poly.Seconds > 0 ? fmt(PolyNc.Seconds / Poly.Seconds, 2) + "x"
-                          : std::string("-"),
-         std::to_string(PolyEager.Stats.SccsCollapsed),
-         std::to_string(PolyEager.Stats.VarsCollapsed),
-         std::to_string(PolyEager.Stats.EdgesDeduped)});
     LogSize.push_back(std::log(Prog.LineCount));
     LogMono.push_back(std::log(Mono.Seconds));
     LogPoly.push_back(std::log(Poly.Seconds));
   }
   std::printf("%s\n", T.render().c_str());
-  std::printf("SCC cycle collapsing ablation (nc = collapsing disabled, "
-              "eager = rebuild every solve;\ncounters from the eager run -- "
-              "the default pressure policy stays on the worklist tier "
-              "here):\n%s\n",
-              Collapse.render().c_str());
 
   auto slope = [](const std::vector<double> &X, const std::vector<double> &Y) {
     double N = X.size(), SX = 0, SY = 0, SXX = 0, SXY = 0;

@@ -13,24 +13,12 @@
 /// proportional to the newly added constraints.
 ///
 /// BM_BulkSolveLinesPerSecond is the headline: modeled source lines
-/// analyzed per second by the solver alone, with the dense branch-free
-/// core toggled against the worklist baseline at identical collapse state
-/// (BENCH_solver.json holds the checked-in ablation; docs/SOLVER.md the
-/// design). Reports carry a "hardware_threads" context line and a
-/// "caveat" when the runner has a single core.
-///
-/// Several benchmarks take a trailing 0/1 argument toggling the solver's
-/// SCC cycle collapsing (SolverConfig::CollapseCycles) so the docs/SOLVER.md
-/// claims are an ablation, not an assertion: on the cycle-free topologies
-/// (chain, random DAG) collapsing may cost at most a small constant per
-/// rebuild (tens of microseconds at the smallest sizes, at parity or ahead
-/// from a few thousand variables up), and must be measurably faster on the
-/// cyclic and duplicate-heavy ones (ring, strongly connected blob,
-/// duplicated edges).
+/// analyzed per second by the solver alone (docs/SOLVER.md has the design).
+/// The cyclic and duplicate-heavy topologies (ring, strongly connected
+/// blob, duplicated edges) check that cycles cost the worklist at most |Q|
+/// visits per edge, not repeated re-traversal.
 ///
 //===----------------------------------------------------------------------===//
-
-#include "HostContext.h"
 
 #include "qual/ConstraintSystem.h"
 #include "qual/TypeScheme.h"
@@ -40,7 +28,6 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace quals;
@@ -67,37 +54,15 @@ struct Lcg {
   unsigned below(unsigned N) { return next() % N; }
 };
 
-/// Solver config for the collapse on/off ablation argument.
-SolverConfig collapseConfig(bool Collapse) {
-  SolverConfig Config;
-  Config.CollapseCycles = Collapse;
-  return Config;
-}
-
-/// Configs for the dense-core ablation: both sides rebuild eagerly (same
-/// collapse, dedup, and CSR cost), so the delta is purely the propagation
-/// core -- worklist pushes vs levelized branch-free sweeps.
-SolverConfig denseAblationConfig(bool Dense) {
-  SolverConfig Config;
-  Config.CollapseMinNewEdges = 1;
-  Config.CollapsePressureFactor = 0;
-  Config.DenseSolve = Dense;
-  Config.DenseMinNewEdges = 1;
-  return Config;
-}
-
 void BM_BulkSolveLinesPerSecond(benchmark::State &State) {
-  // The headline number (docs/SOLVER.md, BENCH_solver.json): a bulk solve
-  // over a program-shaped layered DAG -- one qualifier variable per
-  // modeled source line, ~4 constraints each, seeds and caps sprinkled in
-  // -- with the trailing argument toggling the dense core against the
-  // worklist baseline at identical collapse state. items/s is modeled
+  // The headline number (docs/SOLVER.md): a bulk solve over a
+  // program-shaped layered DAG -- one qualifier variable per modeled source
+  // line, ~4 constraints each, seeds sprinkled in. items/s is modeled
   // source lines analyzed per second by the solver alone.
   QualifierSet QS = makeQuals();
   unsigned Lines = State.range(0);
-  SolverConfig Config = denseAblationConfig(State.range(1));
   for (auto _ : State) {
-    ConstraintSystem Sys(QS, Config);
+    ConstraintSystem Sys(QS);
     Lcg R;
     std::vector<QualVarId> Vars;
     Vars.reserve(Lines);
@@ -119,15 +84,13 @@ void BM_BulkSolveLinesPerSecond(benchmark::State &State) {
       static_cast<double>(State.iterations()) * Lines,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BulkSolveLinesPerSecond)
-    ->ArgsProduct({benchmark::CreateRange(1 << 12, 1 << 16, 4), {0, 1}});
+BENCHMARK(BM_BulkSolveLinesPerSecond)->Range(1 << 12, 1 << 16);
 
 void BM_SolveChain(benchmark::State &State) {
   QualifierSet QS = makeQuals();
   unsigned N = State.range(0);
-  SolverConfig Config = collapseConfig(State.range(1));
   for (auto _ : State) {
-    ConstraintSystem Sys(QS, Config);
+    ConstraintSystem Sys(QS);
     QualVarId Prev = Sys.freshVar("v0");
     Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({0})),
                QualExpr::makeVar(Prev), {"seed"});
@@ -142,8 +105,7 @@ void BM_SolveChain(benchmark::State &State) {
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) * N);
 }
-BENCHMARK(BM_SolveChain)
-    ->ArgsProduct({benchmark::CreateRange(1 << 8, 1 << 17, 8), {0, 1}});
+BENCHMARK(BM_SolveChain)->Range(1 << 8, 1 << 17);
 
 void BM_SolveStar(benchmark::State &State) {
   // One hub with N spokes: stresses fan-out.
@@ -168,9 +130,8 @@ BENCHMARK(BM_SolveStar)->Range(1 << 8, 1 << 17);
 void BM_SolveRandomDag(benchmark::State &State) {
   QualifierSet QS = makeQuals();
   unsigned N = State.range(0);
-  SolverConfig Config = collapseConfig(State.range(1));
   for (auto _ : State) {
-    ConstraintSystem Sys(QS, Config);
+    ConstraintSystem Sys(QS);
     Lcg R;
     std::vector<QualVarId> Vars;
     Vars.reserve(N);
@@ -192,18 +153,15 @@ void BM_SolveRandomDag(benchmark::State &State) {
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) * N * 4);
 }
-BENCHMARK(BM_SolveRandomDag)
-    ->ArgsProduct({benchmark::CreateRange(1 << 8, 1 << 15, 8), {0, 1}});
+BENCHMARK(BM_SolveRandomDag)->Range(1 << 8, 1 << 15);
 
 void BM_SolveRing(benchmark::State &State) {
-  // One big <= cycle with lattice seeds spread around it: without collapsing
-  // every seeded bit walks the whole ring; with collapsing the ring is a
-  // single representative and propagation is empty.
+  // One big <= cycle with lattice seeds spread around it: every seeded bit
+  // walks the whole ring once, so visits stay within |Q| per edge.
   QualifierSet QS = makeQuals();
   unsigned N = State.range(0);
-  SolverConfig Config = collapseConfig(State.range(1));
   for (auto _ : State) {
-    ConstraintSystem Sys(QS, Config);
+    ConstraintSystem Sys(QS);
     std::vector<QualVarId> Vars;
     Vars.reserve(N);
     for (unsigned I = 0; I != N; ++I)
@@ -220,19 +178,15 @@ void BM_SolveRing(benchmark::State &State) {
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) * N);
 }
-BENCHMARK(BM_SolveRing)
-    ->ArgsProduct({benchmark::CreateRange(1 << 8, 1 << 16, 8), {0, 1}});
+BENCHMARK(BM_SolveRing)->Range(1 << 8, 1 << 16);
 
 void BM_SolveSccBlob(benchmark::State &State) {
   // ~4 random edges per variable with no ordering constraint: the graph is
-  // one giant strongly connected component plus tendrils. Collapsing folds
-  // it to a handful of representatives and drops nearly every edge as
-  // component-internal; the worklist baseline keeps bouncing values around.
+  // one giant strongly connected component plus tendrils.
   QualifierSet QS = makeQuals();
   unsigned N = State.range(0);
-  SolverConfig Config = collapseConfig(State.range(1));
   for (auto _ : State) {
-    ConstraintSystem Sys(QS, Config);
+    ConstraintSystem Sys(QS);
     Lcg R;
     std::vector<QualVarId> Vars;
     Vars.reserve(N);
@@ -251,24 +205,20 @@ void BM_SolveSccBlob(benchmark::State &State) {
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) * N * 4);
 }
-BENCHMARK(BM_SolveSccBlob)
-    ->ArgsProduct({benchmark::CreateRange(1 << 8, 1 << 15, 8), {0, 1}});
+BENCHMARK(BM_SolveSccBlob)->Range(1 << 8, 1 << 15);
 
 void BM_SolveDuplicateEdges(benchmark::State &State) {
   // A chain where every hop is stated 8 times (constraint generators emit
   // duplicates freely; e.g. one per call site), then 16 rounds of new facts
-  // arriving at the head, each re-solved. The first solve pays the rebuild
-  // and dedups the parallel edges; every later propagation walks one edge
-  // per hop where the baseline walks all eight. This is the pattern dedup
-  // is for: a long-lived system whose graph is propagated over many times.
+  // arriving at the head, each re-solved: a long-lived system whose graph
+  // is propagated over many times.
   QualifierSet QS;
   std::vector<QualifierId> Quals;
   for (unsigned I = 0; I != 16; ++I)
     Quals.push_back(QS.add("q" + std::to_string(I), Polarity::Positive));
   unsigned N = State.range(0);
-  SolverConfig Config = collapseConfig(State.range(1));
   for (auto _ : State) {
-    ConstraintSystem Sys(QS, Config);
+    ConstraintSystem Sys(QS);
     QualVarId First = Sys.freshVar("v0");
     QualVarId Prev = First;
     for (unsigned I = 1; I != N; ++I) {
@@ -290,8 +240,7 @@ void BM_SolveDuplicateEdges(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) * N * 8 *
                           16);
 }
-BENCHMARK(BM_SolveDuplicateEdges)
-    ->ArgsProduct({benchmark::CreateRange(1 << 8, 1 << 14, 8), {0, 1}});
+BENCHMARK(BM_SolveDuplicateEdges)->Range(1 << 8, 1 << 14);
 
 void BM_UpperBoundBackward(benchmark::State &State) {
   // A chain with an upper bound at the end: exercises backward meets.
@@ -456,19 +405,4 @@ BENCHMARK(BM_SchemeGeneralizeInstantiate)->Range(1 << 4, 1 << 12);
 
 } // namespace
 
-// Custom main (instead of BENCHMARK_MAIN()) so every report carries the
-// honest-scaling context: the runner's hardware thread count, and an
-// explicit caveat when there is only one -- a single-core runner cannot
-// show parallel speedups, only the dense-vs-worklist layout delta.
-int main(int argc, char **argv) {
-  unsigned Hw = bench::hardwareThreads();
-  benchmark::AddCustomContext("hardware_threads", std::to_string(Hw));
-  if (Hw <= 1)
-    benchmark::AddCustomContext("caveat", bench::singleCoreCaveat());
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

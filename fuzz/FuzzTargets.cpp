@@ -125,10 +125,6 @@ int fuzz::runSolver(const uint8_t *Data, size_t Size) {
 
   SolverConfig Config;
   Config.MaxConstraints = 1u << 15;
-  // Stress the rebuild machinery: fire a collapse as soon as the edge and
-  // pressure floors allow instead of waiting for CLI-scale graphs.
-  Config.CollapseMinNewEdges = 4;
-  Config.CollapsePressureFactor = 1;
   ConstraintSystem Sys(QS, Config);
 
   // Interpret the input as an op stream. Caps keep one execution to
@@ -174,7 +170,7 @@ int fuzz::runSolver(const uint8_t *Data, size_t Size) {
         Solved = false;
       }
       break;
-    case 4: // masked var <= var (never collapsible)
+    case 4: // masked var <= var
       if (NumVars) {
         QualVarId A = var(In.next()), B = var(In.next());
         uint64_t Mask = In.next() & QS.usedBits();

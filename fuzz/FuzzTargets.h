@@ -38,8 +38,8 @@ int runLambda(const uint8_t *Data, size_t Size);
 
 /// Treats \p Data as an operation stream driving the constraint solver
 /// directly: each byte (plus operands) makes variables, adds (masked)
-/// constraints, or solves/queries, exercising incremental re-solves and
-/// cycle collapsing on adversarial graphs. Always returns 0.
+/// constraints, or solves/queries, exercising incremental re-solves on
+/// adversarial cyclic graphs. Always returns 0.
 int runSolver(const uint8_t *Data, size_t Size);
 
 /// Treats \p Data as one qualsd request line: JSON parsing under tight

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Drives ConstraintSystem through an op-stream interpreter (FuzzTargets.cpp)
-// rather than through a front end, so the cycle-collapsing and incremental
-// re-solve machinery sees adversarial graphs no realistic program produces.
+// rather than through a front end, so the worklist and incremental re-solve
+// machinery sees adversarial graphs no realistic program produces.
 //
 // Build with -DQUALS_ENABLE_FUZZERS=ON (clang only), then:
 //

@@ -24,12 +24,7 @@ ConstInference::ConstInference(TranslationUnit &TU, DiagnosticEngine &Diags,
     this->Opts.Polymorphic = false;
   ConstQual = QS.add("const", Polarity::Positive);
   SolverConfig Config;
-  Config.CollapseCycles = this->Opts.CollapseCycles;
-  Config.CollapsePressureFactor = this->Opts.CollapsePressureFactor;
   Config.MaxConstraints = Diags.limits().MaxConstraints;
-  Config.DenseSolve = this->Opts.DenseSolve;
-  Config.Jobs = this->Opts.SolverJobs;
-  Config.Pool = this->Opts.SolverPool;
   Sys = std::make_unique<ConstraintSystem>(QS, Config);
   Translator = std::make_unique<RefTranslator>(
       *Sys, Factory, Ctors, ConstQual, this->Opts.ConservativeLibraries,

@@ -100,32 +100,6 @@ public:
     /// generalization and polymorphism degenerates toward monomorphic.
     bool CalleesFirst = true;
 
-    /// Solver-level ablation: collapse qualifier-variable <=-cycles once
-    /// worklist pressure warrants it (see SolverConfig::CollapseCycles).
-    /// Purely a performance switch -- results are identical either way;
-    /// bench/scaling_ablation reports the timing difference.
-    bool CollapseCycles = true;
-    /// Solver rebuild eagerness: worklist edge-visits per var->var edge
-    /// before the solver tiers up to a compacted, cycle-collapsed graph
-    /// (see SolverConfig::CollapsePressureFactor). 0 rebuilds on every
-    /// solve; bench/scaling_ablation uses that to surface the collapse
-    /// counters on workloads the default policy leaves on the cheap tier.
-    unsigned CollapsePressureFactor = 2;
-    /// Dense branch-free bulk solving (SolverConfig::DenseSolve). Purely a
-    /// performance switch -- results are byte-identical either way; qualcc
-    /// --no-dense and bench/solver_throughput measure the difference.
-    bool DenseSolve = true;
-    /// Shard concurrency for the solver's dense passes
-    /// (SolverConfig::Jobs); needs SolverPool to take effect. Results are
-    /// byte-identical at any value (docs/SOLVER.md determinism contract).
-    unsigned SolverJobs = 1;
-    /// The pool dense passes shard onto (SolverConfig::Pool); borrowed,
-    /// must outlive the inference. Null solves inline. Callers whose own
-    /// work already runs on a pool (BatchDriver workers, qualsd request
-    /// handlers at --jobs > 1) should leave this null -- request-level
-    /// parallelism is the better axis (docs/PARALLEL.md).
-    ThreadPool *SolverPool = nullptr;
-
     // Incremental re-analysis hooks (serve/Pipelines' analyze-delta path;
     // docs/INCREMENTAL.md). Not ablations: with OnlyFunctions set the run
     // covers a sub-program and its results are only meaningful for the

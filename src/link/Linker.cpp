@@ -116,11 +116,6 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
   }
 
   SolverConfig Config;
-  Config.DenseSolve = Opts.DenseSolve;
-  Config.CollapseCycles = Opts.CollapseCycles;
-  Config.CollapsePressureFactor = Opts.CollapsePressureFactor;
-  Config.Jobs = Opts.SolverJobs;
-  Config.Pool = Opts.Pool;
   Config.MaxConstraints = Opts.MaxConstraints;
   ConstraintSystem Sys(QS, Config);
 

@@ -9,14 +9,13 @@
 /// The link step: merges every TU's serialized constraint summary into one
 /// ConstraintSystem, unifies interface variables across TUs by symbol name,
 /// applies the deferred Section 4.2 library pins for symbols no TU defines,
-/// and runs the global solve through the dense tier.
+/// and runs the global solve.
 ///
 /// Determinism contract (docs/LINK.md): summaries are canonicalized --
 /// sorted by (source name, content hash) and deduplicated by (content hash,
 /// config hash) -- before any merging, so diagnostics, position
 /// classifications, and solver statistics are byte-identical regardless of
-/// the order summaries were passed in or loaded, and regardless of the
-/// solver job count (the solver's own contract, docs/SOLVER.md).
+/// the order summaries were passed in or loaded.
 ///
 /// Equivalence contract: linking the summaries of a program split across N
 /// TUs yields the same classification for every exported interface as
@@ -40,20 +39,11 @@
 #include <vector>
 
 namespace quals {
-class ThreadPool;
-
 namespace link {
 
 struct LinkOptions {
-  /// Solver tiering (SolverConfig); results are identical at any setting.
-  bool DenseSolve = true;
-  bool CollapseCycles = true;
-  unsigned CollapsePressureFactor = 2;
-  /// Shard concurrency for the global solve's dense passes; needs Pool.
-  unsigned SolverJobs = 1;
-  ThreadPool *Pool = nullptr;
   /// Constraint budget (0 = unlimited); hitting it is a load failure.
-  unsigned MaxConstraints = 0;
+  uint64_t MaxConstraints = 0;
 };
 
 /// One interesting position of the linked program, classified under the
@@ -85,13 +75,13 @@ struct LinkResult {
   /// Table 2 counts over Positions.
   constinf::ConstCounts Counts;
   /// Global solver statistics; SolveSeconds is zeroed so rendering is
-  /// byte-identical across runs and job counts.
+  /// byte-identical across runs.
   SolverStats Stats{};
   /// Summaries remaining after deduplication.
   unsigned NumSummaries = 0;
   /// Summaries passed in.
   unsigned NumInputs = 0;
-  /// Merged system size (before any solver-internal collapsing).
+  /// Merged system size.
   unsigned NumVars = 0;
   unsigned NumConstraints = 0;
 };

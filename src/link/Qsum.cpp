@@ -451,8 +451,7 @@ uint64_t link::summaryConfigHash() {
   // Format version plus every inference option the compile step bakes into
   // a summary's results. `qualcc --emit-summary` runs the paper-default
   // configuration (casts sever, conservative libraries, shared struct
-  // fields) in summary mode; solver tiering and job counts do not affect
-  // results (docs/SOLVER.md) and are deliberately absent.
+  // fields) in summary mode.
   HashBuilder B;
   B.add(uint64_t(kSummaryFormatVersion));
   B.add(std::string_view("const-summary"));

@@ -9,6 +9,7 @@
 
 #include "constinf/ConstInfer.h"
 #include "support/SourceManager.h"
+#include "support/UnionFind.h"
 
 #include <cstdio>
 #include <unordered_map>

@@ -8,14 +8,10 @@
 #include "qual/ConstraintSystem.h"
 
 #include "support/Metrics.h"
-#include "support/Scc.h"
 #include "support/TextTable.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
-#include "support/Trace.h"
 
 #include <algorithm>
-#include <atomic>
 
 using namespace quals;
 
@@ -26,9 +22,6 @@ QualVarId ConstraintSystem::freshVar(std::string Name, SourceLoc Loc) {
   V.Lower = QS.bottom();
   V.Upper = QS.top();
   Vars.push_back(std::move(V));
-  QualVarId Id = Reps.makeSet();
-  (void)Id;
-  assert(Id + 1 == Vars.size() && "rep ids must mirror var ids");
   return Vars.size() - 1;
 }
 
@@ -49,21 +42,13 @@ void ConstraintSystem::addLeqMasked(QualExpr Lhs, QualExpr Rhs, uint64_t Mask,
   ConstraintId Id = Constraints.size();
   Constraints.push_back({Lhs, Rhs, Mask, std::move(Origin)});
   if (Lhs.isVar() && Rhs.isVar()) {
-    VarVarEdges.push_back(Id);
-    ++NewVarVarEdges;
-    // Representatives are stable between rebuilds, so keying the pending
-    // lists by the current representative keeps them reachable from the
-    // worklist propagation until the next rebuild folds them into the CSR.
-    QualVarId L = Reps.find(Lhs.getVar());
-    QualVarId R = Reps.find(Rhs.getVar());
-    if (Vars[L].PendingSuccHead == ~0u && Vars[L].PendingPredHead == ~0u)
-      PendingTouched.push_back(L);
-    PendingPool.push_back({Id, Vars[L].PendingSuccHead});
-    Vars[L].PendingSuccHead = PendingPool.size() - 1;
-    if (Vars[R].PendingSuccHead == ~0u && Vars[R].PendingPredHead == ~0u)
-      PendingTouched.push_back(R);
-    PendingPool.push_back({Id, Vars[R].PendingPredHead});
-    Vars[R].PendingPredHead = PendingPool.size() - 1;
+    ++NumVarVarEdges;
+    VarInfo &L = Vars[Lhs.getVar()];
+    VarInfo &R = Vars[Rhs.getVar()];
+    EdgePool.push_back({Id, L.SuccHead});
+    L.SuccHead = EdgePool.size() - 1;
+    EdgePool.push_back({Id, R.PredHead});
+    R.PredHead = EdgePool.size() - 1;
     return;
   }
   if (Rhs.isConst()) {
@@ -80,569 +65,88 @@ void ConstraintSystem::addEq(QualExpr Lhs, QualExpr Rhs,
   addLeq(Rhs, Lhs, std::move(Origin));
 }
 
-bool ConstraintSystem::raiseLower(QualVarId Rep, LatticeValue NewBits) {
-  uint64_t Gained = NewBits.bits() & ~Vars[Rep].Lower.bits();
+bool ConstraintSystem::raiseLower(QualVarId Var, LatticeValue NewBits) {
+  uint64_t Gained = NewBits.bits() & ~Vars[Var].Lower.bits();
   if (!Gained)
     return false;
-  Vars[Rep].Lower = Vars[Rep].Lower.join(NewBits);
+  Vars[Var].Lower = Vars[Var].Lower.join(NewBits);
   return true;
 }
 
-bool ConstraintSystem::capUpper(QualVarId Rep, LatticeValue Cap) {
-  LatticeValue NewUpper = Vars[Rep].Upper.meet(Cap);
-  if (NewUpper == Vars[Rep].Upper)
+bool ConstraintSystem::capUpper(QualVarId Var, LatticeValue Cap) {
+  LatticeValue NewUpper = Vars[Var].Upper.meet(Cap);
+  if (NewUpper == Vars[Var].Upper)
     return false;
-  Vars[Rep].Upper = NewUpper;
+  Vars[Var].Upper = NewUpper;
   return true;
-}
-
-QualVarId ConstraintSystem::mergeReps(QualVarId A, QualVarId B) {
-  assert(A != B && "merging a representative with itself");
-  QualVarId Win = Reps.unite(A, B);
-  QualVarId Lose = Win == A ? B : A;
-  VarInfo &W = Vars[Win];
-  VarInfo &L = Vars[Lose];
-  W.Lower = W.Lower.join(L.Lower);
-  W.Upper = W.Upper.meet(L.Upper);
-  ++Stats.VarsCollapsed;
-  return Win;
-}
-
-bool ConstraintSystem::shouldRebuild() const {
-  if (!Config.CollapseCycles || NewVarVarEdges == 0)
-    return false;
-  if (NewVarVarEdges < Config.CollapseMinNewEdges)
-    return false;
-  // Rebuild on demonstrated pressure only: the worklist must have traversed
-  // the graph CollapsePressureFactor times over since the last rebuild.
-  // Workloads that visit each edge at most about once (acyclic flows, a
-  // single batch solve) never pay for a rebuild they could not recoup.
-  return TotalEdgeVisits - VisitsAtRebuild >=
-         uint64_t(Config.CollapsePressureFactor) * VarVarEdges.size();
-}
-
-void ConstraintSystem::rebuildCompactGraph(
-    std::vector<QualVarId> &MergedReps) {
-  unsigned N = Vars.size();
-
-  // Everything below is counting sorts and CSR arrays -- O(V + E) with a
-  // fixed number of large allocations, no per-node vectors and no
-  // comparison sort. Deduplication runs FIRST so the Tarjan pass and the
-  // collapse remap only ever touch the deduplicated edge set (constraint
-  // generators restate the same flow freely, e.g. once per call site).
-  struct RawEdge {
-    QualVarId From, To;
-    uint64_t Mask;
-    ConstraintId Cons;
-  };
-  std::vector<RawEdge> Edges;
-  Edges.reserve(VarVarEdges.size());
-  for (ConstraintId Id : VarVarEdges) {
-    const Constraint &C = Constraints[Id];
-    QualVarId From = Reps.find(C.Lhs.getVar());
-    QualVarId To = Reps.find(C.Rhs.getVar());
-    if (From == To) {
-      ++Stats.SelfEdgesDropped;
-      continue;
-    }
-    Edges.push_back({From, To, C.Mask, Id});
-  }
-
-  std::vector<RawEdge> Tmp;
-  std::vector<uint32_t> Count(N + 1);
-  // Two stable counting-sort passes group the edges by (From, To) with
-  // insertion order preserved inside each group; then duplicates (same
-  // endpoints and mask) collapse to the group's first occurrence. Masks
-  // within a group arrive unordered, so the dedup scans the group's kept
-  // prefix -- groups are tiny (duplicates of one flow, usually one mask).
-  auto sortAndDedup = [&] {
-    Tmp.resize(Edges.size());
-    auto pass = [&](const std::vector<RawEdge> &In, std::vector<RawEdge> &Out,
-                    bool ByFrom) {
-      std::fill(Count.begin(), Count.end(), 0);
-      for (const RawEdge &E : In)
-        ++Count[(ByFrom ? E.From : E.To) + 1];
-      for (unsigned I = 0; I != N; ++I)
-        Count[I + 1] += Count[I];
-      for (const RawEdge &E : In)
-        Out[Count[ByFrom ? E.From : E.To]++] = E;
-    };
-    pass(Edges, Tmp, /*ByFrom=*/false);
-    pass(Tmp, Edges, /*ByFrom=*/true);
-    size_t Unique = 0, GroupStart = 0;
-    for (size_t I = 0; I != Edges.size(); ++I) {
-      if (!Unique || Edges[Unique - 1].From != Edges[I].From ||
-          Edges[Unique - 1].To != Edges[I].To) {
-        GroupStart = Unique;
-        Edges[Unique++] = Edges[I];
-        continue;
-      }
-      bool Duplicate = false;
-      for (size_t J = GroupStart; J != Unique && !Duplicate; ++J)
-        Duplicate = Edges[J].Mask == Edges[I].Mask;
-      if (Duplicate) {
-        ++Stats.EdgesDeduped;
-        continue;
-      }
-      Edges[Unique++] = Edges[I];
-    }
-    Edges.resize(Unique);
-  };
-  sortAndDedup();
-
-  // Cycle pass: Tarjan over the unmasked deduplicated edges; every
-  // multi-node component is a <=-cycle whose members provably share one
-  // least and one greatest solution, so collapse it onto a representative.
-  bool Merged = false;
-  {
-    std::fill(Count.begin(), Count.end(), 0);
-    for (const RawEdge &E : Edges)
-      if (isFullMask(E.Mask))
-        ++Count[E.From + 1];
-    for (unsigned I = 0; I != N; ++I)
-      Count[I + 1] += Count[I];
-    std::vector<uint32_t> Targets(Count[N]);
-    {
-      std::vector<uint32_t> Fill(Count.begin(), Count.end() - 1);
-      for (const RawEdge &E : Edges)
-        if (isFullMask(E.Mask))
-          Targets[Fill[E.From]++] = E.To;
-    }
-    SccFlatResult Cycles =
-        computeSccsFlat({N, Count.data(), Targets.data()});
-    for (unsigned Comp = 0, NC = Cycles.numComponents(); Comp != NC;
-         ++Comp) {
-      uint32_t B = Cycles.CompStart[Comp], E = Cycles.CompStart[Comp + 1];
-      if (E - B < 2)
-        continue;
-      ++Stats.SccsCollapsed;
-      Merged = true;
-      QualVarId Rep = Cycles.Order[B];
-      for (uint32_t I = B + 1; I != E; ++I)
-        Rep = mergeReps(Rep, Cycles.Order[I]);
-      // The representative's solution state is the join of the whole
-      // component's; the caller re-seeds it into the worklists.
-      MergedReps.push_back(Rep);
-    }
-  }
-
-  // If anything collapsed, remap the edges onto the new representatives:
-  // intra-component edges vanish and formerly-distinct edges can become
-  // parallel, so drop and re-dedup (still only over the deduplicated set).
-  // Remaining cycles of the final graph can only run through masked edges;
-  // the worklist handles those by plain fixpoint iteration.
-  if (Merged) {
-    size_t Kept = 0;
-    for (size_t I = 0; I != Edges.size(); ++I) {
-      RawEdge E = Edges[I];
-      E.From = Reps.find(E.From);
-      E.To = Reps.find(E.To);
-      if (E.From == E.To) {
-        ++Stats.SelfEdgesDropped;
-        continue;
-      }
-      Edges[Kept++] = E;
-    }
-    Edges.resize(Kept);
-    sortAndDedup();
-  }
-
-  // CSR rows (counting sort by endpoint; Edges is already sorted by From).
-  SuccStart.assign(N + 1, 0);
-  PredStart.assign(N + 1, 0);
-  for (const RawEdge &E : Edges) {
-    ++SuccStart[E.From + 1];
-    ++PredStart[E.To + 1];
-  }
-  for (unsigned I = 0; I != N; ++I) {
-    SuccStart[I + 1] += SuccStart[I];
-    PredStart[I + 1] += PredStart[I];
-  }
-  SuccEdges = static_cast<CompactEdge *>(
-      EdgeArena.allocate(sizeof(CompactEdge) * Edges.size(),
-                         alignof(CompactEdge)));
-  PredEdges = static_cast<CompactEdge *>(
-      EdgeArena.allocate(sizeof(CompactEdge) * Edges.size(),
-                         alignof(CompactEdge)));
-  {
-    std::vector<uint32_t> SuccFill(SuccStart.begin(), SuccStart.end() - 1);
-    std::vector<uint32_t> PredFill(PredStart.begin(), PredStart.end() - 1);
-    for (const RawEdge &E : Edges) {
-      SuccEdges[SuccFill[E.From]++] = {E.Cons, E.To};
-      PredEdges[PredFill[E.To]++] = {E.Cons, E.From};
-    }
-  }
-
-  // Drop the pending lists: every edge is now in the CSR. PendingTouched
-  // names exactly the vars holding one, so this is proportional to the
-  // edges added since the last rebuild, not to the variable count.
-  for (QualVarId V : PendingTouched) {
-    Vars[V].PendingSuccHead = ~0u;
-    Vars[V].PendingPredHead = ~0u;
-  }
-  PendingTouched.clear();
-  PendingPool.clear();
-  NewVarVarEdges = 0;
-  VisitsAtRebuild = TotalEdgeVisits;
-  ++Stats.CollapsePasses;
-  Stats.CompactEdges = Edges.size();
-  CompactEdgeCount = Edges.size();
-  traceInstant("solver.rebuild", "qual",
-               "\"compact_edges\":" + std::to_string(Edges.size()) +
-                   ",\"sccs_collapsed\":" +
-                   std::to_string(Stats.SccsCollapsed) +
-                   ",\"vars_collapsed\":" +
-                   std::to_string(Stats.VarsCollapsed));
 }
 
 void ConstraintSystem::runWorklists(std::vector<QualVarId> &LowerWork,
                                     std::vector<QualVarId> &UpperWork) {
-  auto forEachSucc = [this](QualVarId V, auto &&Fn) {
-    if (V + 1 < SuccStart.size())
-      for (uint32_t I = SuccStart[V], E = SuccStart[V + 1]; I != E; ++I)
-        Fn(SuccEdges[I].Cons, SuccEdges[I].Other);
-    for (uint32_t I = Vars[V].PendingSuccHead; I != ~0u;
-         I = PendingPool[I].Next) {
-      ConstraintId Id = PendingPool[I].Cons;
-      Fn(Id, Reps.find(Constraints[Id].Rhs.getVar()));
-    }
-  };
-  auto forEachPred = [this](QualVarId V, auto &&Fn) {
-    if (V + 1 < PredStart.size())
-      for (uint32_t I = PredStart[V], E = PredStart[V + 1]; I != E; ++I)
-        Fn(PredEdges[I].Cons, PredEdges[I].Other);
-    for (uint32_t I = Vars[V].PendingPredHead; I != ~0u;
-         I = PendingPool[I].Next) {
-      ConstraintId Id = PendingPool[I].Cons;
-      Fn(Id, Reps.find(Constraints[Id].Lhs.getVar()));
-    }
-  };
-
-  // Tier-up on demonstrated pressure: once the drain has re-visited edges
-  // often enough to pay for a rebuild (see shouldRebuild), compact the
-  // graph in place and resume. Representatives that absorbed a merge took
-  // on their component's joined bounds, so they re-enter both worklists;
-  // entries naming a merged-away variable are redirected at pop below.
-  auto maybeTierUp = [&] {
-    if (!shouldRebuild())
-      return;
-    std::vector<QualVarId> Merged;
-    rebuildCompactGraph(Merged);
-    for (QualVarId R : Merged) {
-      LowerWork.push_back(R);
-      UpperWork.push_back(R);
-    }
-    Stats.WorklistPushes += 2 * Merged.size();
-  };
-
-  // The upper drain can re-fill the lower worklist through a mid-drain
-  // merge, hence the outer loop; without a merge each inner loop empties
-  // its list for good.
-  while (!LowerWork.empty() || !UpperWork.empty()) {
-    // Forward join propagation: least solution of the lower bounds.
-    while (!LowerWork.empty()) {
-      maybeTierUp();
-      QualVarId V = Reps.find(LowerWork.back());
-      LowerWork.pop_back();
-      LatticeValue LV = Vars[V].Lower;
-      forEachSucc(V, [&](ConstraintId Id, QualVarId To) {
-        ++Stats.EdgeVisits;
-        ++TotalEdgeVisits;
-        const Constraint &C = Constraints[Id];
-        if (raiseLower(To, LatticeValue(LV.bits() & C.Mask))) {
-          LowerWork.push_back(To);
-          ++Stats.WorklistPushes;
-        }
-      });
-    }
-
-    // Backward meet propagation: greatest solution of the upper bounds.
-    while (!UpperWork.empty()) {
-      maybeTierUp();
-      QualVarId V = Reps.find(UpperWork.back());
-      UpperWork.pop_back();
-      LatticeValue UV = Vars[V].Upper;
-      forEachPred(V, [&](ConstraintId Id, QualVarId From) {
-        ++Stats.EdgeVisits;
-        ++TotalEdgeVisits;
-        const Constraint &C = Constraints[Id];
-        if (capUpper(From, LatticeValue(UV.bits() | ~C.Mask))) {
-          UpperWork.push_back(From);
-          ++Stats.WorklistPushes;
-        }
-      });
-    }
-  }
-}
-
-bool ConstraintSystem::shouldSolveDense() const {
-  if (!Config.DenseSolve || !Config.CollapseCycles)
-    return false;
-  unsigned Floor = std::max(1u, Config.DenseMinNewEdges);
-  if (NewVarVarEdges < Floor)
-    return false;
-  // Bulk solves only: the new batch must be at least half the system, so
-  // over any sequence of edits the dense passes touch O(total edges) work
-  // in total (geometric growth) and incremental pipeline solves stay on
-  // the worklist tier.
-  return uint64_t(NewVarVarEdges) * 2 >= VarVarEdges.size();
-}
-
-void ConstraintSystem::solveDense() {
-  // The caller just ran rebuildCompactGraph(): every edge is in the CSR
-  // (rows keyed by representative, endpoints pre-resolved), pending lists
-  // are empty, and constraint seeds are already applied to Lower/Upper.
-  const unsigned N = Vars.size();
-
-  // Dense representative ids: lattice state and adjacency are re-indexed
-  // from sparse var ids onto [0, R) so the propagation loops run over
-  // contiguous uint64_t words instead of striding through VarInfo records.
-  std::vector<uint32_t> DenseId(N, ~0u);
-  std::vector<QualVarId> RepVar;
-  RepVar.reserve(N);
-  for (unsigned V = 0; V != N; ++V)
-    if (Reps.find(V) == V) {
-      DenseId[V] = RepVar.size();
-      RepVar.push_back(V);
-    }
-  const uint32_t R = RepVar.size();
-  const uint32_t E = CompactEdgeCount;
-
-  // Flat CSR in both directions with the constraint masks inlined next to
-  // the targets: the inner loops below never touch Constraints[] (an
-  // ~80-byte stride) or chase a pending list -- each visit is two word
-  // loads, an AND/OR, and an accumulate.
-  std::vector<uint32_t> OutStart(R + 1, 0), InStart(R + 1, 0);
-  std::vector<uint32_t> OutTgt(E), InSrc(E);
-  std::vector<uint64_t> OutMask(E), InMask(E);
-  for (uint32_t D = 0; D != R; ++D) {
-    QualVarId V = RepVar[D];
-    OutStart[D + 1] = OutStart[D] + (SuccStart[V + 1] - SuccStart[V]);
-    InStart[D + 1] = InStart[D] + (PredStart[V + 1] - PredStart[V]);
-  }
-  for (uint32_t D = 0; D != R; ++D) {
-    QualVarId V = RepVar[D];
-    uint32_t O = OutStart[D];
-    for (uint32_t I = SuccStart[V], En = SuccStart[V + 1]; I != En; ++I, ++O) {
-      OutTgt[O] = DenseId[SuccEdges[I].Other];
-      OutMask[O] = Constraints[SuccEdges[I].Cons].Mask;
-    }
-    uint32_t P = InStart[D];
-    for (uint32_t I = PredStart[V], En = PredStart[V + 1]; I != En; ++I, ++P) {
-      InSrc[P] = DenseId[PredEdges[I].Other];
-      InMask[P] = Constraints[PredEdges[I].Cons].Mask;
-    }
-  }
-
-  // Scheduling DAG: Tarjan over ALL dense edges (masked ones too -- the
-  // rebuild only collapses unmasked cycles, so masked cycles survive and
-  // must land inside one scheduling component, where they iterate to a
-  // local fixpoint as a single work item). Components come back in reverse
-  // topological order: every edge goes from a higher component index to a
-  // lower one.
-  SccFlatResult Sched = computeSccsFlat({R, OutStart.data(), OutTgt.data()});
-  const uint32_t NC = Sched.numComponents();
-
-  // Levelize: level(c) = 1 + max level of the components feeding c (0 for
-  // sources). All components on one level are pairwise non-adjacent, so a
-  // level is an independent shard set for the forward pass; and since every
-  // successor of c sits on a strictly higher level, the same partition run
-  // in reverse serves the backward pass.
-  std::vector<uint32_t> CompLevel(NC, 0);
-  uint32_t NumLevels = NC ? 1 : 0;
-  for (uint32_t C = NC; C-- > 0;) { // Descending index = topological order.
-    uint32_t Lvl = 0;
-    for (uint32_t I = Sched.CompStart[C], En = Sched.CompStart[C + 1];
-         I != En; ++I) {
-      uint32_t D = Sched.Order[I];
-      for (uint32_t J = InStart[D], E2 = InStart[D + 1]; J != E2; ++J) {
-        uint32_t SC = Sched.ComponentOf[InSrc[J]];
-        if (SC != C && CompLevel[SC] >= Lvl)
-          Lvl = CompLevel[SC] + 1;
+  // Forward join propagation: least solution of the lower bounds. A var is
+  // pushed only when it gains a bit, so each edge is visited at most |Q|
+  // times over the system's lifetime.
+  while (!LowerWork.empty()) {
+    QualVarId V = LowerWork.back();
+    LowerWork.pop_back();
+    uint64_t LV = Vars[V].Lower.bits();
+    for (uint32_t I = Vars[V].SuccHead; I != ~0u; I = EdgePool[I].Next) {
+      ++Stats.EdgeVisits;
+      const Constraint &C = Constraints[EdgePool[I].Cons];
+      QualVarId To = C.Rhs.getVar();
+      if (raiseLower(To, LatticeValue(LV & C.Mask))) {
+        LowerWork.push_back(To);
+        ++Stats.WorklistPushes;
       }
     }
-    CompLevel[C] = Lvl;
-    NumLevels = std::max(NumLevels, Lvl + 1);
-  }
-  std::vector<uint32_t> LevelStart(NumLevels + 1, 0);
-  for (uint32_t C = 0; C != NC; ++C)
-    ++LevelStart[CompLevel[C] + 1];
-  for (uint32_t L = 0; L != NumLevels; ++L)
-    LevelStart[L + 1] += LevelStart[L];
-  std::vector<uint32_t> CompsByLevel(NC);
-  {
-    std::vector<uint32_t> Fill(LevelStart.begin(), LevelStart.end() - 1);
-    for (uint32_t C = NC; C-- > 0;) // Topological order within each level.
-      CompsByLevel[Fill[CompLevel[C]]++] = C;
   }
 
-  // Lattice state as packed words. Nodes outside every component (isolated
-  // representatives, excluded by computeSccsFlat) have no edges, so their
-  // seeded values are already final; the write-back below covers them
-  // harmlessly.
-  std::vector<uint64_t> Low(R), Up(R);
-  for (uint32_t D = 0; D != R; ++D) {
-    Low[D] = Vars[RepVar[D]].Lower.bits();
-    Up[D] = Vars[RepVar[D]].Upper.bits();
-  }
-
-  // One component's forward pass: pull-based join over in-edges, so this
-  // shard is the only writer of its nodes -- predecessor levels are final
-  // and same-level components are non-adjacent, which is the whole
-  // determinism argument (any schedule computes the same unique fixpoint).
-  // Multi-node components are masked cycles: sweep to a local fixpoint.
-  auto forwardComp = [&](uint32_t C) -> uint64_t {
-    uint32_t B = Sched.CompStart[C], En = Sched.CompStart[C + 1];
-    uint64_t Visits = 0;
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (uint32_t I = B; I != En; ++I) {
-        uint32_t D = Sched.Order[I];
-        uint64_t LV = Low[D];
-        for (uint32_t J = InStart[D], E2 = InStart[D + 1]; J != E2; ++J)
-          LV |= Low[InSrc[J]] & InMask[J];
-        Visits += InStart[D + 1] - InStart[D];
-        if (LV != Low[D]) {
-          Low[D] = LV;
-          Changed = true;
-        }
+  // Backward meet propagation: greatest solution of the upper bounds.
+  while (!UpperWork.empty()) {
+    QualVarId V = UpperWork.back();
+    UpperWork.pop_back();
+    uint64_t UV = Vars[V].Upper.bits();
+    for (uint32_t I = Vars[V].PredHead; I != ~0u; I = EdgePool[I].Next) {
+      ++Stats.EdgeVisits;
+      const Constraint &C = Constraints[EdgePool[I].Cons];
+      QualVarId From = C.Lhs.getVar();
+      if (capUpper(From, LatticeValue(UV | ~C.Mask))) {
+        UpperWork.push_back(From);
+        ++Stats.WorklistPushes;
       }
-      if (En - B == 1)
-        break; // Singleton (no self edges survive the rebuild): one sweep.
     }
-    return Visits;
-  };
-  // The backward meet pass, symmetric over out-edges.
-  auto backwardComp = [&](uint32_t C) -> uint64_t {
-    uint32_t B = Sched.CompStart[C], En = Sched.CompStart[C + 1];
-    uint64_t Visits = 0;
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (uint32_t I = B; I != En; ++I) {
-        uint32_t D = Sched.Order[I];
-        uint64_t UV = Up[D];
-        for (uint32_t J = OutStart[D], E2 = OutStart[D + 1]; J != E2; ++J)
-          UV &= Up[OutTgt[J]] | ~OutMask[J];
-        Visits += OutStart[D + 1] - OutStart[D];
-        if (UV != Up[D]) {
-          Up[D] = UV;
-          Changed = true;
-        }
-      }
-      if (En - B == 1)
-        break;
-    }
-    return Visits;
-  };
-
-  // Per-level edge weight decides whether dispatching the level onto the
-  // pool can pay for itself (tiny levels run inline even at Jobs > 1).
-  std::vector<uint64_t> LevelEdges(NumLevels, 0);
-  for (uint32_t C = 0; C != NC; ++C) {
-    uint64_t W = 0;
-    for (uint32_t I = Sched.CompStart[C], En = Sched.CompStart[C + 1];
-         I != En; ++I) {
-      uint32_t D = Sched.Order[I];
-      W += InStart[D + 1] - InStart[D];
-    }
-    LevelEdges[CompLevel[C]] += W;
   }
-
-  // Visit counts accumulate per shard chunk and merge with relaxed atomics
-  // at the level barrier; every component's count is schedule-independent,
-  // so the merged total is byte-for-byte identical at any job count.
-  std::atomic<uint64_t> DenseVisits{0};
-  const bool UsePool = Config.Pool && Config.Jobs > 1;
-  auto runLevel = [&](uint32_t L, auto &&CompFn) {
-    uint32_t LB = LevelStart[L], LE = LevelStart[L + 1];
-    if (UsePool && LE - LB > 1 && LevelEdges[L] >= Config.ShardMinLevelEdges) {
-      Config.Pool->parallelForEach(
-          LE - LB, std::max(1u, Config.ShardGrain),
-          [&](size_t Begin, size_t End) {
-            uint64_t V = 0;
-            for (size_t I = Begin; I != End; ++I)
-              V += CompFn(CompsByLevel[LB + I]);
-            DenseVisits.fetch_add(V, std::memory_order_relaxed);
-          });
-    } else {
-      uint64_t V = 0;
-      for (uint32_t I = LB; I != LE; ++I)
-        V += CompFn(CompsByLevel[I]);
-      DenseVisits.fetch_add(V, std::memory_order_relaxed);
-    }
-  };
-
-  for (uint32_t L = 0; L != NumLevels; ++L)
-    runLevel(L, forwardComp);
-  for (uint32_t L = NumLevels; L-- > 0;)
-    runLevel(L, backwardComp);
-
-  for (uint32_t D = 0; D != R; ++D) {
-    Vars[RepVar[D]].Lower = LatticeValue(Low[D]);
-    Vars[RepVar[D]].Upper = LatticeValue(Up[D]);
-  }
-
-  // Dense visits are exact one-shot work, not re-traversal pressure: they
-  // count toward the per-solve stats but not toward TotalEdgeVisits, so a
-  // bulk pass never tricks the pressure policy into an extra rebuild.
-  Stats.EdgeVisits += DenseVisits.load(std::memory_order_relaxed);
-  ++Stats.DensePasses;
-  traceInstant("solver.dense", "qual",
-               "\"reps\":" + std::to_string(R) +
-                   ",\"edges\":" + std::to_string(E) +
-                   ",\"levels\":" + std::to_string(NumLevels) +
-                   ",\"components\":" + std::to_string(NC));
 }
 
 bool ConstraintSystem::solve() {
   PhaseScope Phase("solve", "qual");
   Timer SolveTimer;
-  // Work counters describe one solve; lifetime accounting that must survive
-  // (rebuild pressure) lives in TotalEdgeVisits/CompactEdgeCount.
+  // Work counters describe one solve.
   Stats.reset();
   ++Stats.SolveCalls;
 
   std::vector<QualVarId> LowerWork;
   std::vector<QualVarId> UpperWork;
 
-  // A bulk ingest takes the dense path: rebuild unconditionally (collapse +
-  // dedup + CSR is the layout the dense core runs on), seed, then replace
-  // the worklist drain with the two levelized passes.
-  bool Dense = shouldSolveDense();
-
-  // Pressure accumulated over earlier solves may already justify a rebuild;
-  // doing it before seeding lets the new constraints land straight in the
-  // compact graph. Merged representatives changed value, so they propagate.
-  if (Dense || shouldRebuild()) {
-    std::vector<QualVarId> Merged;
-    rebuildCompactGraph(Merged);
-    for (QualVarId R : Merged) {
-      LowerWork.push_back(R);
-      UpperWork.push_back(R);
-    }
-  }
-
   // Seed the solution state from constraints added since the last solve.
   for (ConstraintId Id = SolvedConstraints, E = Constraints.size(); Id != E;
        ++Id) {
     const Constraint &C = Constraints[Id];
     if (C.Lhs.isConst() && C.Rhs.isVar()) {
-      QualVarId R = Reps.find(C.Rhs.getVar());
+      QualVarId R = C.Rhs.getVar();
       if (raiseLower(R, LatticeValue(C.Lhs.getConst().bits() & C.Mask)))
         LowerWork.push_back(R);
     } else if (C.Lhs.isVar() && C.Rhs.isVar()) {
       // A new edge may carry an already-known lower bound forward and an
       // already-known upper bound backward.
-      QualVarId L = Reps.find(C.Lhs.getVar());
-      QualVarId R = Reps.find(C.Rhs.getVar());
+      QualVarId L = C.Lhs.getVar();
+      QualVarId R = C.Rhs.getVar();
       if (raiseLower(R, LatticeValue(Vars[L].Lower.bits() & C.Mask)))
         LowerWork.push_back(R);
       if (capUpper(L, LatticeValue(Vars[R].Upper.bits() | ~C.Mask)))
         UpperWork.push_back(L);
     } else if (C.Lhs.isVar() && C.Rhs.isConst()) {
-      QualVarId L = Reps.find(C.Lhs.getVar());
+      QualVarId L = C.Lhs.getVar();
       if (capUpper(L, LatticeValue(C.Rhs.getConst().bits() | ~C.Mask)))
         UpperWork.push_back(L);
     }
@@ -650,25 +154,16 @@ bool ConstraintSystem::solve() {
   }
   SolvedConstraints = Constraints.size();
 
-  if (Dense) {
-    // The dense passes recompute both fixpoints from the seeded state over
-    // the whole CSR; the incremental work vectors are subsumed.
-    solveDense();
-  } else {
-    Stats.WorklistPushes += LowerWork.size() + UpperWork.size();
-    runWorklists(LowerWork, UpperWork);
-  }
+  Stats.WorklistPushes += LowerWork.size() + UpperWork.size();
+  runWorklists(LowerWork, UpperWork);
 
   // Satisfiable iff no variable's required bits exceed its allowed bits and
   // no direct upper bound fails; a cheap necessary-and-sufficient check is
-  // lower <= upper on every representative plus the const-const constraints.
+  // lower <= upper on every variable plus the const-const constraints.
   bool Ok = true;
-  for (QualVarId V = 0, N = Vars.size(); Ok && V != N; ++V) {
-    if (Reps.find(V) != V)
-      continue;
+  for (QualVarId V = 0, N = Vars.size(); Ok && V != N; ++V)
     if (!Vars[V].Lower.subsumedBy(Vars[V].Upper))
       Ok = false;
-  }
   for (size_t I = 0; Ok && I != ConstConstIds.size(); ++I) {
     const Constraint &C = Constraints[ConstConstIds[I]];
     if ((C.Lhs.getConst().bits() & C.Mask) & ~C.Rhs.getConst().bits())
@@ -726,9 +221,8 @@ std::string ConstraintSystem::explain(const Violation &V) const {
   // Reconstruct the provenance of the lowest offending bit backwards from
   // the violated constraint's left-hand side to a constant that introduced
   // it. Provenance is computed lazily here (never recorded during
-  // propagation), so the hot loops stay branch-free and the rendered chain
-  // is a pure function of the constraint sequence -- byte-identical across
-  // the worklist/dense layouts and every job count.
+  // propagation), so the hot loops stay free of bookkeeping and the
+  // rendered chain is a pure function of the constraint sequence.
   uint64_t Bit = V.OffendingBits & ~(V.OffendingBits - 1);
 
   // Name every offending qualifier component in the header line.
@@ -765,24 +259,24 @@ std::string ConstraintSystem::explain(const Violation &V) const {
     // constant left-hand side with the bit under the mask is a seed. FIFO
     // order with in-edges scanned in constraint-id order makes the chain
     // deterministic: the shortest one, ties broken by lowest id.
-    QualVarId Root = Reps.find(Cause.Lhs.getVar());
+    QualVarId Root = Cause.Lhs.getVar();
     std::vector<std::pair<QualVarId, ConstraintId>> Parent; // BFS tree.
-    std::vector<uint32_t> ParentOf(Vars.size(), ~0u); // Rep -> Parent index.
+    std::vector<uint32_t> ParentOf(Vars.size(), ~0u); // Var -> Parent index.
     std::vector<QualVarId> Queue{Root};
     ParentOf[Root] = ~1u; // Visited marker for the root (no parent edge).
     ConstraintId SeedCons = ~0u;
     QualVarId SeedAt = Root;
-    // Index the bit-carrying in-edges per representative, in id order.
+    // Index the bit-carrying in-edges per variable, in id order.
     std::vector<std::vector<ConstraintId>> InEdges(Vars.size());
     for (ConstraintId Id = 0, E = Constraints.size(); Id != E; ++Id) {
       const Constraint &C = Constraints[Id];
       if (!C.Rhs.isVar() || !(C.Mask & Bit))
         continue;
-      if (C.Lhs.isVar() && !(Vars[Reps.find(C.Lhs.getVar())].Lower.bits() & Bit))
+      if (C.Lhs.isVar() && !(Vars[C.Lhs.getVar()].Lower.bits() & Bit))
         continue;
       if (C.Lhs.isConst() && !(C.Lhs.getConst().bits() & C.Mask & Bit))
         continue;
-      InEdges[Reps.find(C.Rhs.getVar())].push_back(Id);
+      InEdges[C.Rhs.getVar()].push_back(Id);
     }
     for (size_t Head = 0; Head != Queue.size() && SeedCons == ~0u; ++Head) {
       QualVarId At = Queue[Head];
@@ -793,7 +287,7 @@ std::string ConstraintSystem::explain(const Violation &V) const {
           SeedAt = At;
           break;
         }
-        QualVarId Src = Reps.find(C.Lhs.getVar());
+        QualVarId Src = C.Lhs.getVar();
         if (Src == At || ParentOf[Src] != ~0u)
           continue;
         Parent.push_back({At, Id});
@@ -839,8 +333,7 @@ SolverStats ConstraintSystem::getStats() const {
   SolverStats S = Stats;
   S.NumVars = Vars.size();
   S.NumConstraints = Constraints.size();
-  S.VarVarEdges = VarVarEdges.size();
-  S.CompactEdges = CompactEdgeCount;
+  S.VarVarEdges = NumVarVarEdges;
   return S;
 }
 
@@ -848,14 +341,7 @@ void SolverStats::publishTo(MetricsRegistry &R) const {
   R.gauge("solver.vars").set(NumVars);
   R.gauge("solver.constraints").set(NumConstraints);
   R.gauge("solver.var_var_edges").set(VarVarEdges);
-  R.gauge("solver.compact_edges").set(CompactEdges);
   R.counter("solver.solve_calls").add(SolveCalls);
-  R.counter("solver.dense_passes").add(DensePasses);
-  R.counter("solver.collapse_passes").add(CollapsePasses);
-  R.counter("solver.sccs_collapsed").add(SccsCollapsed);
-  R.counter("solver.vars_collapsed").add(VarsCollapsed);
-  R.counter("solver.edges_deduped").add(EdgesDeduped);
-  R.counter("solver.self_edges_dropped").add(SelfEdgesDropped);
   R.counter("solver.worklist_pushes").add(WorklistPushes);
   R.counter("solver.edge_visits").add(EdgeVisits);
   R.timer("solver.solve").addSeconds(SolveSeconds);
@@ -871,14 +357,7 @@ std::string quals::renderSolverStats(const SolverStats &S) {
   Row("qualifier vars", S.NumVars);
   Row("constraints", S.NumConstraints);
   Row("var->var edges", S.VarVarEdges);
-  Row("compact edges (post-rebuild)", S.CompactEdges);
   Row("solve() calls", S.SolveCalls);
-  Row("dense bulk passes", S.DensePasses);
-  Row("collapse passes", S.CollapsePasses);
-  Row("cycles (SCCs) collapsed", S.SccsCollapsed);
-  Row("vars folded into a rep", S.VarsCollapsed);
-  Row("parallel edges deduped", S.EdgesDeduped);
-  Row("intra-component edges dropped", S.SelfEdgesDropped);
   Row("worklist pushes", S.WorklistPushes);
   Row("edge visits", S.EdgeVisits);
   char Buf[64];

@@ -16,44 +16,16 @@
 ///
 /// The paper solved these with BANE's generic engine and remarks that "we
 /// expect substantial speedups would be achieved with a framework specialized
-/// to the qualifier lattice" -- this class is that specialized framework.
-/// Scaling machinery (all observable only through getStats() and wall-clock):
-///
-/// \li **Cycle collapsing.** Variables on a <= cycle have equal least and
-///     greatest solutions, so each strongly connected component of the
-///     var->var graph (restricted to unmasked edges) is collapsed to a single
-///     union-find representative by a Tarjan pass (support/Scc.h). Dense
-///     recursive blobs then cost one node instead of endless re-propagation.
-/// \li **Compact edge storage.** Adjacency is rebuilt into CSR-style arrays
-///     backed by a bump arena, dropping duplicate parallel edges and edges
-///     internal to a collapsed component. Edges added after a rebuild go to
-///     small per-representative pending lists until the next rebuild.
-/// \li **Pressure-triggered tiering.** Incremental propagation is the
-///     worklist algorithm; the O(V+E) rebuild above only fires once the
-///     worklist has demonstrably re-traversed the graph enough times to pay
-///     for it (SolverConfig::CollapsePressureFactor), checked both between
-///     solves and mid-drain. One-shot or cycle-free workloads therefore
-///     never pay for a rebuild, while dense cyclic regions tier up as soon
-///     as the re-bouncing shows up in the visit counter.
-/// \li **Dense bulk solving.** A solve that ingests a large batch of new
-///     edges (SolverConfig::DenseMinNewEdges and at least half the system)
-///     skips the worklist entirely: the condensation is packed into flat
-///     CSR arrays with inline masks, lattice state into plain `uint64_t`
-///     words indexed by dense representative id, and two branch-free
-///     levelized passes (forward `|=`, backward `&=`) over the topological
-///     levels of the scheduling DAG compute both fixpoints in exactly one
-///     visit per edge per direction. Levels are independent, so their
-///     components optionally solve concurrently on a support/ThreadPool
-///     (SolverConfig::Jobs/Pool) -- results and every rendered byte are
-///     identical at any job count because each node's value is written only
-///     by its own shard from already-final predecessor levels.
+/// to the qualifier lattice" -- this class is that specialized framework: a
+/// seeded worklist over per-variable edge lists. A variable re-enters a
+/// worklist only when its bound changes, which happens at most once per
+/// qualifier bit, so a solve visits each var->var edge at most |Q| times per
+/// direction.
 ///
 /// Constraints optionally carry a bit \p Mask restricting them to a subset of
 /// the qualifier components; masked constraints implement well-formedness
 /// rules such as binding-time's "nothing dynamic inside something static"
-/// (see WellFormed.h) without leaving the atomic fragment. Cycles through
-/// masked edges do *not* force equality on all components and are never
-/// collapsed.
+/// (see WellFormed.h) without leaving the atomic fragment.
 ///
 /// See docs/SOLVER.md for the full algorithm and invariants.
 ///
@@ -63,16 +35,12 @@
 #define QUALS_QUAL_CONSTRAINTSYSTEM_H
 
 #include "qual/QualExpr.h"
-#include "support/Allocator.h"
 #include "support/SourceLoc.h"
-#include "support/UnionFind.h"
 
 #include <string>
 #include <vector>
 
 namespace quals {
-
-class ThreadPool;
 
 /// Where (and why) a constraint was generated; used in error explanations.
 struct ConstraintOrigin {
@@ -105,98 +73,34 @@ struct Violation {
   uint64_t OffendingBits;   ///< Lattice bits of Actual exceeding Bound.
 };
 
-/// Tuning knobs for the solver's scaling machinery.
+/// Solver configuration.
 struct SolverConfig {
-  /// Collapse <=-cycles onto union-find representatives and rebuild the
-  /// compact edge graph when enough edges accumulate. Turning this off
-  /// reverts to pure worklist propagation over per-variable pending edges
-  /// (the ablation baseline; bench/solver_microbench measures both).
-  bool CollapseCycles = true;
-
-  /// A rebuild is considered only when at least this many var->var edges
-  /// were added since the last one (small systems never pay for Tarjan).
-  unsigned CollapseMinNewEdges = 64;
-
-  /// A rebuild fires only once the worklist has visited at least this many
-  /// edges per var->var edge since the last rebuild -- i.e. once observed
-  /// propagation pressure proves the graph is being traversed repeatedly
-  /// (cycles, duplicate edges, or many re-solves). Light workloads that
-  /// visit each edge at most once never pay for a rebuild at all. 0 forces
-  /// a rebuild on every solve that meets CollapseMinNewEdges.
-  unsigned CollapsePressureFactor = 2;
-
   /// Constraint budget (support/Limits.h): once this many constraints are
   /// stored, further add*() calls are dropped and hitConstraintLimit()
   /// latches. The analyses translate the latch into a recoverable
   /// `fatal: resource limit` diagnostic. 0 = unlimited.
   uint64_t MaxConstraints = 0;
-
-  /// Use the dense branch-free condensation core for bulk solves (see the
-  /// file comment). Requires CollapseCycles; turning either off reverts
-  /// every solve to worklist propagation (the ablation baseline measured by
-  /// bench/solver_microbench and bench/solver_throughput).
-  bool DenseSolve = true;
-
-  /// A solve takes the dense path only when at least this many var->var
-  /// edges arrived since the last rebuild AND they make up at least half of
-  /// all var->var edges ever added -- i.e. the solve is a bulk ingest, not
-  /// an incremental re-solve. The half-the-system condition keeps the total
-  /// dense work over any edit sequence amortized linear; the floor keeps
-  /// small systems on the cheap worklist tier.
-  unsigned DenseMinNewEdges = 1024;
-
-  /// Shard concurrency for the dense passes. With Jobs > 1 and Pool set,
-  /// each topological level's components are dispatched in chunks onto the
-  /// pool; results are byte-identical to Jobs == 1 (the determinism suite
-  /// asserts this). Jobs <= 1 or a null Pool solves inline.
-  unsigned Jobs = 1;
-
-  /// The pool the dense passes shard onto; borrowed, must outlive the
-  /// system. Null keeps solving inline regardless of Jobs. The caller must
-  /// not invoke solve() from inside a task of this same pool unless the
-  /// pool's parallelForEach participates from the calling thread (ours
-  /// does) -- see docs/PARALLEL.md on nested parallelism.
-  ThreadPool *Pool = nullptr;
-
-  /// Components per chunk when a level is dispatched onto the pool; keeps
-  /// thousands of tiny single-node shards from drowning the pool queue.
-  unsigned ShardGrain = 64;
-
-  /// Levels with fewer than this many dense edge visits are solved inline
-  /// even when a pool is configured (dispatch overhead would dominate).
-  unsigned ShardMinLevelEdges = 2048;
 };
 
 class MetricsRegistry;
 
 /// Counters describing where solve time went; see getStats().
 ///
-/// Work counters (SolveCalls, CollapsePasses, SccsCollapsed, VarsCollapsed,
-/// EdgesDeduped, SelfEdgesDropped, WorklistPushes, EdgeVisits, SolveSeconds)
+/// Work counters (SolveCalls, WorklistPushes, EdgeVisits, SolveSeconds)
 /// describe the *most recent* solve(): the system zeroes them on solve()
 /// entry so repeated incremental solves never report accumulated counts.
-/// Snapshot fields (NumVars..CompactEdges) describe the current state
-/// regardless of when it was built. Callers wanting lifetime totals sum the
-/// per-solve snapshots (or read the "solver.*" counters a metrics-collecting
-/// run accumulates in MetricsRegistry::global(); see publishTo()).
+/// Snapshot fields (NumVars..VarVarEdges) describe the current system.
+/// Callers wanting lifetime totals sum the per-solve snapshots (or read the
+/// "solver.*" counters a metrics-collecting run accumulates in
+/// MetricsRegistry::global(); see publishTo()).
 struct SolverStats {
   unsigned NumVars = 0;         ///< Qualifier variables created.
   unsigned NumConstraints = 0;  ///< Constraints added (all four forms).
   unsigned VarVarEdges = 0;     ///< var <= var constraints among them.
-  unsigned CompactEdges = 0;    ///< Edges in the compact graph (post-rebuild).
   unsigned SolveCalls = 0;      ///< solve() invocations.
-  unsigned DensePasses = 0;     ///< Bulk solves taken by the dense core.
-  unsigned CollapsePasses = 0;  ///< Graph rebuilds (dedup + Tarjan + CSR).
-  unsigned SccsCollapsed = 0;   ///< Multi-variable cycles collapsed.
-  unsigned VarsCollapsed = 0;   ///< Variables folded into a representative.
-  unsigned EdgesDeduped = 0;    ///< Duplicate parallel edges dropped.
-  unsigned SelfEdgesDropped = 0;///< Edges internal to a collapsed component.
-  uint64_t WorklistPushes = 0;  ///< Worklist insertions (incremental solves).
-  /// Edge traversals across all propagation. Deterministic for a given
-  /// constraint sequence and config: the dense passes count one visit per
-  /// in/out edge per sweep with per-shard subtotals merged at each level
-  /// barrier, so the total is identical at every SolverConfig::Jobs (the
-  /// determinism suite asserts merged totals equal the -j1 totals).
+  uint64_t WorklistPushes = 0;  ///< Worklist insertions.
+  /// Edge traversals across both drains; deterministic for a given
+  /// constraint sequence.
   uint64_t EdgeVisits = 0;
   double SolveSeconds = 0;      ///< Wall-clock spent inside solve().
 
@@ -265,13 +169,13 @@ public:
   /// Least solution of \p Var (valid after solve()).
   LatticeValue lower(QualVarId Var) const {
     assert(SolvedConstraints == Constraints.size() && "call solve() first");
-    return Vars[Reps.find(Var)].Lower;
+    return Vars[Var].Lower;
   }
 
   /// Greatest solution of \p Var (valid after solve()).
   LatticeValue upper(QualVarId Var) const {
     assert(SolvedConstraints == Constraints.size() && "call solve() first");
-    return Vars[Reps.find(Var)].Upper;
+    return Vars[Var].Upper;
   }
 
   /// Least solution of an arbitrary qualifier expression.
@@ -289,12 +193,6 @@ public:
 
   /// True if qualifier \p Id *may* be present in \p Var in some solution.
   bool mayHave(QualVarId Var, QualifierId Id) const;
-
-  /// True if \p A and \p B were collapsed onto the same representative (they
-  /// sit on a common unmasked <= cycle observed by some rebuild).
-  bool sameRep(QualVarId A, QualVarId B) const {
-    return Reps.find(A) == Reps.find(B);
-  }
 
   /// Scans every upper-bound constraint; returns all violations.
   std::vector<Violation> collectViolations() const;
@@ -315,29 +213,21 @@ public:
   SolverStats getStats() const;
 
 private:
-  /// A compact adjacency entry: the constraint and the other endpoint's
-  /// representative (resolved at rebuild time to skip find() in hot loops).
-  struct CompactEdge {
-    ConstraintId Cons;
-    QualVarId Other;
-  };
-
   struct VarInfo {
     std::string Name;
     SourceLoc Loc;
-    LatticeValue Lower;           ///< Join of reachable lower bounds (rep).
-    LatticeValue Upper;           ///< Meet of reachable upper bounds (rep).
-    /// Heads of this var's outgoing/incoming pending-edge lists (indices
-    /// into PendingPool, ~0u = empty), keyed by the representative at
-    /// insertion time (stable between rebuilds).
-    uint32_t PendingSuccHead = ~0u;
-    uint32_t PendingPredHead = ~0u;
+    LatticeValue Lower;           ///< Join of reachable lower bounds.
+    LatticeValue Upper;           ///< Meet of reachable upper bounds.
+    /// Heads of this var's outgoing/incoming edge lists (indices into
+    /// EdgePool, ~0u = empty).
+    uint32_t SuccHead = ~0u;
+    uint32_t PredHead = ~0u;
   };
 
-  /// One node of an intrusive singly-linked pending-edge list. All nodes
-  /// live in PendingPool, so a rebuild retires every list in O(1) with no
-  /// per-variable heap traffic.
-  struct PendingNode {
+  /// One node of an intrusive singly-linked edge list. All nodes live in
+  /// EdgePool, so adding an edge costs two appends and no per-variable
+  /// allocation.
+  struct EdgeNode {
     ConstraintId Cons;
     uint32_t Next;
   };
@@ -346,37 +236,9 @@ private:
   SolverConfig Config;
   std::vector<VarInfo> Vars;
   std::vector<Constraint> Constraints;
-  /// Cycle-collapsing representatives; mutable because find() compresses
-  /// paths, which is observationally const.
-  mutable UnionFind Reps;
-  /// Every var->var constraint ever added: the rebuild source of truth.
-  std::vector<ConstraintId> VarVarEdges;
-  unsigned NewVarVarEdges = 0;  ///< ... added since the last rebuild.
-  /// Backing store for the per-var pending-edge lists; cleared wholesale at
-  /// each rebuild (the CSR then owns every edge).
-  std::vector<PendingNode> PendingPool;
-  /// Vars whose pending lists became non-empty since the last rebuild, so
-  /// the rebuild resets exactly those heads instead of sweeping every
-  /// VarInfo.
-  std::vector<QualVarId> PendingTouched;
-  /// Lifetime edge-visit total. Stats.EdgeVisits resets every solve(), so
-  /// the pressure policy tracks its own accumulator.
-  uint64_t TotalEdgeVisits = 0;
-  /// Snapshot of TotalEdgeVisits at the last rebuild; the difference to
-  /// the live counter is the propagation pressure that triggers the next
-  /// rebuild (see SolverConfig::CollapsePressureFactor).
-  uint64_t VisitsAtRebuild = 0;
-  /// Edges in the current compact graph (survives the per-solve stats
-  /// reset; getStats() reports it as SolverStats::CompactEdges).
-  unsigned CompactEdgeCount = 0;
-  /// CSR adjacency over representatives, rebuilt by rebuildCompactGraph().
-  /// Row i covers [SuccStart[i], SuccStart[i+1]) in SuccEdges; vars created
-  /// after the rebuild have no row. Edge arrays live in EdgeArena.
-  std::vector<uint32_t> SuccStart;
-  std::vector<uint32_t> PredStart;
-  CompactEdge *SuccEdges = nullptr;
-  CompactEdge *PredEdges = nullptr;
-  BumpPtrAllocator EdgeArena;
+  /// Backing store for the per-var edge lists.
+  std::vector<EdgeNode> EdgePool;
+  unsigned NumVarVarEdges = 0;
   /// Ids of constraints whose Rhs is a constant (upper bounds), for the
   /// violation scan.
   std::vector<ConstraintId> UpperBoundIds;
@@ -386,57 +248,17 @@ private:
   bool ConstraintLimitHit = false;
   SolverStats Stats;
 
-  /// True when \p Mask covers every registered qualifier bit, i.e. the
-  /// constraint really is an unmasked <= (only such edges witness equality
-  /// on a cycle and may be collapsed).
-  bool isFullMask(uint64_t Mask) const {
-    return (Mask & QS.usedBits()) == QS.usedBits();
-  }
+  /// Joins \p NewBits into \p Var's lower solution. Returns true if any bit
+  /// was gained.
+  bool raiseLower(QualVarId Var, LatticeValue NewBits);
 
-  /// Joins \p NewBits into \p Rep's lower solution. Returns true if any bit
-  /// was gained. \p Rep must be a representative.
-  bool raiseLower(QualVarId Rep, LatticeValue NewBits);
+  /// Meets \p Cap into \p Var's upper solution; true if it shrank.
+  bool capUpper(QualVarId Var, LatticeValue Cap);
 
-  /// Meets \p Cap into \p Rep's upper solution; true if it shrank.
-  bool capUpper(QualVarId Rep, LatticeValue Cap);
-
-  /// Folds the two variables' solution state onto one representative and
-  /// returns it. Both arguments must be (distinct) representatives.
-  QualVarId mergeReps(QualVarId A, QualVarId B);
-
-  bool shouldRebuild() const;
-
-  /// Deduplicate parallel edges, Tarjan over the unmasked edges to collapse
-  /// <=-cycles onto union-find representatives, and rebuild the CSR
-  /// adjacency over the result (component-internal edges dropped).
-  /// Everything runs on flat CSR arrays and counting sorts: O(V + E) with
-  /// no per-node allocation and no comparison sort. Representatives that
-  /// absorbed a merge (whose solution state therefore changed) are appended
-  /// to \p MergedReps so the caller can re-seed the worklists.
-  void rebuildCompactGraph(std::vector<QualVarId> &MergedReps);
-
-  /// Worklist propagation over compact + pending edges. Tiers up: when the
-  /// visit counter crosses the pressure threshold mid-drain, collapses and
-  /// compacts the graph via rebuildCompactGraph() and resumes on the
-  /// smaller graph.
+  /// Drains both worklists to fixpoint: forward join propagation for the
+  /// least solution, then backward meet propagation for the greatest.
   void runWorklists(std::vector<QualVarId> &LowerWork,
                     std::vector<QualVarId> &UpperWork);
-
-  /// True when this solve should take the dense bulk path: the dense core
-  /// is enabled and the edges added since the last rebuild are both large
-  /// in absolute terms and a large fraction of the whole system.
-  bool shouldSolveDense() const;
-
-  /// The dense branch-free core (see the file comment): packs the freshly
-  /// rebuilt condensation into flat CSR arrays with inline masks and plain
-  /// uint64_t lattice words, levelizes the scheduling DAG (Tarjan over all
-  /// edges including masked ones, so masked cycles become single fixpoint
-  /// shards), then runs one forward join pass and one backward meet pass
-  /// level by level -- optionally sharding each level's components onto
-  /// Config.Pool. Must run immediately after rebuildCompactGraph() (no
-  /// pending edges) and after the new-constraint seeding; replaces
-  /// runWorklists() for this solve.
-  void solveDense();
 };
 
 } // namespace quals

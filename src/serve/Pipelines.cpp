@@ -115,8 +115,6 @@ void runCInference(const AnalyzeJob &Job, CUnit &U, CachedResult &R,
   using namespace quals::constinf;
   ConstInference::Options InfOpts;
   InfOpts.Polymorphic = Job.Polymorphic;
-  InfOpts.SolverJobs = Job.SolverJobs;
-  InfOpts.SolverPool = Job.SolverPool;
   ConstInference Inf(U.TU, U.Diags, InfOpts);
   if (!Inf.run()) {
     appendf(R.Err, "qualsd: const errors detected:\n%s",
@@ -247,8 +245,6 @@ void quals::serve::runAnalysisDelta(
   InfOpts.Polymorphic = Job.Polymorphic;
   InfOpts.OnlyFunctions = &Plan.DirtyFunctions;
   InfOpts.GenGlobalInits = Plan.InitsDirty;
-  InfOpts.SolverJobs = Job.SolverJobs;
-  InfOpts.SolverPool = Job.SolverPool;
   ConstInference Inf(U.TU, U.Diags, InfOpts);
   if (!Inf.run()) {
     // The edit introduced a const error (or blew a resource budget) inside

@@ -35,8 +35,6 @@
 
 namespace quals {
 
-class ThreadPool;
-
 namespace constinf {
 struct UnitSnapshot;
 }
@@ -52,15 +50,6 @@ struct AnalyzeJob {
   bool Polymorphic = true;
   bool Protos = false;  ///< Also print annotated prototypes (C only).
   Limits Lim;           ///< Resource budgets for the isolated context.
-
-  // Solver shard concurrency for the C pipeline's dense bulk solves.
-  // Deliberately NOT part of configHash: solved bytes are identical at any
-  // value (docs/SOLVER.md determinism contract), so a cached result is
-  // valid for every setting. The server only sets these when requests run
-  // inline (--jobs 1); at --jobs > 1 the requests themselves are the
-  // parallelism axis and the solver stays inline (docs/PARALLEL.md).
-  unsigned SolverJobs = 1;    ///< Shard threads (1 = inline).
-  ThreadPool *SolverPool = nullptr; ///< Borrowed pool; null = inline.
 };
 
 /// Hash of every output-affecting field of \p Job except the source bytes

@@ -139,11 +139,6 @@ Server::Server(const ServerConfig &Config)
   // onto Jobs workers rather than spawning C pools (docs/SERVER.md).
   if (Config.Jobs > 1)
     WorkerPool = std::make_unique<ThreadPool>(Config.Jobs);
-  // Nested-parallelism policy (ServerConfig::SolverJobs): a dedicated
-  // solver pool exists only when requests run inline on the reader thread;
-  // concurrent request workers keep their solvers inline instead.
-  if (Config.SolverJobs > 1 && Config.Jobs <= 1)
-    SolverPool = std::make_unique<ThreadPool>(Config.SolverJobs);
 }
 
 Server::~Server() = default;
@@ -201,10 +196,6 @@ std::string Server::handleAnalyze(const Request &Req, uint64_t Seq,
   Job.Polymorphic = Req.Polymorphic;
   Job.Protos = Req.Protos;
   Job.Lim = Config.Lim;
-  if (SolverPool) {
-    Job.SolverJobs = Config.SolverJobs;
-    Job.SolverPool = SolverPool.get();
-  }
   if (Req.HasSource) {
     Job.Source = Req.Source;
   } else {

@@ -76,14 +76,6 @@ struct ServerConfig {
   /// thread, which is fully deterministic and right for edit streams.
   /// With a socket transport the pool is shared by every connection.
   unsigned Jobs = 1;
-  /// Shard the constraint solver's dense bulk passes over this many
-  /// threads (SolverConfig::Jobs; docs/SOLVER.md). Nested-parallelism
-  /// policy: this only takes effect when Jobs == 1 -- with concurrent
-  /// request workers the requests are the parallelism axis and per-request
-  /// solvers stay inline, so the two layers never compete for cores (and a
-  /// request worker can never block on a pool it is itself running on).
-  /// Response bytes are identical at every setting.
-  unsigned SolverJobs = 1;
   /// In-memory cache payload budget; 0 disables caching.
   uint64_t CacheMaxBytes = 64u << 20;
   /// Result-cache shards (per-shard mutex + LRU + budget slice); rounded
@@ -128,7 +120,7 @@ struct WarmStats {
 class Server {
 public:
   explicit Server(const ServerConfig &Config);
-  ~Server(); // Out of line: the pools' ThreadPool is incomplete here.
+  ~Server(); // Out of line: ThreadPool is incomplete here.
 
   /// Serves requests from \p In until `shutdown` or end of input, writing
   /// one response line per request to \p Out in request order. Returns the
@@ -176,10 +168,6 @@ private:
   /// C connections multiplex onto one fixed pool instead of C pools; null
   /// when requests run inline on each session's reader thread.
   std::unique_ptr<ThreadPool> WorkerPool;
-  /// Pool for sharding per-request dense solves; created only under the
-  /// nested-parallelism policy (SolverJobs > 1 AND Jobs == 1, see
-  /// ServerConfig::SolverJobs), null otherwise.
-  std::unique_ptr<ThreadPool> SolverPool;
   /// Server-wide request sequence; also the `stats` requests count.
   std::atomic<uint64_t> Requests{0};
   /// Requests admitted but not yet flushed, summed over sessions (the

@@ -8,7 +8,6 @@
 #include "support/Scc.h"
 
 #include <cassert>
-#include <cstdint>
 
 using namespace quals;
 
@@ -73,74 +72,6 @@ SccResult quals::computeSccs(const Digraph &G) {
           Component.push_back(W);
         } while (W != V);
         Result.Components.push_back(std::move(Component));
-      }
-      CallStack.pop_back();
-      if (!CallStack.empty()) {
-        unsigned Parent = CallStack.back().Node;
-        if (LowLink[V] < LowLink[Parent])
-          LowLink[Parent] = LowLink[V];
-      }
-    }
-  }
-
-  assert(Stack.empty() && "Tarjan stack should be empty at the end");
-  return Result;
-}
-
-SccFlatResult quals::computeSccsFlat(const CsrGraphView &G) {
-  unsigned N = G.NumNodes;
-  SccFlatResult Result;
-  Result.ComponentOf.assign(N, Undefined);
-  Result.Order.reserve(N);
-  Result.CompStart.push_back(0);
-
-  std::vector<unsigned> Index(N, Undefined);
-  std::vector<unsigned> LowLink(N, 0);
-  std::vector<bool> OnStack(N, false);
-  std::vector<unsigned> Stack;
-  std::vector<Frame> CallStack;
-  unsigned NextIndex = 0;
-
-  for (unsigned Root = 0; Root != N; ++Root) {
-    // Nodes without successors only need visiting when some edge reaches
-    // them (the DFS below pulls those in); skipping them as roots keeps the
-    // pass proportional to the nodes that participate in edges, which for
-    // the constraint solver is a small fraction of all variables.
-    if (Index[Root] != Undefined || G.RowStart[Root] == G.RowStart[Root + 1])
-      continue;
-    CallStack.push_back({Root, 0});
-    Index[Root] = LowLink[Root] = NextIndex++;
-    Stack.push_back(Root);
-    OnStack[Root] = true;
-
-    while (!CallStack.empty()) {
-      Frame &F = CallStack.back();
-      unsigned V = F.Node;
-      uint32_t RowEnd = G.RowStart[V + 1];
-      if (F.NextSucc + G.RowStart[V] < RowEnd) {
-        unsigned W = G.Targets[G.RowStart[V] + F.NextSucc++];
-        if (Index[W] == Undefined) {
-          Index[W] = LowLink[W] = NextIndex++;
-          Stack.push_back(W);
-          OnStack[W] = true;
-          CallStack.push_back({W, 0});
-        } else if (OnStack[W] && Index[W] < LowLink[V]) {
-          LowLink[V] = Index[W];
-        }
-        continue;
-      }
-
-      if (LowLink[V] == Index[V]) {
-        unsigned Comp = Result.CompStart.size() - 1;
-        unsigned W;
-        do {
-          W = Stack.back();
-          Stack.pop_back();
-          OnStack[W] = false;
-          Result.ComponentOf[W] = Comp;
-          Result.Order.push_back(W);
-        } while (W != V);
-        Result.CompStart.push_back(Result.Order.size());
       }
       CallStack.pop_back();
       if (!CallStack.empty()) {

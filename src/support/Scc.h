@@ -16,7 +16,6 @@
 #define QUALS_SUPPORT_SCC_H
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace quals {
@@ -59,32 +58,6 @@ struct SccResult {
 
 /// Runs Tarjan's algorithm (iterative; safe for deep graphs).
 SccResult computeSccs(const Digraph &G);
-
-/// A borrowed CSR (compressed sparse row) digraph: node v's successors are
-/// Targets[RowStart[v] .. RowStart[v+1]). Lets large-graph callers (the
-/// constraint solver's rebuild) run Tarjan without per-node allocations.
-struct CsrGraphView {
-  unsigned NumNodes = 0;
-  const uint32_t *RowStart = nullptr; ///< NumNodes + 1 offsets.
-  const uint32_t *Targets = nullptr;  ///< RowStart[NumNodes] node ids.
-};
-
-/// SccResult's allocation-free sibling: component c's nodes are
-/// Order[CompStart[c] .. CompStart[c+1]), components in the same *reverse
-/// topological order* as SccResult::Components. Nodes that touch no edge at
-/// all are excluded from Order and keep ComponentOf == ~0u; every endpoint
-/// of an edge is covered.
-struct SccFlatResult {
-  std::vector<unsigned> Order;      ///< All nodes, grouped by component.
-  std::vector<uint32_t> CompStart;  ///< numComponents() + 1 offsets.
-  std::vector<unsigned> ComponentOf;
-
-  unsigned numComponents() const { return CompStart.size() - 1; }
-};
-
-/// Tarjan over a CSR view, producing flat arrays (three allocations total
-/// instead of one per node/component).
-SccFlatResult computeSccsFlat(const CsrGraphView &G);
 
 } // namespace quals
 

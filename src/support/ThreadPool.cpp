@@ -116,46 +116,3 @@ void ThreadPool::parallelForEach(size_t Count,
   std::unique_lock<std::mutex> Lock(State->DoneMutex);
   State->DoneCv.wait(Lock, [&State] { return State->LivePumps == 0; });
 }
-
-void ThreadPool::parallelForEach(
-    size_t Count, size_t Grain,
-    const std::function<void(size_t, size_t)> &Chunk) {
-  if (Count == 0)
-    return;
-  if (Grain == 0)
-    Grain = 1;
-  const size_t NumChunks = (Count + Grain - 1) / Grain;
-  struct SharedState {
-    std::atomic<size_t> NextChunk{0};
-    std::mutex DoneMutex;
-    std::condition_variable DoneCv;
-    unsigned LivePumps;
-  };
-  auto State = std::make_shared<SharedState>();
-  // Each pump drains chunks from the shared counter until none are left;
-  // enqueueing at most numWorkers() pumps keeps a fleet of tiny chunks
-  // from drowning the pool queue.
-  auto Pump = [State, Count, Grain, NumChunks, &Chunk] {
-    for (size_t C;
-         (C = State->NextChunk.fetch_add(1, std::memory_order_relaxed)) <
-         NumChunks;)
-      Chunk(C * Grain, std::min(Count, (C + 1) * Grain));
-  };
-  unsigned Pumps =
-      static_cast<unsigned>(std::min<size_t>(numWorkers(), NumChunks));
-  State->LivePumps = Pumps;
-  for (unsigned I = 0; I != Pumps; ++I)
-    enqueue([State, Pump] {
-      Pump();
-      std::lock_guard<std::mutex> Lock(State->DoneMutex);
-      if (--State->LivePumps == 0)
-        State->DoneCv.notify_all();
-    });
-  // Caller participation: pull chunks on this thread too. If the workers
-  // are saturated (or this call itself runs on a pool worker), the caller
-  // completes the whole range alone and the pumps exit immediately once
-  // scheduled -- no deadlock, no idle caller.
-  Pump();
-  std::unique_lock<std::mutex> Lock(State->DoneMutex);
-  State->DoneCv.wait(Lock, [&State] { return State->LivePumps == 0; });
-}

@@ -68,19 +68,6 @@ public:
   /// Independent of other enqueue() traffic (separate completion tracking).
   void parallelForEach(size_t Count, const std::function<void(size_t)> &Body);
 
-  /// Chunked variant for fleets of tiny items (e.g. thousands of
-  /// single-node solver shards): hands out half-open ranges of about
-  /// \p Grain indices, so the queue sees at most numWorkers() pump tasks
-  /// instead of one task per item. Chunk(Begin, End) calls collectively
-  /// cover [0, Count) exactly once; chunks run concurrently in increasing
-  /// order of their start index. The calling thread participates in the
-  /// work (it pulls chunks too), which both keeps a 1-worker machine
-  /// productive and makes the call safe from inside a task of this same
-  /// pool: the caller can never block waiting on workers that are all busy
-  /// behind it. Blocks until every chunk returned.
-  void parallelForEach(size_t Count, size_t Grain,
-                       const std::function<void(size_t, size_t)> &Chunk);
-
   unsigned numWorkers() const { return Workers.size(); }
 
   /// std::thread::hardware_concurrency with a floor of 1 (the standard

@@ -8,7 +8,8 @@
 /// \file
 /// Third-round const-inference coverage: conditional joins over pointers,
 /// pointer arithmetic, nested structs, self-referential lists, multi-level
-/// write propagation, scale, and idempotence of repeated runs.
+/// write propagation, scale, idempotence of repeated runs, and error
+/// explanations that do not depend on program size.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -197,6 +198,34 @@ TEST(ConstInfExtra, LargeGeneratedProgramFullPipeline) {
   XRig R2;
   ASSERT_TRUE(R2.analyze(Prog.Source, /*Polymorphic=*/false));
   EXPECT_LE(R2.Inf->counts().PossibleConst, Poly.PossibleConst);
+}
+
+TEST(ConstInfExtra, ExplanationDoesNotDependOnProgramSize) {
+  // A write through a pointer that went round a q <-> r copy cycle: the
+  // explanation names both hops of the cycle whether the function is the
+  // whole program or the tail of a 6k-line one.
+  const std::string BadWriter =
+      "void bad_writer(const char *p) { char *q, *r; q = p; r = q; q = r; "
+      "*r = 'x'; }\n";
+  auto explanations = [](const std::string &Source) {
+    XRig R;
+    EXPECT_FALSE(R.analyze(Source));
+    std::string Out;
+    for (const Diagnostic &D : R.Diags.getDiagnostics())
+      Out += D.Message + "\n";
+    return Out;
+  };
+  std::string Alone = explanations(BadWriter);
+  size_t Hops = 0;
+  for (size_t At = Alone.find("via: assigned value flows into cell");
+       At != std::string::npos;
+       At = Alone.find("via: assigned value flows into cell", At + 1))
+    ++Hops;
+  EXPECT_EQ(Hops, 2u) << Alone;
+
+  synth::SynthProgram Prog =
+      synth::generateProgram(synth::paramsForLines(7, 6000));
+  EXPECT_EQ(explanations(Prog.Source + BadWriter), Alone);
 }
 
 } // namespace

@@ -35,6 +35,13 @@ struct AnnotAssertCase {
   bool Accepted;
 };
 
+/// The ctest name embeds GetParam(); without this gtest dumps the raw bytes
+/// of the string pointers, which move with address-space randomization.
+void PrintTo(const AnnotAssertCase &C, std::ostream *OS) {
+  *OS << "annot=" << C.Annot << " assert=" << C.Assert
+      << " accepted=" << (C.Accepted ? "yes" : "no");
+}
+
 class AnnotAssertSweep : public ::testing::TestWithParam<AnnotAssertCase> {};
 
 TEST_P(AnnotAssertSweep, MatchesLatticeOrder) {

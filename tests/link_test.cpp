@@ -335,6 +335,17 @@ TEST(Linker, ConstraintBudgetIsLoadFailure) {
   ASSERT_FALSE(R.Diagnostics.empty());
 }
 
+TEST(Linker, ConstraintBudgetAbove32BitsDoesNotWrap) {
+  // 2^32 + 1 once truncated to a budget of 1 constraint.
+  link::TuSummary A = summarize("budget64.c", kWriterTu);
+  std::vector<link::TuSummary> Sums = {A};
+  link::LinkOptions Opts;
+  Opts.MaxConstraints = (uint64_t(1) << 32) + 1;
+  link::LinkResult R = link::linkSummaries(Sums, Opts);
+  EXPECT_TRUE(R.LoadOk);
+  EXPECT_TRUE(R.Diagnostics.empty());
+}
+
 TEST(Linker, StatsAreDeterministic) {
   link::TuSummary A = summarize("det0.c", kWriterTu);
   link::TuSummary B = summarize("det1.c", kReaderHelperTu);

@@ -49,6 +49,14 @@ struct CorpusCase {
   bool RunsToValue; ///< Under Figure 5 (independent of static verdict).
 };
 
+/// The ctest name embeds GetParam(); without this gtest dumps the raw bytes
+/// of the file-name pointer, which move with address-space randomization.
+void PrintTo(const CorpusCase &C, std::ostream *OS) {
+  auto YesNo = [](bool B) { return B ? "yes" : "no"; };
+  *OS << C.File << " poly=" << YesNo(C.PolyAccepted)
+      << " mono=" << YesNo(C.MonoAccepted) << " runs=" << YesNo(C.RunsToValue);
+}
+
 class Corpus : public ::testing::TestWithParam<CorpusCase> {};
 
 TEST_P(Corpus, VerdictsArePinned) {

@@ -150,91 +150,6 @@ TEST(ThreadPool, ParallelForEachHandlesEdgeCounts) {
   EXPECT_EQ(Ran.load(), 1);
 }
 
-TEST(ThreadPool, ChunkedParallelForEachCoversRangeExactlyOnce) {
-  constexpr size_t N = 1000;
-  constexpr size_t Grain = 64;
-  std::vector<std::atomic<int>> Hits(N);
-  std::atomic<int> BadChunks{0};
-  ThreadPool Pool(4);
-  Pool.parallelForEach(N, Grain, [&](size_t Begin, size_t End) {
-    if (Begin >= End || End > N || Begin % Grain != 0 ||
-        (End - Begin > Grain))
-      BadChunks.fetch_add(1);
-    for (size_t I = Begin; I != End; ++I)
-      Hits[I].fetch_add(1);
-  });
-  EXPECT_EQ(BadChunks.load(), 0);
-  for (size_t I = 0; I != N; ++I)
-    EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
-}
-
-TEST(ThreadPool, ChunkedParallelForEachHandlesEdgeGrains) {
-  ThreadPool Pool(2);
-  // Empty range: the chunk callback must never run.
-  Pool.parallelForEach(0, 16, [](size_t, size_t) {
-    FAIL() << "no indices exist";
-  });
-  // Grain larger than the range: exactly one chunk covering everything.
-  std::atomic<int> Chunks{0};
-  Pool.parallelForEach(3, 100, [&Chunks](size_t Begin, size_t End) {
-    EXPECT_EQ(Begin, 0u);
-    EXPECT_EQ(End, 3u);
-    Chunks.fetch_add(1);
-  });
-  EXPECT_EQ(Chunks.load(), 1);
-  // Grain 0 is treated as 1 (defensive; callers compute grains).
-  std::atomic<int> Singles{0};
-  Pool.parallelForEach(5, 0, [&Singles](size_t Begin, size_t End) {
-    EXPECT_EQ(End, Begin + 1);
-    Singles.fetch_add(1);
-  });
-  EXPECT_EQ(Singles.load(), 5);
-}
-
-TEST(ThreadPool, ChunkedParallelForEachFromInsideAPoolTask) {
-  // The chunked overload participates from the calling thread, so a task
-  // already running on the pool can fan out over the same pool without
-  // deadlocking even when every other worker is busy (the solver relies on
-  // this when qualsd shards dense solves; docs/PARALLEL.md).
-  ThreadPool Pool(2);
-  std::atomic<int> Covered{0};
-  std::atomic<bool> Done{false};
-  Pool.enqueue([&] {
-    Pool.parallelForEach(64, 8, [&Covered](size_t Begin, size_t End) {
-      Covered.fetch_add(static_cast<int>(End - Begin));
-    });
-    Done = true;
-  });
-  Pool.wait();
-  EXPECT_TRUE(Done.load());
-  EXPECT_EQ(Covered.load(), 64);
-}
-
-TEST(ThreadPool, ChunkedWorkUnderLoadStillDrainsOnShutdown) {
-  // Regression for the chunked overload's pump accounting: a pool whose
-  // queue holds both plain tasks and chunk pumps must finish every piece
-  // of work before the destructor returns -- nothing may be dropped or
-  // double-freed when shutdown races active chunk dispatch.
-  std::atomic<int> Background{0};
-  std::atomic<int> Covered{0};
-  {
-    ThreadPool Pool(3);
-    for (int I = 0; I != 64; ++I)
-      Pool.enqueue([&Background] {
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
-        Background.fetch_add(1);
-      });
-    // Runs to completion before the destructor (the call blocks), with the
-    // queue still loaded -- the caller thread pulls chunks itself even
-    // when every worker is stuck behind background tasks.
-    Pool.parallelForEach(256, 16, [&Covered](size_t Begin, size_t End) {
-      Covered.fetch_add(static_cast<int>(End - Begin));
-    });
-    EXPECT_EQ(Covered.load(), 256);
-  } // Destructor drains the remaining background tasks.
-  EXPECT_EQ(Background.load(), 64);
-}
-
 TEST(ThreadPool, ZeroWorkerRequestGetsOneWorker) {
   ThreadPool Pool(0);
   EXPECT_EQ(Pool.numWorkers(), 1u);

@@ -25,6 +25,9 @@
 
 #include "support/Limits.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,19 +42,19 @@ public:
   /// prints to stderr and sets badFlag() on a malformed value.
   bool parseFlag(const char *Arg) {
     uint64_t Value;
-    if (parseUint(Arg, "--limit-errors=", Value)) {
+    if (parseUint(Arg, "--limit-errors=", UINT32_MAX, Value)) {
       Lim.MaxErrors = static_cast<unsigned>(Value);
       return true;
     }
-    if (parseUint(Arg, "--limit-depth=", Value)) {
+    if (parseUint(Arg, "--limit-depth=", UINT32_MAX, Value)) {
       Lim.MaxRecursionDepth = static_cast<unsigned>(Value);
       return true;
     }
-    if (parseUint(Arg, "--limit-constraints=", Value)) {
+    if (parseUint(Arg, "--limit-constraints=", UINT64_MAX, Value)) {
       Lim.MaxConstraints = Value;
       return true;
     }
-    if (parseUint(Arg, "--limit-arena-mb=", Value)) {
+    if (parseUint(Arg, "--limit-arena-mb=", UINT64_MAX >> 20, Value)) {
       Lim.MaxArenaBytes = Value << 20;
       return true;
     }
@@ -65,14 +68,19 @@ public:
   const Limits &limits() const { return Lim; }
 
 private:
-  bool parseUint(const char *Arg, const char *Prefix, uint64_t &Value) {
+  /// Parses the decimal value after \p Prefix; a value that is not all
+  /// digits or exceeds \p Max is rejected rather than wrapped.
+  bool parseUint(const char *Arg, const char *Prefix, uint64_t Max,
+                 uint64_t &Value) {
     size_t Len = std::strlen(Prefix);
     if (std::strncmp(Arg, Prefix, Len))
       return false;
     const char *Digits = Arg + Len;
     char *End = nullptr;
+    errno = 0;
     Value = std::strtoull(Digits, &End, 10);
-    if (*Digits == '\0' || *End != '\0') {
+    if (!std::isdigit(static_cast<unsigned char>(*Digits)) || *End != '\0' ||
+        errno == ERANGE || Value > Max) {
       std::fprintf(stderr, "%s wants a number, got '%s'\n",
                    std::string(Prefix, Len - 1).c_str(), Digits);
       Bad = true;

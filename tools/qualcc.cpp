@@ -17,16 +17,10 @@
 //   --nonnull       also run the flow-insensitive nonnull checker
 //   --flow-nonnull  also run the flow-sensitive (Section 6) checker
 //   --stats         print a solver statistics table
-//   --no-collapse   disable solver cycle collapsing (ablation baseline)
-//   --no-dense      disable the solver's dense bulk-solve core (ablation)
 //   --batch         analyze each file as its own translation unit (corpus
 //                   mode) instead of linking all files into one program
 //   -jN, --jobs N   batch workers; implies --batch (docs/PARALLEL.md);
 //                   output order and bytes are identical for every N
-//   --solver-jobs=N shard the solver's dense passes over N pool threads in
-//                   whole-program mode; bytes are identical for every N
-//                   (docs/SOLVER.md). Ignored in batch mode, where the
-//                   translation units are the parallelism axis.
 //   --emit-summary=FILE     whole-program mode: serialize the constraint
 //                   summary for quallink (forces --mono; docs/LINK.md)
 //   --emit-summary-dir=DIR  batch mode (implied): content-addressed summary
@@ -48,7 +42,6 @@
 #include "link/Qsum.h"
 #include "link/SummaryBuilder.h"
 #include "support/Hash.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include "BatchDriver.h"
@@ -95,10 +88,6 @@ struct QualccOptions {
   bool RunNonNull = false;
   bool RunFlowNonNull = false;
   bool PrintStats = false;
-  bool CollapseCycles = true;
-  bool DenseSolve = true;
-  unsigned SolverJobs = 1;
-  ThreadPool *SolverPool = nullptr;
   bool Quiet = false;
   Limits Lim;
   /// Whole-program mode: serialize the unit's constraint summary here.
@@ -187,10 +176,6 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
 
   ConstInference::Options InfOpts;
   InfOpts.Polymorphic = Opts.Polymorphic;
-  InfOpts.CollapseCycles = Opts.CollapseCycles;
-  InfOpts.DenseSolve = Opts.DenseSolve;
-  InfOpts.SolverJobs = Opts.SolverJobs;
-  InfOpts.SolverPool = Opts.SolverPool;
   InfOpts.SummaryMode = Opts.emitSummary();
   ConstInference Inf(TU, Diags, InfOpts);
   Timer InferTimer;
@@ -288,12 +273,8 @@ static const char *kOptionsHelp =
     "  --nonnull       also run the flow-insensitive nonnull checker\n"
     "  --flow-nonnull  also run the flow-sensitive (Section 6) checker\n"
     "  --stats         print a solver statistics table\n"
-    "  --no-collapse   disable solver cycle collapsing (ablation)\n"
-    "  --no-dense      disable the dense bulk-solve core (ablation)\n"
     "  --batch         analyze each file as its own translation unit\n"
     "                  (implied by -jN; parallelism is per unit)\n"
-    "  --solver-jobs=N shard the solver's dense passes over N threads\n"
-    "                  (whole-program mode only; bytes identical at any N)\n"
     "  --emit-summary=FILE\n"
     "                  whole-program mode: also serialize the unit's\n"
     "                  constraint summary to FILE for quallink (docs/LINK.md;\n"
@@ -327,19 +308,7 @@ int main(int argc, char **argv) {
       Opts.RunFlowNonNull = true;
     else if (!std::strcmp(argv[I], "--stats"))
       Opts.PrintStats = true;
-    else if (!std::strcmp(argv[I], "--no-collapse"))
-      Opts.CollapseCycles = false;
-    else if (!std::strcmp(argv[I], "--no-dense"))
-      Opts.DenseSolve = false;
-    else if (!std::strncmp(argv[I], "--solver-jobs=", 14)) {
-      const char *Digits = argv[I] + 14;
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Digits, &End, 10);
-      if (*Digits == '\0' || *End != '\0' || N == 0 || N > 1024)
-        return Common.fail(std::string("bad --solver-jobs value '") + Digits +
-                           "' (want a thread count in [1, 1024])");
-      Opts.SolverJobs = static_cast<unsigned>(N);
-    } else if (!std::strncmp(argv[I], "--emit-summary=", 15)) {
+    else if (!std::strncmp(argv[I], "--emit-summary=", 15)) {
       Opts.EmitSummaryPath = argv[I] + 15;
       if (Opts.EmitSummaryPath.empty())
         return Common.fail("--emit-summary needs a file path");
@@ -378,14 +347,7 @@ int main(int argc, char **argv) {
 
   if (!Batch) {
     // Whole-program mode (the paper's setup): every file is one linked
-    // translation unit, so the files cannot be sharded -- but the solver's
-    // dense passes can be (--solver-jobs; docs/SOLVER.md). Output bytes
-    // are identical at every thread count.
-    std::unique_ptr<ThreadPool> SolverPool;
-    if (Opts.SolverJobs > 1) {
-      SolverPool = std::make_unique<ThreadPool>(Opts.SolverJobs);
-      Opts.SolverPool = SolverPool.get();
-    }
+    // translation unit, analyzed on this thread.
     batch::FileResult R;
     analyzeUnit(Files, Opts, R);
     if (!R.Out.empty())

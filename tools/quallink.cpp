@@ -15,14 +15,11 @@
 //   --positions     print the per-position classification
 //   --stats         print a solver statistics table
 //   -jN, --jobs N   load summaries on N pool workers
-//   --solver-jobs=N shard the global solve's dense passes over N threads
-//   --no-collapse   disable solver cycle collapsing (ablation)
-//   --no-dense      disable the dense bulk-solve core (ablation)
 //   --quiet         counts only
 //
-// Determinism: stdout/stderr are byte-identical at any -jN and
-// --solver-jobs=N, and independent of the order summaries are named on the
-// command line (they are canonicalized before linking).
+// Determinism: stdout/stderr are byte-identical at any -jN, and independent
+// of the order summaries are named on the command line (they are
+// canonicalized before linking).
 //
 // Exit status: 0 on success, 1 on load or link errors (unreadable, corrupt,
 // or stale summaries; duplicate definitions; interface mismatches), 2 on
@@ -39,7 +36,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,10 +54,6 @@ static const char *className(constinf::PosClass C) {
 static const char *kOptionsHelp =
     "  --positions     print the per-position classification\n"
     "  --stats         print a solver statistics table\n"
-    "  --solver-jobs=N shard the global solve's dense passes over N threads\n"
-    "                  (bytes identical at any N; docs/SOLVER.md)\n"
-    "  --no-collapse   disable solver cycle collapsing (ablation)\n"
-    "  --no-dense      disable the dense bulk-solve core (ablation)\n"
     "  --quiet         counts only\n";
 
 int main(int argc, char **argv) {
@@ -81,19 +73,7 @@ int main(int argc, char **argv) {
       PrintPositions = true;
     else if (!std::strcmp(argv[I], "--stats"))
       PrintStats = true;
-    else if (!std::strcmp(argv[I], "--no-collapse"))
-      Opts.CollapseCycles = false;
-    else if (!std::strcmp(argv[I], "--no-dense"))
-      Opts.DenseSolve = false;
-    else if (!std::strncmp(argv[I], "--solver-jobs=", 14)) {
-      const char *Digits = argv[I] + 14;
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Digits, &End, 10);
-      if (*Digits == '\0' || *End != '\0' || N == 0 || N > 1024)
-        return Common.fail(std::string("bad --solver-jobs value '") + Digits +
-                           "' (want a thread count in [1, 1024])");
-      Opts.SolverJobs = static_cast<unsigned>(N);
-    } else if (!std::strcmp(argv[I], "--quiet"))
+    else if (!std::strcmp(argv[I], "--quiet"))
       Quiet = true;
     else if (argv[I][0] == '-')
       return Common.usageError(argv[I]);
@@ -104,16 +84,6 @@ int main(int argc, char **argv) {
     return Common.fail("no input summaries");
   Opts.MaxConstraints = Common.limits().MaxConstraints;
   Common.activate();
-
-  // One pool serves both axes: parallel summary loading (-jN) and the
-  // solver's dense-pass sharding (--solver-jobs=N).
-  unsigned PoolWorkers = std::max(Common.jobs(), Opts.SolverJobs);
-  std::unique_ptr<ThreadPool> Pool;
-  if (PoolWorkers > 1) {
-    Pool = std::make_unique<ThreadPool>(PoolWorkers);
-    if (Opts.SolverJobs > 1)
-      Opts.Pool = Pool.get();
-  }
 
   // Load every summary into its input-order slot; the linker canonicalizes
   // afterwards, so load completion order never shows in the output.
@@ -129,9 +99,10 @@ int main(int argc, char **argv) {
                             Bytes.size(), Summaries[I], Error))
       LoadErrors[I] = "quallink: '" + Files[I] + "': " + Error;
   };
-  if (Pool && Common.jobs() > 1)
-    Pool->parallelForEach(Files.size(), loadOne);
-  else
+  if (Common.jobs() > 1) {
+    ThreadPool Pool(Common.jobs());
+    Pool.parallelForEach(Files.size(), loadOne);
+  } else
     for (size_t I = 0; I != Files.size(); ++I)
       loadOne(I);
 

@@ -35,11 +35,6 @@
 //                   queue metrics); responses are identical either way
 //   -jN, --jobs N   analyze requests on N pool workers; responses stay in
 //                   request order for every N (docs/PARALLEL.md)
-//   --solver-jobs=N shard each request's dense constraint solves over N
-//                   threads. Takes effect only at --jobs 1 (with request
-//                   workers, requests are the parallelism axis and the
-//                   solver stays inline; docs/PARALLEL.md). Response bytes
-//                   are identical at every combination (docs/SOLVER.md).
 //
 // plus the shared observability/limit flags (tools/ToolFlags.h) -- with
 // one serving-specific twist: stdout is the response stream, so the
@@ -83,9 +78,7 @@ static const char *kOptionsHelp =
     "  --request-log=F  append one NDJSON event per request to F\n"
     "                   ('-' writes to stderr)\n"
     "  --slow-ms=N      tag request-log events >= N ms with \"slow\":true\n"
-    "  --no-telemetry   disable request-level latency/queue telemetry\n"
-    "  --solver-jobs=N  shard dense constraint solves over N threads\n"
-    "                   (effective only at --jobs 1; bytes identical)\n";
+    "  --no-telemetry   disable request-level latency/queue telemetry\n";
 
 int main(int argc, char **argv) {
   ServerConfig Config;
@@ -138,14 +131,6 @@ int main(int argc, char **argv) {
         return Common.fail(std::string("bad --slow-ms value '") + Digits +
                            "' (want milliseconds in [0, 2^32])");
       Config.SlowMicros = static_cast<uint64_t>(N) * 1000;
-    } else if (!std::strncmp(argv[I], "--solver-jobs=", 14)) {
-      const char *Digits = argv[I] + 14;
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Digits, &End, 10);
-      if (*Digits == '\0' || *End != '\0' || N == 0 || N > 1024)
-        return Common.fail(std::string("bad --solver-jobs value '") + Digits +
-                           "' (want a thread count in [1, 1024])");
-      Config.SolverJobs = static_cast<unsigned>(N);
     } else if (!std::strcmp(argv[I], "--no-telemetry")) {
       Config.Telemetry = false;
     } else {

@@ -112,6 +112,28 @@ else
     echo "ok: malformed --limit value rejected"
 fi
 
+# Values that do not fit the budget's type are rejected, not wrapped: 2^32
+# would read as an unlimited error cap, 2^32+1 as a depth of 1, and the
+# arena size would overflow its MiB-to-bytes shift.
+for FLAG in --limit-errors=4294967296 --limit-depth=4294967297 \
+        --limit-constraints=18446744073709551616 \
+        --limit-arena-mb=17592186044416 --limit-errors=-1; do
+    CODE=0
+    "$QUALCC" "$FLAG" "$WORKDIR/ok.c" > /dev/null 2> "$WORKDIR/err.txt" \
+        || CODE=$?
+    if [ "$CODE" -eq 0 ] || ! grep -q "wants a number" "$WORKDIR/err.txt"; then
+        echo "FAIL: out-of-range $FLAG was not rejected (exit $CODE)" >&2
+        FAILED=1
+    else
+        echo "ok: out-of-range $FLAG rejected"
+    fi
+done
+# A constraint budget above 2^32 is a real (huge) budget, not 1.
+run_expect_clean "qualcc --limit-constraints=4294967297" \
+    "$QUALCC" --limit-constraints=4294967297 "$WORKDIR/ok.c"
+run_expect_clean "qualcc --limit-errors=4294967295" \
+    "$QUALCC" --limit-errors=4294967295 "$WORKDIR/ok.c"
+
 # --- hostile lambda inputs -----------------------------------------------
 printf 'let x = fn y.' > "$WORKDIR/truncated.q"
 head -c 512 /dev/urandom > "$WORKDIR/garbage.q"

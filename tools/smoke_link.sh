@@ -7,10 +7,10 @@
 # binaries: (a) a qualgen --tus split summarized per-TU and linked with
 # quallink classifies every position exactly as whole-program qualcc
 # --mono over the same TUs, (b) quallink output is byte-identical at -j1
-# --solver-jobs=1 and -j4 --solver-jobs=4 and under reversed summary
-# argument order, (c) identical shared sources are deduplicated (the
+# and -j4 and under reversed summary argument order, (c) identical shared sources are deduplicated (the
 # linked summary count drops below the input count), and (d) stale and
-# corrupt summaries are rejected with exit 1, not mislinked. Wired into
+# corrupt summaries are rejected with exit 1, not mislinked; a constraint
+# budget above 2^32 does not wrap. Wired into
 # ctest as cli.smoke_link by tools/CMakeLists.txt.
 
 set -euo pipefail
@@ -48,9 +48,9 @@ if ! cmp -s "$WORKDIR/whole.pos" "$WORKDIR/linked.pos"; then
 fi
 
 # --- (b) worker-count and argument-order determinism ---------------------
-"$QUALLINK" --positions --stats -j1 --solver-jobs=1 "${QSUMS[@]}" \
+"$QUALLINK" --positions --stats -j1 "${QSUMS[@]}" \
     >"$WORKDIR/j1.out"
-"$QUALLINK" --positions --stats -j4 --solver-jobs=4 "${QSUMS[@]}" \
+"$QUALLINK" --positions --stats -j4 "${QSUMS[@]}" \
     >"$WORKDIR/j4.out"
 if ! cmp -s "$WORKDIR/j1.out" "$WORKDIR/j4.out"; then
     echo "FAIL: quallink output differs between -j1 and -j4" >&2
@@ -61,7 +61,7 @@ REVERSED=()
 for ((I = ${#QSUMS[@]} - 1; I >= 0; I--)); do
     REVERSED+=("${QSUMS[$I]}")
 done
-"$QUALLINK" --positions --stats -j4 --solver-jobs=4 "${REVERSED[@]}" \
+"$QUALLINK" --positions --stats -j4 "${REVERSED[@]}" \
     >"$WORKDIR/rev.out"
 if ! cmp -s "$WORKDIR/j1.out" "$WORKDIR/rev.out"; then
     echo "FAIL: quallink output depends on summary argument order" >&2
@@ -75,6 +75,15 @@ fi
 if ! grep -q "linked 8 summaries (4 unique TUs)" "$WORKDIR/dup.out"; then
     echo "FAIL: duplicated inputs were not deduplicated to 4 unique TUs" >&2
     grep "summaries" "$WORKDIR/dup.out" >&2 || true
+    FAILED=1
+fi
+
+# --- (c2) budgets above 2^32 do not wrap ---------------------------------
+# --limit-constraints=2^32+1 once linked under a budget of 1 constraint.
+if ! "$QUALLINK" --quiet --limit-constraints=4294967297 "${QSUMS[@]}" \
+        >/dev/null 2>"$WORKDIR/budget.err"; then
+    echo "FAIL: quallink --limit-constraints=4294967297 did not link" >&2
+    cat "$WORKDIR/budget.err" >&2
     FAILED=1
 fi
 

@@ -57,7 +57,6 @@ for F in "$PROGRAMS"/*.c; do
     [ -e "$F" ] || continue
     FOUND=1
     check_run qualcc "$QUALCC" --stats "$F"
-    check_run qualcc "$QUALCC" --stats --no-collapse "$F"
 done
 
 if [ "$FOUND" -eq 0 ]; then
