@@ -67,7 +67,7 @@ void BM_BulkSolveLinesPerSecond(benchmark::State &State) {
     std::vector<QualVarId> Vars;
     Vars.reserve(Lines);
     for (unsigned I = 0; I != Lines; ++I)
-      Vars.push_back(Sys.freshVar("v"));
+      Vars.push_back(Sys.freshVar());
     for (unsigned I = 1; I != Lines; ++I)
       for (unsigned E = 0; E != 4; ++E)
         Sys.addLeq(QualExpr::makeVar(Vars[R.below(I)]),
@@ -91,11 +91,11 @@ void BM_SolveChain(benchmark::State &State) {
   unsigned N = State.range(0);
   for (auto _ : State) {
     ConstraintSystem Sys(QS);
-    QualVarId Prev = Sys.freshVar("v0");
+    QualVarId Prev = Sys.freshVar();
     Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({0})),
                QualExpr::makeVar(Prev), {"seed"});
     for (unsigned I = 1; I != N; ++I) {
-      QualVarId Next = Sys.freshVar("v");
+      QualVarId Next = Sys.freshVar();
       Sys.addLeq(QualExpr::makeVar(Prev), QualExpr::makeVar(Next), {"edge"});
       Prev = Next;
     }
@@ -113,11 +113,11 @@ void BM_SolveStar(benchmark::State &State) {
   unsigned N = State.range(0);
   for (auto _ : State) {
     ConstraintSystem Sys(QS);
-    QualVarId Hub = Sys.freshVar("hub");
+    QualVarId Hub = Sys.freshVar();
     Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({1})),
                QualExpr::makeVar(Hub), {"seed"});
     for (unsigned I = 0; I != N; ++I) {
-      QualVarId Spoke = Sys.freshVar("s");
+      QualVarId Spoke = Sys.freshVar();
       Sys.addLeq(QualExpr::makeVar(Hub), QualExpr::makeVar(Spoke), {"edge"});
     }
     bool Ok = Sys.solve();
@@ -136,7 +136,7 @@ void BM_SolveRandomDag(benchmark::State &State) {
     std::vector<QualVarId> Vars;
     Vars.reserve(N);
     for (unsigned I = 0; I != N; ++I)
-      Vars.push_back(Sys.freshVar("v"));
+      Vars.push_back(Sys.freshVar());
     // ~4 edges per var, respecting creation order (a DAG).
     for (unsigned I = 1; I != N; ++I)
       for (unsigned E = 0; E != 4; ++E)
@@ -165,7 +165,7 @@ void BM_SolveRing(benchmark::State &State) {
     std::vector<QualVarId> Vars;
     Vars.reserve(N);
     for (unsigned I = 0; I != N; ++I)
-      Vars.push_back(Sys.freshVar("v"));
+      Vars.push_back(Sys.freshVar());
     for (unsigned I = 0; I != N; ++I)
       Sys.addLeq(QualExpr::makeVar(Vars[I]),
                  QualExpr::makeVar(Vars[(I + 1) % N]), {"edge"});
@@ -191,7 +191,7 @@ void BM_SolveSccBlob(benchmark::State &State) {
     std::vector<QualVarId> Vars;
     Vars.reserve(N);
     for (unsigned I = 0; I != N; ++I)
-      Vars.push_back(Sys.freshVar("v"));
+      Vars.push_back(Sys.freshVar());
     for (unsigned I = 0; I != N; ++I)
       for (unsigned E = 0; E != 4; ++E)
         Sys.addLeq(QualExpr::makeVar(Vars[I]),
@@ -219,10 +219,10 @@ void BM_SolveDuplicateEdges(benchmark::State &State) {
   unsigned N = State.range(0);
   for (auto _ : State) {
     ConstraintSystem Sys(QS);
-    QualVarId First = Sys.freshVar("v0");
+    QualVarId First = Sys.freshVar();
     QualVarId Prev = First;
     for (unsigned I = 1; I != N; ++I) {
-      QualVarId Next = Sys.freshVar("v");
+      QualVarId Next = Sys.freshVar();
       for (unsigned D = 0; D != 8; ++D)
         Sys.addLeq(QualExpr::makeVar(Prev), QualExpr::makeVar(Next),
                    {"edge"});
@@ -248,10 +248,10 @@ void BM_UpperBoundBackward(benchmark::State &State) {
   unsigned N = State.range(0);
   for (auto _ : State) {
     ConstraintSystem Sys(QS);
-    QualVarId First = Sys.freshVar("v0");
+    QualVarId First = Sys.freshVar();
     QualVarId Prev = First;
     for (unsigned I = 1; I != N; ++I) {
-      QualVarId Next = Sys.freshVar("v");
+      QualVarId Next = Sys.freshVar();
       Sys.addLeq(QualExpr::makeVar(Prev), QualExpr::makeVar(Next), {"edge"});
       Prev = Next;
     }
@@ -276,14 +276,14 @@ void BM_IncrementalResolve(benchmark::State &State) {
   Lcg R;
   std::vector<QualVarId> Vars;
   for (unsigned I = 0; I != N; ++I)
-    Vars.push_back(Sys.freshVar("v"));
+    Vars.push_back(Sys.freshVar());
   for (unsigned I = 1; I != N; ++I)
     Sys.addLeq(QualExpr::makeVar(Vars[R.below(I)]),
                QualExpr::makeVar(Vars[I]), {"edge"});
   Sys.solve();
   for (auto _ : State) {
     for (unsigned I = 0; I != 16; ++I) {
-      QualVarId V = Sys.freshVar("inc");
+      QualVarId V = Sys.freshVar();
       Sys.addLeq(QualExpr::makeVar(Vars[R.below(N)]), QualExpr::makeVar(V),
                  {"inc"});
     }
@@ -324,11 +324,11 @@ void BM_SolveObservability(benchmark::State &State) {
   for (auto _ : State) {
     Tracer::instance().clear(); // keep the event buffer from growing
     ConstraintSystem Sys(QS);
-    QualVarId Prev = Sys.freshVar("v0");
+    QualVarId Prev = Sys.freshVar();
     Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({0})),
                QualExpr::makeVar(Prev), {"seed"});
     for (unsigned I = 1; I != N; ++I) {
-      QualVarId Next = Sys.freshVar("v");
+      QualVarId Next = Sys.freshVar();
       Sys.addLeq(QualExpr::makeVar(Prev), QualExpr::makeVar(Next), {"edge"});
       Prev = Next;
     }
@@ -376,12 +376,12 @@ void BM_SchemeGeneralizeInstantiate(benchmark::State &State) {
     TypeCtor Fn("->", {Variance::Contravariant, Variance::Covariant},
                 PrintStyle::Infix);
     Watermark Mark = takeWatermark(Sys);
-    QualVarId P = Sys.freshVar("p");
-    QualVarId Ret = Sys.freshVar("r");
+    QualVarId P = Sys.freshVar();
+    QualVarId Ret = Sys.freshVar();
     // Internal chain p -> ... -> ret to be compressed away.
     QualVarId Prev = P;
     for (unsigned I = 0; I != BodySize; ++I) {
-      QualVarId Next = Sys.freshVar("i");
+      QualVarId Next = Sys.freshVar();
       Sys.addLeq(QualExpr::makeVar(Prev), QualExpr::makeVar(Next), {"body"});
       Prev = Next;
     }
@@ -389,7 +389,7 @@ void BM_SchemeGeneralizeInstantiate(benchmark::State &State) {
     QualType PT = Factory.make(QualExpr::makeVar(P), &Int);
     QualType RT = Factory.make(QualExpr::makeVar(Ret), &Int);
     QualType FnTy =
-        Factory.make(QualExpr::makeVar(Sys.freshVar("f")), &Fn, {PT, RT});
+        Factory.make(QualExpr::makeVar(Sys.freshVar()), &Fn, {PT, RT});
     QualScheme S = QualScheme::generalize(Sys, FnTy, Mark);
     for (unsigned Use = 0; Use != 32; ++Use) {
       QualType T = S.instantiate(Sys, Factory);

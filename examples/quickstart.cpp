@@ -58,10 +58,10 @@ int main() {
 
   // kappa_1 int and kappa_2 ref(kappa_3 int)
   QualType PlainInt =
-      Factory.make(QualExpr::makeVar(Sys.freshVar("k1")), &Int);
+      Factory.make(QualExpr::makeVar(Sys.freshVar()), &Int);
   QualType Cell = Factory.make(
-      QualExpr::makeVar(Sys.freshVar("k2")), &Ref,
-      {Factory.make(QualExpr::makeVar(Sys.freshVar("k3")), &Int)});
+      QualExpr::makeVar(Sys.freshVar()), &Ref,
+      {Factory.make(QualExpr::makeVar(Sys.freshVar()), &Int)});
   std::printf("types: %s and %s (variables print as their ids)\n\n",
               toString(QS, PlainInt).c_str(), toString(QS, Cell).c_str());
 
@@ -103,10 +103,10 @@ int main() {
   // this; Section 3.2).
   ConstraintSystem PolySys(QS);
   Watermark Mark = takeWatermark(PolySys);
-  QualVarId K = PolySys.freshVar("k");
+  QualVarId K = PolySys.freshVar();
   QualType KInt = Factory.make(QualExpr::makeVar(K), &Int);
   QualType IdTy = Factory.make(
-      QualExpr::makeVar(PolySys.freshVar("id")), &Fn, {KInt, KInt});
+      QualExpr::makeVar(PolySys.freshVar()), &Fn, {KInt, KInt});
   QualScheme Scheme = QualScheme::generalize(PolySys, IdTy, Mark);
   std::printf("id's scheme binds %u qualifier variable(s)\n",
               Scheme.getNumBoundVars());

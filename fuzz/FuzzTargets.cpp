@@ -145,7 +145,7 @@ int fuzz::runSolver(const uint8_t *Data, size_t Size) {
     switch (In.next() % 8) {
     case 0:
       if (NumVars < MaxVars) {
-        Sys.freshVar("k" + std::to_string(NumVars));
+        Sys.freshVar();
         ++NumVars;
       }
       break;

@@ -62,9 +62,6 @@ public:
   /// Accumulated diagnostics (parse errors, qualifier violations).
   std::string errors() const;
 
-  /// The dynamic qualifier's id (for tests poking at the lattice).
-  QualifierId dynamicQual() const { return Dynamic; }
-
 private:
   QualifierSet QS;
   QualifierId Dynamic;

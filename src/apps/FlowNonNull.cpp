@@ -15,9 +15,8 @@ FlowNonNullChecker::FlowNonNullChecker() : Sys(QS) {
   NonNull = QS.add("nonnull", Polarity::Negative);
 }
 
-QualVarId FlowNonNullChecker::freshVersion(const VarDecl *VD,
-                                           SourceLoc Loc) {
-  QualVarId V = Sys.freshVar(std::string(VD->getName()) + "#", Loc);
+QualVarId FlowNonNullChecker::freshVersion(const VarDecl *VD) {
+  QualVarId V = Sys.freshVar();
   Current[VD] = V;
   return V;
 }
@@ -47,8 +46,7 @@ void FlowNonNullChecker::mergeStates(const State &A, const State &B,
       Merged.emplace(Entry.first, Entry.second);
       continue;
     }
-    QualVarId Join =
-        Sys.freshVar(std::string(Entry.first->getName()) + "#join", Loc);
+    QualVarId Join = Sys.freshVar();
     weakEdge(Entry.second, Join, Loc);
     weakEdge(InB->second, Join, Loc);
     Merged.emplace(Entry.first, Join);
@@ -86,7 +84,7 @@ void FlowNonNullChecker::handleAssign(const CExpr *Target,
   QualVarId OldSource = InvalidQualVar;
   if (const VarDecl *Src = trackedVarOf(Value))
     OldSource = Current[Src];
-  QualVarId New = freshVersion(VD, Loc);
+  QualVarId New = freshVersion(VD);
   if (isNullConstant(Value)) {
     markMaybeNull(New, Loc,
                   "null assigned to '" + std::string(VD->getName()) + "'");
@@ -195,7 +193,7 @@ void FlowNonNullChecker::walkStmt(const CStmt *S) {
       if (V->getType().isNull() ||
           !isa<PointerType>(V->getType().getType()))
         continue;
-      QualVarId Version = freshVersion(V, V->getLoc());
+      QualVarId Version = freshVersion(V);
       if (!V->getInit()) {
         markMaybeNull(Version, V->getLoc(),
                       "'" + std::string(V->getName()) +
@@ -248,8 +246,7 @@ void FlowNonNullChecker::walkStmt(const CStmt *S) {
       walkStmt(Init);
     State Joins;
     for (const auto &Entry : Current) {
-      QualVarId Join = Sys.freshVar(
-          std::string(Entry.first->getName()) + "#loop", S->getLoc());
+      QualVarId Join = Sys.freshVar();
       weakEdge(Entry.second, Join, S->getLoc());
       Joins.emplace(Entry.first, Join);
     }
@@ -305,7 +302,7 @@ void FlowNonNullChecker::walkFunction(const FunctionDecl *FD) {
       continue;
     // Parameters are assumed non-null on entry (callers are checked at
     // their own call sites in a richer system; lclint uses annotations).
-    freshVersion(P, P->getLoc());
+    freshVersion(P);
   }
   walkStmt(FD->getBody());
 }

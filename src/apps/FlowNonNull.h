@@ -77,7 +77,7 @@ private:
   std::vector<DerefSite> Derefs;
   std::vector<Warning> Warnings;
 
-  QualVarId freshVersion(const cfront::VarDecl *VD, SourceLoc Loc);
+  QualVarId freshVersion(const cfront::VarDecl *VD);
   void markMaybeNull(QualVarId Version, SourceLoc Loc,
                      const std::string &Why);
   /// Weak edge tau_old <= tau_new (no strong update).

@@ -21,7 +21,7 @@ QualVarId NonNullChecker::varFor(const VarDecl *VD) {
   auto It = PtrVars.find(VD);
   if (It != PtrVars.end())
     return It->second;
-  QualVarId V = Sys.freshVar(std::string(VD->getName()), VD->getLoc());
+  QualVarId V = Sys.freshVar();
   PtrVars.emplace(VD, V);
   return V;
 }

@@ -51,7 +51,6 @@ public:
   bool isConst() const { return Quals & CQ_Const; }
   bool isVolatile() const { return Quals & CQ_Volatile; }
 
-  CQualType withConst() const { return CQualType(Ty, Quals | CQ_Const); }
   CQualType withoutConst() const { return CQualType(Ty, Quals & ~CQ_Const); }
   CQualType withQuals(unsigned Q) const { return CQualType(Ty, Quals | Q); }
 
@@ -98,9 +97,6 @@ public:
   bool isVoid() const { return TheId == Id::Void; }
   bool isInteger() const {
     return TheId != Id::Void && TheId != Id::Float && TheId != Id::Double;
-  }
-  bool isFloating() const {
-    return TheId == Id::Float || TheId == Id::Double;
   }
   static bool classof(const CType *T) { return T->getKind() == Kind::Builtin; }
 
@@ -187,9 +183,6 @@ public:
   const BuiltinType *getBuiltin(BuiltinType::Id Id) const {
     return Builtins[static_cast<unsigned>(Id)];
   }
-  const BuiltinType *getVoid() const {
-    return getBuiltin(BuiltinType::Id::Void);
-  }
   const BuiltinType *getInt() const {
     return getBuiltin(BuiltinType::Id::Int);
   }
@@ -218,8 +211,6 @@ public:
   const EnumType *getEnum(EnumDecl *Decl) {
     return Arena.create<EnumType>(Decl);
   }
-
-  BumpPtrAllocator &getArena() { return Arena; }
 
 private:
   BumpPtrAllocator Arena;

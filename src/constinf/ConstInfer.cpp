@@ -37,7 +37,7 @@ QualType ConstInference::functionUse(const FunctionDecl *FD) {
   if (Opts.Polymorphic) {
     auto It = Schemes.find(FD);
     if (It != Schemes.end() && It->second.isPolymorphic())
-      return It->second.instantiate(*Sys, Factory, FD->getLoc());
+      return It->second.instantiate(*Sys, Factory);
   }
   return Translator->functionInterfaceType(FD);
 }
@@ -148,7 +148,7 @@ bool ConstInference::run() {
   bool Ok = Sys->solve();
   if (!Ok || !Sys->collectViolations().empty()) {
     for (const Violation &V : Sys->collectViolations())
-      Diags.error(Sys->getConstraint(V.Cause).Origin.Loc,
+      Diags.error(Sys->getConstraint(V.Cause).Loc,
                   Sys->explain(V));
     return false;
   }

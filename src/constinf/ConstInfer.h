@@ -188,9 +188,6 @@ public:
   /// it after run().
   RefTranslator &translator() { return *Translator; }
 
-  /// The qualifier id of "const" in system()'s qualifier set.
-  QualifierId constQualifier() const { return ConstQual; }
-
   /// The analyzed translation unit.
   cfront::TranslationUnit &unit() { return TU; }
 

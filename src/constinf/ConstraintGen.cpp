@@ -45,14 +45,12 @@ void ConstraintGen::flowBoth(QualType A, QualType B,
 }
 
 void ConstraintGen::requireNonConstCell(QualType LType, SourceLoc Loc,
-                                        const char *What) {
+                                        const char *Why) {
   if (LType.isNull() || LType.getCtor() != Ctors.ref())
     return;
   Sys.addLeq(LType.getQual(),
-             QualExpr::makeConst(
-                 Sys.getQualifierSet().notQual(ConstQual)),
-             ConstraintOrigin(Loc, std::string(What) +
-                                       " target must not be const"));
+             QualExpr::makeConst(Sys.getQualifierSet().notQual(ConstQual)),
+             ConstraintOrigin(Loc, Why));
 }
 
 QualType ConstraintGen::rvalue(const CExpr *E) {
@@ -208,14 +206,11 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
   switch (E->getKind()) {
   case CExpr::Kind::IntLit:
   case CExpr::Kind::FloatLit:
-    return freshVal(E->getLoc());
+    return freshVal();
   case CExpr::Kind::StringLit: {
     // char *: a pointer to a fresh character cell. The cell's constness is
     // free: "..." can be viewed const or not (C89).
-    QualType CharCell = Factory.make(
-        QualExpr::makeVar(Sys.freshVar("strlit", E->getLoc())), Ctors.ref(),
-        {freshVal(E->getLoc())});
-    return CharCell;
+    return freshCell(freshVal());
   }
   case CExpr::Kind::DeclRef: {
     const auto *Ref = cast<CDeclRef>(E);
@@ -224,12 +219,9 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
       return Translator.varLValueType(V);
     if (const auto *F = dyn_cast_or_null<FunctionDecl>(D)) {
       // A function designator used as a value: a pointer to the function.
-      QualType FnTy = FunctionUse(F);
-      return Factory.make(
-          QualExpr::makeVar(Sys.freshVar("fnptr", E->getLoc())), Ctors.ref(),
-          {FnTy});
+      return freshCell(FunctionUse(F));
     }
-    return freshVal(E->getLoc()); // enum constant
+    return freshVal(); // enum constant
   }
   case CExpr::Kind::Unary: {
     const auto *U = cast<CUnary>(E);
@@ -239,9 +231,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
       if (!P.isNull() && P.getCtor() == Ctors.ref())
         return P; // The pointee cell *is* the pointer's r-value.
       // Deref of a converted value: fresh cell of the right shape.
-      return Factory.make(
-          QualExpr::makeVar(Sys.freshVar("deref", E->getLoc())), Ctors.ref(),
-          {Translator.freshRValueType(E->getType(), E->getLoc())});
+      return freshCell(Translator.freshRValueType(E->getType(), E->getLoc()));
     }
     case UnaryOp::AddrOf: {
       QualType T = genExpr(U->getOperand());
@@ -255,7 +245,8 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     case UnaryOp::PostDec: {
       QualType T = genExpr(U->getOperand());
       if (U->getOperand()->isLValue())
-        requireNonConstCell(T, E->getLoc(), "increment/decrement");
+        requireNonConstCell(T, E->getLoc(),
+                            "increment/decrement target must not be const");
       if (!T.isNull() && U->getOperand()->isLValue() &&
           T.getCtor() == Ctors.ref())
         return T.getArg(0);
@@ -266,9 +257,9 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     case UnaryOp::Not:
     case UnaryOp::BitNot:
       rvalue(U->getOperand());
-      return freshVal(E->getLoc());
+      return freshVal();
     }
-    return freshVal(E->getLoc());
+    return freshVal();
   }
   case CExpr::Kind::Binary: {
     const auto *B = cast<CBinary>(E);
@@ -276,7 +267,8 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
       QualType L = genExpr(B->getLhs());
       QualType R = rvalue(B->getRhs());
       if (!L.isNull() && L.getCtor() == Ctors.ref()) {
-        requireNonConstCell(L, E->getLoc(), "assignment");
+        requireNonConstCell(L, E->getLoc(),
+                            "assignment target must not be const");
         flowInto(R, L.getArg(0),
                  ConstraintOrigin(E->getLoc(),
                                   "assigned value flows into cell"));
@@ -290,7 +282,8 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
       QualType L = genExpr(B->getLhs());
       rvalue(B->getRhs());
       if (!L.isNull() && L.getCtor() == Ctors.ref()) {
-        requireNonConstCell(L, E->getLoc(), "compound assignment");
+        requireNonConstCell(L, E->getLoc(),
+                            "compound assignment target must not be const");
         return L.getArg(0);
       }
       return L;
@@ -303,11 +296,11 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
         return L;
       if (!R.isNull() && R.getCtor() == Ctors.ref())
         return R;
-      return freshVal(E->getLoc());
+      return freshVal();
     }
     rvalue(B->getLhs());
     rvalue(B->getRhs());
-    return freshVal(E->getLoc());
+    return freshVal();
   }
   case CExpr::Kind::Conditional: {
     const auto *C = cast<CConditional>(E);
@@ -315,7 +308,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     QualType T = rvalue(C->getThen());
     QualType F = rvalue(C->getElse());
     if (!T.isNull() && !F.isNull() && T.shapeEquals(F)) {
-      QualType Join = Factory.spread(Sys, T, "cond", E->getLoc());
+      QualType Join = Factory.spread(Sys, T);
       ConstraintOrigin Origin(E->getLoc(), "conditional branch joins");
       flowInto(T, Join, Origin);
       flowInto(F, Join, Origin);
@@ -379,9 +372,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     genExpr(M->getBase());
     if (const FieldDecl *F = M->getField())
       return Translator.fieldLValueType(F);
-    return Factory.make(
-        QualExpr::makeVar(Sys.freshVar("field", E->getLoc())), Ctors.ref(),
-        {Translator.freshRValueType(E->getType(), E->getLoc())});
+    return freshCell(Translator.freshRValueType(E->getType(), E->getLoc()));
   }
   case CExpr::Kind::Subscript: {
     const auto *S = cast<CSubscript>(E);
@@ -389,9 +380,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     QualType Base = rvalue(S->getBase());
     if (!Base.isNull() && Base.getCtor() == Ctors.ref())
       return Base; // All elements share the pointee cell.
-    return Factory.make(
-        QualExpr::makeVar(Sys.freshVar("elem", E->getLoc())), Ctors.ref(),
-        {Translator.freshRValueType(E->getType(), E->getLoc())});
+    return freshCell(Translator.freshRValueType(E->getType(), E->getLoc()));
   }
   case CExpr::Kind::Cast: {
     const auto *C = cast<CCast>(E);
@@ -410,7 +399,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     const auto *S = cast<CSizeOf>(E);
     if (S->getArgExpr())
       genExpr(S->getArgExpr());
-    return freshVal(E->getLoc());
+    return freshVal();
   }
   case CExpr::Kind::Comma: {
     const auto *C = cast<CComma>(E);
@@ -420,7 +409,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
   case CExpr::Kind::InitList:
     for (const CExpr *I : cast<CInitList>(E)->getInits())
       rvalue(I);
-    return freshVal(E->getLoc());
+    return freshVal();
   }
-  return freshVal(E->getLoc());
+  return freshVal();
 }

@@ -86,11 +86,14 @@ private:
 
   void flowBoth(QualType A, QualType B, const ConstraintOrigin &Origin);
   void genInitInto(QualType CellContents, const cfront::CExpr *Init);
-  void requireNonConstCell(QualType LType, SourceLoc Loc,
-                           const char *What);
-  QualType freshVal(SourceLoc Loc) {
-    return Factory.make(QualExpr::makeVar(Sys.freshVar("tmp", Loc)),
-                        Ctors.val());
+  void requireNonConstCell(QualType LType, SourceLoc Loc, const char *Why);
+  QualType freshVal() {
+    return Factory.make(QualExpr::makeVar(Sys.freshVar()), Ctors.val());
+  }
+  /// A fresh ref cell over \p Contents, whose variables come first.
+  QualType freshCell(QualType Contents) {
+    return Factory.make(QualExpr::makeVar(Sys.freshVar()), Ctors.ref(),
+                        {Contents});
   }
 };
 

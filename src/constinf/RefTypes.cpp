@@ -37,10 +37,10 @@ const TypeCtor *ConstCtors::record(const RecordDecl *RD) {
 }
 
 RefTranslator::LPair
-RefTranslator::lprime(CQualType T, SourceLoc Loc, const std::string &Hint,
+RefTranslator::lprime(CQualType T, SourceLoc Loc,
                       std::vector<InterestingPos> *Collect, unsigned Depth) {
   LPair Result;
-  Result.TopQual = freshQual(Hint, Loc);
+  Result.TopQual = QualExpr::makeVar(Sys.freshVar());
   if (!T.isNull() && T.isConst())
     Sys.addLeq(QualExpr::makeConst(
                    Sys.getQualifierSet().withQual(
@@ -49,21 +49,23 @@ RefTranslator::lprime(CQualType T, SourceLoc Loc, const std::string &Hint,
 
   const CType *Ty = T.isNull() ? nullptr : T.getType();
   if (!Ty) {
-    Result.Contents = Factory.make(freshQual(Hint, Loc), Ctors.val());
+    Result.Contents =
+        Factory.make(QualExpr::makeVar(Sys.freshVar()), Ctors.val());
     return Result;
   }
 
   switch (Ty->getKind()) {
   case CType::Kind::Builtin:
   case CType::Kind::Enum:
-    Result.Contents = Factory.make(freshQual(Hint, Loc), Ctors.val());
+    Result.Contents =
+        Factory.make(QualExpr::makeVar(Sys.freshVar()), Ctors.val());
     break;
   case CType::Kind::Pointer:
   case CType::Kind::Array: {
     CQualType Pointee = isa<PointerType>(Ty)
                             ? cast<PointerType>(Ty)->getPointee()
                             : cast<ArrayType>(Ty)->getElement();
-    LPair Inner = lprime(Pointee, Loc, Hint, Collect, Depth + 1);
+    LPair Inner = lprime(Pointee, Loc, Collect, Depth + 1);
     if (Collect && Inner.TopQual.isVar()) {
       InterestingPos Pos;
       Pos.Depth = Depth;
@@ -76,8 +78,9 @@ RefTranslator::lprime(CQualType T, SourceLoc Loc, const std::string &Hint,
     break;
   }
   case CType::Kind::Record:
-    Result.Contents = Factory.make(
-        freshQual(Hint, Loc), Ctors.record(cast<RecordType>(Ty)->getDecl()));
+    Result.Contents =
+        Factory.make(QualExpr::makeVar(Sys.freshVar()),
+                     Ctors.record(cast<RecordType>(Ty)->getDecl()));
     break;
   case CType::Kind::Function: {
     const auto *FT = cast<FunctionType>(Ty);
@@ -86,11 +89,10 @@ RefTranslator::lprime(CQualType T, SourceLoc Loc, const std::string &Hint,
     // into them (only direct parameters/results are counted, Section 4.4).
     std::vector<QualType> Args;
     for (CQualType P : FT->getParams())
-      Args.push_back(
-          lprime(P, Loc, Hint, /*Collect=*/nullptr, 0).Contents);
+      Args.push_back(lprime(P, Loc, /*Collect=*/nullptr, 0).Contents);
     Args.push_back(
-        lprime(FT->getReturn(), Loc, Hint, /*Collect=*/nullptr, 0).Contents);
-    Result.Contents = Factory.make(freshQual(Hint, Loc),
+        lprime(FT->getReturn(), Loc, /*Collect=*/nullptr, 0).Contents);
+    Result.Contents = Factory.make(QualExpr::makeVar(Sys.freshVar()),
                                    Ctors.fn(FT->getParams().size()), Args);
     break;
   }
@@ -102,8 +104,7 @@ QualType RefTranslator::varLValueType(const VarDecl *VD) {
   auto It = VarTypes.find(VD);
   if (It != VarTypes.end())
     return It->second;
-  LPair LP = lprime(VD->getType(), VD->getLoc(), std::string(VD->getName()),
-                    /*Collect=*/nullptr, 0);
+  LPair LP = lprime(VD->getType(), VD->getLoc(), /*Collect=*/nullptr, 0);
   QualType T = Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
   VarTypes.emplace(VD, T);
   return T;
@@ -113,8 +114,7 @@ QualType RefTranslator::fieldLValueType(const FieldDecl *FD) {
   auto It = FieldTypes.find(FD);
   if (It != FieldTypes.end())
     return It->second;
-  LPair LP = lprime(FD->getType(), FD->getLoc(), std::string(FD->getName()),
-                    /*Collect=*/nullptr, 0);
+  LPair LP = lprime(FD->getType(), FD->getLoc(), /*Collect=*/nullptr, 0);
   QualType T = Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
   // Section 4.2: all variables with the same struct type share the field
   // declaration, so field qualifiers are shared (memoized). The ablation
@@ -139,11 +139,9 @@ QualType RefTranslator::functionInterfaceType(const FunctionDecl *FD) {
   const auto &Params = FD->getParams();
   for (unsigned I = 0, E = FT->getParams().size(); I != E; ++I) {
     std::vector<InterestingPos> ParamPositions;
-    std::string Hint = std::string(FD->getName()) + ".param" +
-                       std::to_string(I);
     LPair LP = lprime(FT->getParams()[I],
                       I < Params.size() ? Params[I]->getLoc() : FD->getLoc(),
-                      Hint, &ParamPositions, 0);
+                      &ParamPositions, 0);
     for (InterestingPos &Pos : ParamPositions) {
       Pos.Fn = FD;
       Pos.ParamIndex = static_cast<int>(I);
@@ -175,8 +173,7 @@ QualType RefTranslator::functionInterfaceType(const FunctionDecl *FD) {
   }
 
   std::vector<InterestingPos> RetPositions;
-  LPair Ret = lprime(FT->getReturn(), FD->getLoc(),
-                     std::string(FD->getName()) + ".ret", &RetPositions, 0);
+  LPair Ret = lprime(FT->getReturn(), FD->getLoc(), &RetPositions, 0);
   for (InterestingPos &Pos : RetPositions) {
     Pos.Fn = FD;
     Pos.ParamIndex = -1;
@@ -185,7 +182,7 @@ QualType RefTranslator::functionInterfaceType(const FunctionDecl *FD) {
   }
   Args.push_back(Ret.Contents);
 
-  QualType T = Factory.make(freshQual(std::string(FD->getName()), FD->getLoc()),
+  QualType T = Factory.make(QualExpr::makeVar(Sys.freshVar()),
                             Ctors.fn(FT->getParams().size()), Args);
   FnTypes.emplace(FD, T);
   Interesting.insert(Interesting.end(), Collected.begin(), Collected.end());
@@ -193,7 +190,7 @@ QualType RefTranslator::functionInterfaceType(const FunctionDecl *FD) {
 }
 
 QualType RefTranslator::freshRValueType(CQualType T, SourceLoc Loc) {
-  return lprime(T, Loc, "cast", /*Collect=*/nullptr, 0).Contents;
+  return lprime(T, Loc, /*Collect=*/nullptr, 0).Contents;
 }
 
 void RefTranslator::forceNonConstRefs(QualType T,

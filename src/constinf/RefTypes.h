@@ -182,12 +182,8 @@ private:
 
   /// The l' operation. When \p Collect is non-null, the top qualifiers of
   /// pointee levels are appended as interesting positions.
-  LPair lprime(cfront::CQualType T, SourceLoc Loc, const std::string &Hint,
+  LPair lprime(cfront::CQualType T, SourceLoc Loc,
                std::vector<InterestingPos> *Collect, unsigned Depth);
-
-  QualExpr freshQual(const std::string &Hint, SourceLoc Loc) {
-    return QualExpr::makeVar(Sys.freshVar(Hint, Loc));
-  }
 };
 
 } // namespace constinf

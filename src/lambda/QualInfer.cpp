@@ -26,10 +26,6 @@ QualType QualInferencer::fail(const Expr *E, const std::string &Message) {
   return QualType();
 }
 
-QualExpr QualInferencer::freshQual(const std::string &Hint, SourceLoc Loc) {
-  return QualExpr::makeVar(Sys.freshVar(Hint, Loc));
-}
-
 void QualInferencer::applyWFLevel(QualType T, SourceLoc Loc) {
   for (QualifierId Q : Options.UpwardClosedQuals) {
     uint64_t Mask = QS.bitFor(Q);
@@ -49,15 +45,14 @@ void QualInferencer::applyWFLevel(QualType T, SourceLoc Loc) {
   }
 }
 
-QualType QualInferencer::spreadSTy(STy *T, const std::string &Hint,
-                                   SourceLoc Loc) {
+QualType QualInferencer::spreadSTy(STy *T, SourceLoc Loc) {
   // Resolve through unification links; an unconstrained shape variable
   // defaults to int (the program never uses the value's structure).
   STy *R = T;
   while (R->getKind() == STy::Kind::Var && R->Link)
     R = R->Link;
 
-  QualExpr Q = freshQual(Hint, Loc);
+  QualExpr Q = freshQual();
   QualType Result;
   switch (R->getKind()) {
   case STy::Kind::Var:
@@ -68,13 +63,13 @@ QualType QualInferencer::spreadSTy(STy *T, const std::string &Hint,
     Result = Factory.make(Q, &Ctors.Unit);
     break;
   case STy::Kind::Fn: {
-    QualType P = spreadSTy(R->Arg0, Hint, Loc);
-    QualType B = spreadSTy(R->Arg1, Hint, Loc);
+    QualType P = spreadSTy(R->Arg0, Loc);
+    QualType B = spreadSTy(R->Arg1, Loc);
     Result = Factory.make(Q, &Ctors.Fn, {P, B});
     break;
   }
   case STy::Kind::Ref: {
-    QualType C = spreadSTy(R->Arg0, Hint, Loc);
+    QualType C = spreadSTy(R->Arg0, Loc);
     Result = Factory.make(Q, &Ctors.Ref, {C});
     break;
   }
@@ -105,7 +100,7 @@ QualType QualInferencer::inferExpr(const Expr *E) {
     // variable bounded below by bottom (no constraint needed) or by the
     // designer's literal hook.
     const auto *I = cast<IntLitExpr>(E);
-    QualExpr Q = freshQual("int_lit", E->getLoc());
+    QualExpr Q = freshQual();
     if (Options.IntLiteralQual) {
       LatticeValue L = Options.IntLiteralQual(I->getValue());
       if (L != QS.bottom())
@@ -118,7 +113,7 @@ QualType QualInferencer::inferExpr(const Expr *E) {
     break;
   }
   case Expr::Kind::UnitLit:
-    Result = Factory.make(freshQual("unit_lit", E->getLoc()), &Ctors.Unit);
+    Result = Factory.make(freshQual(), &Ctors.Unit);
     break;
   case Expr::Kind::Var: {
     const auto *V = cast<VarExpr>(E);
@@ -127,7 +122,7 @@ QualType QualInferencer::inferExpr(const Expr *E) {
       return fail(E, "unbound variable '" + std::string(V->getName()) + "'");
     // (Var'): instantiate the scheme with fresh qualifier variables.
     const QualScheme &Scheme = It->second.back();
-    Result = Scheme.instantiate(Sys, Factory, E->getLoc());
+    Result = Scheme.instantiate(Sys, Factory);
     break;
   }
   case Expr::Kind::Lambda: {
@@ -146,9 +141,7 @@ QualType QualInferencer::inferExpr(const Expr *E) {
       Resolved = Resolved->Link;
     if (Resolved->getKind() != STy::Kind::Fn)
       return fail(E, "internal: lambda's standard type is not a function");
-    QualType ParamTy = spreadSTy(Resolved->Arg0,
-                                 "param_" + std::string(L->getParam()),
-                                 E->getLoc());
+    QualType ParamTy = spreadSTy(Resolved->Arg0, E->getLoc());
     Env[L->getParam()].push_back(QualScheme::monomorphic(ParamTy));
     QualType BodyTy = inferExpr(L->getBody());
     Env[L->getParam()].pop_back();
@@ -156,7 +149,7 @@ QualType QualInferencer::inferExpr(const Expr *E) {
       return QualType();
     // (Lam): the function value itself carries a fresh (bottom-bounded)
     // qualifier.
-    Result = Factory.make(freshQual("lam", E->getLoc()), &Ctors.Fn,
+    Result = Factory.make(freshQual(), &Ctors.Fn,
                           {ParamTy, BodyTy});
     applyWFLevel(Result, E->getLoc());
     break;
@@ -195,7 +188,7 @@ QualType QualInferencer::inferExpr(const Expr *E) {
     STy *ShapeTy = Shapes->getNodeType(E);
     if (!ShapeTy)
       return fail(E, "internal: if without a standard type");
-    Result = spreadSTy(ShapeTy, "if_result", E->getLoc());
+    Result = spreadSTy(ShapeTy, E->getLoc());
     ConstraintOrigin Origin(E->getLoc(), "if-branch flows into result");
     if (!decomposeLeq(Sys, ThenTy, Result, Origin) ||
         !decomposeLeq(Sys, ElseTy, Result, Origin))
@@ -236,7 +229,7 @@ QualType QualInferencer::inferExpr(const Expr *E) {
     QualType InitTy = inferExpr(R->getInit());
     if (InitTy.isNull())
       return QualType();
-    Result = Factory.make(freshQual("ref", E->getLoc()), &Ctors.Ref,
+    Result = Factory.make(freshQual(), &Ctors.Ref,
                           {InitTy});
     applyWFLevel(Result, E->getLoc());
     break;
@@ -274,8 +267,7 @@ QualType QualInferencer::inferExpr(const Expr *E) {
                                   "assignment left-hand side must not be '" +
                                       QS.get(*Options.ConstQual).Name + "'"));
     }
-    Result = Factory.make(freshQual("assign_result", E->getLoc()),
-                          &Ctors.Unit);
+    Result = Factory.make(freshQual(), &Ctors.Unit);
     break;
   }
   case Expr::Kind::Annot: {

@@ -118,11 +118,11 @@ private:
   QualType fail(const Expr *E, const std::string &Message);
 
   /// Fresh top-level qualifier variable.
-  QualExpr freshQual(const std::string &Hint, SourceLoc Loc);
+  QualExpr freshQual() { return QualExpr::makeVar(Sys.freshVar()); }
 
   /// sp over a resolved standard type: qualified type with fresh variables
   /// at every level, with well-formedness rules applied.
-  QualType spreadSTy(STy *T, const std::string &Hint, SourceLoc Loc);
+  QualType spreadSTy(STy *T, SourceLoc Loc);
 
   /// Applies the configured closure rules to one freshly built level.
   void applyWFLevel(QualType T, SourceLoc Loc);

@@ -133,9 +133,7 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
     PhaseScope Phase("link-merge", "link");
     for (size_t K = 0; K != Summaries.size(); ++K) {
       const TuSummary &S = Summaries[K];
-      VarBase[K] = Sys.getNumVars();
-      for (uint32_t V = 0; V != S.NumVars; ++V)
-        Sys.freshVar(std::string());
+      VarBase[K] = Sys.freshVars(S.NumVars);
       for (const QsumConstraint &C : S.Constraints) {
         QualExpr Lhs =
             C.LhsIsVar
@@ -145,11 +143,7 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
             C.RhsIsVar
                 ? QualExpr::makeVar(VarBase[K] + static_cast<uint32_t>(C.Rhs))
                 : QualExpr::makeConst(LatticeValue(C.Rhs));
-        ConstraintOrigin O(SourceLoc(), std::string(S.str(C.Origin.Reason)));
-        if (C.Mask == QS.usedBits())
-          Sys.addLeq(Lhs, Rhs, std::move(O));
-        else
-          Sys.addLeqMasked(Lhs, Rhs, C.Mask, std::move(O));
+        Sys.addLeqMasked(Lhs, Rhs, C.Mask, {S.str(C.Origin.Reason)});
         Origins.resize(Sys.getNumConstraints(),
                        {static_cast<uint32_t>(K), C.Origin});
       }
@@ -244,8 +238,7 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
             const TuSummary &S = Summaries[E.Sum];
             Sys.addLeq(QualExpr::makeVar(VarBase[E.Sum] + Pin.Var),
                        QualExpr::makeConst(QS.notQual(ConstQual)),
-                       ConstraintOrigin(SourceLoc(),
-                                        std::string(S.str(Pin.Origin.Reason))));
+                       ConstraintOrigin(S.str(Pin.Origin.Reason)));
             Origins.resize(Sys.getNumConstraints(), {E.Sum, Pin.Origin});
           }
     }

@@ -246,7 +246,7 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
     Q.RhsIsVar = C->Rhs.isVar();
     Q.Rhs = Q.RhsIsVar ? Remap[C->Rhs.getVar()] : C->Rhs.getConst().bits();
     Q.Mask = C->Mask;
-    Q.Origin = presumed(SM, C->Origin.Loc, ST, ST.intern(C->Origin.Reason));
+    Q.Origin = presumed(SM, C->Loc, ST, ST.intern(Sys.getReason(C->Reason)));
     S.Constraints.push_back(Q);
   }
   for (std::vector<QsumSymbol> *Section :

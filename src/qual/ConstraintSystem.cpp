@@ -15,23 +15,33 @@
 
 using namespace quals;
 
-QualVarId ConstraintSystem::freshVar(std::string Name, SourceLoc Loc) {
-  VarInfo V;
-  V.Name = std::move(Name);
-  V.Loc = Loc;
-  V.Lower = QS.bottom();
-  V.Upper = QS.top();
-  Vars.push_back(std::move(V));
-  return Vars.size() - 1;
+QualVarId ConstraintSystem::freshVars(unsigned N) {
+  QualVarId First = Vars.size();
+  Vars.resize(Vars.size() + N, VarInfo{QS.bottom(), QS.top()});
+  return First;
+}
+
+ReasonId ConstraintSystem::internReason(std::string_view Text) {
+  auto It = ReasonIndex.find(Text);
+  if (It == ReasonIndex.end()) {
+    // Key the entry on the owned copy: Text may be a temporary.
+    ReasonText.emplace_back(Text);
+    It = ReasonIndex.emplace(ReasonText.back(), ReasonText.size() - 1).first;
+  }
+  return It->second;
 }
 
 void ConstraintSystem::addLeq(QualExpr Lhs, QualExpr Rhs,
                               ConstraintOrigin Origin) {
-  addLeqMasked(Lhs, Rhs, QS.usedBits(), std::move(Origin));
+  addLeqMasked(Lhs, Rhs, QS.usedBits(), Origin);
 }
 
 void ConstraintSystem::addLeqMasked(QualExpr Lhs, QualExpr Rhs, uint64_t Mask,
                                     ConstraintOrigin Origin) {
+  addConstraint({Lhs, Rhs, Mask, Origin.Loc, internReason(Origin.Reason)});
+}
+
+void ConstraintSystem::addConstraint(const Constraint &C) {
   if (Config.MaxConstraints && Constraints.size() >= Config.MaxConstraints) {
     // Dropping the constraint keeps every invariant intact; the latch below
     // forces callers onto their resource-limit failure path before any
@@ -40,19 +50,19 @@ void ConstraintSystem::addLeqMasked(QualExpr Lhs, QualExpr Rhs, uint64_t Mask,
     return;
   }
   ConstraintId Id = Constraints.size();
-  Constraints.push_back({Lhs, Rhs, Mask, std::move(Origin)});
-  if (Lhs.isVar() && Rhs.isVar()) {
+  Constraints.push_back(C);
+  if (C.Lhs.isVar() && C.Rhs.isVar()) {
     ++NumVarVarEdges;
-    VarInfo &L = Vars[Lhs.getVar()];
-    VarInfo &R = Vars[Rhs.getVar()];
+    VarInfo &L = Vars[C.Lhs.getVar()];
+    VarInfo &R = Vars[C.Rhs.getVar()];
     EdgePool.push_back({Id, L.SuccHead});
     L.SuccHead = EdgePool.size() - 1;
     EdgePool.push_back({Id, R.PredHead});
     R.PredHead = EdgePool.size() - 1;
     return;
   }
-  if (Rhs.isConst()) {
-    if (Lhs.isConst())
+  if (C.Rhs.isConst()) {
+    if (C.Lhs.isConst())
       ConstConstIds.push_back(Id);
     else
       UpperBoundIds.push_back(Id);
@@ -62,7 +72,7 @@ void ConstraintSystem::addLeqMasked(QualExpr Lhs, QualExpr Rhs, uint64_t Mask,
 void ConstraintSystem::addEq(QualExpr Lhs, QualExpr Rhs,
                              ConstraintOrigin Origin) {
   addLeq(Lhs, Rhs, Origin);
-  addLeq(Rhs, Lhs, std::move(Origin));
+  addLeq(Rhs, Lhs, Origin);
 }
 
 bool ConstraintSystem::raiseLower(QualVarId Var, LatticeValue NewBits) {
@@ -248,7 +258,7 @@ std::string ConstraintSystem::explain(const Violation &V) const {
   }
   Out += ")";
   Out += "\n  bound: ";
-  Out += Cause.Origin.Reason;
+  Out += getReason(Cause.Reason);
   Out += '\n';
 
   if (Cause.Lhs.isVar()) {
@@ -310,8 +320,8 @@ std::string ConstraintSystem::explain(const Violation &V) const {
       for (ConstraintId Id : Chain) {
         const Constraint &Step = Constraints[Id];
         Out += "  via: ";
-        Out += Step.Origin.Reason.empty() ? "(unlabeled constraint)"
-                                          : Step.Origin.Reason;
+        Out += Step.Reason ? getReason(Step.Reason)
+                           : "(unlabeled constraint)";
         Out += '\n';
       }
       Out += "  source: qualifier constant '";

@@ -37,24 +37,31 @@
 #include "qual/QualExpr.h"
 #include "support/SourceLoc.h"
 
+#include <deque>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace quals {
 
-/// Where (and why) a constraint was generated; used in error explanations.
+/// Where (and why) a constraint is generated, for error explanations. add*()
+/// copies the borrowed reason, so it may view a temporary for the call.
 struct ConstraintOrigin {
   SourceLoc Loc;
-  std::string Reason;
+  std::string_view Reason;
 
   ConstraintOrigin() = default;
-  ConstraintOrigin(std::string Reason) : Reason(std::move(Reason)) {}
-  ConstraintOrigin(SourceLoc Loc, std::string Reason)
-      : Loc(Loc), Reason(std::move(Reason)) {}
+  ConstraintOrigin(std::string_view Reason) : Reason(Reason) {}
+  ConstraintOrigin(SourceLoc Loc, std::string_view Reason)
+      : Loc(Loc), Reason(Reason) {}
 };
 
 /// Dense id of a constraint within its ConstraintSystem.
 using ConstraintId = uint32_t;
+
+/// Id of an interned reason text within its ConstraintSystem (0 = empty).
+using ReasonId = uint32_t;
 
 /// An atomic constraint: (Lhs & Mask) <= (Rhs | ~Mask) componentwise, i.e.
 /// Lhs <= Rhs restricted to the qualifier bits in Mask.
@@ -62,8 +69,10 @@ struct Constraint {
   QualExpr Lhs;
   QualExpr Rhs;
   uint64_t Mask;
-  ConstraintOrigin Origin;
+  SourceLoc Loc;   ///< Where it was generated.
+  ReasonId Reason; ///< Why; ConstraintSystem::getReason() gives the text.
 };
+static_assert(sizeof(Constraint) <= 48, "constraint record grew");
 
 /// A failed upper bound discovered by the solver.
 struct Violation {
@@ -132,25 +141,35 @@ std::string renderSolverStats(const SolverStats &Stats);
 class ConstraintSystem {
 public:
   explicit ConstraintSystem(const QualifierSet &QS, SolverConfig Config = {})
-      : QS(QS), Config(Config) {}
+      : QS(QS), Config(Config), ReasonText(1) {
+    ReasonIndex.emplace(ReasonText[0], 0);
+  }
+  ConstraintSystem(const ConstraintSystem &) = delete; // Index views table.
 
   const QualifierSet &getQualifierSet() const { return QS; }
   const SolverConfig &getConfig() const { return Config; }
 
-  /// Creates a fresh qualifier variable. \p Name is kept for diagnostics.
-  QualVarId freshVar(std::string Name, SourceLoc Loc = SourceLoc());
+  /// Creates a fresh qualifier variable (nameless: explanations cite reasons).
+  QualVarId freshVar() { return freshVars(1); }
+
+  /// Creates \p N fresh variables with consecutive ids; returns the first.
+  QualVarId freshVars(unsigned N);
 
   unsigned getNumVars() const { return Vars.size(); }
   unsigned getNumConstraints() const { return Constraints.size(); }
 
-  const std::string &getVarName(QualVarId Var) const {
-    return Vars[Var].Name;
-  }
-  SourceLoc getVarLoc(QualVarId Var) const { return Vars[Var].Loc; }
-
   const Constraint &getConstraint(ConstraintId Id) const {
     return Constraints[Id];
   }
+
+  /// The id of \p Text in the reason table; the text is copied in once.
+  ReasonId internReason(std::string_view Text);
+
+  /// The text of reason \p Id (lives as long as this system).
+  std::string_view getReason(ReasonId Id) const { return ReasonText[Id]; }
+
+  /// Adds a record whose reason is already interned here (scheme replay).
+  void addConstraint(const Constraint &C);
 
   /// Adds Lhs <= Rhs over all qualifier components.
   void addLeq(QualExpr Lhs, QualExpr Rhs, ConstraintOrigin Origin);
@@ -214,8 +233,6 @@ public:
 
 private:
   struct VarInfo {
-    std::string Name;
-    SourceLoc Loc;
     LatticeValue Lower;           ///< Join of reachable lower bounds.
     LatticeValue Upper;           ///< Meet of reachable upper bounds.
     /// Heads of this var's outgoing/incoming edge lists (indices into
@@ -223,6 +240,7 @@ private:
     uint32_t SuccHead = ~0u;
     uint32_t PredHead = ~0u;
   };
+  static_assert(sizeof(VarInfo) == 24, "variable record grew");
 
   /// One node of an intrusive singly-linked edge list. All nodes live in
   /// EdgePool, so adding an edge costs two appends and no per-variable
@@ -244,6 +262,10 @@ private:
   std::vector<ConstraintId> UpperBoundIds;
   /// Ids of const <= const constraints (checked directly).
   std::vector<ConstraintId> ConstConstIds;
+  /// Reason texts by id; a deque never moves them, so ReasonIndex may view
+  /// them.
+  std::deque<std::string> ReasonText;
+  std::unordered_map<std::string_view, ReasonId> ReasonIndex;
   unsigned SolvedConstraints = 0;
   bool ConstraintLimitHit = false;
   SolverStats Stats;

@@ -61,15 +61,14 @@ QualType QualTypeFactory::substitute(
   return make(Q, T.getCtor(), Args);
 }
 
-QualType QualTypeFactory::spread(ConstraintSystem &Sys, QualType T,
-                                 const std::string &NameHint, SourceLoc Loc) {
+QualType QualTypeFactory::spread(ConstraintSystem &Sys, QualType T) {
   if (T.isNull())
     return T;
   std::vector<QualType> Args;
   Args.reserve(T.getNumArgs());
   for (unsigned I = 0, E = T.getNumArgs(); I != E; ++I)
-    Args.push_back(spread(Sys, T.getArg(I), NameHint, Loc));
-  QualExpr Fresh = QualExpr::makeVar(Sys.freshVar(NameHint, Loc));
+    Args.push_back(spread(Sys, T.getArg(I)));
+  QualExpr Fresh = QualExpr::makeVar(Sys.freshVar());
   return make(Fresh, T.getCtor(), Args);
 }
 
@@ -91,9 +90,7 @@ static void printQual(const QualifierSet &QS, QualExpr Q,
     }
     return;
   }
-  Out += '$';
-  Out += Sys ? "" : std::to_string(Q.getVar());
-  Out += ' ';
+  Out += '$' + std::to_string(Q.getVar()) + ' ';
 }
 
 static void printType(const QualifierSet &QS, QualType T,

@@ -147,15 +147,14 @@ public:
 
   /// The sp operator of Section 3.1: rebuilds \p T with *fresh* qualifier
   /// variables at every level, preserving the shape. \p Sys provides fresh
-  /// variables; \p NameHint labels them for diagnostics.
-  QualType spread(ConstraintSystem &Sys, QualType T,
-                  const std::string &NameHint, SourceLoc Loc = SourceLoc());
+  /// variables.
+  QualType spread(ConstraintSystem &Sys, QualType T);
 
 private:
   BumpPtrAllocator Arena;
 };
 
-/// Renders a qualified type. Qualifier variables print as their name when
+/// Renders a qualified type. Qualifier variables print as `$<id>` when
 /// \p Sys is null; when \p Sys is provided (solved), variables print as
 /// their least-solution lattice value.
 std::string toString(const QualifierSet &QS, QualType T,

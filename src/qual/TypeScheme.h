@@ -33,7 +33,7 @@
 #include "qual/QualType.h"
 
 #include <functional>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace quals {
@@ -64,33 +64,36 @@ public:
   /// or after \p Mark, excluding those for which \p Escapes returns true
   /// (variables that leaked into the environment, e.g. via global state).
   /// Constraints created after the watermark that mention at least one bound
-  /// variable are canned into the scheme for per-instantiation replay.
+  /// variable are canned into the scheme for per-instantiation replay; their
+  /// reasons are interned in \p Sys, the system every instance lives in.
   static QualScheme
-  generalize(const ConstraintSystem &Sys, QualType Body, Watermark Mark,
+  generalize(ConstraintSystem &Sys, QualType Body, Watermark Mark,
              const std::function<bool(QualVarId)> &Escapes = nullptr);
 
-  /// Instantiates the scheme: substitutes fresh variables (created in
-  /// \p Sys) for every bound variable in the body and replays the canned
-  /// constraints under the substitution.
-  QualType instantiate(ConstraintSystem &Sys, QualTypeFactory &Factory,
-                       SourceLoc Loc = SourceLoc()) const;
+  /// Instantiates the scheme: substitutes a block of fresh variables
+  /// (created in \p Sys) for the bound variables in the body and replays
+  /// the canned constraints under the substitution.
+  QualType instantiate(ConstraintSystem &Sys, QualTypeFactory &Factory) const;
 
   QualType getBody() const { return Body; }
   bool isPolymorphic() const { return !BoundVars.empty(); }
   unsigned getNumBoundVars() const { return BoundVars.size(); }
-  const std::vector<QualVarId> &getBoundVars() const { return BoundVars; }
   const std::vector<Constraint> &getCannedConstraints() const {
     return Canned;
   }
 
   /// True if \p Var is quantified by this scheme.
-  bool isBound(QualVarId Var) const { return BoundSet.count(Var) != 0; }
+  bool isBound(QualVarId Var) const { return boundIndex(Var) != ~0u; }
 
 private:
   QualType Body;
   std::vector<QualVarId> BoundVars;
-  std::unordered_set<QualVarId> BoundSet;
+  /// (bound variable, its index in BoundVars), sorted by variable.
+  std::vector<std::pair<QualVarId, uint32_t>> BoundSet;
   std::vector<Constraint> Canned;
+
+  /// Index of \p Var in BoundVars, or ~0u if it is free.
+  uint32_t boundIndex(QualVarId Var) const;
 };
 
 } // namespace quals

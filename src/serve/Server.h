@@ -156,10 +156,6 @@ public:
   /// The snapshot store backing analyze-delta, for tests/bench.
   const SummaryStore &snapshots() const { return Snapshots; }
 
-  /// Requests read so far, across every session (all methods, including
-  /// malformed lines).
-  uint64_t requestsServed() const { return Requests.load(); }
-
 private:
   ServerConfig Config;
   ResultCache Cache;

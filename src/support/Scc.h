@@ -27,12 +27,6 @@ public:
 
   unsigned getNumNodes() const { return Adj.size(); }
 
-  /// Adds a node, returning its id.
-  unsigned addNode() {
-    Adj.emplace_back();
-    return Adj.size() - 1;
-  }
-
   /// Adds the edge From -> To (parallel edges allowed and harmless).
   void addEdge(unsigned From, unsigned To) { Adj[From].push_back(To); }
 

@@ -39,9 +39,6 @@ public:
   /// Registers \p Text under \p Filename; returns the buffer id.
   unsigned addBuffer(std::string Filename, std::string Text);
 
-  /// Number of registered buffers.
-  unsigned getNumBuffers() const { return Buffers.size(); }
-
   /// Full text of buffer \p Id.
   std::string_view getBufferText(unsigned Id) const;
 

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace quals;
 
 namespace {
@@ -37,7 +39,7 @@ protected:
 
 TEST_F(ConstraintTest, UnconstrainedVarIsFullyFree) {
   ConstraintSystem Sys(QS);
-  QualVarId V = Sys.freshVar("v");
+  QualVarId V = Sys.freshVar();
   EXPECT_TRUE(Sys.solve());
   EXPECT_EQ(Sys.lower(V), QS.bottom());
   EXPECT_EQ(Sys.upper(V), QS.top());
@@ -47,8 +49,8 @@ TEST_F(ConstraintTest, UnconstrainedVarIsFullyFree) {
 
 TEST_F(ConstraintTest, LowerBoundPropagatesThroughChain) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b"),
-            C = Sys.freshVar("c");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar(),
+            C = Sys.freshVar();
   Sys.addLeq(constOf(just(Const)), QualExpr::makeVar(A), {"decl"});
   Sys.addLeq(QualExpr::makeVar(A), QualExpr::makeVar(B), {"a<=b"});
   Sys.addLeq(QualExpr::makeVar(B), QualExpr::makeVar(C), {"b<=c"});
@@ -59,7 +61,7 @@ TEST_F(ConstraintTest, LowerBoundPropagatesThroughChain) {
 
 TEST_F(ConstraintTest, UpperBoundPropagatesBackwards) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar();
   Sys.addLeq(QualExpr::makeVar(A), QualExpr::makeVar(B), {"a<=b"});
   Sys.addLeq(QualExpr::makeVar(B), constOf(QS.notQual(Const)), {"b!const"});
   ASSERT_TRUE(Sys.solve());
@@ -69,7 +71,7 @@ TEST_F(ConstraintTest, UpperBoundPropagatesBackwards) {
 
 TEST_F(ConstraintTest, ConflictingBoundsAreUnsatisfiable) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a");
+  QualVarId A = Sys.freshVar();
   Sys.addLeq(constOf(just(Const)), QualExpr::makeVar(A), {"must be const"});
   Sys.addLeq(QualExpr::makeVar(A), constOf(QS.notQual(Const)),
              {"must not be const"});
@@ -82,11 +84,11 @@ TEST_F(ConstraintTest, ConflictingBoundsAreUnsatisfiable) {
 
 TEST_F(ConstraintTest, ViolationThroughLongChainIsExplained) {
   ConstraintSystem Sys(QS);
-  QualVarId V0 = Sys.freshVar("v0");
+  QualVarId V0 = Sys.freshVar();
   Sys.addLeq(constOf(just(Tainted)), QualExpr::makeVar(V0), {"source"});
   QualVarId Prev = V0;
   for (int I = 1; I != 20; ++I) {
-    QualVarId Next = Sys.freshVar("v" + std::to_string(I));
+    QualVarId Next = Sys.freshVar();
     Sys.addLeq(QualExpr::makeVar(Prev), QualExpr::makeVar(Next),
                {"hop " + std::to_string(I)});
     Prev = Next;
@@ -103,9 +105,49 @@ TEST_F(ConstraintTest, ViolationThroughLongChainIsExplained) {
   EXPECT_NE(Explanation.find("tainted"), std::string::npos);
 }
 
+TEST_F(ConstraintTest, ReasonsOutliveTheStringsTheyWereBuiltFrom) {
+  // An origin only views its reason: the system copies the text, so the
+  // caller's string may change or die right after add*(). Two systems
+  // interning the same texts keep separate tables.
+  auto A = std::make_unique<ConstraintSystem>(QS);
+  ConstraintSystem B(QS);
+  QualVarId VA = A->freshVar(), VB = B.freshVar();
+  {
+    std::string Source = "tainted input from " + std::string(32, 'x');
+    std::string Sink = "sink must be untainted";
+    A->addLeq(constOf(just(Tainted)), QualExpr::makeVar(VA), {Source});
+    A->addLeq(QualExpr::makeVar(VA), constOf(QS.notQual(Tainted)), {Sink});
+    // B meets the texts in the other order, so they get other ids there.
+    B.addLeq(QualExpr::makeVar(VB), constOf(QS.notQual(Tainted)), {Sink});
+    B.addLeq(constOf(just(Tainted)), QualExpr::makeVar(VB), {Source});
+    Source.assign(Source.size(), '?');
+    Sink.assign(Sink.size(), '?');
+    // The table is keyed on its own copies: fresh equal text finds the id.
+    EXPECT_EQ(A->internReason("tainted input from " + std::string(32, 'x')),
+              A->getConstraint(0).Reason);
+  }
+  EXPECT_NE(A->getConstraint(0).Reason, B.getConstraint(1).Reason);
+  EXPECT_EQ(A->getReason(A->getConstraint(0).Reason),
+            B.getReason(B.getConstraint(1).Reason));
+
+  auto Explain = [](ConstraintSystem &Sys) {
+    Sys.solve();
+    std::vector<Violation> Vs = Sys.collectViolations();
+    return Vs.size() == 1 ? Sys.explain(Vs[0]) : std::string();
+  };
+  const std::string Expected =
+      "qualifier constraint violated (qualifier 'tainted' not allowed here)\n"
+      "  bound: sink must be untainted\n"
+      "  via: tainted input from " + std::string(32, 'x') + "\n"
+      "  source: qualifier constant 'tainted nonzero'\n";
+  EXPECT_EQ(Explain(*A), Expected);
+  A.reset();
+  EXPECT_EQ(Explain(B), Expected);
+}
+
 TEST_F(ConstraintTest, EqualityForcesBothDirections) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar();
   Sys.addEq(QualExpr::makeVar(A), QualExpr::makeVar(B), {"a=b"});
   Sys.addLeq(constOf(just(Const)), QualExpr::makeVar(A), {"const a"});
   ASSERT_TRUE(Sys.solve());
@@ -116,7 +158,7 @@ TEST_F(ConstraintTest, EqualityForcesBothDirections) {
 
 TEST_F(ConstraintTest, MaskedConstraintOnlyTouchesMaskedComponent) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar();
   // Propagate only the tainted component from a to b.
   Sys.addLeqMasked(QualExpr::makeVar(A), QualExpr::makeVar(B),
                    QS.bitFor(Tainted), {"taint only"});
@@ -129,7 +171,7 @@ TEST_F(ConstraintTest, MaskedConstraintOnlyTouchesMaskedComponent) {
 
 TEST_F(ConstraintTest, MaskedUpperBoundLeavesOtherComponentsFree) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a");
+  QualVarId A = Sys.freshVar();
   Sys.addLeqMasked(QualExpr::makeVar(A), constOf(QS.bottom()),
                    QS.bitFor(Const), {"const forbidden"});
   ASSERT_TRUE(Sys.solve());
@@ -149,7 +191,7 @@ TEST_F(ConstraintTest, ConstConstViolationDetected) {
 
 TEST_F(ConstraintTest, IncrementalSolveSeesNewConstraints) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar();
   Sys.addLeq(QualExpr::makeVar(A), QualExpr::makeVar(B), {"a<=b"});
   ASSERT_TRUE(Sys.solve());
   EXPECT_FALSE(Sys.mustHave(B, Const));
@@ -161,11 +203,11 @@ TEST_F(ConstraintTest, IncrementalSolveSeesNewConstraints) {
 
 TEST_F(ConstraintTest, IncrementalEdgeAfterLowerBound) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a");
+  QualVarId A = Sys.freshVar();
   Sys.addLeq(constOf(just(Const)), QualExpr::makeVar(A), {"decl"});
   ASSERT_TRUE(Sys.solve());
   // New edge added later must pick up A's existing lower bound.
-  QualVarId B = Sys.freshVar("b");
+  QualVarId B = Sys.freshVar();
   Sys.addLeq(QualExpr::makeVar(A), QualExpr::makeVar(B), {"late edge"});
   ASSERT_TRUE(Sys.solve());
   EXPECT_TRUE(Sys.mustHave(B, Const));
@@ -173,7 +215,7 @@ TEST_F(ConstraintTest, IncrementalEdgeAfterLowerBound) {
 
 TEST_F(ConstraintTest, IncrementalUpperBoundAfterEdges) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar();
   Sys.addLeq(QualExpr::makeVar(A), QualExpr::makeVar(B), {"a<=b"});
   ASSERT_TRUE(Sys.solve());
   Sys.addLeq(QualExpr::makeVar(B), constOf(QS.notQual(Tainted)),
@@ -184,8 +226,8 @@ TEST_F(ConstraintTest, IncrementalUpperBoundAfterEdges) {
 
 TEST_F(ConstraintTest, CyclesConverge) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b"),
-            C = Sys.freshVar("c");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar(),
+            C = Sys.freshVar();
   Sys.addLeq(QualExpr::makeVar(A), QualExpr::makeVar(B), {"a<=b"});
   Sys.addLeq(QualExpr::makeVar(B), QualExpr::makeVar(C), {"b<=c"});
   Sys.addLeq(QualExpr::makeVar(C), QualExpr::makeVar(A), {"c<=a"});
@@ -198,8 +240,8 @@ TEST_F(ConstraintTest, CyclesConverge) {
 
 TEST_F(ConstraintTest, DiamondJoinsBothSources) {
   ConstraintSystem Sys(QS);
-  QualVarId S1 = Sys.freshVar("s1"), S2 = Sys.freshVar("s2"),
-            T = Sys.freshVar("t");
+  QualVarId S1 = Sys.freshVar(), S2 = Sys.freshVar(),
+            T = Sys.freshVar();
   Sys.addLeq(constOf(just(Const)), QualExpr::makeVar(S1), {"c"});
   Sys.addLeq(constOf(just(Tainted)), QualExpr::makeVar(S2), {"t"});
   Sys.addLeq(QualExpr::makeVar(S1), QualExpr::makeVar(T), {"s1<=t"});
@@ -211,7 +253,7 @@ TEST_F(ConstraintTest, DiamondJoinsBothSources) {
 
 TEST_F(ConstraintTest, NegativeQualifierMustMayLogic) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a");
+  QualVarId A = Sys.freshVar();
   // Unconstrained: may be nonzero (bit clear in lower), but not must.
   ASSERT_TRUE(Sys.solve());
   EXPECT_TRUE(Sys.mayHave(A, Nonzero));
@@ -230,7 +272,7 @@ TEST_F(ConstraintTest, LargeRandomSystemSolvesAndAgreesWithNaive) {
   constexpr unsigned N = 500;
   std::vector<QualVarId> V;
   for (unsigned I = 0; I != N; ++I)
-    V.push_back(Sys.freshVar("v" + std::to_string(I)));
+    V.push_back(Sys.freshVar());
 
   // Deterministic pseudo-random generator (no global state).
   uint64_t State = 12345;

@@ -136,12 +136,19 @@ std::shared_ptr<const UnitSnapshot> snapshotOf(const std::string &Source) {
   return captureSnapshot(R.TU, Inf);
 }
 
+/// A plan together with the parse its DirtyFunctions point into.
+struct PlannedEdit : DeltaPlan {
+  std::unique_ptr<ParseRig> Rig;
+};
+
 /// Plans \p NewSource against \p Prev.
-DeltaPlan planOf(const std::string &NewSource, const UnitSnapshot &Prev) {
-  ParseRig R;
-  EXPECT_TRUE(R.parse(NewSource));
-  Fdg Graph = buildFdg(R.TU);
-  return planDelta(R.TU, Graph, Prev);
+PlannedEdit planOf(const std::string &NewSource, const UnitSnapshot &Prev) {
+  PlannedEdit Edit;
+  Edit.Rig = std::make_unique<ParseRig>();
+  EXPECT_TRUE(Edit.Rig->parse(NewSource));
+  Fdg Graph = buildFdg(Edit.Rig->TU);
+  static_cast<DeltaPlan &>(Edit) = planDelta(Edit.Rig->TU, Graph, Prev);
+  return Edit;
 }
 
 } // namespace
@@ -150,9 +157,9 @@ TEST(DeltaPlan, FormattingOnlyEditIsAllClean) {
   auto Prev = snapshotOf("int f(int *p) { return *p; }\n"
                          "int g(int *q) { return f(q); }\n");
   ASSERT_NE(Prev, nullptr);
-  DeltaPlan Plan = planOf("int f(int *p){return *p;}\n"
-                          "int g(int *q){return f(q);}\n",
-                          *Prev);
+  PlannedEdit Plan = planOf("int f(int *p){return *p;}\n"
+                            "int g(int *q){return f(q);}\n",
+                            *Prev);
   EXPECT_TRUE(Plan.Compatible);
   EXPECT_EQ(Plan.NumDirtySccs, 0u);
   EXPECT_EQ(Plan.NumReusedSccs, 2u);
@@ -165,10 +172,10 @@ TEST(DeltaPlan, LeafEditDirtiesCallersNotSiblings) {
                          "int h(int *r) { return *r; }\n");
   ASSERT_NE(Prev, nullptr);
   // Edit f: f's SCC is dirty and caller g's SCC depends on it; h is clean.
-  DeltaPlan Plan = planOf("int f(int *p) { *p = 0; return *p; }\n"
-                          "int g(int *q) { return f(q); }\n"
-                          "int h(int *r) { return *r; }\n",
-                          *Prev);
+  PlannedEdit Plan = planOf("int f(int *p) { *p = 0; return *p; }\n"
+                            "int g(int *q) { return f(q); }\n"
+                            "int h(int *r) { return *r; }\n",
+                            *Prev);
   EXPECT_TRUE(Plan.Compatible);
   EXPECT_EQ(Plan.NumDirtySccs, 2u);
   EXPECT_EQ(Plan.NumReusedSccs, 1u);
@@ -182,11 +189,11 @@ TEST(DeltaPlan, SharedGlobalCouplesOtherwiseUnrelatedFunctions) {
   ASSERT_NE(Prev, nullptr);
   // w and r share no call edge, but both touch `cell`: editing w must
   // re-solve r too (their constraints share the global's variables).
-  DeltaPlan Plan = planOf("int cell;\n"
-                          "void w(void) { cell = 2; }\n"
-                          "int r(void) { return cell; }\n"
-                          "int lone(int *p) { return *p; }\n",
-                          *Prev);
+  PlannedEdit Plan = planOf("int cell;\n"
+                            "void w(void) { cell = 2; }\n"
+                            "int r(void) { return cell; }\n"
+                            "int lone(int *p) { return *p; }\n",
+                            *Prev);
   EXPECT_TRUE(Plan.Compatible);
   EXPECT_EQ(Plan.NumReusedSccs, 1u); // Only `lone` survives.
   bool WDirty = false, RDirty = false, LoneDirty = false;
@@ -209,39 +216,39 @@ TEST(DeltaPlan, StructuralChangesFallBackToFull) {
   // Function added/removed/renamed: the declaration-region hash covers
   // every signature, so the decl-region check reports these (the explicit
   // function-set comparison behind it is a hash-collision backstop).
-  DeltaPlan P1 = planOf(Base + "int h(int *r) { return *r; }\n", *Prev);
+  PlannedEdit P1 = planOf(Base + "int h(int *r) { return *r; }\n", *Prev);
   EXPECT_FALSE(P1.Compatible);
   EXPECT_STREQ(P1.FallbackReason, "decl-region");
 
   // Function removed.
-  DeltaPlan P2 = planOf("int f(int *p) { return *p; }\n", *Prev);
+  PlannedEdit P2 = planOf("int f(int *p) { return *p; }\n", *Prev);
   EXPECT_FALSE(P2.Compatible);
   EXPECT_STREQ(P2.FallbackReason, "decl-region");
 
   // Function renamed.
-  DeltaPlan P3 = planOf("int f(int *p) { return *p; }\n"
-                        "int g2(int *q) { return *q; }\n",
-                        *Prev);
+  PlannedEdit P3 = planOf("int f(int *p) { return *p; }\n"
+                          "int g2(int *q) { return *q; }\n",
+                          *Prev);
   EXPECT_FALSE(P3.Compatible);
   EXPECT_STREQ(P3.FallbackReason, "decl-region");
 
   // New call edge (call-graph shape change; also a body edit, but the edge
   // check decides first).
-  DeltaPlan P4 = planOf("int f(int *p) { return *p; }\n"
-                        "int g(int *q) { return f(q); }\n",
-                        *Prev);
+  PlannedEdit P4 = planOf("int f(int *p) { return *p; }\n"
+                          "int g(int *q) { return f(q); }\n",
+                          *Prev);
   EXPECT_FALSE(P4.Compatible);
   EXPECT_STREQ(P4.FallbackReason, "call-graph");
 
   // Declaration-region change (new global).
-  DeltaPlan P5 = planOf("int cell;\n" + Base, *Prev);
+  PlannedEdit P5 = planOf("int cell;\n" + Base, *Prev);
   EXPECT_FALSE(P5.Compatible);
   EXPECT_STREQ(P5.FallbackReason, "decl-region");
 
   // Signature change (parameter type) is a decl-region change too.
-  DeltaPlan P6 = planOf("int f(int p) { return p; }\n"
-                        "int g(int *q) { return *q; }\n",
-                        *Prev);
+  PlannedEdit P6 = planOf("int f(int p) { return p; }\n"
+                          "int g(int *q) { return *q; }\n",
+                          *Prev);
   EXPECT_FALSE(P6.Compatible);
   EXPECT_STREQ(P6.FallbackReason, "decl-region");
 }
@@ -257,13 +264,13 @@ TEST(DeltaPlan, SccMergeAndSplitFallBack) {
                             "int f(int *p) { return *p; }\n";
   auto PrevCycle = snapshotOf(Cycle);
   ASSERT_NE(PrevCycle, nullptr);
-  DeltaPlan Split = planOf(Chain, *PrevCycle);
+  PlannedEdit Split = planOf(Chain, *PrevCycle);
   EXPECT_FALSE(Split.Compatible);
   EXPECT_STREQ(Split.FallbackReason, "call-graph");
 
   auto PrevChain = snapshotOf(Chain);
   ASSERT_NE(PrevChain, nullptr);
-  DeltaPlan Merge = planOf(Cycle, *PrevChain);
+  PlannedEdit Merge = planOf(Cycle, *PrevChain);
   EXPECT_FALSE(Merge.Compatible);
   EXPECT_STREQ(Merge.FallbackReason, "call-graph");
 }
@@ -274,11 +281,11 @@ TEST(DeltaPlan, EditInsideACycleDirtiesTheWholeScc) {
                          "int f(int *p) { return g(p); }\n"
                          "int lone(int *r) { return *r; }\n");
   ASSERT_NE(Prev, nullptr);
-  DeltaPlan Plan = planOf("int f(int *p);\n"
-                          "int g(int *q) { *q = 1; return f(q); }\n"
-                          "int f(int *p) { return g(p); }\n"
-                          "int lone(int *r) { return *r; }\n",
-                          *Prev);
+  PlannedEdit Plan = planOf("int f(int *p);\n"
+                            "int g(int *q) { *q = 1; return f(q); }\n"
+                            "int f(int *p) { return g(p); }\n"
+                            "int lone(int *r) { return *r; }\n",
+                            *Prev);
   EXPECT_TRUE(Plan.Compatible);
   EXPECT_EQ(Plan.NumDirtySccs, 1u); // {f, g} is one SCC.
   EXPECT_EQ(Plan.NumReusedSccs, 1u);

@@ -87,7 +87,7 @@ struct OracleHarness {
     Naive.NumVars = NumVars;
     Naive.UsedBits = QS.usedBits();
     for (unsigned I = 0; I != NumVars; ++I)
-      Vars.push_back(Sys.freshVar("v" + std::to_string(I)));
+      Vars.push_back(Sys.freshVar());
   }
 
   void leq(unsigned A, unsigned B, uint64_t Mask) {
@@ -359,7 +359,7 @@ TEST(TypePrinting, SolvedVariablesPrintTheirLeastSolution) {
   TypeCtor Int("int", {});
   TypeCtor Ref("ref", {Variance::Invariant});
 
-  QualVarId K = Sys.freshVar("k");
+  QualVarId K = Sys.freshVar();
   Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Const})),
              QualExpr::makeVar(K), {"decl"});
   QualType T = Factory.make(
@@ -404,7 +404,7 @@ TEST(QualifierSetLimits, SupportsManyQualifiers) {
   // "may be present" (their presence sits at the bottom of the component,
   // so only an upper bound could force it).
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar();
   Sys.addLeq(QualExpr::makeConst(V), QualExpr::makeVar(A), {"all"});
   Sys.addLeq(QualExpr::makeVar(A), QualExpr::makeVar(B), {"edge"});
   ASSERT_TRUE(Sys.solve());

@@ -39,15 +39,15 @@ protected:
     Dynamic = QS.add("dynamic", Polarity::Positive);
   }
 
-  QualType intTy(ConstraintSystem &Sys, const std::string &Name) {
-    return Factory.make(QualExpr::makeVar(Sys.freshVar(Name)), &Int);
+  QualType intTy(ConstraintSystem &Sys) {
+    return Factory.make(QualExpr::makeVar(Sys.freshVar()), &Int);
   }
 };
 
 TEST_F(QualTypeTest, MakeAndAccessors) {
   ConstraintSystem Sys(QS);
-  QualType I = intTy(Sys, "i");
-  QualType R = Factory.make(QualExpr::makeVar(Sys.freshVar("r")), &Ref, {I});
+  QualType I = intTy(Sys);
+  QualType R = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Ref, {I});
   EXPECT_EQ(R.getCtor(), &Ref);
   EXPECT_EQ(R.getNumArgs(), 1u);
   EXPECT_EQ(R.getArg(0).getCtor(), &Int);
@@ -58,7 +58,7 @@ TEST_F(QualTypeTest, MakeAndAccessors) {
 TEST_F(QualTypeTest, SubIntDecomposesToQualifierConstraint) {
   // (SubInt): Q1 <= Q2 implies Q1 int <= Q2 int.
   ConstraintSystem Sys(QS);
-  QualType A = intTy(Sys, "a"), B = intTy(Sys, "b");
+  QualType A = intTy(Sys), B = intTy(Sys);
   ASSERT_TRUE(decomposeLeq(Sys, A, B, {"sub"}));
   Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Const})), A.getQual(),
              {"a const"});
@@ -70,11 +70,11 @@ TEST_F(QualTypeTest, SubFunIsContravariantInDomain) {
   // (SubFun): Q1 (rho1 -> rho1') <= Q2 (rho2 -> rho2') requires
   // rho2 <= rho1 (contra) and rho1' <= rho2' (co).
   ConstraintSystem Sys(QS);
-  QualType P1 = intTy(Sys, "p1"), R1 = intTy(Sys, "r1");
-  QualType P2 = intTy(Sys, "p2"), R2 = intTy(Sys, "r2");
-  QualType F1 = Factory.make(QualExpr::makeVar(Sys.freshVar("f1")), &Fn,
+  QualType P1 = intTy(Sys), R1 = intTy(Sys);
+  QualType P2 = intTy(Sys), R2 = intTy(Sys);
+  QualType F1 = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Fn,
                              {P1, R1});
-  QualType F2 = Factory.make(QualExpr::makeVar(Sys.freshVar("f2")), &Fn,
+  QualType F2 = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Fn,
                              {P2, R2});
   ASSERT_TRUE(decomposeLeq(Sys, F1, F2, {"sub"}));
   // Seed const into P2 (the *supertype's* domain); contravariance sends it
@@ -96,10 +96,10 @@ TEST_F(QualTypeTest, SubRefForcesEqualityOfContents) {
   // (SubRef): ref contents must be *equal*, not merely subtyped -- the fix
   // for the unsound rule discussed in Section 2.4.
   ConstraintSystem Sys(QS);
-  QualType C1 = intTy(Sys, "c1"), C2 = intTy(Sys, "c2");
-  QualType R1 = Factory.make(QualExpr::makeVar(Sys.freshVar("ref1")), &Ref,
+  QualType C1 = intTy(Sys), C2 = intTy(Sys);
+  QualType R1 = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Ref,
                              {C1});
-  QualType R2 = Factory.make(QualExpr::makeVar(Sys.freshVar("ref2")), &Ref,
+  QualType R2 = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Ref,
                              {C2});
   ASSERT_TRUE(decomposeLeq(Sys, R1, R2, {"sub"}));
   // Const flows in *both* directions between the contents.
@@ -111,18 +111,18 @@ TEST_F(QualTypeTest, SubRefForcesEqualityOfContents) {
 
 TEST_F(QualTypeTest, MismatchedShapesRejected) {
   ConstraintSystem Sys(QS);
-  QualType I = intTy(Sys, "i");
-  QualType R = Factory.make(QualExpr::makeVar(Sys.freshVar("r")), &Ref, {I});
+  QualType I = intTy(Sys);
+  QualType R = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Ref, {I});
   EXPECT_FALSE(decomposeLeq(Sys, I, R, {"bad"}));
 }
 
 TEST_F(QualTypeTest, SpreadCreatesFreshVariablesEverywhere) {
   ConstraintSystem Sys(QS);
-  QualType I = intTy(Sys, "i");
-  QualType F = Factory.make(QualExpr::makeVar(Sys.freshVar("f")), &Fn,
+  QualType I = intTy(Sys);
+  QualType F = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Fn,
                             {I, I});
   unsigned Before = Sys.getNumVars();
-  QualType Spread = Factory.spread(Sys, F, "fresh");
+  QualType Spread = Factory.spread(Sys, F);
   EXPECT_EQ(Sys.getNumVars(), Before + 3); // one per level
   EXPECT_TRUE(Spread.shapeEquals(F));
   EXPECT_NE(Spread.getQual().getVar(), F.getQual().getVar());
@@ -130,8 +130,8 @@ TEST_F(QualTypeTest, SpreadCreatesFreshVariablesEverywhere) {
 
 TEST_F(QualTypeTest, SubstituteRemapsOnlyMappedVars) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b"),
-            C = Sys.freshVar("c");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar(),
+            C = Sys.freshVar();
   QualType I = Factory.make(QualExpr::makeVar(A), &Int);
   QualType F = Factory.make(QualExpr::makeVar(B), &Fn, {I, I});
   QualType Out = Factory.substitute(F, [&](QualVarId V) {
@@ -158,10 +158,10 @@ TEST_F(QualTypeTest, ToStringShowsQualifiersAndStructure) {
 
 TEST_F(QualTypeTest, GeneralizeBindsPostWatermarkVars) {
   ConstraintSystem Sys(QS);
-  QualVarId EnvVar = Sys.freshVar("env");
+  QualVarId EnvVar = Sys.freshVar();
   (void)EnvVar;
   Watermark Mark = takeWatermark(Sys);
-  QualType I = intTy(Sys, "body");
+  QualType I = intTy(Sys);
   QualScheme S = QualScheme::generalize(Sys, I, Mark);
   EXPECT_TRUE(S.isPolymorphic());
   EXPECT_EQ(S.getNumBoundVars(), 1u);
@@ -174,9 +174,9 @@ TEST_F(QualTypeTest, InstantiateCreatesIndependentCopies) {
   // non-const without interference.
   ConstraintSystem Sys(QS);
   Watermark Mark = takeWatermark(Sys);
-  QualVarId K = Sys.freshVar("k");
+  QualVarId K = Sys.freshVar();
   QualType I = Factory.make(QualExpr::makeVar(K), &Int);
-  QualType IdTy = Factory.make(QualExpr::makeVar(Sys.freshVar("fn")), &Fn,
+  QualType IdTy = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Fn,
                                {I, I});
   QualScheme S = QualScheme::generalize(Sys, IdTy, Mark);
 
@@ -200,9 +200,9 @@ TEST_F(QualTypeTest, MonomorphicSchemeSharesVariables) {
   // above become inconsistent -- this is exactly the mono-vs-poly
   // difference the paper's experiment measures.
   ConstraintSystem Sys(QS);
-  QualVarId K = Sys.freshVar("k");
+  QualVarId K = Sys.freshVar();
   QualType I = Factory.make(QualExpr::makeVar(K), &Int);
-  QualType IdTy = Factory.make(QualExpr::makeVar(Sys.freshVar("fn")), &Fn,
+  QualType IdTy = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Fn,
                                {I, I});
   QualScheme S = QualScheme::monomorphic(IdTy);
   QualType Use1 = S.instantiate(Sys, Factory);
@@ -219,7 +219,7 @@ TEST_F(QualTypeTest, CannedConstraintsReplayPerInstance) {
   // must inherit the bound.
   ConstraintSystem Sys(QS);
   Watermark Mark = takeWatermark(Sys);
-  QualVarId K = Sys.freshVar("k");
+  QualVarId K = Sys.freshVar();
   Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Const})),
              QualExpr::makeVar(K), {"k is const"});
   QualType I = Factory.make(QualExpr::makeVar(K), &Int);
@@ -235,9 +235,9 @@ TEST_F(QualTypeTest, ConstraintsToFreeVarsKeepLinkingInstances) {
   // A bound variable constrained against a *free* (environment) variable:
   // each instance re-links to the same free variable.
   ConstraintSystem Sys(QS);
-  QualVarId Global = Sys.freshVar("global");
+  QualVarId Global = Sys.freshVar();
   Watermark Mark = takeWatermark(Sys);
-  QualVarId K = Sys.freshVar("k");
+  QualVarId K = Sys.freshVar();
   Sys.addLeq(QualExpr::makeVar(K), QualExpr::makeVar(Global), {"k<=global"});
   QualType I = Factory.make(QualExpr::makeVar(K), &Int);
   QualScheme S = QualScheme::generalize(Sys, I, Mark);
@@ -252,7 +252,7 @@ TEST_F(QualTypeTest, ConstraintsToFreeVarsKeepLinkingInstances) {
 TEST_F(QualTypeTest, EscapeHookPreventsGeneralization) {
   ConstraintSystem Sys(QS);
   Watermark Mark = takeWatermark(Sys);
-  QualVarId K = Sys.freshVar("k");
+  QualVarId K = Sys.freshVar();
   QualType I = Factory.make(QualExpr::makeVar(K), &Int);
   QualScheme S = QualScheme::generalize(
       Sys, I, Mark, [K](QualVarId V) { return V == K; });
@@ -267,8 +267,8 @@ TEST_F(QualTypeTest, UpwardClosedPropagatesDynamicOutOfComponents) {
   // static (dynamic a -> dynamic b) is not well-formed: with dynamic upward
   // closed, a dynamic component forces the function itself dynamic.
   ConstraintSystem Sys(QS);
-  QualType P = intTy(Sys, "p"), R = intTy(Sys, "r");
-  QualType F = Factory.make(QualExpr::makeVar(Sys.freshVar("f")), &Fn,
+  QualType P = intTy(Sys), R = intTy(Sys);
+  QualType F = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Fn,
                             {P, R});
   requireUpwardClosed(Sys, F, Dynamic, {"wf"});
   Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Dynamic})),
@@ -283,8 +283,8 @@ TEST_F(QualTypeTest, UpwardClosedPropagatesDynamicOutOfComponents) {
 
 TEST_F(QualTypeTest, DownwardClosedPropagatesIntoComponents) {
   ConstraintSystem Sys(QS);
-  QualType C = intTy(Sys, "c");
-  QualType R = Factory.make(QualExpr::makeVar(Sys.freshVar("r")), &Ref, {C});
+  QualType C = intTy(Sys);
+  QualType R = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Ref, {C});
   requireDownwardClosed(Sys, R, Const, {"wf"});
   Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Const})), R.getQual(),
              {"ref const"});
@@ -294,8 +294,8 @@ TEST_F(QualTypeTest, DownwardClosedPropagatesIntoComponents) {
 
 TEST_F(QualTypeTest, CheckNoInnerWithoutOuterOnSolvedTypes) {
   ConstraintSystem Sys(QS);
-  QualType P = intTy(Sys, "p"), R = intTy(Sys, "r");
-  QualType F = Factory.make(QualExpr::makeVar(Sys.freshVar("f")), &Fn,
+  QualType P = intTy(Sys), R = intTy(Sys);
+  QualType F = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Fn,
                             {P, R});
   Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Dynamic})),
              P.getQual(), {"param dynamic"});

@@ -11,7 +11,9 @@
 /// behaviour-preserving: masked (well-formedness) constraints survive with
 /// their masks, internal chains compress to the same observable bounds,
 /// free-variable links replay per instance, and nested instantiation
-/// composes.
+/// composes. SchemeOracle checks the same property on random bodies against
+/// the definition: an instance must solve exactly like a full replay of the
+/// body it summarizes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,8 @@
 #include "qual/WellFormed.h"
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 using namespace quals;
 
@@ -40,8 +44,8 @@ protected:
     Dynamic = QS.add("dynamic", Polarity::Positive);
   }
 
-  QualExpr var(ConstraintSystem &Sys, const char *Name) {
-    return QualExpr::makeVar(Sys.freshVar(Name));
+  QualExpr var(ConstraintSystem &Sys) {
+    return QualExpr::makeVar(Sys.freshVar());
   }
 };
 
@@ -50,16 +54,16 @@ TEST_F(SchemeEdge, InternalChainCompressesToSameBounds) {
   // p <= r with the intermediates eliminated.
   ConstraintSystem Sys(QS);
   Watermark Mark = takeWatermark(Sys);
-  QualExpr P = var(Sys, "p"), R = var(Sys, "r");
+  QualExpr P = var(Sys), R = var(Sys);
   QualExpr Prev = P;
   for (int I = 0; I != 100; ++I) {
-    QualExpr Next = var(Sys, "i");
+    QualExpr Next = var(Sys);
     Sys.addLeq(Prev, Next, {"body"});
     Prev = Next;
   }
   Sys.addLeq(Prev, R, {"body"});
   QualType Body = Factory.make(
-      var(Sys, "fn"), &Fn,
+      var(Sys), &Fn,
       {Factory.make(P, &Int), Factory.make(R, &Int)});
   QualScheme S = QualScheme::generalize(Sys, Body, Mark);
 
@@ -79,8 +83,8 @@ TEST_F(SchemeEdge, ConstantBoundsThroughInternalsSurvive) {
   // upper bound reached through internals caps the parameter.
   ConstraintSystem Sys(QS);
   Watermark Mark = takeWatermark(Sys);
-  QualExpr P = var(Sys, "p"), R = var(Sys, "r");
-  QualExpr Mid1 = var(Sys, "m1"), Mid2 = var(Sys, "m2");
+  QualExpr P = var(Sys), R = var(Sys);
+  QualExpr Mid1 = var(Sys), Mid2 = var(Sys);
   Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Const})), Mid1,
              {"internal const source"});
   Sys.addLeq(Mid1, R, {"to result"});
@@ -88,7 +92,7 @@ TEST_F(SchemeEdge, ConstantBoundsThroughInternalsSurvive) {
   Sys.addLeq(Mid2, QualExpr::makeConst(QS.notQual(Dynamic)),
              {"internal cap"});
   QualType Body = Factory.make(
-      var(Sys, "fn"), &Fn,
+      var(Sys), &Fn,
       {Factory.make(P, &Int), Factory.make(R, &Int)});
   QualScheme S = QualScheme::generalize(Sys, Body, Mark);
 
@@ -103,10 +107,10 @@ TEST_F(SchemeEdge, MaskedConstraintsKeepTheirMasks) {
   // carrying const after simplification.
   ConstraintSystem Sys(QS);
   Watermark Mark = takeWatermark(Sys);
-  QualExpr P = var(Sys, "p"), R = var(Sys, "r");
+  QualExpr P = var(Sys), R = var(Sys);
   Sys.addLeqMasked(P, R, QS.bitFor(Dynamic), {"wf: dynamic upward"});
   QualType Body = Factory.make(
-      var(Sys, "fn"), &Fn,
+      var(Sys), &Fn,
       {Factory.make(P, &Int), Factory.make(R, &Int)});
   QualScheme S = QualScheme::generalize(Sys, Body, Mark);
 
@@ -124,12 +128,12 @@ TEST_F(SchemeEdge, FreeVariableLinksReplayPerInstance) {
   // Bound var -> global (free) var: every instance links to the same
   // global. Two instances both raise it.
   ConstraintSystem Sys(QS);
-  QualVarId Global = Sys.freshVar("global");
+  QualVarId Global = Sys.freshVar();
   Watermark Mark = takeWatermark(Sys);
-  QualExpr P = var(Sys, "p");
+  QualExpr P = var(Sys);
   Sys.addLeq(P, QualExpr::makeVar(Global), {"escapes to global"});
   QualType Body = Factory.make(
-      var(Sys, "fn"), &Fn,
+      var(Sys), &Fn,
       {Factory.make(P, &Int), Factory.make(P, &Int)});
   QualScheme S = QualScheme::generalize(Sys, Body, Mark);
 
@@ -148,9 +152,9 @@ TEST_F(SchemeEdge, ReverseFlowFromFreeVariable) {
   // Global (free) var -> bound var: the global's qualifiers reach every
   // instance, including qualifiers added *after* generalization.
   ConstraintSystem Sys(QS);
-  QualVarId Global = Sys.freshVar("global");
+  QualVarId Global = Sys.freshVar();
   Watermark Mark = takeWatermark(Sys);
-  QualExpr P = var(Sys, "p");
+  QualExpr P = var(Sys);
   Sys.addLeq(QualExpr::makeVar(Global), P, {"global flows in"});
   QualType Body = Factory.make(P, &Int);
   QualScheme S = QualScheme::generalize(Sys, Body, Mark);
@@ -168,17 +172,17 @@ TEST_F(SchemeEdge, InstantiationOfInstantiationComposes) {
   ConstraintSystem Sys(QS);
 
   Watermark MarkF = takeWatermark(Sys);
-  QualExpr FP = var(Sys, "fp");
+  QualExpr FP = var(Sys);
   Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Const})), FP,
              {"f makes it const"});
   QualType FBody = Factory.make(
-      var(Sys, "f"), &Fn, {Factory.make(FP, &Int), Factory.make(FP, &Int)});
+      var(Sys), &Fn, {Factory.make(FP, &Int), Factory.make(FP, &Int)});
   QualScheme F = QualScheme::generalize(Sys, FBody, MarkF);
 
   Watermark MarkG = takeWatermark(Sys);
   QualType FUse = F.instantiate(Sys, Factory);
   // g returns f's result.
-  QualType GBody = Factory.make(var(Sys, "g"), &Fn,
+  QualType GBody = Factory.make(var(Sys), &Fn,
                                 {FUse.getArg(0), FUse.getArg(1)});
   QualScheme G = QualScheme::generalize(Sys, GBody, MarkG);
 
@@ -193,9 +197,9 @@ TEST_F(SchemeEdge, MasterVariablesStayUnpolluted) {
   // relies on).
   ConstraintSystem Sys(QS);
   Watermark Mark = takeWatermark(Sys);
-  QualExpr P = var(Sys, "p");
+  QualExpr P = var(Sys);
   QualType Body = Factory.make(
-      var(Sys, "fn"), &Fn, {Factory.make(P, &Int), Factory.make(P, &Int)});
+      var(Sys), &Fn, {Factory.make(P, &Int), Factory.make(P, &Int)});
   QualScheme S = QualScheme::generalize(Sys, Body, Mark);
   QualVarId Master = P.getVar();
 
@@ -213,11 +217,11 @@ TEST_F(SchemeEdge, MasterVariablesStayUnpolluted) {
 TEST_F(SchemeEdge, SelfLoopInBodyIsHarmless) {
   ConstraintSystem Sys(QS);
   Watermark Mark = takeWatermark(Sys);
-  QualExpr P = var(Sys, "p"), Q = var(Sys, "q");
+  QualExpr P = var(Sys), Q = var(Sys);
   Sys.addLeq(P, Q, {"pq"});
   Sys.addLeq(Q, P, {"qp"}); // cycle between two interface vars
   QualType Body = Factory.make(
-      var(Sys, "fn"), &Fn, {Factory.make(P, &Int), Factory.make(Q, &Int)});
+      var(Sys), &Fn, {Factory.make(P, &Int), Factory.make(Q, &Int)});
   QualScheme S = QualScheme::generalize(Sys, Body, Mark);
   QualType Use = S.instantiate(Sys, Factory);
   Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Const})),
@@ -237,4 +241,184 @@ TEST_F(SchemeEdge, EmptyBodyGeneralizesToNothing) {
   EXPECT_EQ(S.instantiate(Sys, Factory).getShape(), Body.getShape());
 }
 
+/// A random post-watermark body over NumEnv older (environment) variables
+/// and NumFresh body variables. Operands index environment variables first,
+/// then body variables; -1 is a constant.
+struct RandomBody {
+  struct Item {
+    int Lhs, Rhs;
+    uint64_t Bits, Mask;
+  };
+  unsigned NumEnv = 0, NumFresh = 0;
+  std::vector<unsigned> Interface; // Distinct, non-escaping body variables.
+  std::vector<bool> Escaping;      // Per body variable.
+  std::vector<Item> Cons;
+};
+
+RandomBody makeBody(std::mt19937 &Rng, uint64_t Used) {
+  auto Pick = [&](unsigned N) {
+    return std::uniform_int_distribution<unsigned>(0, N - 1)(Rng);
+  };
+  auto Bits = [&] { return Rng() & Used; };
+  auto Mask = [&] {
+    uint64_t M = Used;
+    switch (Pick(3)) {
+    case 0: // Full mask.
+      break;
+    case 1: // A well-formedness style single bit.
+      M = Used & (uint64_t(1) << Pick(3));
+      break;
+    default:
+      M = Bits();
+      break;
+    }
+    return M;
+  };
+  RandomBody B;
+  B.NumEnv = Pick(4);
+  B.NumFresh = 1 + Pick(10);
+  B.Escaping.assign(B.NumFresh, false);
+  for (unsigned I = 0; I != B.NumFresh; ++I) {
+    if (Pick(5) == 0)
+      B.Escaping[I] = true;
+    else if (Pick(2) == 0)
+      B.Interface.push_back(I);
+  }
+  unsigned NumVars = B.NumEnv + B.NumFresh;
+  for (unsigned I = 0, N = Pick(24); I != N; ++I) {
+    int L = int(Pick(NumVars)), R = int(Pick(NumVars));
+    switch (Pick(6)) {
+    case 0: // Constant lower bound.
+      B.Cons.push_back({-1, R, Bits(), Mask()});
+      break;
+    case 1: // Constant upper bound.
+      B.Cons.push_back({L, -1, Bits(), Mask()});
+      break;
+    case 2: { // A two-cycle.
+      uint64_t M = Mask();
+      B.Cons.push_back({L, R, 0, M});
+      B.Cons.push_back({R, L, 0, M});
+      break;
+    }
+    default:
+      B.Cons.push_back({L, R, 0, Mask()});
+      break;
+    }
+  }
+  return B;
+}
+
+/// One side of the comparison: environment, master body, and two call
+/// sites -- scheme instances or full replays of the body.
+struct OracleSide {
+  ConstraintSystem Sys;
+  std::vector<QualVarId> Env, Fresh;
+  std::vector<std::vector<QualVarId>> Sites; // Interface vars per site.
+
+  OracleSide(const QualifierSet &QS, const RandomBody &B,
+             QualTypeFactory &Factory, bool UseScheme)
+      : Sys(QS) {
+    for (unsigned I = 0; I != B.NumEnv; ++I)
+      Env.push_back(Sys.freshVar());
+    Watermark Mark = takeWatermark(Sys);
+    for (unsigned I = 0; I != B.NumFresh; ++I)
+      Fresh.push_back(Sys.freshVar());
+    addBody(B, Fresh);
+
+    TypeCtor Tuple("tuple", std::vector<Variance>(B.Interface.size(),
+                                                  Variance::Invariant));
+    TypeCtor Int("int", {});
+    std::vector<QualType> Args;
+    for (unsigned I : B.Interface)
+      Args.push_back(Factory.make(QualExpr::makeVar(Fresh[I]), &Int));
+    QualType Body =
+        Factory.make(QualExpr::makeConst(QS.bottom()), &Tuple, Args);
+    QualScheme S = QualScheme::generalize(
+        Sys, Body, Mark, [&](QualVarId V) {
+          return V >= Mark.FirstVar && B.Escaping[V - Mark.FirstVar];
+        });
+
+    for (int Site = 0; Site != 2; ++Site) {
+      std::vector<QualVarId> Interface;
+      if (UseScheme) {
+        QualType Use = S.instantiate(Sys, Factory);
+        for (unsigned K = 0; K != B.Interface.size(); ++K)
+          Interface.push_back(Use.getArg(K).getQual().getVar());
+      } else {
+        std::vector<QualVarId> Copy = Fresh;
+        for (unsigned I = 0; I != B.NumFresh; ++I)
+          if (!B.Escaping[I])
+            Copy[I] = Sys.freshVar();
+        addBody(B, Copy);
+        for (unsigned I : B.Interface)
+          Interface.push_back(Copy[I]);
+      }
+      Sites.push_back(Interface);
+    }
+  }
+
+  void addBody(const RandomBody &B, const std::vector<QualVarId> &Body) {
+    auto Operand = [&](int I, uint64_t Bits) {
+      if (I < 0)
+        return QualExpr::makeConst(LatticeValue(Bits));
+      return QualExpr::makeVar(unsigned(I) < B.NumEnv ? Env[I]
+                                                      : Body[I - B.NumEnv]);
+    };
+    for (const RandomBody::Item &C : B.Cons)
+      Sys.addLeqMasked(Operand(C.Lhs, C.Bits), Operand(C.Rhs, C.Bits),
+                       C.Mask, {"body"});
+  }
+};
+
 } // namespace
+
+TEST(SchemeOracle, InstancesSolveLikeFullBodyReplay) {
+  QualifierSet QS;
+  QS.add("const", Polarity::Positive);
+  QS.add("nonzero", Polarity::Negative);
+  QS.add("tainted", Polarity::Positive);
+  const uint64_t Used = QS.usedBits();
+  QualTypeFactory Factory;
+  std::mt19937 Rng(20260);
+  for (int Trial = 0; Trial != 400; ++Trial) {
+    SCOPED_TRACE("trial " + std::to_string(Trial));
+    RandomBody B = makeBody(Rng, Used);
+    OracleSide Scheme(QS, B, Factory, /*UseScheme=*/true);
+    OracleSide Replay(QS, B, Factory, /*UseScheme=*/false);
+
+    // The calling context: random constants on the environment and on each
+    // site's interface, identical on both sides.
+    std::vector<std::pair<QualVarId, QualVarId>> Watched;
+    for (unsigned I = 0; I != B.NumEnv; ++I)
+      Watched.push_back({Scheme.Env[I], Replay.Env[I]});
+    for (unsigned I = 0; I != B.NumFresh; ++I)
+      if (B.Escaping[I])
+        Watched.push_back({Scheme.Fresh[I], Replay.Fresh[I]});
+    for (unsigned Site = 0; Site != 2; ++Site)
+      for (unsigned K = 0; K != B.Interface.size(); ++K)
+        Watched.push_back({Scheme.Sites[Site][K], Replay.Sites[Site][K]});
+    for (auto [A, R] : Watched) {
+      if (Rng() % 3 == 0) {
+        LatticeValue Bits(Rng() & Used);
+        Scheme.Sys.addLeq(QualExpr::makeConst(Bits), QualExpr::makeVar(A),
+                          {"context seed"});
+        Replay.Sys.addLeq(QualExpr::makeConst(Bits), QualExpr::makeVar(R),
+                          {"context seed"});
+      }
+      if (Rng() % 3 == 0) {
+        LatticeValue Bits(Rng() & Used);
+        Scheme.Sys.addLeq(QualExpr::makeVar(A), QualExpr::makeConst(Bits),
+                          {"context cap"});
+        Replay.Sys.addLeq(QualExpr::makeVar(R), QualExpr::makeConst(Bits),
+                          {"context cap"});
+      }
+    }
+
+    EXPECT_EQ(Scheme.Sys.solve(), Replay.Sys.solve());
+    for (auto [A, R] : Watched) {
+      EXPECT_EQ(Scheme.Sys.lower(A).bits(), Replay.Sys.lower(R).bits());
+      EXPECT_EQ(Scheme.Sys.upper(A).bits() & Used,
+                Replay.Sys.upper(R).bits() & Used);
+    }
+  }
+}

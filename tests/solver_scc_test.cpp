@@ -40,8 +40,8 @@ protected:
 
 TEST_F(SolverSccTest, CycleMembersShareOneSolution) {
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b"),
-            C = Sys.freshVar("c");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar(),
+            C = Sys.freshVar();
   Sys.addLeq(varOf(A), varOf(B), {"a<=b"});
   Sys.addLeq(varOf(B), varOf(C), {"b<=c"});
   Sys.addLeq(varOf(C), varOf(A), {"c<=a"});
@@ -60,7 +60,7 @@ TEST_F(SolverSccTest, MaskedCycleIsNotCollapsed) {
   // a <= b on all components, b <= a only on tainted: not a full cycle, so
   // the solutions stay distinct and const still flows one-way only.
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar();
   Sys.addLeq(varOf(A), varOf(B), {"a<=b"});
   Sys.addLeqMasked(varOf(B), varOf(A), QS.bitFor(Tainted), {"b<=a taint"});
   Sys.addLeq(constOf(just(Const)), varOf(B), {"const b"});
@@ -78,16 +78,16 @@ TEST_F(SolverSccTest, ExplainThroughRing) {
   // provenance walks back to "source" through the ring, naming each hop on
   // the shortest carrying path.
   ConstraintSystem Sys(QS);
-  QualVarId Src = Sys.freshVar("src");
+  QualVarId Src = Sys.freshVar();
   Sys.addLeq(constOf(just(Tainted)), varOf(Src), {"source"});
   std::vector<QualVarId> Ring;
   for (int I = 0; I != 5; ++I)
-    Ring.push_back(Sys.freshVar("r" + std::to_string(I)));
+    Ring.push_back(Sys.freshVar());
   for (int I = 0; I != 5; ++I)
     Sys.addLeq(varOf(Ring[I]), varOf(Ring[(I + 1) % 5]),
                {"ring " + std::to_string(I)});
   Sys.addLeq(varOf(Src), varOf(Ring[2]), {"entry"});
-  QualVarId Sink = Sys.freshVar("sink");
+  QualVarId Sink = Sys.freshVar();
   Sys.addLeq(varOf(Ring[4]), varOf(Sink), {"exit"});
   Sys.addLeq(varOf(Sink), constOf(QS.notQual(Tainted)),
              {"sink must be untainted"});
@@ -114,8 +114,8 @@ TEST_F(SolverSccTest, IncrementalEdgeMergesTwoComponents) {
   // Two separate cycles; later edges connect them into one big cycle. The
   // next solve must propagate across the join and equalize the solutions.
   ConstraintSystem Sys(QS);
-  QualVarId A1 = Sys.freshVar("a1"), A2 = Sys.freshVar("a2");
-  QualVarId B1 = Sys.freshVar("b1"), B2 = Sys.freshVar("b2");
+  QualVarId A1 = Sys.freshVar(), A2 = Sys.freshVar();
+  QualVarId B1 = Sys.freshVar(), B2 = Sys.freshVar();
   Sys.addLeq(varOf(A1), varOf(A2), {"a1<=a2"});
   Sys.addLeq(varOf(A2), varOf(A1), {"a2<=a1"});
   Sys.addLeq(varOf(B1), varOf(B2), {"b1<=b2"});
@@ -148,7 +148,7 @@ TEST_F(SolverSccTest, StatsResetPerSolveAndExplicitly) {
   // not report the first solve's propagation work, while snapshot fields
   // (vars, constraints, edges) keep describing the current system.
   ConstraintSystem Sys(QS);
-  QualVarId A = Sys.freshVar("a"), B = Sys.freshVar("b");
+  QualVarId A = Sys.freshVar(), B = Sys.freshVar();
   Sys.addLeq(varOf(A), varOf(B), {"a<=b"});
   Sys.addLeq(constOf(just(Const)), varOf(A), {"seed"});
   ASSERT_TRUE(Sys.solve());
