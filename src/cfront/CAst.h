@@ -20,12 +20,14 @@
 #include "support/SourceLoc.h"
 
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 namespace quals {
 namespace cfront {
 
+class CAstContext;
 class CExpr;
 class CStmt;
 class VarDecl;
@@ -42,16 +44,25 @@ class CDecl {
 public:
   enum class Kind { Var, Function, Record, Enum, Typedef, Field };
 
+  static constexpr unsigned NumKinds = static_cast<unsigned>(Kind::Field) + 1;
+
   Kind getKind() const { return TheKind; }
   SourceLoc getLoc() const { return Loc; }
   std::string_view getName() const { return Name; }
+  /// Dense per-kind id assigned by CAstContext::create: the declarations of
+  /// one kind in one context are numbered 0, 1, 2, ... in creation order,
+  /// so later passes index plain arrays by it instead of hashing pointers.
+  unsigned getId() const { return Id; }
 
 protected:
   CDecl(Kind K, std::string_view Name, SourceLoc Loc)
       : TheKind(K), Name(Name), Loc(Loc) {}
 
 private:
+  friend class CAstContext;
+
   Kind TheKind;
+  unsigned Id = 0;
   std::string_view Name;
   SourceLoc Loc;
 };
@@ -181,6 +192,11 @@ public:
   /// Section 4.2's conservative handling).
   bool isImplicit() const { return Implicit; }
   void setImplicit(bool I) { Implicit = I; }
+  /// Index of this declaration in TranslationUnit::Functions, so a
+  /// definition completing a prototype replaces it in O(1) -- also when the
+  /// prototype was parsed from another buffer of the same unit.
+  unsigned getFunctionIndex() const { return FunctionIndex; }
+  void setFunctionIndex(unsigned I) { FunctionIndex = I; }
 
   static bool classof(const CDecl *D) {
     return D->getKind() == Kind::Function;
@@ -192,6 +208,7 @@ private:
   StorageClass SC;
   const CStmt *Body = nullptr;
   bool Implicit = false;
+  unsigned FunctionIndex = 0;
 };
 
 /// A whole translation unit (or several merged ones; the paper analyzes
@@ -210,6 +227,13 @@ struct TranslationUnit {
   std::unordered_map<std::string_view, VarDecl *> GlobalMap;
   /// Enumerator constants (flat namespace; adequate for the subset).
   std::unordered_map<std::string_view, long> EnumConstants;
+  /// The context owning this unit's declarations (set by the parser; null
+  /// until a buffer is parsed into the unit).
+  const CAstContext *Context = nullptr;
+
+  /// Declarations of kind \p K created in Context: the exact size of a
+  /// table indexed by CDecl::getId() over this unit's declarations.
+  unsigned numDecls(CDecl::Kind K) const;
 };
 
 //===----------------------------------------------------------------------===//
@@ -716,16 +740,30 @@ private:
   const CStmt *Sub;
 };
 
-/// Owns the arena behind a translation unit's AST.
+/// Owns the arena behind a translation unit's AST and numbers its
+/// declarations (CDecl::getId).
 class CAstContext {
 public:
   template <typename T, typename... Args> T *create(Args &&...A) {
-    return Arena.create<T>(std::forward<Args>(A)...);
+    T *Node = Arena.create<T>(std::forward<Args>(A)...);
+    if constexpr (std::is_base_of_v<CDecl, T>)
+      Node->Id = NumDecls[static_cast<unsigned>(Node->getKind())]++;
+    return Node;
+  }
+
+  /// Declarations of kind \p K created so far; their ids are [0, count).
+  unsigned numDecls(CDecl::Kind K) const {
+    return NumDecls[static_cast<unsigned>(K)];
   }
 
 private:
   BumpPtrAllocator Arena;
+  unsigned NumDecls[CDecl::NumKinds] = {};
 };
+
+inline unsigned TranslationUnit::numDecls(CDecl::Kind K) const {
+  return Context ? Context->numDecls(K) : 0;
+}
 
 } // namespace cfront
 } // namespace quals

@@ -17,6 +17,11 @@ CParser::CParser(const SourceManager &SM, unsigned BufferId, CAstContext &Ast,
                  DiagnosticEngine &Diags, TranslationUnit &TU)
     : Lex(SM, BufferId, Diags), Ast(Ast), Types(Types), Idents(Idents),
       Diags(Diags), TU(TU), InitialErrors(Diags.getNumErrors()) {
+  // Declaration ids are per context, so every buffer of a unit must share
+  // one (CDecl::getId).
+  assert((!TU.Context || TU.Context == &Ast) &&
+         "all buffers of a unit must parse into one CAstContext");
+  TU.Context = &Ast;
   TypedefScopes.emplace_back();
   TagScopes.emplace_back();
   advance();
@@ -568,25 +573,22 @@ bool CParser::parseExternalDecl() {
   if (First.TopIsFunction && Tok.is(CTok::LBrace)) {
     CQualType T = buildType(DS.Base, First);
     const auto *FT = cast<FunctionType>(T.getType());
-    FunctionDecl *FD;
-    auto It = TU.FunctionMap.find(First.Name);
-    if (It != TU.FunctionMap.end() && !It->second->isDefined()) {
-      // Complete a previous prototype; adopt the definition's parameter
-      // names and type.
-      FD = It->second;
-      FD = Ast.create<FunctionDecl>(First.Name, FT, First.TopParams, DS.SC,
-                                    First.Loc);
-      TU.FunctionMap[First.Name] = FD;
-      for (auto &F : TU.Functions)
-        if (F->getName() == First.Name)
-          F = FD;
+    auto *FD = Ast.create<FunctionDecl>(First.Name, FT, First.TopParams,
+                                        DS.SC, First.Loc);
+    FunctionDecl *&Slot = TU.FunctionMap[First.Name];
+    if (Slot && !Slot->isDefined()) {
+      // Complete a previous prototype (possibly from another buffer) in its
+      // Functions slot; the definition's parameter names and type win. An
+      // undefined map entry is the only Functions entry of its name, since
+      // prototypes and implicit declarations are added only for new names.
+      FD->setFunctionIndex(Slot->getFunctionIndex());
+      TU.Functions[FD->getFunctionIndex()] = FD;
     } else {
-      FD = Ast.create<FunctionDecl>(First.Name, FT, First.TopParams, DS.SC,
-                                    First.Loc);
-      TU.FunctionMap[First.Name] = FD;
+      FD->setFunctionIndex(TU.Functions.size());
       TU.Functions.push_back(FD);
       TU.Decls.push_back(FD);
     }
+    Slot = FD;
     pushScope();
     const CStmt *Body = parseCompoundStmt();
     popScope();
@@ -617,6 +619,7 @@ bool CParser::parseInitDeclarators(const DeclSpec &DS, Declarator &First,
         auto *FD = Ast.create<FunctionDecl>(D->Name, FT, D->TopParams,
                                             DS.SC, D->Loc);
         TU.FunctionMap[D->Name] = FD;
+        FD->setFunctionIndex(TU.Functions.size());
         TU.Functions.push_back(FD);
         TU.Decls.push_back(FD);
       }

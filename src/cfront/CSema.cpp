@@ -188,6 +188,7 @@ const FunctionDecl *CSema::resolveCallee(const CExpr *Callee) {
                                       StorageClass::Extern, Callee->getLoc());
   FD->setImplicit(true);
   TU->FunctionMap[Ref->getName()] = FD;
+  FD->setFunctionIndex(TU->Functions.size());
   TU->Functions.push_back(FD);
   Scopes.front()[Ref->getName()] = FD;
   Ref->setDecl(FD);

@@ -17,7 +17,9 @@ using namespace quals::cfront;
 
 ConstInference::ConstInference(TranslationUnit &TU, DiagnosticEngine &Diags,
                                Options Opts)
-    : TU(TU), Diags(Diags), Opts(Opts) {
+    : TU(TU), Diags(Diags), Opts(Opts),
+      Ctors(TU.numDecls(CDecl::Kind::Record)),
+      Schemes(TU.numDecls(CDecl::Kind::Function)) {
   // Summary mode links interface variables across TUs by name, which needs
   // monomorphic (plain-variable) interfaces (docs/LINK.md).
   if (this->Opts.SummaryMode)
@@ -27,18 +29,15 @@ ConstInference::ConstInference(TranslationUnit &TU, DiagnosticEngine &Diags,
   Config.MaxConstraints = Diags.limits().MaxConstraints;
   Sys = std::make_unique<ConstraintSystem>(QS, Config);
   Translator = std::make_unique<RefTranslator>(
-      *Sys, Factory, Ctors, ConstQual, this->Opts.ConservativeLibraries,
+      TU, *Sys, Factory, Ctors, ConstQual, this->Opts.ConservativeLibraries,
       this->Opts.StructFieldsShared, this->Opts.SummaryMode);
 }
 
 ConstInference::~ConstInference() = default;
 
 QualType ConstInference::functionUse(const FunctionDecl *FD) {
-  if (Opts.Polymorphic) {
-    auto It = Schemes.find(FD);
-    if (It != Schemes.end() && It->second.isPolymorphic())
-      return It->second.instantiate(*Sys, Factory);
-  }
+  if (Opts.Polymorphic && Schemes[FD->getId()].isPolymorphic())
+    return Schemes[FD->getId()].instantiate(*Sys, Factory);
   return Translator->functionInterfaceType(FD);
 }
 
@@ -117,9 +116,8 @@ bool ConstInference::run() {
         FunctionDecl *F = Graph.Functions[Node];
         if (!F->isDefined())
           continue;
-        Schemes.emplace(F, QualScheme::generalize(
-                               *Sys, Translator->functionInterfaceType(F),
-                               Mark));
+        Schemes[F->getId()] = QualScheme::generalize(
+            *Sys, Translator->functionInterfaceType(F), Mark);
       }
     }
 
@@ -181,8 +179,8 @@ ConstCounts ConstInference::counts() const {
 
 const QualScheme *
 ConstInference::schemeFor(const FunctionDecl *FD) const {
-  auto It = Schemes.find(FD);
-  return It == Schemes.end() ? nullptr : &It->second;
+  const QualScheme &S = Schemes.lookup(FD->getId());
+  return S.getBody().isNull() ? nullptr : &S;
 }
 
 unsigned ConstInference::numQualVars() const { return Sys->getNumVars(); }
@@ -218,20 +216,24 @@ ConstCounts countPositions(const std::vector<ClassifiedPos> &Positions) {
 }
 
 std::string renderAnnotatedPrototypes(const std::vector<ClassifiedPos> &Positions) {
-  // Group positions by function, then rebuild each prototype with const
+  // Group positions by function (indexed by FunctionDecl id, sized once to
+  // the largest id present), then rebuild each prototype with const
   // inserted at every may-be-const pointer level.
-  std::unordered_map<const FunctionDecl *, std::vector<const ClassifiedPos *>>
-      ByFn;
+  unsigned NumFnIds = 0;
+  for (const ClassifiedPos &CP : Positions)
+    NumFnIds = std::max(NumFnIds, CP.Pos.Fn->getId() + 1);
+  std::vector<std::vector<const ClassifiedPos *>> ByFn(NumFnIds);
   std::vector<const FunctionDecl *> Order;
   for (const ClassifiedPos &CP : Positions) {
-    if (!ByFn.count(CP.Pos.Fn))
+    std::vector<const ClassifiedPos *> &Group = ByFn[CP.Pos.Fn->getId()];
+    if (Group.empty())
       Order.push_back(CP.Pos.Fn);
-    ByFn[CP.Pos.Fn].push_back(&CP);
+    Group.push_back(&CP);
   }
 
   auto constAt = [&](const FunctionDecl *FD, int ParamIndex,
                      unsigned Depth) {
-    for (const ClassifiedPos *P : ByFn[FD])
+    for (const ClassifiedPos *P : ByFn[FD->getId()])
       if (P->Pos.ParamIndex == ParamIndex && P->Pos.Depth == Depth)
         return P->Class != PosClass::MustNonConst;
     return false;

@@ -29,6 +29,7 @@
 #define QUALS_CONSTINF_CONSTINFER_H
 
 #include "constinf/ConstraintGen.h"
+#include "constinf/DeclTable.h"
 #include "constinf/Fdg.h"
 #include "qual/TypeScheme.h"
 
@@ -202,7 +203,8 @@ private:
   QualTypeFactory Factory;
   ConstCtors Ctors;
   std::unique_ptr<RefTranslator> Translator;
-  std::unordered_map<const cfront::FunctionDecl *, QualScheme> Schemes;
+  /// Indexed by FunctionDecl id; a null body means no scheme.
+  DeclTable<QualScheme> Schemes;
   Fdg Graph;
   std::vector<std::pair<unsigned, unsigned>> SccPosRanges;
 

@@ -157,8 +157,9 @@ void collectStmt(const CStmt *S, std::vector<const FunctionDecl *> &Out) {
 Fdg quals::constinf::buildFdg(const TranslationUnit &TU) {
   PhaseScope Phase("fdg", "constinf");
   Fdg Result;
+  Result.NodeOf.assign(TU.numDecls(CDecl::Kind::Function), Fdg::NoNode);
   for (FunctionDecl *F : TU.Functions) {
-    Result.NodeOf[F] = Result.Functions.size();
+    Result.NodeOf[F->getId()] = Result.Functions.size();
     Result.Functions.push_back(F);
   }
   Result.Graph = Digraph(Result.Functions.size());
@@ -167,12 +168,10 @@ Fdg quals::constinf::buildFdg(const TranslationUnit &TU) {
       continue;
     std::vector<const FunctionDecl *> Refs;
     collectStmt(F->getBody(), Refs);
-    unsigned From = Result.NodeOf[F];
-    for (const FunctionDecl *G : Refs) {
-      auto It = Result.NodeOf.find(G);
-      if (It != Result.NodeOf.end())
-        Result.Graph.addEdge(From, It->second);
-    }
+    unsigned From = Result.NodeOf[F->getId()];
+    for (const FunctionDecl *G : Refs)
+      if (Result.NodeOf[G->getId()] != Fdg::NoNode)
+        Result.Graph.addEdge(From, Result.NodeOf[G->getId()]);
   }
   Result.Sccs = computeSccs(Result.Graph);
   return Result;

@@ -21,7 +21,6 @@
 #include "cfront/CAst.h"
 #include "support/Scc.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace quals {
@@ -29,9 +28,13 @@ namespace constinf {
 
 /// The FDG plus its SCC decomposition.
 struct Fdg {
+  static constexpr unsigned NoNode = ~0u;
+
   /// Node ids correspond to indices into Functions.
   std::vector<cfront::FunctionDecl *> Functions;
-  std::unordered_map<const cfront::FunctionDecl *, unsigned> NodeOf;
+  /// Node of each function, indexed by FunctionDecl id; NoNode for
+  /// declarations outside TranslationUnit::Functions (completed prototypes).
+  std::vector<unsigned> NodeOf;
   Digraph Graph{0};
   /// Components in reverse topological order (callees first).
   SccResult Sccs;

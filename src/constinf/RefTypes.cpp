@@ -11,8 +11,8 @@ using namespace quals;
 using namespace quals::constinf;
 using namespace quals::cfront;
 
-ConstCtors::ConstCtors()
-    : Val("val", {}), Ref("ref", {Variance::Invariant}) {}
+ConstCtors::ConstCtors(unsigned NumRecords)
+    : Val("val", {}), Ref("ref", {Variance::Invariant}), Records(NumRecords) {}
 
 const TypeCtor *ConstCtors::fn(unsigned NumParams) {
   auto It = FnCtors.find(NumParams);
@@ -26,14 +26,14 @@ const TypeCtor *ConstCtors::fn(unsigned NumParams) {
 }
 
 const TypeCtor *ConstCtors::record(const RecordDecl *RD) {
-  auto It = Records.find(RD);
-  if (It != Records.end())
-    return It->second;
+  const TypeCtor *&Ctor = Records[RD->getId()];
+  if (Ctor)
+    return Ctor;
   std::string Name =
       (RD->isUnion() ? "union " : "struct ") + std::string(RD->getName());
   Owned.emplace_back(std::move(Name), std::vector<Variance>());
-  Records[RD] = &Owned.back();
-  return &Owned.back();
+  Ctor = &Owned.back();
+  return Ctor;
 }
 
 RefTranslator::LPair
@@ -101,19 +101,17 @@ RefTranslator::lprime(CQualType T, SourceLoc Loc,
 }
 
 QualType RefTranslator::varLValueType(const VarDecl *VD) {
-  auto It = VarTypes.find(VD);
-  if (It != VarTypes.end())
-    return It->second;
-  LPair LP = lprime(VD->getType(), VD->getLoc(), /*Collect=*/nullptr, 0);
-  QualType T = Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
-  VarTypes.emplace(VD, T);
-  return T;
+  QualType &Memo = VarTypes[VD->getId()];
+  if (Memo.isNull()) {
+    LPair LP = lprime(VD->getType(), VD->getLoc(), /*Collect=*/nullptr, 0);
+    Memo = Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
+  }
+  return Memo;
 }
 
 QualType RefTranslator::fieldLValueType(const FieldDecl *FD) {
-  auto It = FieldTypes.find(FD);
-  if (It != FieldTypes.end())
-    return It->second;
+  if (!FieldTypes[FD->getId()].isNull())
+    return FieldTypes[FD->getId()];
   LPair LP = lprime(FD->getType(), FD->getLoc(), /*Collect=*/nullptr, 0);
   QualType T = Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
   // Section 4.2: all variables with the same struct type share the field
@@ -121,14 +119,13 @@ QualType RefTranslator::fieldLValueType(const FieldDecl *FD) {
   // mode skips the memoization, giving each access fresh (unsound)
   // qualifiers.
   if (StructFieldsShared)
-    FieldTypes.emplace(FD, T);
+    FieldTypes[FD->getId()] = T;
   return T;
 }
 
 QualType RefTranslator::functionInterfaceType(const FunctionDecl *FD) {
-  auto It = FnTypes.find(FD);
-  if (It != FnTypes.end())
-    return It->second;
+  if (!FnTypes[FD->getId()].isNull())
+    return FnTypes[FD->getId()];
 
   const FunctionType *FT = FD->getType();
   const QualifierSet &QS = Sys.getQualifierSet();
@@ -166,9 +163,10 @@ QualType RefTranslator::functionInterfaceType(const FunctionDecl *FD) {
     // The parameter *variable* shares the interface r-type as its cell
     // contents, so writes through the pointer inside the body constrain the
     // interface.
-    if (Defined && I < Params.size())
-      VarTypes.emplace(Params[I],
-                       Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents}));
+    if (Defined && I < Params.size() &&
+        VarTypes[Params[I]->getId()].isNull())
+      VarTypes[Params[I]->getId()] =
+          Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
     Args.push_back(LP.Contents);
   }
 
@@ -184,7 +182,7 @@ QualType RefTranslator::functionInterfaceType(const FunctionDecl *FD) {
 
   QualType T = Factory.make(QualExpr::makeVar(Sys.freshVar()),
                             Ctors.fn(FT->getParams().size()), Args);
-  FnTypes.emplace(FD, T);
+  FnTypes[FD->getId()] = T;
   Interesting.insert(Interesting.end(), Collected.begin(), Collected.end());
   return T;
 }

@@ -37,6 +37,7 @@
 #define QUALS_CONSTINF_REFTYPES_H
 
 #include "cfront/CAst.h"
+#include "constinf/DeclTable.h"
 #include "qual/QualType.h"
 
 #include <deque>
@@ -50,7 +51,8 @@ namespace constinf {
 /// created per arity on demand.
 class ConstCtors {
 public:
-  ConstCtors();
+  /// \p NumRecords sizes the per-record table (TranslationUnit::numDecls).
+  explicit ConstCtors(unsigned NumRecords);
 
   const TypeCtor *val() const { return &Val; }
   const TypeCtor *ref() const { return &Ref; }
@@ -66,7 +68,8 @@ private:
   TypeCtor Ref;
   std::deque<TypeCtor> Owned;
   std::unordered_map<unsigned, const TypeCtor *> FnCtors;
-  std::unordered_map<const cfront::RecordDecl *, const TypeCtor *> Records;
+  /// Indexed by RecordDecl id; null until first use.
+  std::vector<const TypeCtor *> Records;
 };
 
 /// An "interesting" const position (Section 4.4): a place in a defined
@@ -104,21 +107,25 @@ struct DeferredPin {
 };
 
 /// Performs the l translation, memoizing shared structure (record field
-/// environments, variable cell types, function interfaces).
+/// environments, variable cell types, function interfaces) in tables
+/// indexed by declaration id and sized once from \p TU's declaration counts.
 class RefTranslator {
 public:
   /// With \p DeferLibraryPins set (summary mode) the Section 4.2 library
   /// pins are recorded into deferredPins() instead of being added to the
   /// system, so the link step can drop them for symbols another TU defines.
-  RefTranslator(ConstraintSystem &Sys, QualTypeFactory &Factory,
-                ConstCtors &Ctors, QualifierId ConstQual,
-                bool ConservativeLibraries = true,
+  RefTranslator(const cfront::TranslationUnit &TU, ConstraintSystem &Sys,
+                QualTypeFactory &Factory, ConstCtors &Ctors,
+                QualifierId ConstQual, bool ConservativeLibraries = true,
                 bool StructFieldsShared = true,
                 bool DeferLibraryPins = false)
       : Sys(Sys), Factory(Factory), Ctors(Ctors), ConstQual(ConstQual),
         ConservativeLibraries(ConservativeLibraries),
         StructFieldsShared(StructFieldsShared),
-        DeferLibraryPins(DeferLibraryPins) {}
+        DeferLibraryPins(DeferLibraryPins),
+        VarTypes(TU.numDecls(cfront::CDecl::Kind::Var)),
+        FieldTypes(TU.numDecls(cfront::CDecl::Kind::Field)),
+        FnTypes(TU.numDecls(cfront::CDecl::Kind::Function)) {}
 
   /// The l-value type of \p VD: kappa ref(rho). Memoized.
   QualType varLValueType(const cfront::VarDecl *VD);
@@ -170,9 +177,10 @@ private:
   bool DeferLibraryPins;
   std::vector<DeferredPin> Deferred;
 
-  std::unordered_map<const cfront::VarDecl *, QualType> VarTypes;
-  std::unordered_map<const cfront::FieldDecl *, QualType> FieldTypes;
-  std::unordered_map<const cfront::FunctionDecl *, QualType> FnTypes;
+  // Indexed by declaration id; a null QualType means "not translated yet".
+  DeclTable<QualType> VarTypes;
+  DeclTable<QualType> FieldTypes;
+  DeclTable<QualType> FnTypes;
   std::vector<InterestingPos> Interesting;
 
   struct LPair {

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace quals;
 using namespace quals::cfront;
 
@@ -266,6 +268,133 @@ TEST(CParser, PrototypeThenDefinitionMerges) {
     if (G->getName() == "f")
       ++Count;
   EXPECT_EQ(Count, 1);
+}
+
+/// Names of TU.Functions, in order.
+std::vector<std::string> functionNames(const TranslationUnit &TU) {
+  std::vector<std::string> Names;
+  for (const FunctionDecl *F : TU.Functions)
+    Names.emplace_back(F->getName());
+  return Names;
+}
+
+TEST(CParser, CompletedPrototypesKeepTheirSlots) {
+  // K prototypes, then their definitions in reverse order: each definition
+  // replaces its prototype in place, so Functions keeps prototype order.
+  constexpr unsigned K = 50;
+  std::string Source;
+  for (unsigned I = 0; I != K; ++I)
+    Source += "int f" + std::to_string(I) + "(int);\n";
+  for (unsigned I = K; I-- != 0;)
+    Source += "int f" + std::to_string(I) + "(int x) { return x; }\n";
+  CRig R;
+  ASSERT_TRUE(R.parse(Source)) << R.Diags.renderAll();
+  ASSERT_EQ(R.TU.Functions.size(), K);
+  ASSERT_EQ(R.TU.Decls.size(), K);
+  for (unsigned I = 0; I != K; ++I) {
+    FunctionDecl *F = R.TU.Functions[I];
+    EXPECT_EQ(F->getName(), "f" + std::to_string(I));
+    EXPECT_TRUE(F->isDefined());
+    EXPECT_EQ(R.fn(F->getName()), F);
+    // Decls still lists the prototype the definition completed.
+    const auto *Proto = dyn_cast<FunctionDecl>(R.TU.Decls[I]);
+    ASSERT_NE(Proto, nullptr);
+    EXPECT_NE(Proto, F);
+    EXPECT_FALSE(Proto->isDefined());
+    EXPECT_EQ(Proto->getName(), F->getName());
+  }
+}
+
+TEST(CParser, PrototypeCompletedFromAnotherBuffer) {
+  CRig R;
+  ASSERT_TRUE(R.parse("int a(int);\nint shared(int);\nint b(int);\n"));
+  std::vector<CDecl *> DeclsAfterA = R.TU.Decls;
+  FunctionDecl *Proto = R.fn("shared");
+  ASSERT_TRUE(R.parse("int c(int);\nint shared(int x) { return x; }\n"));
+  EXPECT_EQ(functionNames(R.TU),
+            (std::vector<std::string>{"a", "shared", "b", "c"}));
+  FunctionDecl *Def = R.TU.Functions[1];
+  EXPECT_NE(Def, Proto);
+  EXPECT_TRUE(Def->isDefined());
+  EXPECT_EQ(R.fn("shared"), Def);
+  // The second buffer added only c's prototype to Decls.
+  std::vector<CDecl *> Expected = DeclsAfterA;
+  Expected.push_back(R.fn("c"));
+  EXPECT_EQ(R.TU.Decls, Expected);
+}
+
+TEST(CParser, RedefinitionAfterCompletionAppends) {
+  // Completion happens once; a second definition is a new entry.
+  CRig R;
+  ASSERT_TRUE(R.parse("int f(int);\nint g(void);\n"
+                      "int f(int x) { return x; }\n"
+                      "int f(int y) { return y + 1; }\n"));
+  EXPECT_EQ(functionNames(R.TU),
+            (std::vector<std::string>{"f", "g", "f"}));
+  FunctionDecl *First = R.TU.Functions[0];
+  FunctionDecl *Second = R.TU.Functions[2];
+  EXPECT_TRUE(First->isDefined());
+  EXPECT_TRUE(Second->isDefined());
+  EXPECT_NE(First, Second);
+  EXPECT_EQ(R.fn("f"), Second);
+  ASSERT_EQ(R.TU.Decls.size(), 3u);
+  EXPECT_EQ(R.TU.Decls[0]->getName(), "f");
+  EXPECT_NE(R.TU.Decls[0], First); // the completed prototype
+  EXPECT_EQ(R.TU.Decls[1], R.fn("g"));
+  EXPECT_EQ(R.TU.Decls[2], Second);
+}
+
+TEST(CAstContextTest, DeclIdsAreDensePerKind) {
+  CRig R;
+  ASSERT_TRUE(R.parse("struct s { int a; int b; };\n"
+                      "union u { int c; };\n"
+                      "int g1, g2;\n"
+                      "int f(int p, int q);\n"
+                      "int f(int x, int y) { int l = x; return l + y; }\n"
+                      "int h(struct s *sp) { return sp->a; }\n"));
+  ASSERT_TRUE(R.parse("int k(void) { return f(1, 2); }\n"));
+  CSema Sema(R.Ast, R.Types, R.Idents, R.Diags);
+  ASSERT_TRUE(Sema.analyze(R.TU)) << R.Diags.renderAll();
+  EXPECT_EQ(R.TU.Context, &R.Ast);
+
+  // Every declaration reachable from the unit, including the completed
+  // prototype of f (still in Decls) and parameters and locals.
+  std::vector<const CDecl *> All(R.TU.Decls.begin(), R.TU.Decls.end());
+  for (const FunctionDecl *F : R.TU.Functions) {
+    All.push_back(F);
+    All.insert(All.end(), F->getParams().begin(), F->getParams().end());
+  }
+  for (const RecordDecl *RD : R.TU.Records) {
+    All.push_back(RD);
+    All.insert(All.end(), RD->getFields().begin(), RD->getFields().end());
+  }
+  const auto *Body = cast<CCompoundStmt>(R.fn("f")->getBody());
+  for (const VarDecl *L : cast<CDeclStmt>(Body->getBody()[0])->getDecls())
+    All.push_back(L);
+  for (const CDecl *D : R.TU.Decls)
+    if (const auto *F = dyn_cast<FunctionDecl>(D))
+      All.insert(All.end(), F->getParams().begin(), F->getParams().end());
+
+  // Per kind: the distinct ids seen are exactly 0..numDecls-1.
+  for (CDecl::Kind K : {CDecl::Kind::Var, CDecl::Kind::Field,
+                        CDecl::Kind::Function, CDecl::Kind::Record}) {
+    std::set<const CDecl *> Seen;
+    std::set<unsigned> Ids;
+    for (const CDecl *D : All) {
+      if (D->getKind() == K && Seen.insert(D).second) {
+        EXPECT_TRUE(Ids.insert(D->getId()).second)
+            << "duplicate id " << D->getId();
+      }
+    }
+    ASSERT_FALSE(Ids.empty());
+    EXPECT_EQ(Ids.size(), R.TU.numDecls(K));
+    EXPECT_EQ(*Ids.rbegin() + 1, R.TU.numDecls(K));
+  }
+  // g1, g2 and the locals: p, q (prototype), x, y, sp, l.
+  EXPECT_EQ(R.TU.numDecls(CDecl::Kind::Var), 8u);
+  EXPECT_EQ(R.TU.numDecls(CDecl::Kind::Field), 3u);
+  EXPECT_EQ(R.TU.numDecls(CDecl::Kind::Function), 4u); // f twice, h, k
+  EXPECT_EQ(R.TU.numDecls(CDecl::Kind::Record), 2u);
 }
 
 TEST(CParser, ArrayParamsDecay) {

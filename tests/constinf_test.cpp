@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 using namespace quals;
 using namespace quals::cfront;
 using namespace quals::constinf;
@@ -35,11 +37,15 @@ struct InfRig {
   TranslationUnit TU;
   std::unique_ptr<ConstInference> Inf;
 
-  bool analyze(const std::string &Source, bool Polymorphic = true) {
+  bool frontEnd(const std::string &Source) {
     if (!parseCSource(SM, "test.c", Source, Ast, Types, Idents, Diags, TU))
       return false;
     CSema Sema(Ast, Types, Idents, Diags);
-    if (!Sema.analyze(TU))
+    return Sema.analyze(TU);
+  }
+
+  bool analyze(const std::string &Source, bool Polymorphic = true) {
+    if (!frontEnd(Source))
       return false;
     ConstInference::Options Opts;
     Opts.Polymorphic = Polymorphic;
@@ -313,9 +319,9 @@ TEST(ConstInf, FdgFindsMutualRecursion) {
       "int main(void) { return even(10); }\n"))
       << R.Diags.renderAll();
   Fdg G = buildFdg(R.TU);
-  unsigned Even = G.NodeOf.at(R.TU.FunctionMap.at("even"));
-  unsigned Odd = G.NodeOf.at(R.TU.FunctionMap.at("odd"));
-  unsigned Main = G.NodeOf.at(R.TU.FunctionMap.at("main"));
+  unsigned Even = G.NodeOf.at(R.TU.FunctionMap.at("even")->getId());
+  unsigned Odd = G.NodeOf.at(R.TU.FunctionMap.at("odd")->getId());
+  unsigned Main = G.NodeOf.at(R.TU.FunctionMap.at("main")->getId());
   EXPECT_EQ(G.Sccs.ComponentOf[Even], G.Sccs.ComponentOf[Odd]);
   EXPECT_NE(G.Sccs.ComponentOf[Even], G.Sccs.ComponentOf[Main]);
   // Callees first.
@@ -329,9 +335,92 @@ TEST(ConstInf, FdgCountsAddressTakenReferences) {
       "int (*get(void))(int) { return cb; }\n"))
       << R.Diags.renderAll();
   Fdg G = buildFdg(R.TU);
-  unsigned Cb = G.NodeOf.at(R.TU.FunctionMap.at("cb"));
-  unsigned Get = G.NodeOf.at(R.TU.FunctionMap.at("get"));
+  unsigned Cb = G.NodeOf.at(R.TU.FunctionMap.at("cb")->getId());
+  unsigned Get = G.NodeOf.at(R.TU.FunctionMap.at("get")->getId());
   EXPECT_LT(G.Sccs.ComponentOf[Cb], G.Sccs.ComponentOf[Get]);
+}
+
+//===----------------------------------------------------------------------===//
+// Repeated runs over one unit (memo tables are indexed by declaration id)
+//===----------------------------------------------------------------------===//
+
+/// Exercises every id-indexed table: globals, records, prototypes completed
+/// by definitions, library functions and a polymorphic callee.
+static const char *RerunProgram =
+    "struct pt { int *x; int *y; };\n"
+    "int g;\n"
+    "int *id(int *p);\n"
+    "int strlen(const char *s);\n"
+    "int *id(int *p) { return p; }\n"
+    "void w(int *q) { *id(q) = 1; }\n"
+    "int r(int *s) { return *id(s) + g; }\n"
+    "int getx(struct pt *v) { *v->y = 0; return *v->x; }\n"
+    "int len(char *c) { return strlen(c); }\n"
+    "int leaf(int *a, int *b) { *b = *a; return 0; }\n";
+
+/// One "fn#param@depth=class" line per position, then the prototypes.
+std::string describe(const ConstInference &Inf) {
+  std::string Out;
+  for (const ClassifiedPos &CP : Inf.classifiedPositions())
+    Out += std::string(CP.Pos.Fn->getName()) + "#" +
+           std::to_string(CP.Pos.ParamIndex) + "@" +
+           std::to_string(CP.Pos.Depth) + "=" +
+           std::to_string(static_cast<int>(CP.Class)) + "\n";
+  return Out + Inf.renderAnnotatedPrototypes();
+}
+
+/// Runs inference over \p R's unit, restricted to \p Only when non-empty.
+std::string runOver(InfRig &R, bool Polymorphic,
+                    const std::vector<std::string_view> &Only = {}) {
+  std::unordered_set<const FunctionDecl *> Selected;
+  for (std::string_view Name : Only)
+    Selected.insert(R.TU.FunctionMap.at(Name));
+  ConstInference::Options Opts;
+  Opts.Polymorphic = Polymorphic;
+  if (!Only.empty()) {
+    Opts.OnlyFunctions = &Selected;
+    Opts.GenGlobalInits = false;
+  }
+  ConstInference Inf(R.TU, R.Diags, Opts);
+  EXPECT_TRUE(Inf.run()) << R.Diags.renderAll();
+  return describe(Inf);
+}
+
+TEST(ConstInf, RerunsOverOneUnitClassifyLikeFreshUnits) {
+  // Mono then poly over one unit, the pattern of the whole-program bench.
+  InfRig Fresh;
+  ASSERT_TRUE(Fresh.analyze(RerunProgram, /*Polymorphic=*/false))
+      << Fresh.Diags.renderAll();
+  std::string MonoFresh = describe(*Fresh.Inf);
+  InfRig FreshPoly;
+  ASSERT_TRUE(FreshPoly.analyze(RerunProgram, /*Polymorphic=*/true));
+  std::string PolyFresh = describe(*FreshPoly.Inf);
+  ASSERT_NE(MonoFresh, PolyFresh); // r's s is const only under poly.
+
+  InfRig Shared;
+  ASSERT_TRUE(Shared.analyze(RerunProgram, /*Polymorphic=*/false));
+  EXPECT_EQ(describe(*Shared.Inf), MonoFresh);
+  EXPECT_EQ(runOver(Shared, /*Polymorphic=*/true), PolyFresh);
+  EXPECT_EQ(runOver(Shared, /*Polymorphic=*/false), MonoFresh);
+}
+
+TEST(ConstInf, RestrictedRerunClassifiesLikeFreshRestrictedRun) {
+  // A full run, then an OnlyFunctions run over the same unit: the second
+  // must not see the first's memoized types or schemes.
+  InfRig Fresh;
+  ASSERT_TRUE(Fresh.analyze(RerunProgram));
+  std::string Full = describe(*Fresh.Inf);
+  InfRig FreshRestricted;
+  ASSERT_TRUE(FreshRestricted.frontEnd(RerunProgram));
+  std::string Restricted = runOver(FreshRestricted, true, {"leaf"});
+  ASSERT_NE(Restricted.find("leaf#0@0"), std::string::npos);
+  ASSERT_EQ(Restricted.find("getx"), std::string::npos);
+
+  InfRig Shared;
+  ASSERT_TRUE(Shared.analyze(RerunProgram));
+  EXPECT_EQ(describe(*Shared.Inf), Full);
+  EXPECT_EQ(runOver(Shared, true, {"leaf"}), Restricted);
+  EXPECT_EQ(runOver(Shared, true), Full);
 }
 
 //===----------------------------------------------------------------------===//

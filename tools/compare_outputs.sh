@@ -8,7 +8,7 @@
 # builds run on the same inputs, from the same paths, and every output is
 # compared byte for byte:
 #   - qualcc --quiet --protos --positions, polymorphic and --mono, and
-#     --nonnull --flow-nonnull;
+#     --nonnull --flow-nonnull, per file and over the whole split;
 #   - qualcc --stats and qualcheck --stats: solver counters, diagnostics and
 #     explanation chains;
 #   - the .qsum bytes written by qualcc --emit-summary(-dir), and quallink
@@ -136,6 +136,8 @@ done
 
 # --- the 16-TU split: whole program, summaries, link ----------------------
 same split.whole qualcc --quiet --protos --positions --mono "${TUS[@]}"
+# Polymorphic too: prototypes completed across buffers meet scheme lookups.
+same split.whole-poly qualcc --quiet --protos --positions "${TUS[@]}"
 same split.summarize qualcc --quiet --emit-summary-dir=qs "${TUS[@]}"
 if ! diff -r -q "$WORK/base/qs" "$WORK/new/qs" >&2; then
     echo "DIFF: .qsum files of the 16-TU split" >&2
