@@ -51,10 +51,9 @@ using namespace quals::serve;
 
 namespace {
 
-/// Functions per call cluster, mirroring bench/incremental_edit: one shared
-/// leaf, three callers, clusters independent -- so a body edit stays on the
-/// incremental path and the delta latencies measure the dirty-closure
-/// machinery, not structural fallbacks.
+/// Functions per call cluster: one shared leaf, three callers, clusters
+/// independent. analyze-delta is served by the cold pipeline, so the delta
+/// latencies are whole-unit re-analyses of each edited buffer.
 constexpr unsigned kClusterSize = 4;
 
 std::string buildEditUnit(unsigned Functions, int EditedFn) {
@@ -150,10 +149,10 @@ int main(int argc, char **argv) {
   unsigned Clusters = EditFunctions / kClusterSize;
 
   // The mixed stream: cold corpus analyzes, the same corpus again (pure
-  // cache hits), an analyze-delta edit loop against one retained snapshot,
-  // and a full invalidate. No stats/metrics requests: every response in
-  // the stream is a pure function of (source, config), so whole-stream
-  // byte comparison across passes is exact.
+  // cache hits), an analyze-delta edit loop over one buffer, and a full
+  // invalidate. No stats/metrics requests: every response in the stream
+  // is a pure function of (source, config), so whole-stream byte
+  // comparison across passes is exact.
   std::string Requests;
   uint64_t Id = 0;
   for (unsigned Pass = 0; Pass != 2; ++Pass)

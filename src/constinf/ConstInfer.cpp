@@ -73,30 +73,14 @@ bool ConstInference::run() {
       Order.push_back(I);
     if (!Opts.CalleesFirst)
       std::reverse(Order.begin(), Order.end());
-    SccPosRanges.assign(Graph.Sccs.Components.size(), {0u, 0u});
     for (unsigned ComponentIdx : Order) {
       const std::vector<unsigned> &Component =
           Graph.Sccs.Components[ComponentIdx];
-      // Incremental mode: SCCs with no selected function are someone else's
-      // summaries -- skip them entirely so they contribute no variables, no
-      // constraints, and no interesting positions.
-      if (Opts.OnlyFunctions) {
-        bool Selected = false;
-        for (unsigned Node : Component)
-          if (Opts.OnlyFunctions->count(Graph.Functions[Node])) {
-            Selected = true;
-            break;
-          }
-        if (!Selected)
-          continue;
-      }
       // Resource checkpoint once per SCC: stop generating as soon as the
       // constraint budget, arena budget, or error cap fired.
       if (Sys->hitConstraintLimit() || Diags.shouldBail() ||
           !Diags.checkResources(Graph.Functions[Component.front()]->getLoc()))
         break;
-      unsigned FirstPos =
-          static_cast<unsigned>(Translator->interestingPositions().size());
       Watermark Mark = takeWatermark(*Sys);
       // Interfaces for the whole SCC first (mutual recursion uses them
       // monomorphically within the component, as in the paper).
@@ -107,9 +91,6 @@ bool ConstInference::run() {
         if (F->isDefined())
           Gen.genFunction(F, Translator->functionInterfaceType(F));
       }
-      SccPosRanges[ComponentIdx] = {
-          FirstPos,
-          static_cast<unsigned>(Translator->interestingPositions().size())};
       if (!Opts.Polymorphic)
         continue;
       for (unsigned Node : Component) {
@@ -122,12 +103,10 @@ bool ConstInference::run() {
     }
 
     // 4. Global variable definitions are analyzed after the FDG traversal.
-    if (Opts.GenGlobalInits) {
-      for (VarDecl *G : TU.Globals) {
-        if (Sys->hitConstraintLimit() || Diags.shouldBail())
-          break;
-        Gen.genGlobalInit(G);
-      }
+    for (VarDecl *G : TU.Globals) {
+      if (Sys->hitConstraintLimit() || Diags.shouldBail())
+        break;
+      Gen.genGlobalInit(G);
     }
   }
 

@@ -34,8 +34,6 @@
 #include "qual/TypeScheme.h"
 
 #include <memory>
-#include <unordered_set>
-#include <utility>
 
 namespace quals {
 namespace constinf {
@@ -56,10 +54,9 @@ struct ConstCounts {
 };
 
 /// An interesting position together with its inferred classification -- the
-/// analysis result in portable form. The incremental layer (Summary.h)
-/// persists lists of these per SCC and replays them without re-solving;
-/// countPositions() and renderAnnotatedPrototypes() below consume them so
-/// cold and replayed results share one byte-producing path.
+/// analysis result in portable form. countPositions() and
+/// renderAnnotatedPrototypes() below consume lists of these, so a caller
+/// that classifies once can render and count from the same list.
 struct ClassifiedPos {
   InterestingPos Pos;
   PosClass Class = PosClass::Either;
@@ -101,24 +98,6 @@ public:
     /// generalization and polymorphism degenerates toward monomorphic.
     bool CalleesFirst = true;
 
-    // Incremental re-analysis hooks (serve/Pipelines' analyze-delta path;
-    // docs/INCREMENTAL.md). Not ablations: with OnlyFunctions set the run
-    // covers a sub-program and its results are only meaningful for the
-    // selected functions.
-
-    /// When non-null, only SCCs containing at least one of these functions
-    /// are analyzed; every other SCC is skipped outright (no interfaces, no
-    /// constraints, no positions). The caller must pass a closure that is
-    /// self-contained -- no selected function may reference an unselected
-    /// defined function, shared global, or shared record (Summary.cpp's
-    /// coupling closure guarantees this).
-    const std::unordered_set<const cfront::FunctionDecl *> *OnlyFunctions =
-        nullptr;
-    /// When false, global initializers are not analyzed (the incremental
-    /// path skips them when no selected SCC touches a global with an
-    /// initializer).
-    bool GenGlobalInits = true;
-
     // Cross-TU link pipeline hook (src/link; docs/LINK.md).
 
     /// Separate-compilation mode for `qualcc --emit-summary`: Section 4.2's
@@ -159,16 +138,6 @@ public:
   /// The function dependence graph the traversal used (valid after run()).
   const Fdg &fdg() const { return Graph; }
 
-  /// Half-open range [First, Last) into positions() holding the interesting
-  /// positions registered while SCC \p Component was analyzed (valid after
-  /// run(); empty for skipped or undefined-only components). Positions are
-  /// registered exactly once, during the owning SCC's analysis, so these
-  /// ranges partition positions().
-  std::pair<unsigned, unsigned> sccPositionRange(unsigned Component) const {
-    return Component < SccPosRanges.size() ? SccPosRanges[Component]
-                                           : std::make_pair(0u, 0u);
-  }
-
   /// Renders the defined functions' prototypes with every may-be-const
   /// position annotated const -- "the text of the original C program with
   /// some extra const qualifiers inserted" (Section 4.2), in prototype form.
@@ -206,7 +175,6 @@ private:
   /// Indexed by FunctionDecl id; a null body means no scheme.
   DeclTable<QualScheme> Schemes;
   Fdg Graph;
-  std::vector<std::pair<unsigned, unsigned>> SccPosRanges;
 
   QualType functionUse(const cfront::FunctionDecl *FD);
 };

@@ -30,14 +30,9 @@
 #include "support/Limits.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 namespace quals {
-
-namespace constinf {
-struct UnitSnapshot;
-}
 
 namespace serve {
 
@@ -63,38 +58,8 @@ uint64_t configHash(const AnalyzeJob &Job);
 /// Runs the pipeline for \p Job in a fully isolated context, buffering
 /// stdout/stderr bytes and the exit code into \p R (0 accepted, 1
 /// front-end errors, 2 qualifier/const errors -- the tools' convention).
-///
-/// When \p Capture is non-null and the run is a successful C analysis, it
-/// receives a UnitSnapshot for future analyze-delta requests (may stay null
-/// for shapes the incremental layer does not support; docs/INCREMENTAL.md).
-void runAnalysis(const AnalyzeJob &Job, CachedResult &R,
-                 std::shared_ptr<const constinf::UnitSnapshot> *Capture =
-                     nullptr);
-
-/// What an incremental run actually did, for the server's delta metrics.
-/// Never part of the response bytes: analyze-delta answers are
-/// byte-identical to cold analyze answers by contract.
-struct DeltaOutcome {
-  /// True when the restricted re-analysis produced the answer; false when
-  /// the pipeline fell back to a full run (FallbackReason says why).
-  bool UsedDelta = false;
-  /// "language", "decl-region", "function-set", "call-graph",
-  /// "frontend-error", "analysis-error", or "summary-miss".
-  const char *FallbackReason = nullptr;
-  unsigned DirtySccs = 0;  ///< Components re-solved.
-  unsigned ReusedSccs = 0; ///< Components replayed from the snapshot.
-};
-
-/// Incremental variant of runAnalysis against a prior snapshot of the same
-/// (name, config): re-parses \p Job, re-solves only the SCCs the edit
-/// dirtied (plus their coupling closure), and replays the rest from
-/// \p Prev. Fills \p R with bytes identical to what a cold runAnalysis
-/// would produce -- falling back to an actual cold run whenever that cannot
-/// be guaranteed. \p Next receives the successor snapshot when available.
-void runAnalysisDelta(const AnalyzeJob &Job,
-                      const constinf::UnitSnapshot &Prev, CachedResult &R,
-                      std::shared_ptr<const constinf::UnitSnapshot> &Next,
-                      DeltaOutcome &Outcome);
+/// `analyze` and `analyze-delta` both land here.
+void runAnalysis(const AnalyzeJob &Job, CachedResult &R);
 
 } // namespace serve
 } // namespace quals

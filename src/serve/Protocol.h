@@ -17,10 +17,10 @@
 ///   {"id":5,"method":"stats"}
 ///   {"id":6,"method":"shutdown"}
 ///
-/// analyze-delta takes exactly analyze's params and returns a response with
-/// exactly analyze's schema and bytes; the only difference is how the
-/// answer is computed (incremental re-analysis against the server's last
-/// snapshot for that name+config, docs/INCREMENTAL.md).
+/// analyze-delta is an alias of analyze: the same params, the same cache
+/// lookup and cold pipeline, the same response bytes. It keeps its own
+/// name so editor clients can send it, and its own latency histogram and
+/// `stats` request count (docs/SERVER.md).
 ///
 /// The parser is hand-rolled (no new dependencies) and hardened in the
 /// sense of docs/ROBUSTNESS.md: it is fed by the same untrusted peer the
@@ -93,8 +93,8 @@ public:
 bool parseJson(std::string_view Text, const ProtocolLimits &Lim,
                JsonValue &Out, std::string &Error);
 
-/// The request methods qualsd understands. AnalyzeDelta shares Analyze's
-/// params and response schema; it differs only in the computation strategy.
+/// The request methods qualsd understands. AnalyzeDelta is served exactly
+/// like Analyze; only its latency histogram and request count differ.
 enum class Method {
   Analyze,
   AnalyzeDelta,

@@ -22,10 +22,6 @@ std::string RequestLog::render(const RequestLogEvent &Ev) {
     Out += ",\"hash\":\"" + jsonEscape(Ev.HashPrefix) + "\"";
   if (Ev.Cache)
     Out += ",\"cache\":\"" + std::string(Ev.Cache) + "\"";
-  if (Ev.Snapshot)
-    Out += ",\"snapshot\":\"" + std::string(Ev.Snapshot) + "\"";
-  if (Ev.Delta)
-    Out += ",\"delta\":\"" + std::string(Ev.Delta) + "\"";
   Out += ",\"bytes_in\":" + std::to_string(Ev.BytesIn) +
          ",\"bytes_out\":" + std::to_string(Ev.BytesOut) +
          ",\"queue_us\":" + std::to_string(Ev.QueueUs) +

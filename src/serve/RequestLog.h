@@ -10,7 +10,7 @@
 /// request (`--request-log=FILE`), written at request completion. The
 /// response stream carries none of this — responses stay pure functions of
 /// (source bytes, analysis config) per docs/SERVER.md — so the log is where
-/// per-request facts live: timings, cache/snapshot outcomes, per-phase
+/// per-request facts live: timings, cache outcomes, per-phase
 /// breakdowns (via support/Metrics.h PhaseCapture), byte counts.
 ///
 /// Events appear in *completion* order (workers finish out of order); the
@@ -45,8 +45,6 @@ struct RequestLogEvent {
   int Exit = 0;                   ///< Analysis exit code (analyze family).
   std::string HashPrefix;         ///< First 8 hex digits of the content hash.
   const char *Cache = nullptr;    ///< "hit" / "miss" (analyze family).
-  const char *Snapshot = nullptr; ///< "hit" / "miss" (analyze-delta).
-  const char *Delta = nullptr;    ///< "incremental" / "full" (analyze-delta).
   uint64_t BytesIn = 0;           ///< Request line length (sans newline).
   uint64_t BytesOut = 0;          ///< Response line length (with newline).
   uint64_t QueueUs = 0;           ///< Read-to-worker-pickup wait.

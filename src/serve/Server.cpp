@@ -123,7 +123,6 @@ std::string quals::serve::makeErrorResponse(bool HasId, int64_t Id,
 Server::Server(const ServerConfig &Config)
     : Config(Config),
       Cache(Config.CacheMaxBytes, Config.SpillDir, Config.CacheShards),
-      Snapshots(Config.MaxSnapshots),
       Log(Config.RequestLogStream, Config.SlowMicros) {
   if (Config.Telemetry) {
     MetricsRegistry &R = MetricsRegistry::global();
@@ -212,8 +211,10 @@ std::string Server::handleAnalyze(const Request &Req, uint64_t Seq,
   Key.ContentHash = hashString(Job.Source);
   Key.ConfigHash = configHash(Job);
 
-  bool IsDelta = Req.M == Method::AnalyzeDelta;
-  if (IsDelta) {
+  // analyze-delta is served exactly like analyze (same cache, same cold
+  // pipeline, same bytes); only its request count and latency histogram are
+  // its own.
+  if (Req.M == Method::AnalyzeDelta) {
     ++DeltaRequests;
     if (MetricsRegistry::collecting())
       MetricsRegistry::global().counter("server.delta.requests").add();
@@ -222,54 +223,10 @@ std::string Server::handleAnalyze(const Request &Req, uint64_t Seq,
   CachedResult Res;
   bool Hit = Cache.lookup(Key, Res);
   if (!Hit) {
-    // A miss computes the result and, for the C pipeline, captures a
-    // snapshot so a later analyze-delta for the same name+config has a
-    // basis. analyze-delta plans a restricted run against the stored
-    // snapshot when one exists, falling back to the full pipeline
-    // otherwise; either way the bytes are identical to a cold run
-    // (docs/INCREMENTAL.md states the contract, tests enforce it).
     std::optional<PhaseCapture> Capture;
     if (Ev)
       Capture.emplace(); // Per-request phase breakdown for the log event.
-    std::shared_ptr<const constinf::UnitSnapshot> Next;
-    if (IsDelta) {
-      auto Prev = Snapshots.lookup(Job.Name, Key.ConfigHash);
-      if (Ev)
-        Ev->Snapshot = Prev ? "hit" : "miss";
-      if (MetricsRegistry::collecting())
-        MetricsRegistry::global()
-            .counter(Prev ? "server.delta.snapshot_hits"
-                          : "server.delta.snapshot_misses")
-            .add();
-      DeltaOutcome Outcome;
-      if (Prev)
-        runAnalysisDelta(Job, *Prev, Res, Next, Outcome);
-      else
-        runAnalysis(Job, Res, &Next);
-      if (Ev)
-        Ev->Delta = Outcome.UsedDelta ? "incremental" : "full";
-      if (Outcome.UsedDelta) {
-        ++DeltaIncremental;
-        DeltaDirtySccs += Outcome.DirtySccs;
-        DeltaReused += Outcome.ReusedSccs;
-        if (MetricsRegistry::collecting()) {
-          MetricsRegistry::global().counter("server.delta.incremental").add();
-          MetricsRegistry::global()
-              .counter("server.delta.dirty_sccs")
-              .add(Outcome.DirtySccs);
-          MetricsRegistry::global()
-              .counter("server.delta.reused")
-              .add(Outcome.ReusedSccs);
-        }
-      } else {
-        ++DeltaFull;
-        if (MetricsRegistry::collecting())
-          MetricsRegistry::global().counter("server.delta.full").add();
-      }
-    } else {
-      runAnalysis(Job, Res, &Next);
-    }
-    Snapshots.store(Job.Name, Key.ConfigHash, std::move(Next));
+    runAnalysis(Job, Res);
     Cache.insert(Key, Res);
     if (Ev) {
       // Aggregate the capture by phase name (a phase can close many times
@@ -319,11 +276,6 @@ std::string Server::handleInvalidate(const Request &Req) {
         std::strtoull(Req.ContentHashHex.c_str(), nullptr, 16));
   } else {
     Dropped = Cache.invalidateAll();
-    // Snapshots derive from previously served content just like cached
-    // results; a full invalidate drops both. (Content-hash invalidation
-    // does not map onto identity-keyed snapshots and leaves them alone;
-    // a stale snapshot is always safe -- it only seeds planning.)
-    Snapshots.clear();
   }
   std::string R;
   appendIdField(R, Req.HasId, Req.Id);
@@ -347,17 +299,8 @@ std::string Server::handleStats(const Request &Req) {
   R += ",\"spill_loads\":" + std::to_string(S.SpillLoads);
   R += ",\"spill_writes\":" + std::to_string(S.SpillWrites);
   R += "}";
-  SummaryStore::Stats SS = Snapshots.stats();
-  R += ",\"delta\":{\"snapshots\":" + std::to_string(SS.Entries);
-  R += ",\"snapshot_bytes\":" + std::to_string(SS.Bytes);
-  R += ",\"snapshot_hits\":" + std::to_string(SS.Hits);
-  R += ",\"snapshot_misses\":" + std::to_string(SS.Misses);
-  R += ",\"requests\":" + std::to_string(DeltaRequests.load());
-  R += ",\"incremental\":" + std::to_string(DeltaIncremental.load());
-  R += ",\"full\":" + std::to_string(DeltaFull.load());
-  R += ",\"dirty_sccs\":" + std::to_string(DeltaDirtySccs.load());
-  R += ",\"reused\":" + std::to_string(DeltaReused.load());
-  R += "}";
+  R += ",\"delta\":{\"requests\":" + std::to_string(DeltaRequests.load()) +
+       "}";
   if (Config.Telemetry) {
     // Live per-method latency distributions; values are exact for this
     // session's traffic because control requests barrier on its in-flight
@@ -465,9 +408,7 @@ bool Server::warmFromManifest(const std::string &ManifestPath,
       ++AlreadyCached;
       return;
     }
-    std::shared_ptr<const constinf::UnitSnapshot> Next;
-    runAnalysis(Job, Res, &Next);
-    Snapshots.store(Job.Name, Key.ConfigHash, std::move(Next));
+    runAnalysis(Job, Res);
     Cache.insert(Key, Res);
     ++Warmed;
   };
@@ -646,8 +587,7 @@ int Server::run(std::istream &In, std::ostream &Out) {
     case Method::Analyze:
     case Method::AnalyzeDelta:
       // analyze-delta rides the same ordered-slot path as analyze: same
-      // pool, same backpressure, same response schema. handleAnalyze picks
-      // the computation strategy off Req.M.
+      // pool, same backpressure, same response schema, same pipeline.
       if (Pool) {
         WaitBacklog();
         Slot *S2;

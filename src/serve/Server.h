@@ -21,12 +21,12 @@
 ///
 /// **Sessions.** run() serves one request stream (one "connection"); its
 /// state -- the ordered response slots, backpressure, barriers -- is local
-/// to the call, and the cache, snapshot store, worker pool, and telemetry
-/// are shared, so many run() calls may execute concurrently: that is
-/// exactly what serve/Transport.h does with one session per accepted
-/// socket. Response ordering and the control-request barrier are
-/// *per-session*; the sequence counter, cache, and metrics are server-wide
-/// (docs/SERVER.md defines the cross-connection semantics precisely).
+/// to the call, and the cache, worker pool, and telemetry are shared, so
+/// many run() calls may execute concurrently: that is exactly what
+/// serve/Transport.h does with one session per accepted socket. Response
+/// ordering and the control-request barrier are *per-session*; the
+/// sequence counter, cache, and metrics are server-wide (docs/SERVER.md
+/// defines the cross-connection semantics precisely).
 ///
 /// Robustness follows docs/ROBUSTNESS.md: request lines are read under a
 /// hard byte cap (an over-long line is consumed, answered with an error,
@@ -54,7 +54,6 @@
 #include "serve/Protocol.h"
 #include "serve/RequestLog.h"
 #include "serve/ResultCache.h"
-#include "serve/SummaryStore.h"
 #include "support/Limits.h"
 #include "support/Metrics.h"
 
@@ -88,10 +87,6 @@ struct ServerConfig {
   Limits Lim;
   /// Budgets for the request parser itself.
   ProtocolLimits ProtoLim;
-  /// Retained analysis snapshots for analyze-delta (entry count per
-  /// (name, config) identity; 0 disables incremental re-analysis and every
-  /// analyze-delta request is served by a full run).
-  unsigned MaxSnapshots = 64;
   /// Request-level telemetry: per-method latency histograms plus queue
   /// instrumentation, registered in MetricsRegistry::global() and exposed
   /// through the `metrics` request and the `stats` latency block. On by
@@ -153,13 +148,9 @@ public:
   /// The cache, for stats assertions in tests/bench.
   const ResultCache &cache() const { return Cache; }
 
-  /// The snapshot store backing analyze-delta, for tests/bench.
-  const SummaryStore &snapshots() const { return Snapshots; }
-
 private:
   ServerConfig Config;
   ResultCache Cache;
-  SummaryStore Snapshots;
   /// Analyze workers (ServerConfig::Jobs > 1), shared by every session so
   /// C connections multiplex onto one fixed pool instead of C pools; null
   /// when requests run inline on each session's reader thread.
@@ -172,12 +163,8 @@ private:
   /// Set by the session that processes `shutdown`; never cleared.
   std::atomic<bool> ShutdownFlag{false};
 
-  // analyze-delta accounting (atomic: analyzes run on pool workers).
-  std::atomic<uint64_t> DeltaRequests{0};    ///< analyze-delta lines seen.
-  std::atomic<uint64_t> DeltaIncremental{0}; ///< Served by a restricted run.
-  std::atomic<uint64_t> DeltaFull{0};        ///< Fell back to a full run.
-  std::atomic<uint64_t> DeltaDirtySccs{0};   ///< SCCs re-solved, summed.
-  std::atomic<uint64_t> DeltaReused{0};      ///< SCC summaries replayed, summed.
+  /// analyze-delta lines seen (atomic: analyzes run on pool workers).
+  std::atomic<uint64_t> DeltaRequests{0};
 
   // Request-level telemetry: per-method latency histograms plus queue
   // instrumentation, owned by MetricsRegistry::global() (stable refs) so
@@ -200,8 +187,8 @@ private:
   /// Builds the response line (including trailing newline) for one
   /// analyze request; runs on a pool worker when Jobs > 1. With \p Ev set
   /// (request logging on), fills the event's analysis facts: ok/exit,
-  /// content-hash prefix, cache and snapshot outcomes, and the per-phase
-  /// breakdown captured while computing a miss.
+  /// content-hash prefix, cache outcome, and the per-phase breakdown
+  /// captured while computing a miss.
   std::string handleAnalyze(const Request &Req, uint64_t Seq,
                             RequestLogEvent *Ev);
 

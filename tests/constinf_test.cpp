@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
-
 using namespace quals;
 using namespace quals::cfront;
 using namespace quals::constinf;
@@ -369,18 +367,10 @@ std::string describe(const ConstInference &Inf) {
   return Out + Inf.renderAnnotatedPrototypes();
 }
 
-/// Runs inference over \p R's unit, restricted to \p Only when non-empty.
-std::string runOver(InfRig &R, bool Polymorphic,
-                    const std::vector<std::string_view> &Only = {}) {
-  std::unordered_set<const FunctionDecl *> Selected;
-  for (std::string_view Name : Only)
-    Selected.insert(R.TU.FunctionMap.at(Name));
+/// Runs a second inference over \p R's already analyzed unit.
+std::string runOver(InfRig &R, bool Polymorphic) {
   ConstInference::Options Opts;
   Opts.Polymorphic = Polymorphic;
-  if (!Only.empty()) {
-    Opts.OnlyFunctions = &Selected;
-    Opts.GenGlobalInits = false;
-  }
   ConstInference Inf(R.TU, R.Diags, Opts);
   EXPECT_TRUE(Inf.run()) << R.Diags.renderAll();
   return describe(Inf);
@@ -402,25 +392,6 @@ TEST(ConstInf, RerunsOverOneUnitClassifyLikeFreshUnits) {
   EXPECT_EQ(describe(*Shared.Inf), MonoFresh);
   EXPECT_EQ(runOver(Shared, /*Polymorphic=*/true), PolyFresh);
   EXPECT_EQ(runOver(Shared, /*Polymorphic=*/false), MonoFresh);
-}
-
-TEST(ConstInf, RestrictedRerunClassifiesLikeFreshRestrictedRun) {
-  // A full run, then an OnlyFunctions run over the same unit: the second
-  // must not see the first's memoized types or schemes.
-  InfRig Fresh;
-  ASSERT_TRUE(Fresh.analyze(RerunProgram));
-  std::string Full = describe(*Fresh.Inf);
-  InfRig FreshRestricted;
-  ASSERT_TRUE(FreshRestricted.frontEnd(RerunProgram));
-  std::string Restricted = runOver(FreshRestricted, true, {"leaf"});
-  ASSERT_NE(Restricted.find("leaf#0@0"), std::string::npos);
-  ASSERT_EQ(Restricted.find("getx"), std::string::npos);
-
-  InfRig Shared;
-  ASSERT_TRUE(Shared.analyze(RerunProgram));
-  EXPECT_EQ(describe(*Shared.Inf), Full);
-  EXPECT_EQ(runOver(Shared, true, {"leaf"}), Restricted);
-  EXPECT_EQ(runOver(Shared, true), Full);
 }
 
 //===----------------------------------------------------------------------===//

@@ -26,8 +26,6 @@
 //   --cache-mb=N    in-memory result-cache budget in MiB (default 64;
 //                   0 disables caching entirely)
 //   --cache-dir=D   spill results to D so warm state survives restarts
-//   --snapshots=N   retained analysis snapshots for analyze-delta
-//                   (default 64; 0 disables incremental re-analysis)
 //   --request-log=F append one NDJSON event per request to F ('-' =
 //                   stderr): timings, cache outcome, per-phase breakdown
 //   --slow-ms=N     tag request-log events at or above N ms "slow":true
@@ -41,8 +39,8 @@
 // --metrics report is routed to stderr (never interleaved with protocol
 // bytes). The protocol -- analyze / analyze-delta / invalidate / stats /
 // metrics / shutdown -- cache keying, and eviction policy are specified in
-// docs/SERVER.md; incremental re-analysis in docs/INCREMENTAL.md; the
-// telemetry layer in docs/OBSERVABILITY.md.
+// docs/SERVER.md (analyze-delta is an alias of analyze); the telemetry
+// layer in docs/OBSERVABILITY.md.
 //
 // Exit status: 0 on clean shutdown or end of input; 1 on bad arguments.
 // Per-request analysis failures are reported in responses, never as
@@ -73,8 +71,6 @@ static const char *kOptionsHelp =
     "  --cache-mb=N     in-memory result-cache budget in MiB (default 64;\n"
     "                   0 disables caching)\n"
     "  --cache-dir=D    spill cached results to directory D (restart-warm)\n"
-    "  --snapshots=N    retained analysis snapshots for analyze-delta\n"
-    "                   (default 64; 0 disables incremental re-analysis)\n"
     "  --request-log=F  append one NDJSON event per request to F\n"
     "                   ('-' writes to stderr)\n"
     "  --slow-ms=N      tag request-log events >= N ms with \"slow\":true\n"
@@ -111,14 +107,6 @@ int main(int argc, char **argv) {
       Config.SpillDir = argv[I] + 12;
       if (Config.SpillDir.empty())
         return Common.fail("--cache-dir= requires a directory");
-    } else if (!std::strncmp(argv[I], "--snapshots=", 12)) {
-      const char *Digits = argv[I] + 12;
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Digits, &End, 10);
-      if (*Digits == '\0' || *End != '\0' || N > (1u << 20))
-        return Common.fail(std::string("bad --snapshots value '") + Digits +
-                           "' (want a count in [0, 1048576])");
-      Config.MaxSnapshots = static_cast<unsigned>(N);
     } else if (!std::strncmp(argv[I], "--request-log=", 14)) {
       RequestLogPath = argv[I] + 14;
       if (RequestLogPath.empty())
