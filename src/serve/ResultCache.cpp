@@ -40,22 +40,10 @@ constexpr char SpillMagic[4] = {'Q', 'S', 'D', 'C'};
 /// field must not turn into a giant allocation.
 constexpr uint64_t MaxSpillPayload = 1u << 30; // 1 GiB
 
-unsigned roundUpPow2(unsigned N) {
-  unsigned P = 1;
-  while (P < N && P < (1u << 16))
-    P <<= 1;
-  return P;
-}
-
 } // namespace
 
-ResultCache::ResultCache(uint64_t MaxBytes, std::string SpillDir,
-                         unsigned Shards)
-    : MaxBytes(MaxBytes), SpillDir(std::move(SpillDir)),
-      NumShards(roundUpPow2(Shards ? Shards : 1)) {
-  ShardMaxBytes = (MaxBytes + NumShards - 1) / NumShards;
-  this->Shards = std::make_unique<Shard[]>(NumShards);
-}
+ResultCache::ResultCache(uint64_t MaxBytes, std::string SpillDir)
+    : MaxBytes(MaxBytes), SpillDir(std::move(SpillDir)) {}
 
 void ResultCache::bumpCacheCounter(const char *Name, uint64_t Delta) {
   if (MetricsRegistry::collecting())
@@ -63,35 +51,34 @@ void ResultCache::bumpCacheCounter(const char *Name, uint64_t Delta) {
 }
 
 bool ResultCache::lookup(const CacheKey &Key, CachedResult &Out) {
-  Shard &S = shardFor(Key);
   {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    auto It = S.Map.find(Key);
-    if (It != S.Map.end()) {
-      S.Lru.splice(S.Lru.begin(), S.Lru, It->second); // Refresh to recent.
+    std::lock_guard<std::mutex> Lock(Mutex);
+    auto It = Map.find(Key);
+    if (It != Map.end()) {
+      Lru.splice(Lru.begin(), Lru, It->second); // Refresh to recent.
       Out = It->second->second;
-      ++S.Counts.Hits;
+      ++Counts.Hits;
       bumpCacheCounter("cache.hits");
       return true;
     }
   }
   // Memory miss: consult the spill layer with no lock held -- disk reads
-  // must stall only this request, never the shard's other traffic.
+  // must stall only this request, never the cache's other traffic.
   if (!SpillDir.empty() && spillLoad(Key, Out)) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
+    std::lock_guard<std::mutex> Lock(Mutex);
     // Promote the spilled entry back into memory (no re-spill: the file is
     // already on disk; and not an insert: nothing new was computed). A
-    // racing lookup may have promoted it already -- insertShardLocked
-    // refreshes in place, and the payload is identical by keying.
-    insertShardLocked(S, Key, Out, /*CountInsert=*/false);
-    ++S.Counts.Hits;
-    ++S.Counts.SpillLoads;
+    // racing lookup may have promoted it already -- insertLocked refreshes
+    // in place, and the payload is identical by keying.
+    insertLocked(Key, Out, /*CountInsert=*/false);
+    ++Counts.Hits;
+    ++Counts.SpillLoads;
     bumpCacheCounter("cache.hits");
     bumpCacheCounter("cache.spill_loads");
     return true;
   }
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  ++S.Counts.Misses;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  ++Counts.Misses;
   bumpCacheCounter("cache.misses");
   return false;
 }
@@ -101,67 +88,63 @@ void ResultCache::insert(const CacheKey &Key, CachedResult Value) {
     return; // Caching disabled.
   // Write-through spill first, outside any lock: create_directories plus a
   // payload write and rename are the slowest thing the cache ever does,
-  // and holding a shard mutex across them would serialize every
-  // concurrent operation on the shard behind this request's disk.
+  // and holding the mutex across them would serialize every concurrent
+  // cache operation behind this request's disk.
   bool Spilled = false;
   if (!SpillDir.empty())
     Spilled = spillWrite(Key, Value);
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
+  std::lock_guard<std::mutex> Lock(Mutex);
   if (Spilled) {
-    ++S.Counts.SpillWrites;
+    ++Counts.SpillWrites;
     bumpCacheCounter("cache.spill_writes");
   }
-  insertShardLocked(S, Key, std::move(Value), /*CountInsert=*/true);
+  insertLocked(Key, std::move(Value), /*CountInsert=*/true);
 }
 
-void ResultCache::insertShardLocked(Shard &S, const CacheKey &Key,
-                                    CachedResult Value, bool CountInsert) {
-  if (MaxBytes == 0)
-    return; // Caching disabled.
-  if (entryBytes(Value) > ShardMaxBytes)
-    return; // Larger than the shard's whole budget: serve, don't cache.
-  auto It = S.Map.find(Key);
-  if (It != S.Map.end()) {
+void ResultCache::insertLocked(const CacheKey &Key, CachedResult Value,
+                               bool CountInsert) {
+  if (entryBytes(Value) > MaxBytes)
+    return; // Larger than the whole budget (or caching off): serve only.
+  auto It = Map.find(Key);
+  if (It != Map.end()) {
     // Refresh: replace payload in place and move to most recent.
-    S.CurBytes -= entryBytes(It->second->second);
-    S.CurBytes += entryBytes(Value);
+    CurBytes -= entryBytes(It->second->second);
+    CurBytes += entryBytes(Value);
     It->second->second = std::move(Value);
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+    Lru.splice(Lru.begin(), Lru, It->second);
   } else {
-    S.CurBytes += entryBytes(Value);
-    S.Lru.emplace_front(Key, std::move(Value));
-    S.Map[Key] = S.Lru.begin();
+    CurBytes += entryBytes(Value);
+    Lru.emplace_front(Key, std::move(Value));
+    Map[Key] = Lru.begin();
   }
   if (CountInsert) {
-    ++S.Counts.Inserts;
+    ++Counts.Inserts;
   } else {
-    ++S.Counts.Promotions;
+    ++Counts.Promotions;
     bumpCacheCounter("cache.promotions");
   }
-  evictOverBudgetLocked(S);
+  evictOverBudgetLocked();
 }
 
-void ResultCache::evictOverBudgetLocked(Shard &S) {
-  while (S.CurBytes > ShardMaxBytes && !S.Lru.empty()) {
-    auto &Victim = S.Lru.back();
-    S.CurBytes -= entryBytes(Victim.second);
-    S.Map.erase(Victim.first);
-    S.Lru.pop_back();
-    ++S.Counts.Evictions;
+void ResultCache::evictOverBudgetLocked() {
+  while (CurBytes > MaxBytes && !Lru.empty()) {
+    auto &Victim = Lru.back();
+    CurBytes -= entryBytes(Victim.second);
+    Map.erase(Victim.first);
+    Lru.pop_back();
+    ++Counts.Evictions;
     bumpCacheCounter("cache.evictions");
   }
 }
 
 uint64_t ResultCache::invalidateAll() {
-  uint64_t Dropped = 0;
-  for (unsigned I = 0; I != NumShards; ++I) {
-    Shard &S = Shards[I];
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Dropped += S.Map.size();
-    S.Map.clear();
-    S.Lru.clear();
-    S.CurBytes = 0;
+  uint64_t Dropped;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Dropped = Map.size();
+    Map.clear();
+    Lru.clear();
+    CurBytes = 0;
   }
   if (!SpillDir.empty())
     spillRemoveAll(0, /*MatchContent=*/false);
@@ -169,16 +152,14 @@ uint64_t ResultCache::invalidateAll() {
 }
 
 uint64_t ResultCache::invalidateContent(uint64_t ContentHash) {
-  // Every config of one source lives in the shard ContentHash selects.
-  Shard &S = Shards[ContentHash & (NumShards - 1)];
   uint64_t Dropped = 0;
   {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    for (auto It = S.Lru.begin(); It != S.Lru.end();) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    for (auto It = Lru.begin(); It != Lru.end();) {
       if (It->first.ContentHash == ContentHash) {
-        S.CurBytes -= entryBytes(It->second);
-        S.Map.erase(It->first);
-        It = S.Lru.erase(It);
+        CurBytes -= entryBytes(It->second);
+        Map.erase(It->first);
+        It = Lru.erase(It);
         ++Dropped;
       } else {
         ++It;
@@ -191,21 +172,11 @@ uint64_t ResultCache::invalidateContent(uint64_t ContentHash) {
 }
 
 CacheStats ResultCache::stats() const {
-  CacheStats Sum;
-  for (unsigned I = 0; I != NumShards; ++I) {
-    const Shard &S = Shards[I];
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Sum.Hits += S.Counts.Hits;
-    Sum.Misses += S.Counts.Misses;
-    Sum.Evictions += S.Counts.Evictions;
-    Sum.Inserts += S.Counts.Inserts;
-    Sum.Promotions += S.Counts.Promotions;
-    Sum.SpillLoads += S.Counts.SpillLoads;
-    Sum.SpillWrites += S.Counts.SpillWrites;
-    Sum.Entries += S.Map.size();
-    Sum.Bytes += S.CurBytes;
-  }
-  return Sum;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  CacheStats S = Counts;
+  S.Entries = Map.size();
+  S.Bytes = CurBytes;
+  return S;
 }
 
 std::string ResultCache::spillPath(const CacheKey &Key) const {

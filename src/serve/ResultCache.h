@@ -22,28 +22,20 @@
 /// produced, so a cached reply is byte-identical to the fresh run that
 /// filled it (tools/smoke_server.sh asserts this end to end).
 ///
-/// **Sharding.** The table is split into ShardCount independent shards
-/// selected by ContentHash (all configs of one source share a shard, which
-/// is what keeps invalidate-by-content a single-shard operation). Each
-/// shard has its own mutex, LRU list, and byte budget (the total budget
-/// divided evenly), so concurrent hits from many connections touch
-/// different locks instead of convoying behind one. stats() aggregates
-/// across shards.
-///
-/// **Eviction.** Least-recently-used per shard, triggered by the shard's
-/// byte budget rather than an entry count: corpus files vary by 1000x in
-/// output size, so counting entries would make worst-case memory
-/// unbounded. An entry larger than its shard's whole budget is served but
-/// never cached.
+/// **Eviction.** One mutex guards one LRU list and one byte budget.
+/// Least-recently-used entries go first, triggered by the byte budget
+/// rather than an entry count: corpus files vary by 1000x in output size,
+/// so counting entries would make worst-case memory unbounded. An entry
+/// larger than the whole budget is served but never cached.
 ///
 /// **Spill.** With a spill directory configured, every insert writes a
 /// versioned entry file (<contenthash>-<confighash>.qres) and misses fall
 /// back to disk before running the pipeline. Spill files carry a magic,
 /// the format version, and both key halves; anything truncated, corrupt,
 /// or from another version is ignored and deleted. Spill file reads and
-/// writes happen *outside* the shard critical section -- a slow disk can
-/// delay the request that touched it, never every concurrent cache
-/// operation. See docs/SERVER.md.
+/// writes happen *outside* the cache mutex -- a slow disk can delay the
+/// request that touched it, never every concurrent cache operation. See
+/// docs/SERVER.md.
 ///
 /// All operations are thread-safe. Hit/miss/eviction/spill counts publish
 /// to the PR-2 metrics registry as cache.* when collection is on, and are
@@ -59,7 +51,6 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -87,11 +78,10 @@ struct CachedResult {
 };
 
 /// Point-in-time cache observability, served by qualsd's `stats` method.
-/// Aggregated over every shard.
 struct CacheStats {
   uint64_t Hits = 0;        ///< Lookups answered from memory or spill.
   uint64_t Misses = 0;      ///< Lookups that had to run the pipeline.
-  uint64_t Evictions = 0;   ///< Entries dropped by a shard byte budget.
+  uint64_t Evictions = 0;   ///< Entries dropped by the byte budget.
   uint64_t Inserts = 0;     ///< Successful insert() calls.
   uint64_t Promotions = 0;  ///< Spill entries promoted back into memory.
   uint64_t SpillLoads = 0;  ///< Hits satisfied from the spill directory.
@@ -100,7 +90,7 @@ struct CacheStats {
   uint64_t Bytes = 0;       ///< Current in-memory payload bytes.
 };
 
-/// A sharded, byte-budgeted LRU over CachedResults; see the file comment.
+/// A byte-budgeted LRU over CachedResults; see the file comment.
 class ResultCache {
 public:
   /// Bumped whenever CachedResult serialization (or anything a key must
@@ -108,27 +98,20 @@ public:
   /// every spill file, so stale state from older builds is never replayed.
   static constexpr uint32_t FormatVersion = 1;
 
-  /// Shards in the default configuration (power of two; selected by the
-  /// low bits of ContentHash, which support/Hash.h fully avalanches).
-  static constexpr unsigned DefaultShards = 16;
-
-  /// \p MaxBytes is the total in-memory payload budget, divided evenly
-  /// across shards; 0 disables caching entirely (every lookup misses,
-  /// inserts are dropped) -- the knob the soak tests use to force the cold
-  /// path. \p SpillDir, when non-empty, enables the disk spill layer (the
-  /// directory is created on first write). \p Shards is the shard count,
-  /// rounded up to a power of two; 1 gives the exact global-LRU semantics
-  /// the eviction unit tests pin down.
+  /// \p MaxBytes is the in-memory payload budget; 0 disables caching
+  /// entirely (every lookup misses, inserts are dropped) -- the knob the
+  /// soak tests use to force the cold path. \p SpillDir, when non-empty,
+  /// enables the disk spill layer (the directory is created on first
+  /// write).
   explicit ResultCache(uint64_t MaxBytes = 64u << 20,
-                       std::string SpillDir = {},
-                       unsigned Shards = DefaultShards);
+                       std::string SpillDir = {});
 
   /// Looks \p Key up in memory, then in the spill directory. On a hit,
   /// fills \p Out, refreshes LRU position, and returns true.
   bool lookup(const CacheKey &Key, CachedResult &Out);
 
   /// Inserts (or refreshes) \p Key -> \p Value, evicting LRU entries until
-  /// the shard's payload budget holds, and write-through spills when
+  /// the payload budget holds, and write-through spills when
   /// configured.
   void insert(const CacheKey &Key, CachedResult Value);
 
@@ -143,7 +126,6 @@ public:
   CacheStats stats() const;
 
   uint64_t maxBytes() const { return MaxBytes; }
-  unsigned shardCount() const { return NumShards; }
   const std::string &spillDir() const { return SpillDir; }
 
 private:
@@ -157,37 +139,25 @@ private:
 
   using LruList = std::list<std::pair<CacheKey, CachedResult>>;
 
-  /// One independent slice of the cache. Shard::Counts carries the partial
-  /// counters; stats() sums them.
-  struct Shard {
-    mutable std::mutex Mutex;
-    LruList Lru; ///< Front = most recently used.
-    std::unordered_map<CacheKey, LruList::iterator, KeyHash> Map;
-    uint64_t CurBytes = 0;
-    CacheStats Counts;
-  };
-
   uint64_t MaxBytes;
-  uint64_t ShardMaxBytes; ///< Per-shard budget: ceil(MaxBytes / NumShards).
   std::string SpillDir;
-  unsigned NumShards;
-  std::unique_ptr<Shard[]> Shards;
-
-  Shard &shardFor(const CacheKey &Key) {
-    return Shards[Key.ContentHash & (NumShards - 1)];
-  }
+  mutable std::mutex Mutex; ///< Guards everything below.
+  LruList Lru;              ///< Front = most recently used.
+  std::unordered_map<CacheKey, LruList::iterator, KeyHash> Map;
+  uint64_t CurBytes = 0;
+  CacheStats Counts; ///< Entries/Bytes are filled in by stats().
 
   static uint64_t entryBytes(const CachedResult &R) {
     return R.Out.size() + R.Err.size() + 64; // 64 ~= bookkeeping overhead
   }
 
-  /// Inserts into \p S (mutex held). \p CountInsert distinguishes a real
-  /// insert from a spill promotion, which bumps Promotions instead.
-  void insertShardLocked(Shard &S, const CacheKey &Key, CachedResult Value,
-                         bool CountInsert);
-  void evictOverBudgetLocked(Shard &S);
+  /// Inserts with Mutex held. \p CountInsert distinguishes a real insert
+  /// from a spill promotion, which bumps Promotions instead.
+  void insertLocked(const CacheKey &Key, CachedResult Value,
+                    bool CountInsert);
+  void evictOverBudgetLocked();
 
-  // Spill-layer helpers; all file I/O, called with no shard mutex held.
+  // Spill-layer helpers; all file I/O, called with Mutex not held.
   std::string spillPath(const CacheKey &Key) const;
   bool spillWrite(const CacheKey &Key, const CachedResult &Value);
   bool spillLoad(const CacheKey &Key, CachedResult &Out);

@@ -121,19 +121,16 @@ std::string quals::serve::makeErrorResponse(bool HasId, int64_t Id,
 }
 
 Server::Server(const ServerConfig &Config)
-    : Config(Config),
-      Cache(Config.CacheMaxBytes, Config.SpillDir, Config.CacheShards),
+    : Config(Config), Cache(Config.CacheMaxBytes, Config.SpillDir),
       Log(Config.RequestLogStream, Config.SlowMicros) {
-  if (Config.Telemetry) {
-    MetricsRegistry &R = MetricsRegistry::global();
-    LatAnalyze = &R.histogram("server.latency.analyze");
-    LatDelta = &R.histogram("server.latency.analyze-delta");
-    LatInvalidate = &R.histogram("server.latency.invalidate");
-    LatStats = &R.histogram("server.latency.stats");
-    LatMetrics = &R.histogram("server.latency.metrics");
-    QueueWait = &R.histogram("server.queue_wait");
-    QueueDepth = &R.gauge("server.queue_depth");
-  }
+  MetricsRegistry &R = MetricsRegistry::global();
+  LatAnalyze = &R.histogram("server.latency.analyze");
+  LatDelta = &R.histogram("server.latency.analyze-delta");
+  LatInvalidate = &R.histogram("server.latency.invalidate");
+  LatStats = &R.histogram("server.latency.stats");
+  LatMetrics = &R.histogram("server.latency.metrics");
+  QueueWait = &R.histogram("server.queue_wait");
+  QueueDepth = &R.gauge("server.queue_depth");
   // One shared analyze pool for every session: C connections multiplex
   // onto Jobs workers rather than spawning C pools (docs/SERVER.md).
   if (Config.Jobs > 1)
@@ -164,14 +161,9 @@ void Server::finishAnalyze(const Request &Req, uint64_t Seq, uint64_t T0,
                            uint64_t QueueUs, uint64_t BytesIn,
                            RequestLogEvent *Ev,
                            const std::string &Response) {
-  Histogram *Lat = latencyFor(Req.M);
-  if (!Lat && !Ev)
-    return;
   uint64_t End = Tracer::nowMicros();
-  if (Lat) {
-    Lat->record(End - T0);
-    QueueWait->record(QueueUs);
-  }
+  latencyFor(Req.M)->record(End - T0);
+  QueueWait->record(QueueUs);
   if (Ev) {
     Ev->Seq = Seq;
     Ev->HasId = Req.HasId;
@@ -290,7 +282,6 @@ std::string Server::handleStats(const Request &Req) {
   R += ",\"ok\":true,\"requests\":" + std::to_string(Requests.load());
   R += ",\"cache\":{\"entries\":" + std::to_string(S.Entries);
   R += ",\"bytes\":" + std::to_string(S.Bytes);
-  R += ",\"shards\":" + std::to_string(Cache.shardCount());
   R += ",\"hits\":" + std::to_string(S.Hits);
   R += ",\"misses\":" + std::to_string(S.Misses);
   R += ",\"evictions\":" + std::to_string(S.Evictions);
@@ -301,35 +292,32 @@ std::string Server::handleStats(const Request &Req) {
   R += "}";
   R += ",\"delta\":{\"requests\":" + std::to_string(DeltaRequests.load()) +
        "}";
-  if (Config.Telemetry) {
-    // Live per-method latency distributions; values are exact for this
-    // session's traffic because control requests barrier on its in-flight
-    // analyzes (other connections may record concurrently).
-    auto AppendHist = [&R](const char *Name, const Histogram &H) {
-      char Buf[64];
-      std::snprintf(Buf, sizeof(Buf), "%.3f", H.mean());
-      R += "\"" + std::string(Name) +
-           "\":{\"count\":" + std::to_string(H.count()) +
-           ",\"mean_us\":" + Buf +
-           ",\"p50_us\":" + std::to_string(H.quantile(0.50)) +
-           ",\"p90_us\":" + std::to_string(H.quantile(0.90)) +
-           ",\"p99_us\":" + std::to_string(H.quantile(0.99)) + "}";
-    };
-    R += ",\"latency\":{";
-    AppendHist("analyze", *LatAnalyze);
-    R += ",";
-    AppendHist("analyze-delta", *LatDelta);
-    R += ",";
-    AppendHist("invalidate", *LatInvalidate);
-    R += ",";
-    AppendHist("stats", *LatStats);
-    R += ",";
-    AppendHist("metrics", *LatMetrics);
-    R += ",";
-    AppendHist("queue_wait", *QueueWait);
-    R += "}";
-  }
-  R += "}\n";
+  // Live per-method latency distributions; values are exact for this
+  // session's traffic because control requests barrier on its in-flight
+  // analyzes (other connections may record concurrently).
+  auto AppendHist = [&R](const char *Name, const Histogram &H) {
+    char Buf[64];
+    std::snprintf(Buf, sizeof(Buf), "%.3f", H.mean());
+    R += "\"" + std::string(Name) +
+         "\":{\"count\":" + std::to_string(H.count()) +
+         ",\"mean_us\":" + Buf +
+         ",\"p50_us\":" + std::to_string(H.quantile(0.50)) +
+         ",\"p90_us\":" + std::to_string(H.quantile(0.90)) +
+         ",\"p99_us\":" + std::to_string(H.quantile(0.99)) + "}";
+  };
+  R += ",\"latency\":{";
+  AppendHist("analyze", *LatAnalyze);
+  R += ",";
+  AppendHist("analyze-delta", *LatDelta);
+  R += ",";
+  AppendHist("invalidate", *LatInvalidate);
+  R += ",";
+  AppendHist("stats", *LatStats);
+  R += ",";
+  AppendHist("metrics", *LatMetrics);
+  R += ",";
+  AppendHist("queue_wait", *QueueWait);
+  R += "}}\n";
   return R;
 }
 
@@ -436,9 +424,7 @@ int Server::run(std::istream &In, std::ostream &Out) {
   std::condition_variable DoneCv;
 
   auto SetDepthGauge = [this](int64_t Delta) {
-    int64_t Now = InFlight.fetch_add(Delta) + Delta;
-    if (QueueDepth)
-      QueueDepth->set(Now);
+    QueueDepth->set(InFlight.fetch_add(Delta) + Delta);
   };
   // Writes the completed prefix of Pending to Out, in request order, then
   // flushes. Callers hold Mutex; both the reader thread and the worker
@@ -512,9 +498,6 @@ int Server::run(std::istream &In, std::ostream &Out) {
     }
     return Seq;
   };
-  // Request-level instrumentation is fully off (no clock reads) unless a
-  // histogram or the request log wants the numbers.
-  const bool Instrument = Config.Telemetry || static_cast<bool>(Log);
   // Logs a request that never reached a handler (over-long or unparseable
   // line): no method, no exit, just the shape and the timings.
   auto LogInvalid = [&](uint64_t Seq, bool HasId, int64_t Id, uint64_t T0,
@@ -536,8 +519,6 @@ int Server::run(std::istream &In, std::ostream &Out) {
   auto FinishControl = [&](const Request &Req, uint64_t Seq, uint64_t T0,
                            uint64_t BytesIn, const std::string &Response) {
     Histogram *Lat = latencyFor(Req.M);
-    if (!Lat && !Log)
-      return;
     uint64_t End = Tracer::nowMicros();
     if (Lat)
       Lat->record(End - T0);
@@ -563,7 +544,7 @@ int Server::run(std::istream &In, std::ostream &Out) {
       break;
     if (Line.find_first_not_of(" \t") == std::string::npos)
       continue; // Blank lines are keep-alives, not requests.
-    const uint64_t T0 = Instrument ? Tracer::nowMicros() : 0;
+    const uint64_t T0 = Tracer::nowMicros();
     const uint64_t BytesIn = Line.size();
     if (S == ReadStatus::TooLong) {
       uint64_t Seq = CountRequest(/*IsError=*/true);
@@ -597,11 +578,10 @@ int Server::run(std::istream &In, std::ostream &Out) {
           S2 = &Pending.back();
           SetDepthGauge(+1);
         }
-        const uint64_t EnqueueUs = Instrument ? Tracer::nowMicros() : 0;
+        const uint64_t EnqueueUs = Tracer::nowMicros();
         Pool->enqueue([this, S2, &Mutex, &DoneCv, &FlushReadyLocked,
                        Req = std::move(Req), Seq, T0, BytesIn, EnqueueUs] {
-          const uint64_t QueueUs =
-              EnqueueUs ? Tracer::nowMicros() - EnqueueUs : 0;
+          const uint64_t QueueUs = Tracer::nowMicros() - EnqueueUs;
           RequestLogEvent Ev;
           RequestLogEvent *EvPtr = Log ? &Ev : nullptr;
           std::string Response = handleAnalyze(Req, Seq, EvPtr);

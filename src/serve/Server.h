@@ -37,13 +37,13 @@
 /// Observability: each request runs under a "req:<n>" trace span in
 /// category "serve", and the loop publishes server.requests /
 /// server.errors counters next to the cache.* metrics. Request-level
-/// telemetry (on by default, ServerConfig::Telemetry) additionally records
-/// every request's queue wait and end-to-end service time into
+/// telemetry (always on) additionally records every request's queue wait
+/// and end-to-end service time into
 /// server.latency.<method> / server.queue_wait histograms, readable live
 /// through the `metrics` request and the `stats` latency block; an
 /// optional structured request log (serve/RequestLog.h) emits one NDJSON
 /// event per request. None of it ever touches response bytes: the response
-/// stream stays byte-identical at any -jN, telemetry on or off
+/// stream stays byte-identical at any -jN, request log on or off
 /// (docs/SERVER.md, docs/OBSERVABILITY.md).
 ///
 //===----------------------------------------------------------------------===//
@@ -77,22 +77,12 @@ struct ServerConfig {
   unsigned Jobs = 1;
   /// In-memory cache payload budget; 0 disables caching.
   uint64_t CacheMaxBytes = 64u << 20;
-  /// Result-cache shards (per-shard mutex + LRU + budget slice); rounded
-  /// up to a power of two. More shards cut lock contention under
-  /// concurrent multi-connection hits (docs/SERVER.md).
-  unsigned CacheShards = ResultCache::DefaultShards;
   /// Spill directory for restart-warm state; empty disables spill.
   std::string SpillDir;
   /// Resource budgets applied to every per-request analysis context.
   Limits Lim;
   /// Budgets for the request parser itself.
   ProtocolLimits ProtoLim;
-  /// Request-level telemetry: per-method latency histograms plus queue
-  /// instrumentation, registered in MetricsRegistry::global() and exposed
-  /// through the `metrics` request and the `stats` latency block. On by
-  /// default (independent of --metrics collection); off makes the serving
-  /// loop metric-free. Response bytes are identical either way.
-  bool Telemetry = true;
   /// Structured request-log sink (one NDJSON event per request, completion
   /// order; serve/RequestLog.h); null disables. Not owned; must outlive
   /// the server. Shared by every session (writes are mutex-serialized).
@@ -120,8 +110,8 @@ public:
   /// Serves requests from \p In until `shutdown` or end of input, writing
   /// one response line per request to \p Out in request order. Returns the
   /// process exit code (0 on clean shutdown/EOF). May be called again on a
-  /// new stream (the cache stays warm across calls; tests and
-  /// bench/server_cache rely on this to model reconnects) and
+  /// new stream (the cache stays warm across calls; tests rely on this to
+  /// model reconnects) and
   /// concurrently from several threads, one call per connection
   /// (serve/Transport.h) -- ordering and barriers are per-call, the cache
   /// and pool are shared.
@@ -168,20 +158,17 @@ private:
 
   // Request-level telemetry: per-method latency histograms plus queue
   // instrumentation, owned by MetricsRegistry::global() (stable refs) so
-  // the `metrics` request and --metrics reports see them; all null when
-  // Config.Telemetry is off, which is the only gate the serving loop
-  // checks.
-  Histogram *LatAnalyze = nullptr;
-  Histogram *LatDelta = nullptr;
-  Histogram *LatInvalidate = nullptr;
-  Histogram *LatStats = nullptr;
-  Histogram *LatMetrics = nullptr;
-  Histogram *QueueWait = nullptr;
-  Gauge *QueueDepth = nullptr;
+  // the `metrics` request and --metrics reports see them.
+  Histogram *LatAnalyze;
+  Histogram *LatDelta;
+  Histogram *LatInvalidate;
+  Histogram *LatStats;
+  Histogram *LatMetrics;
+  Histogram *QueueWait;
+  Gauge *QueueDepth;
   RequestLog Log;
 
-  /// The latency histogram for \p M; null for shutdown or with telemetry
-  /// off.
+  /// The latency histogram for \p M; null for shutdown.
   Histogram *latencyFor(Method M) const;
 
   /// Builds the response line (including trailing newline) for one

@@ -29,8 +29,6 @@
 //   --request-log=F append one NDJSON event per request to F ('-' =
 //                   stderr): timings, cache outcome, per-phase breakdown
 //   --slow-ms=N     tag request-log events at or above N ms "slow":true
-//   --no-telemetry  disable request-level telemetry (latency histograms,
-//                   queue metrics); responses are identical either way
 //   -jN, --jobs N   analyze requests on N pool workers; responses stay in
 //                   request order for every N (docs/PARALLEL.md)
 //
@@ -73,8 +71,7 @@ static const char *kOptionsHelp =
     "  --cache-dir=D    spill cached results to directory D (restart-warm)\n"
     "  --request-log=F  append one NDJSON event per request to F\n"
     "                   ('-' writes to stderr)\n"
-    "  --slow-ms=N      tag request-log events >= N ms with \"slow\":true\n"
-    "  --no-telemetry   disable request-level latency/queue telemetry\n";
+    "  --slow-ms=N      tag request-log events >= N ms with \"slow\":true\n";
 
 int main(int argc, char **argv) {
   ServerConfig Config;
@@ -119,8 +116,6 @@ int main(int argc, char **argv) {
         return Common.fail(std::string("bad --slow-ms value '") + Digits +
                            "' (want milliseconds in [0, 2^32])");
       Config.SlowMicros = static_cast<uint64_t>(N) * 1000;
-    } else if (!std::strcmp(argv[I], "--no-telemetry")) {
-      Config.Telemetry = false;
     } else {
       return Common.usageError(argv[I]);
     }
