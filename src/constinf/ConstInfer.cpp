@@ -19,7 +19,8 @@ ConstInference::ConstInference(TranslationUnit &TU, DiagnosticEngine &Diags,
                                Options Opts)
     : TU(TU), Diags(Diags), Opts(Opts),
       Ctors(TU.numDecls(CDecl::Kind::Record)),
-      Schemes(TU.numDecls(CDecl::Kind::Function)) {
+      Schemes(TU.numDecls(CDecl::Kind::Function)),
+      Referenced(TU.numDecls(CDecl::Kind::Function)) {
   // Summary mode links interface variables across TUs by name, which needs
   // monomorphic (plain-variable) interfaces (docs/LINK.md).
   if (this->Opts.SummaryMode)
@@ -36,6 +37,7 @@ ConstInference::ConstInference(TranslationUnit &TU, DiagnosticEngine &Diags,
 ConstInference::~ConstInference() = default;
 
 QualType ConstInference::functionUse(const FunctionDecl *FD) {
+  Referenced[FD->getId()] = true;
   if (Opts.Polymorphic && Schemes[FD->getId()].isPolymorphic())
     return Schemes[FD->getId()].instantiate(*Sys, Factory);
   return Translator->functionInterfaceType(FD);

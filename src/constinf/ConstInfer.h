@@ -135,6 +135,13 @@ public:
   /// undefined functions).
   const QualScheme *schemeFor(const cfront::FunctionDecl *FD) const;
 
+  /// Whether constraint generation referenced \p FD -- called it or used it
+  /// as a value (valid after run()). A summary gives an unreferenced
+  /// undefined function only its name and shape (docs/LINK.md).
+  bool isReferenced(const cfront::FunctionDecl *FD) const {
+    return Referenced.lookup(FD->getId());
+  }
+
   /// The function dependence graph the traversal used (valid after run()).
   const Fdg &fdg() const { return Graph; }
 
@@ -174,6 +181,8 @@ private:
   std::unique_ptr<RefTranslator> Translator;
   /// Indexed by FunctionDecl id; a null body means no scheme.
   DeclTable<QualScheme> Schemes;
+  /// Indexed by FunctionDecl id; set by functionUse().
+  DeclTable<bool> Referenced;
   Fdg Graph;
 
   QualType functionUse(const cfront::FunctionDecl *FD);

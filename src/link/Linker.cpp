@@ -152,7 +152,10 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
 
   // Resolution: group every occurrence by name (std::map iterates names in
   // sorted order; within a name, occurrences follow canonical summary
-  // order), pick the defining occurrence as representative, and unify.
+  // order), pick the defining occurrence -- or else the first one with
+  // variables -- as representative, and unify. A shape-only import (no
+  // variables: its TU never references the function) meets the kind and
+  // shape checks but equates nothing.
   {
     PhaseScope Phase("link-unify", "link");
     std::map<std::string_view, std::vector<SymEntry>> ByName;
@@ -177,10 +180,14 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
           break;
         }
       bool Resolved = Rep != nullptr;
+      for (const SymEntry &E : Entries)
+        if (!Rep && !E.Sym->Vars.empty())
+          Rep = &E;
       if (!Rep)
         Rep = &Entries.front();
       std::string_view RepSrc = Summaries[Rep->Sum].sourceName();
       std::string_view RepShape = Summaries[Rep->Sum].str(Rep->Sym->Shape);
+      ReasonId Linkage = 0; // Interned on the first equated variable.
 
       for (const SymEntry &E : Entries) {
         if (&E == Rep)
@@ -205,8 +212,9 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
           continue;
         }
         std::string_view Shape = S.str(E.Sym->Shape);
-        if (Shape != RepShape ||
-            E.Sym->Vars.size() != Rep->Sym->Vars.size()) {
+        bool VarsMismatch = !E.Sym->Vars.empty() &&
+                            E.Sym->Vars.size() != Rep->Sym->Vars.size();
+        if (Shape != RepShape || VarsMismatch) {
           R.LinkOk = false;
           R.Diagnostics.push_back(
               "error: interface mismatch for '" + std::string(Name) + "': '" +
@@ -217,12 +225,15 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
         }
         // Equal shapes carry positionally-identical variable lists: equate
         // them, welding this occurrence's interface to the representative.
+        if (!E.Sym->Vars.empty() && !Linkage)
+          Linkage = Sys.internReason("cross-TU linkage of '" +
+                                     std::string(Name) + "'");
         for (size_t I = 0; I != E.Sym->Vars.size(); ++I) {
-          Sys.addEq(QualExpr::makeVar(VarBase[E.Sum] + E.Sym->Vars[I]),
-                    QualExpr::makeVar(VarBase[Rep->Sum] + Rep->Sym->Vars[I]),
-                    ConstraintOrigin(SourceLoc(), "cross-TU linkage of '" +
-                                                      std::string(Name) +
-                                                      "'"));
+          QualExpr Occ = QualExpr::makeVar(VarBase[E.Sum] + E.Sym->Vars[I]);
+          QualExpr Def =
+              QualExpr::makeVar(VarBase[Rep->Sum] + Rep->Sym->Vars[I]);
+          Sys.addConstraint({Occ, Def, QS.usedBits(), SourceLoc(), Linkage});
+          Sys.addConstraint({Def, Occ, QS.usedBits(), SourceLoc(), Linkage});
           Origins.resize(Sys.getNumConstraints(),
                          {E.Sum, QsumOrigin()});
         }

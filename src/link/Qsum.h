@@ -44,9 +44,10 @@
 namespace quals {
 namespace link {
 
-/// Bumped on any change to the serialized layout; readers reject other
-/// versions as stale.
-constexpr uint32_t kSummaryFormatVersion = 1;
+/// Bumped on any change to the serialized layout or its meaning; readers
+/// reject other versions as stale. Version 2: an import may be shape-only
+/// (no variables), which a version-1 linker would call a mismatch.
+constexpr uint32_t kSummaryFormatVersion = 2;
 
 /// The four magic bytes opening every summary file.
 constexpr char kSummaryMagic[4] = {'Q', 'S', 'U', 'M'};
@@ -93,7 +94,8 @@ struct QsumPin {
 /// One exported or imported symbol: its name, the skeleton of its qualified
 /// type (a shape string; equal shapes have identical variable layouts), and
 /// the flattened preorder list of interface qualifier variables. Imports
-/// additionally carry their deferred library pins.
+/// additionally carry their deferred library pins. A function import its TU
+/// never references is shape-only: no variables and no pins.
 struct QsumSymbol {
   uint32_t Name = 0;  ///< String-table index.
   uint32_t Shape = 0; ///< String-table index.

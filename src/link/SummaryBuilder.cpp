@@ -125,12 +125,19 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
     return Sym;
   };
 
+  // An undefined function the TU never references is a shape-only import:
+  // no variables and no pins, so its declared-type constraints are pruned
+  // below and the linker only checks its kind and shape.
   std::unordered_map<const FunctionDecl *, size_t> ImportIndex;
   for (FunctionDecl *F : Inf.unit().Functions) {
     QualType T = TR.functionInterfaceType(F);
     if (!F->isDefined()) {
-      ImportIndex[F] = S.FnImports.size();
-      S.FnImports.push_back(makeSymbol(F->getName(), T));
+      QsumSymbol Sym = makeSymbol(F->getName(), T);
+      if (Inf.isReferenced(F))
+        ImportIndex[F] = S.FnImports.size();
+      else
+        Sym.Vars.clear();
+      S.FnImports.push_back(std::move(Sym));
     } else if (F->getStorageClass() != StorageClass::Static) {
       S.FnExports.push_back(makeSymbol(F->getName(), T));
     }
@@ -147,7 +154,9 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
   }
 
   // Withheld library pins, attached to the imported symbol they belong to.
-  // Every DeferredPin's function is undefined, hence present in FnImports.
+  // Every DeferredPin's function is undefined, hence in FnImports; the pins
+  // of a shape-only import are dropped with its variables. (An escape pin's
+  // function was called, so it is never shape-only.)
   for (const constinf::DeferredPin &DP : TR.deferredPins()) {
     auto It = ImportIndex.find(DP.Fn);
     if (It == ImportIndex.end())

@@ -15,7 +15,9 @@
 /// Pruning: the constraint graph is partitioned into connected components
 /// (union-find over variable-variable edges); a component is kept iff it
 /// contains a *seed* -- an interface variable, an interesting position's
-/// variable, or a deferred pin's variable. Everything else was solved
+/// variable, or a deferred pin's variable. An undefined function the TU
+/// never references (ConstInference::isReferenced) is a shape-only import
+/// with no variables, so it seeds nothing. Everything else was solved
 /// locally with no violations (the compile step refuses to emit a summary
 /// otherwise) and can never gain constraints at link time, because the link
 /// step only ever adds constraints on interface variables and their

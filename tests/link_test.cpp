@@ -205,6 +205,34 @@ TEST(SummaryBuilder, PrunesPrivateConstraintComponents) {
     EXPECT_LT(V, S.NumVars);
 }
 
+TEST(SummaryBuilder, UnreferencedImportIsShapeOnly) {
+  // `unused` is only declared: its import keeps its name and shape but no
+  // variables or pins. `called` is called, so it keeps both.
+  const char *Decls = "int unused(int *p, char **q);\n"
+                      "int called(int *p);\n";
+  link::TuSummary S = summarize(
+      "shape_only.c",
+      std::string(Decls) + "int f(int *x) { return called(x); }\n");
+  ASSERT_EQ(2u, S.FnImports.size());
+  const link::QsumSymbol &Unused = S.FnImports[0];
+  const link::QsumSymbol &Called = S.FnImports[1];
+  ASSERT_EQ("unused", S.str(Unused.Name));
+  ASSERT_EQ("called", S.str(Called.Name));
+  EXPECT_TRUE(Unused.Vars.empty());
+  EXPECT_TRUE(Unused.Pins.empty());
+  EXPECT_FALSE(Called.Vars.empty());
+  EXPECT_FALSE(Called.Pins.empty());
+
+  // The shape is the one the symbol has when referenced.
+  link::TuSummary R = summarize(
+      "shape_used.c",
+      std::string(Decls) + "int f(int *x) { return called(x) + "
+                           "unused(x, 0); }\n");
+  ASSERT_EQ(2u, R.FnImports.size());
+  EXPECT_FALSE(R.FnImports[0].Vars.empty());
+  EXPECT_EQ(R.str(R.FnImports[0].Shape), S.str(Unused.Shape));
+}
+
 TEST(Linker, CanonicalizationIsOrderAndDuplicateInvariant) {
   link::TuSummary A = summarize("a.c", kWriterTu);
   link::TuSummary B = summarize("b.c", kReaderHelperTu);
@@ -301,17 +329,26 @@ TEST(Linker, DuplicateDefinitionDiagnosed) {
 TEST(Linker, InterfaceShapeMismatchDiagnosed) {
   // One TU believes helper takes (int*, int); the defining TU says
   // (int*, int*, int). Arity is part of the shape, so the link fails
-  // loudly instead of mis-unifying variables.
-  link::TuSummary A = summarize("shape0.c", kWriterTu);
-  link::TuSummary B = summarize(
-      "shape1.c", "int helper(int *p, int *q, int n) { return *p + *q; }\n");
-  std::vector<link::TuSummary> Sums = {A, B};
-  link::LinkOptions Opts;
-  link::LinkResult R = link::linkSummaries(Sums, Opts);
-  EXPECT_FALSE(R.LinkOk);
-  ASSERT_FALSE(R.Diagnostics.empty());
-  EXPECT_NE(std::string::npos, R.Diagnostics[0].find("helper"))
-      << R.Diagnostics[0];
+  // loudly instead of mis-unifying variables -- also when the importing TU
+  // never references helper and its import is shape-only.
+  const char *Importers[] = {
+      kWriterTu,
+      "int helper(int *p, int n);\nint other(int *q) { return *q; }\n"};
+  for (const char *Importer : Importers) {
+    SCOPED_TRACE(Importer);
+    link::TuSummary A = summarize("shape0.c", Importer);
+    link::TuSummary B = summarize(
+        "shape1.c", "int helper(int *p, int *q, int n) { return *p + *q; }\n");
+    std::vector<link::TuSummary> Sums = {A, B};
+    link::LinkOptions Opts;
+    link::LinkResult R = link::linkSummaries(Sums, Opts);
+    EXPECT_FALSE(R.LinkOk);
+    ASSERT_FALSE(R.Diagnostics.empty());
+    EXPECT_NE(std::string::npos, R.Diagnostics[0].find("interface mismatch"))
+        << R.Diagnostics[0];
+    EXPECT_NE(std::string::npos, R.Diagnostics[0].find("helper"))
+        << R.Diagnostics[0];
+  }
 }
 
 TEST(Linker, ConfigHashMismatchRejected) {
@@ -323,6 +360,58 @@ TEST(Linker, ConfigHashMismatchRejected) {
   link::LinkResult R = link::linkSummaries(Sums, Opts);
   EXPECT_FALSE(R.LoadOk);
   ASSERT_FALSE(R.Diagnostics.empty());
+}
+
+TEST(Linker, UnreferencedConstPrototypeMatchesWholeProgram) {
+  // TU a declares f's parameter const but never uses f; TU b defines f
+  // writing through it. Whole-program inference completes the prototype
+  // with the definition, so the program is accepted. The split must agree
+  // instead of reporting the prototype's declared const as violated via
+  // cross-TU linkage.
+  std::vector<std::string> Sources = {
+      "void f(const int *p);\nint g(int *q) { return *q; }\n",
+      "void f(int *p) { *p = 1; }\n"};
+  std::vector<std::string> WholeKeys = wholeProgramKeys(Sources);
+
+  link::TuSummary A = summarize("tu0.c", Sources[0]);
+  link::TuSummary B = summarize("tu1.c", Sources[1]);
+  std::vector<link::TuSummary> Sums = {A, B};
+  link::LinkOptions Opts;
+  link::LinkResult R = link::linkSummaries(Sums, Opts);
+  ASSERT_TRUE(R.LoadOk && R.LinkOk && R.SolveOk)
+      << (R.Diagnostics.empty() ? "" : R.Diagnostics[0]);
+  EXPECT_EQ(WholeKeys, linkedKeys(R));
+}
+
+TEST(Linker, EscapingFunctionDesignatorKeepsImport) {
+  // h reaches printf's variadic arguments as a value (plain and with &):
+  // the deferred escape pins sit on h's interface variables in the
+  // importing TU, so h must keep them even though no constraint edge
+  // touches them, and the link pins h's parameter non-const as the whole
+  // program does.
+  for (const char *Use : {"h", "&h"}) {
+    SCOPED_TRACE(Use);
+    std::vector<std::string> Sources = {
+        std::string("int printf(const char *fmt, ...);\nint h(int *p);\n"
+                    "int run(void) { return printf(\"%p\", ") +
+            Use + "); }\n",
+        "int h(int *p) { return *p; }\n"};
+    std::vector<std::string> WholeKeys = wholeProgramKeys(Sources);
+
+    link::TuSummary A = summarize("tu0.c", Sources[0]);
+    link::TuSummary B = summarize("tu1.c", Sources[1]);
+    std::vector<link::TuSummary> Sums = {A, B};
+    link::LinkOptions Opts;
+    link::LinkResult R = link::linkSummaries(Sums, Opts);
+    ASSERT_TRUE(R.LoadOk && R.LinkOk && R.SolveOk);
+    EXPECT_EQ(WholeKeys, linkedKeys(R));
+
+    bool SawNonConstParam = false;
+    for (const link::LinkedPos &P : R.Positions)
+      if (P.FnName == "h" && P.ParamIndex == 0)
+        SawNonConstParam = P.Class == constinf::PosClass::MustNonConst;
+    EXPECT_TRUE(SawNonConstParam);
+  }
 }
 
 TEST(Linker, ConstraintBudgetIsLoadFailure) {

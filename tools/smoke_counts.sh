@@ -1,22 +1,42 @@
 #!/usr/bin/env bash
-# smoke_counts.sh - counter gate on the Table-2-sized seed-7 program.
+# smoke_counts.sh - counter gates on deterministic qualgen programs.
 #
-#   smoke_counts.sh <qualgen-binary> <qualcc-binary>
+#   smoke_counts.sh seed7 <qualgen-binary> <qualcc-binary>
+#   smoke_counts.sh link  <qualgen-binary> <qualcc-binary> <quallink-binary>
 #
-# Runs `qualgen --lines 200000 --seed 7 | qualcc --stats` and fails when
-# the solver counters grow past today's values (qualifier vars 622,366,
-# constraints 408,668, edge visits 20,113) or when the Table 2 line is not
-# exactly `declared 9026, inferred possible-const 29286, total positions
-# 37020`. Counters are deterministic, so the bounds hold on any host and
-# build type; a change that means to lower them should lower the bounds
-# too. Wired into ctest as perf.counts_seed7 by tools/CMakeLists.txt.
+# seed7: runs `qualgen --lines 200000 --seed 7 | qualcc --stats` and fails
+# when the solver counters grow past today's values (qualifier vars
+# 622,366, constraints 408,668, edge visits 20,113) or when the Table 2
+# line is not exactly `declared 9026, inferred possible-const 29286, total
+# positions 37020`.
+#
+# link: summarizes the `qualgen --tus 16 --lines 60000 --seed 42` split per
+# TU and fails when `quallink --stats` over the summaries reports more than
+# 138,952 qualifier vars or 224,737 constraints -- the values once every
+# summary carries variables only for the imports its TU references
+# (docs/LINK.md), so the per-prototype import blow-up cannot return.
+#
+# Counters are deterministic, so the bounds hold on any host and build
+# type; a change that means to lower them should lower the bounds too.
+# Wired into ctest as perf.counts_seed7 and perf.link_counts by
+# tools/CMakeLists.txt.
 
 set -euo pipefail
 
-if [ $# -ne 2 ]; then
-    echo "usage: $0 <qualgen> <qualcc>" >&2
+usage() {
+    echo "usage: $0 seed7 <qualgen> <qualcc>" >&2
+    echo "       $0 link <qualgen> <qualcc> <quallink>" >&2
     exit 2
-fi
+}
+
+[ $# -ge 1 ] || usage
+MODE=$1
+shift
+case "$MODE" in
+    seed7) [ $# -eq 2 ] || usage ;;
+    link) [ $# -eq 3 ] || usage ;;
+    *) usage ;;
+esac
 
 QUALGEN=$1
 QUALCC=$2
@@ -25,22 +45,33 @@ FAILED=0
 WORKDIR=$(mktemp -d)
 trap 'rm -rf "$WORKDIR"' EXIT
 
-"$QUALGEN" --lines 200000 --seed 7 >"$WORKDIR/seed7.c"
-"$QUALCC" --stats "$WORKDIR/seed7.c" >"$WORKDIR/stats.txt"
-
 # $1: the stats-table row label, $2: its upper bound.
 check_max() {
     local VALUE
     VALUE=$(awk -v L="$1" 'index($0, L) == 1 { print $NF; exit }' \
         "$WORKDIR/stats.txt")
     if [ -z "$VALUE" ]; then
-        echo "FAIL: no '$1' row in qualcc --stats" >&2
+        echo "FAIL: no '$1' row in --stats" >&2
         FAILED=1
     elif [ "$VALUE" -gt "$2" ]; then
         echo "FAIL: $1 = $VALUE exceeds $2" >&2
         FAILED=1
     fi
 }
+
+if [ "$MODE" = link ]; then
+    QUALLINK=$3
+    "$QUALGEN" --tus 16 --lines 60000 --seed 42 --out-dir "$WORKDIR/tus"
+    "$QUALCC" --quiet --emit-summary-dir="$WORKDIR/qs" "$WORKDIR"/tus/tu_*.c \
+        >/dev/null
+    "$QUALLINK" --stats "$WORKDIR"/qs/*.qsum >"$WORKDIR/stats.txt"
+    check_max "qualifier vars" 138952
+    check_max "constraints" 224737
+    exit "$FAILED"
+fi
+
+"$QUALGEN" --lines 200000 --seed 7 >"$WORKDIR/seed7.c"
+"$QUALCC" --stats "$WORKDIR/seed7.c" >"$WORKDIR/stats.txt"
 
 check_max "qualifier vars" 622366
 check_max "constraints" 408668
