@@ -67,6 +67,10 @@ bool ConstInference::run() {
   // buildFdg records its own "fdg" phase; everything from here to the solve
   // is the "constraint-gen" phase.
   Graph = buildFdg(TU);
+  // Fields and statics are one cell for every instance of a function.
+  const std::function<bool(QualVarId)> SharedStorage = [this](QualVarId V) {
+    return Translator->isSharedStorage(V);
+  };
   {
     PhaseScope GenPhase("constraint-gen", "constinf");
     std::vector<unsigned> Order;
@@ -100,7 +104,7 @@ bool ConstInference::run() {
         if (!F->isDefined())
           continue;
         Schemes[F->getId()] = QualScheme::generalize(
-            *Sys, Translator->functionInterfaceType(F), Mark);
+            *Sys, Translator->functionInterfaceType(F), Mark, SharedStorage);
       }
     }
 

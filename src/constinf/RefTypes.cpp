@@ -7,6 +7,8 @@
 
 #include "constinf/RefTypes.h"
 
+#include <algorithm>
+
 using namespace quals;
 using namespace quals::constinf;
 using namespace quals::cfront;
@@ -100,11 +102,23 @@ RefTranslator::lprime(CQualType T, SourceLoc Loc,
   return Result;
 }
 
+QualType RefTranslator::lvalueType(CQualType T, SourceLoc Loc, bool Shared) {
+  QualVarId First = Sys.getNumVars();
+  LPair LP = lprime(T, Loc, /*Collect=*/nullptr, 0);
+  if (Shared) {
+    SharedStorage.resize(Sys.getNumVars(), false);
+    std::fill(SharedStorage.begin() + First, SharedStorage.end(), true);
+  }
+  return Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
+}
+
 QualType RefTranslator::varLValueType(const VarDecl *VD) {
   QualType &Memo = VarTypes[VD->getId()];
   if (Memo.isNull()) {
-    LPair LP = lprime(VD->getType(), VD->getLoc(), /*Collect=*/nullptr, 0);
-    Memo = Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
+    StorageClass SC = VD->getStorageClass();
+    Memo = lvalueType(VD->getType(), VD->getLoc(),
+                      VD->isGlobal() || SC == StorageClass::Static ||
+                          SC == StorageClass::Extern);
   }
   return Memo;
 }
@@ -112,12 +126,11 @@ QualType RefTranslator::varLValueType(const VarDecl *VD) {
 QualType RefTranslator::fieldLValueType(const FieldDecl *FD) {
   if (!FieldTypes[FD->getId()].isNull())
     return FieldTypes[FD->getId()];
-  LPair LP = lprime(FD->getType(), FD->getLoc(), /*Collect=*/nullptr, 0);
-  QualType T = Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
   // Section 4.2: all variables with the same struct type share the field
   // declaration, so field qualifiers are shared (memoized). The ablation
   // mode skips the memoization, giving each access fresh (unsound)
   // qualifiers.
+  QualType T = lvalueType(FD->getType(), FD->getLoc(), StructFieldsShared);
   if (StructFieldsShared)
     FieldTypes[FD->getId()] = T;
   return T;

@@ -149,6 +149,13 @@ public:
     return Interesting;
   }
 
+  /// True if \p V was created for storage that outlives a call: a shared
+  /// record field or a variable with static storage. Every instance of a
+  /// polymorphic function shares it, so generalization must not quantify it.
+  bool isSharedStorage(QualVarId V) const {
+    return V < SharedStorage.size() && SharedStorage[V];
+  }
+
   /// Adds "kappa must not be const" upper bounds on every ref level of
   /// \p T (the conservative treatment of values escaping to unknown code).
   void forceNonConstRefs(QualType T, const ConstraintOrigin &Origin);
@@ -182,6 +189,8 @@ private:
   DeclTable<QualType> FieldTypes;
   DeclTable<QualType> FnTypes;
   std::vector<InterestingPos> Interesting;
+  /// Indexed by variable id; see isSharedStorage().
+  std::vector<bool> SharedStorage;
 
   struct LPair {
     QualExpr TopQual;
@@ -192,6 +201,10 @@ private:
   /// pointee levels are appended as interesting positions.
   LPair lprime(cfront::CQualType T, SourceLoc Loc,
                std::vector<InterestingPos> *Collect, unsigned Depth);
+
+  /// The l-value type kappa ref(rho) of a declaration of type \p T; marks
+  /// its variables as shared storage when \p Shared is set.
+  QualType lvalueType(cfront::CQualType T, SourceLoc Loc, bool Shared);
 };
 
 } // namespace constinf

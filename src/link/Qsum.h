@@ -9,8 +9,9 @@
 /// The `.qsum` format: one translation unit's constraint summary, produced
 /// by `qualcc --emit-summary` and consumed by `quallink` (docs/LINK.md).
 ///
-/// A summary is the TU's constraint graph pruned to the components that can
-/// interact with other TUs, plus an interface section naming the exported
+/// A summary is a Section 3.2 constrained type for the whole TU: canned
+/// constraints over the variables other TUs can observe (SummaryBuilder.h),
+/// plus an interface section naming the exported
 /// and imported symbols with their qualified-type skeletons, the TU's
 /// interesting const positions, and the Section 4.2 library pins the
 /// summary-mode inference withheld (constinf::DeferredPin). The link step

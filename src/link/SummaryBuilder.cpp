@@ -8,8 +8,8 @@
 #include "link/SummaryBuilder.h"
 
 #include "constinf/ConstInfer.h"
+#include "qual/TypeScheme.h"
 #include "support/SourceManager.h"
-#include "support/UnionFind.h"
 
 #include <cstdio>
 #include <unordered_map>
@@ -126,8 +126,8 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
   };
 
   // An undefined function the TU never references is a shape-only import:
-  // no variables and no pins, so its declared-type constraints are pruned
-  // below and the linker only checks its kind and shape.
+  // no variables and no pins, so its declared-type constraints are
+  // eliminated below and the linker only checks its kind and shape.
   std::unordered_map<const FunctionDecl *, size_t> ImportIndex;
   for (FunctionDecl *F : Inf.unit().Functions) {
     QualType T = TR.functionInterfaceType(F);
@@ -185,89 +185,44 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
     S.Positions.push_back(P);
   }
 
-  // Prune to seeded components (see the header comment), then renumber the
-  // surviving variables densely in ascending original id.
-  unsigned NumVars = Sys.getNumVars();
-  unsigned NumConstraints = Sys.getNumConstraints();
-  UnionFind UF;
-  for (unsigned V = 0; V != NumVars; ++V)
-    UF.makeSet();
-  for (unsigned I = 0; I != NumConstraints; ++I) {
-    const Constraint &C = Sys.getConstraint(I);
-    if (C.Lhs.isVar() && C.Rhs.isVar())
-      UF.unite(C.Lhs.getVar(), C.Rhs.getVar());
-  }
-  std::vector<bool> Seeded(NumVars, false);
-  auto seed = [&](QualVarId V) { Seeded[UF.find(V)] = true; };
-  for (const std::vector<QsumSymbol> *Section :
-       {&S.FnExports, &S.FnImports, &S.GlobExports, &S.GlobImports})
-    for (const QsumSymbol &Sym : *Section) {
-      for (uint32_t V : Sym.Vars)
-        seed(V);
-      for (const QsumPin &P : Sym.Pins)
-        seed(P.Var);
+  // The summary's variables are the seeds, renumbered densely in ascending
+  // original id; its constraints are the TU's constraints simplified over
+  // them (see the header comment).
+  auto forEachSeed = [&](auto Fn) {
+    for (std::vector<QsumSymbol> *Section :
+         {&S.FnExports, &S.FnImports, &S.GlobExports, &S.GlobImports})
+      for (QsumSymbol &Sym : *Section) {
+        for (uint32_t &V : Sym.Vars)
+          Fn(V);
+        for (QsumPin &P : Sym.Pins)
+          Fn(P.Var);
+      }
+    for (QsumPos &P : S.Positions)
+      Fn(P.Var);
+  };
+  std::vector<bool> IsSeed(Sys.getNumVars(), false);
+  forEachSeed([&](uint32_t V) { IsSeed[V] = true; });
+  std::vector<QualVarId> Seeds;
+  std::vector<uint32_t> Remap(Sys.getNumVars(), ~0u);
+  for (QualVarId V = 0, E = Sys.getNumVars(); V != E; ++V)
+    if (IsSeed[V]) {
+      Remap[V] = Seeds.size();
+      Seeds.push_back(V);
     }
-  for (const QsumPos &P : S.Positions)
-    seed(P.Var);
+  S.NumVars = Seeds.size();
+  forEachSeed([&](uint32_t &V) { V = Remap[V]; });
 
-  auto keepVar = [&](QualVarId V) { return Seeded[UF.find(V)]; };
-  std::vector<bool> Used(NumVars, false);
-  std::vector<const Constraint *> Kept;
-  Kept.reserve(NumConstraints);
-  for (unsigned I = 0; I != NumConstraints; ++I) {
-    const Constraint &C = Sys.getConstraint(I);
-    bool Keep = (!C.Lhs.isVar() && !C.Rhs.isVar()) ||
-                (C.Lhs.isVar() && keepVar(C.Lhs.getVar())) ||
-                (C.Rhs.isVar() && keepVar(C.Rhs.getVar()));
-    if (!Keep)
-      continue;
-    Kept.push_back(&C);
-    if (C.Lhs.isVar())
-      Used[C.Lhs.getVar()] = true;
-    if (C.Rhs.isVar())
-      Used[C.Rhs.getVar()] = true;
-  }
-  // Seeds survive even when nothing constrains them (an unread parameter's
-  // position variable must still exist at link time).
-  for (const std::vector<QsumSymbol> *Section :
-       {&S.FnExports, &S.FnImports, &S.GlobExports, &S.GlobImports})
-    for (const QsumSymbol &Sym : *Section) {
-      for (uint32_t V : Sym.Vars)
-        Used[V] = true;
-      for (const QsumPin &P : Sym.Pins)
-        Used[P.Var] = true;
-    }
-  for (const QsumPos &P : S.Positions)
-    Used[P.Var] = true;
-
-  std::vector<uint32_t> Remap(NumVars, ~0u);
-  uint32_t Next = 0;
-  for (unsigned V = 0; V != NumVars; ++V)
-    if (Used[V])
-      Remap[V] = Next++;
-  S.NumVars = Next;
-
-  S.Constraints.reserve(Kept.size());
-  for (const Constraint *C : Kept) {
+  std::vector<Constraint> Canned = simplifyConstraints(Sys, {0, 0}, Seeds);
+  S.Constraints.reserve(Canned.size());
+  for (const Constraint &C : Canned) {
     QsumConstraint Q;
-    Q.LhsIsVar = C->Lhs.isVar();
-    Q.Lhs = Q.LhsIsVar ? Remap[C->Lhs.getVar()] : C->Lhs.getConst().bits();
-    Q.RhsIsVar = C->Rhs.isVar();
-    Q.Rhs = Q.RhsIsVar ? Remap[C->Rhs.getVar()] : C->Rhs.getConst().bits();
-    Q.Mask = C->Mask;
-    Q.Origin = presumed(SM, C->Loc, ST, ST.intern(Sys.getReason(C->Reason)));
+    Q.LhsIsVar = C.Lhs.isVar();
+    Q.Lhs = Q.LhsIsVar ? Remap[C.Lhs.getVar()] : C.Lhs.getConst().bits();
+    Q.RhsIsVar = C.Rhs.isVar();
+    Q.Rhs = Q.RhsIsVar ? Remap[C.Rhs.getVar()] : C.Rhs.getConst().bits();
+    Q.Mask = C.Mask;
+    Q.Origin = presumed(SM, C.Loc, ST, ST.intern(Sys.getReason(C.Reason)));
     S.Constraints.push_back(Q);
   }
-  for (std::vector<QsumSymbol> *Section :
-       {&S.FnExports, &S.FnImports, &S.GlobExports, &S.GlobImports})
-    for (QsumSymbol &Sym : *Section) {
-      for (uint32_t &V : Sym.Vars)
-        V = Remap[V];
-      for (QsumPin &P : Sym.Pins)
-        P.Var = Remap[P.Var];
-    }
-  for (QsumPos &P : S.Positions)
-    P.Var = Remap[P.Var];
-
   return S;
 }

@@ -9,20 +9,22 @@
 /// Builds a link::TuSummary from a completed summary-mode const inference
 /// (ConstInference::Options::SummaryMode): the TU's interface symbols with
 /// their qualified-type skeletons, the interesting positions, the withheld
-/// library pins, and the constraint subgraph that can still interact with
-/// other TUs.
+/// library pins, and canned constraints over their variables.
 ///
-/// Pruning: the constraint graph is partitioned into connected components
-/// (union-find over variable-variable edges); a component is kept iff it
-/// contains a *seed* -- an interface variable, an interesting position's
-/// variable, or a deferred pin's variable. An undefined function the TU
-/// never references (ConstInference::isReferenced) is a shape-only import
-/// with no variables, so it seeds nothing. Everything else was solved
-/// locally with no violations (the compile step refuses to emit a summary
-/// otherwise) and can never gain constraints at link time, because the link
-/// step only ever adds constraints on interface variables and their
-/// components. Kept variables are renumbered densely in ascending original
-/// id, so identical inputs serialize identically.
+/// A summary is a Section 3.2 constrained type for the whole TU. Its
+/// variables are the *seeds* -- interface-symbol variables, interesting
+/// positions' variables, and deferred pins' variables -- renumbered densely
+/// in ascending original id, so identical inputs serialize identically. Its
+/// constraints are the TU's constraints simplified over the seeds by the
+/// scheme simplifier (simplifyConstraints in qual/TypeScheme.h): each seed's
+/// constant bounds plus masked reachability between seeds, every other
+/// variable eliminated, each canned constraint carrying the source location
+/// and reason of a witness constraint. That is exact for linking: the TU
+/// was solved locally with no violations (the compile step refuses to emit
+/// a summary otherwise), and the link step only ever adds constraints on
+/// seeds. An undefined function the TU never references
+/// (ConstInference::isReferenced) is a shape-only import with no variables,
+/// so it seeds nothing.
 ///
 //===----------------------------------------------------------------------===//
 

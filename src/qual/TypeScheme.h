@@ -25,6 +25,11 @@
 /// the caller deliberately leaked it; so "not free in A" reduces to "created
 /// at or after the watermark and not explicitly marked escaping".
 ///
+/// The same interface simplifier (simplifyConstraints) builds the canned
+/// constraints of a scheme and the constraint section of a `.qsum` link
+/// summary (link/SummaryBuilder.h): both summarize a constraint range over
+/// the variables other code can observe, eliminating every other variable.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef QUALS_QUAL_TYPESCHEME_H
@@ -50,6 +55,29 @@ inline Watermark takeWatermark(const ConstraintSystem &Sys) {
   return {Sys.getNumVars(), Sys.getNumConstraints()};
 }
 
+/// The observable effect of the constraints created since \p Mark on the
+/// \p Interface variables (distinct, created at or after Mark.FirstVar),
+/// with every other variable eliminated (Section 3.2's constraint
+/// simplification; TypeScheme.cpp). Variables older than Mark, and those
+/// \p Free returns true for, are *free*: they live on in \p Sys, so they
+/// take no bounds and no pairs among themselves, but they are interface
+/// variables for reachability. The result, in order:
+///
+///   - masked reachability `a <= b` between interface variables a and b,
+///     one of them not free, through non-interface variables only (a
+///     search stops at the first interface variable it reaches);
+///   - per variable of \p Interface, in order, the join of the constants
+///     reaching it (`c <= v`) and the meet of the constant bounds it
+///     reaches (`v <= c`), when not trivial.
+///
+/// Each canned constraint carries the location and reason of a witness
+/// constraint of the range: the constant bound that set it, or the first
+/// hop of the path it summarizes.
+std::vector<Constraint>
+simplifyConstraints(const ConstraintSystem &Sys, Watermark Mark,
+                    const std::vector<QualVarId> &Interface,
+                    const std::function<bool(QualVarId)> &Free = nullptr);
+
 /// forall kappa_vec . rho \ C.
 class QualScheme {
 public:
@@ -62,12 +90,13 @@ public:
 
   /// Generalizes \p Body over the qualifier variables of \p Sys created at
   /// or after \p Mark, excluding those for which \p Escapes returns true
-  /// (variables that leaked into the environment, e.g. via global state).
-  /// Constraints created after the watermark that mention at least one bound
-  /// variable are canned into the scheme for per-instantiation replay; their
-  /// reasons are interned in \p Sys, the system every instance lives in.
+  /// (variables that leaked into the environment, e.g. via global state or
+  /// storage every instance shares). The constraints created after the
+  /// watermark are simplified over the bound variables
+  /// (simplifyConstraints) and canned into the scheme for
+  /// per-instantiation replay in \p Sys, the system every instance lives in.
   static QualScheme
-  generalize(ConstraintSystem &Sys, QualType Body, Watermark Mark,
+  generalize(const ConstraintSystem &Sys, QualType Body, Watermark Mark,
              const std::function<bool(QualVarId)> &Escapes = nullptr);
 
   /// Instantiates the scheme: substitutes a block of fresh variables

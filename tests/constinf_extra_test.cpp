@@ -8,8 +8,9 @@
 /// \file
 /// Third-round const-inference coverage: conditional joins over pointers,
 /// pointer arithmetic, nested structs, self-referential lists, multi-level
-/// write propagation, scale, idempotence of repeated runs, and error
-/// explanations that do not depend on program size.
+/// write propagation, scale, idempotence of repeated runs, error
+/// explanations that do not depend on program size or on a scheme, and
+/// shared storage that polymorphism must not quantify.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -226,6 +227,55 @@ TEST(ConstInfExtra, ExplanationDoesNotDependOnProgramSize) {
   synth::SynthProgram Prog =
       synth::generateProgram(synth::paramsForLines(7, 6000));
   EXPECT_EQ(explanations(Prog.Source + BadWriter), Alone);
+}
+
+TEST(ConstInfExtra, PolyErrorThroughSchemeKeepsLocation) {
+  // The write's bound reaches use() only through f's scheme; the canned
+  // upper bound carries the write's location and reason, as mono does.
+  const std::string Source = "void f(int *p) { *p = 1; }\n"
+                             "void use(const int *q) { f(q); }\n";
+  for (bool Polymorphic : {true, false}) {
+    SCOPED_TRACE(Polymorphic ? "poly" : "mono");
+    XRig R;
+    EXPECT_FALSE(R.analyze(Source, Polymorphic));
+    ASSERT_EQ(R.Diags.getDiagnostics().size(), 1u) << R.Diags.renderAll();
+    const Diagnostic &D = R.Diags.getDiagnostics()[0];
+    PresumedLoc P = R.SM.getPresumedLoc(D.Loc);
+    EXPECT_EQ(P.Line, 1u) << R.Diags.renderAll();
+    EXPECT_EQ(P.Column, 21u) << R.Diags.renderAll();
+    EXPECT_NE(D.Message.find("bound: assignment target must not be const"),
+              std::string::npos)
+        << D.Message;
+  }
+}
+
+// Storage that outlives a call is one cell for every instance of a
+// polymorphic function, so generalization must not quantify it: poly
+// rejects these programs exactly as mono does.
+TEST(ConstInfExtra, PolyDoesNotQuantifySharedFieldStorage) {
+  const std::string Source =
+      "struct S { int *f; };\n"
+      "void set(struct S *s, int *p) { s->f = p; }\n"
+      "void use(struct S *s) { *s->f = 1; }\n"
+      "void caller(const int *c, struct S *s) { set(s, c); use(s); }\n";
+  for (bool Polymorphic : {true, false}) {
+    SCOPED_TRACE(Polymorphic ? "poly" : "mono");
+    XRig R;
+    EXPECT_FALSE(R.analyze(Source, Polymorphic));
+    EXPECT_TRUE(R.Diags.hasErrors()) << R.Diags.renderAll();
+  }
+}
+
+TEST(ConstInfExtra, PolyDoesNotQuantifyStaticLocalStorage) {
+  const std::string Source =
+      "int *keep(int *p) { static int *s; int *old = s; s = p; return old; }\n"
+      "void caller(const int *c, int *x) { keep(c); *keep(x) = 1; }\n";
+  for (bool Polymorphic : {true, false}) {
+    SCOPED_TRACE(Polymorphic ? "poly" : "mono");
+    XRig R;
+    EXPECT_FALSE(R.analyze(Source, Polymorphic));
+    EXPECT_TRUE(R.Diags.hasErrors()) << R.Diags.renderAll();
+  }
 }
 
 } // namespace

@@ -197,6 +197,22 @@ TEST(SummaryBuilder, PrunesPrivateConstraintComponents) {
   ASSERT_TRUE(U.analyze({Source}, /*SummaryMode=*/true));
   EXPECT_LT(S.NumVars, U.Inf->numQualVars());
 
+  // The summary's variables are exactly its seeds: interface-symbol, pin
+  // and position variables, each counted once.
+  std::vector<uint32_t> Seeds;
+  for (const std::vector<link::QsumSymbol> *Section :
+       {&S.FnExports, &S.FnImports, &S.GlobExports, &S.GlobImports})
+    for (const link::QsumSymbol &Sym : *Section) {
+      Seeds.insert(Seeds.end(), Sym.Vars.begin(), Sym.Vars.end());
+      for (const link::QsumPin &P : Sym.Pins)
+        Seeds.push_back(P.Var);
+    }
+  for (const link::QsumPos &P : S.Positions)
+    Seeds.push_back(P.Var);
+  std::sort(Seeds.begin(), Seeds.end());
+  Seeds.erase(std::unique(Seeds.begin(), Seeds.end()), Seeds.end());
+  EXPECT_EQ(S.NumVars, Seeds.size());
+
   // Only the non-static function is an export, and its interface variables
   // all survived the renumbering.
   ASSERT_EQ(1u, S.FnExports.size());
@@ -412,6 +428,27 @@ TEST(Linker, EscapingFunctionDesignatorKeepsImport) {
         SawNonConstParam = P.Class == constinf::PosClass::MustNonConst;
     EXPECT_TRUE(SawNonConstParam);
   }
+}
+
+TEST(Linker, ViolationKeepsLocationAndBound) {
+  // TU a passes a const pointer to f; TU b defines f writing through it.
+  // The write is internal to b's summary, so only the canned bound's
+  // origin can still name where and why the const was rejected.
+  link::TuSummary A = summarize(
+      "a.c", "void f(int *p); void use(const int *q) { f(q); }\n");
+  link::TuSummary B = summarize("b.c", "void f(int *p) { *p = 1; }\n");
+  std::vector<link::TuSummary> Sums = {A, B};
+  link::LinkOptions Opts;
+  link::LinkResult R = link::linkSummaries(Sums, Opts);
+  ASSERT_TRUE(R.LoadOk && R.LinkOk);
+  EXPECT_FALSE(R.SolveOk);
+  ASSERT_EQ(R.Diagnostics.size(), 1u);
+  const std::string &D = R.Diagnostics[0];
+  // summarize() parses every TU as tu0.c; 1:21 is b's `*p`.
+  EXPECT_EQ(D.rfind("tu0.c:1:21: error: ", 0), 0u) << D;
+  EXPECT_NE(D.find("bound: assignment target must not be const"),
+            std::string::npos)
+      << D;
 }
 
 TEST(Linker, ConstraintBudgetIsLoadFailure) {

@@ -11,7 +11,6 @@
 #include "support/StringInterner.h"
 #include "support/TextTable.h"
 #include "support/Timer.h"
-#include "support/UnionFind.h"
 
 #include <gtest/gtest.h>
 
@@ -102,39 +101,6 @@ TEST(StringInterner, SurvivesManyInsertions) {
     SI.intern("key" + std::to_string(I));
   // The early view must still be valid and re-internable to the same data.
   EXPECT_EQ(SI.intern("stable").data(), First.data());
-}
-
-//===----------------------------------------------------------------------===//
-// UnionFind
-//===----------------------------------------------------------------------===//
-
-TEST(UnionFind, SingletonsAreTheirOwnRepresentatives) {
-  UnionFind UF;
-  unsigned A = UF.makeSet();
-  unsigned B = UF.makeSet();
-  EXPECT_EQ(UF.find(A), A);
-  EXPECT_EQ(UF.find(B), B);
-  EXPECT_FALSE(UF.connected(A, B));
-}
-
-TEST(UnionFind, UniteMergesTransitively) {
-  UnionFind UF;
-  unsigned A = UF.makeSet(), B = UF.makeSet(), C = UF.makeSet();
-  UF.unite(A, B);
-  UF.unite(B, C);
-  EXPECT_TRUE(UF.connected(A, C));
-  unsigned D = UF.makeSet();
-  EXPECT_FALSE(UF.connected(A, D));
-}
-
-TEST(UnionFind, LargeChainCompresses) {
-  UnionFind UF;
-  std::vector<unsigned> Ids;
-  for (int I = 0; I != 10000; ++I)
-    Ids.push_back(UF.makeSet());
-  for (int I = 1; I != 10000; ++I)
-    UF.unite(Ids[I - 1], Ids[I]);
-  EXPECT_TRUE(UF.connected(Ids[0], Ids[9999]));
 }
 
 //===----------------------------------------------------------------------===//

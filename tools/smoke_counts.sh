@@ -6,15 +6,17 @@
 #
 # seed7: runs `qualgen --lines 200000 --seed 7 | qualcc --stats` and fails
 # when the solver counters grow past today's values (qualifier vars
-# 622,366, constraints 408,668, edge visits 20,113) or when the Table 2
+# 622,366, constraints 408,094, edge visits 20,113) or when the Table 2
 # line is not exactly `declared 9026, inferred possible-const 29286, total
 # positions 37020`.
 #
 # link: summarizes the `qualgen --tus 16 --lines 60000 --seed 42` split per
 # TU and fails when `quallink --stats` over the summaries reports more than
-# 138,952 qualifier vars or 224,737 constraints -- the values once every
-# summary carries variables only for the imports its TU references
-# (docs/LINK.md), so the per-prototype import blow-up cannot return.
+# 107,991 qualifier vars or 189,270 constraints -- the values once every
+# summary carries variables only for the imports its TU references and
+# holds only its seeds plus canned constraints over them (docs/LINK.md),
+# so neither the per-prototype import blow-up nor private constraint
+# components can return.
 #
 # Counters are deterministic, so the bounds hold on any host and build
 # type; a change that means to lower them should lower the bounds too.
@@ -65,8 +67,8 @@ if [ "$MODE" = link ]; then
     "$QUALCC" --quiet --emit-summary-dir="$WORKDIR/qs" "$WORKDIR"/tus/tu_*.c \
         >/dev/null
     "$QUALLINK" --stats "$WORKDIR"/qs/*.qsum >"$WORKDIR/stats.txt"
-    check_max "qualifier vars" 138952
-    check_max "constraints" 224737
+    check_max "qualifier vars" 107991
+    check_max "constraints" 189270
     exit "$FAILED"
 fi
 
@@ -74,7 +76,7 @@ fi
 "$QUALCC" --stats "$WORKDIR/seed7.c" >"$WORKDIR/stats.txt"
 
 check_max "qualifier vars" 622366
-check_max "constraints" 408668
+check_max "constraints" 408094
 check_max "edge visits" 20113
 
 TABLE2="declared 9026, inferred possible-const 29286, total positions 37020"
