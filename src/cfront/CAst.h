@@ -81,6 +81,9 @@ public:
   void setInit(const CExpr *E) { Init = E; }
   bool isGlobal() const { return Global; }
   void setGlobal(bool G) { Global = G; }
+  /// False only for an `extern` declaration without an initializer, which
+  /// names storage defined elsewhere.
+  bool isDefinition() const { return SC != StorageClass::Extern || Init; }
 
   static bool classof(const CDecl *D) { return D->getKind() == Kind::Var; }
 

@@ -19,8 +19,7 @@ ConstInference::ConstInference(TranslationUnit &TU, DiagnosticEngine &Diags,
                                Options Opts)
     : TU(TU), Diags(Diags), Opts(Opts),
       Ctors(TU.numDecls(CDecl::Kind::Record)),
-      Schemes(TU.numDecls(CDecl::Kind::Function)),
-      Referenced(TU.numDecls(CDecl::Kind::Function)) {
+      Schemes(TU.numDecls(CDecl::Kind::Function)) {
   // Summary mode links interface variables across TUs by name, which needs
   // monomorphic (plain-variable) interfaces (docs/LINK.md).
   if (this->Opts.SummaryMode)
@@ -37,23 +36,20 @@ ConstInference::ConstInference(TranslationUnit &TU, DiagnosticEngine &Diags,
 ConstInference::~ConstInference() = default;
 
 QualType ConstInference::functionUse(const FunctionDecl *FD) {
-  Referenced[FD->getId()] = true;
   if (Opts.Polymorphic && Schemes[FD->getId()].isPolymorphic())
     return Schemes[FD->getId()].instantiate(*Sys, Factory);
   return Translator->functionInterfaceType(FD);
 }
 
 bool ConstInference::run() {
-  // 1. Global variables (and their shared cells) come first so their
-  //    qualifier variables are never generalized.
+  // 1. The globals the unit defines come first so their qualifier
+  //    variables are never generalized. Extern globals and library
+  //    interfaces are translated on first use, marked as shared storage.
   {
     PhaseScope Phase("ref-types", "constinf");
     for (VarDecl *G : TU.Globals)
-      Translator->varLValueType(G);
-    // Library (undefined) function interfaces also predate the traversal.
-    for (FunctionDecl *F : TU.Functions)
-      if (!F->isDefined())
-        Translator->functionInterfaceType(F);
+      if (G->isDefinition())
+        Translator->varLValueType(G);
   }
 
   ConstraintGen Gen(*Sys, Factory, Ctors, *Translator, ConstQual, Diags,
@@ -91,7 +87,8 @@ bool ConstInference::run() {
       // Interfaces for the whole SCC first (mutual recursion uses them
       // monomorphically within the component, as in the paper).
       for (unsigned Node : Component)
-        Translator->functionInterfaceType(Graph.Functions[Node]);
+        if (Graph.Functions[Node]->isDefined())
+          Translator->functionInterfaceType(Graph.Functions[Node]);
       for (unsigned Node : Component) {
         FunctionDecl *F = Graph.Functions[Node];
         if (F->isDefined())

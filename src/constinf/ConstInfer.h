@@ -9,7 +9,10 @@
 /// The driver for Section 4's const inference. Given an analyzed
 /// translation unit it
 ///
-///  1. translates global variables to qualified ref types,
+///  1. translates the global variables the unit defines to qualified ref
+///     types (an `extern` global's cell and a library function's interface
+///     are translated when constraint generation first uses them, so a
+///     declaration the unit never uses costs no variables),
 ///  2. builds the function dependence graph (Definition 4),
 ///  3. traverses its SCCs in reverse topological order, analyzing each set
 ///     of mutually-recursive functions monomorphically and then (in
@@ -135,13 +138,6 @@ public:
   /// undefined functions).
   const QualScheme *schemeFor(const cfront::FunctionDecl *FD) const;
 
-  /// Whether constraint generation referenced \p FD -- called it or used it
-  /// as a value (valid after run()). A summary gives an unreferenced
-  /// undefined function only its name and shape (docs/LINK.md).
-  bool isReferenced(const cfront::FunctionDecl *FD) const {
-    return Referenced.lookup(FD->getId());
-  }
-
   /// The function dependence graph the traversal used (valid after run()).
   const Fdg &fdg() const { return Graph; }
 
@@ -162,7 +158,8 @@ public:
   /// The l-translator, exposing memoized interface/variable types, the
   /// interesting positions, and (in SummaryMode) the deferred library pins.
   /// The link layer's summary extraction reads interface skeletons through
-  /// it after run().
+  /// it after run(); a declaration it never translated is one the unit
+  /// never used.
   RefTranslator &translator() { return *Translator; }
 
   /// The analyzed translation unit.
@@ -181,8 +178,6 @@ private:
   std::unique_ptr<RefTranslator> Translator;
   /// Indexed by FunctionDecl id; a null body means no scheme.
   DeclTable<QualScheme> Schemes;
-  /// Indexed by FunctionDecl id; set by functionUse().
-  DeclTable<bool> Referenced;
   Fdg Graph;
 
   QualType functionUse(const cfront::FunctionDecl *FD);

@@ -13,6 +13,65 @@ using namespace quals;
 using namespace quals::constinf;
 using namespace quals::cfront;
 
+namespace {
+
+/// The constructor names, shared by the translation and shapeOf().
+std::string fnCtorName(size_t NumParams) {
+  return "fn" + std::to_string(NumParams);
+}
+
+std::string recordCtorName(const RecordDecl *RD) {
+  return (RD->isUnion() ? "union " : "struct ") + std::string(RD->getName());
+}
+
+/// Appends the shape of the r-type l'(T), mirroring RefTranslator::lprime.
+void appendShape(CQualType T, std::string &Shape) {
+  const CType *Ty = T.getType();
+  switch (Ty ? Ty->getKind() : CType::Kind::Builtin) {
+  case CType::Kind::Builtin:
+  case CType::Kind::Enum:
+    Shape += "val";
+    return;
+  case CType::Kind::Pointer:
+  case CType::Kind::Array:
+    Shape += "ref(";
+    appendShape(isa<PointerType>(Ty) ? cast<PointerType>(Ty)->getPointee()
+                                     : cast<ArrayType>(Ty)->getElement(),
+                Shape);
+    Shape += ')';
+    return;
+  case CType::Kind::Record:
+    Shape += recordCtorName(cast<RecordType>(Ty)->getDecl());
+    return;
+  case CType::Kind::Function: {
+    const auto *FT = cast<FunctionType>(Ty);
+    Shape += fnCtorName(FT->getParams().size());
+    Shape += '(';
+    for (CQualType P : FT->getParams()) {
+      appendShape(P, Shape);
+      Shape += ',';
+    }
+    appendShape(FT->getReturn(), Shape);
+    Shape += ')';
+    return;
+  }
+  }
+}
+
+} // namespace
+
+std::string constinf::shapeOf(const CDecl *D) {
+  std::string Shape;
+  if (const auto *FD = dyn_cast<FunctionDecl>(D)) {
+    appendShape(CQualType(FD->getType()), Shape);
+  } else {
+    Shape += "ref(";
+    appendShape(cast<VarDecl>(D)->getType(), Shape);
+    Shape += ')';
+  }
+  return Shape;
+}
+
 ConstCtors::ConstCtors(unsigned NumRecords)
     : Val("val", {}), Ref("ref", {Variance::Invariant}), Records(NumRecords) {}
 
@@ -22,7 +81,7 @@ const TypeCtor *ConstCtors::fn(unsigned NumParams) {
     return It->second;
   std::vector<Variance> Args(NumParams, Variance::Contravariant);
   Args.push_back(Variance::Covariant);
-  Owned.emplace_back("fn" + std::to_string(NumParams), std::move(Args));
+  Owned.emplace_back(fnCtorName(NumParams), std::move(Args));
   FnCtors[NumParams] = &Owned.back();
   return &Owned.back();
 }
@@ -31,9 +90,7 @@ const TypeCtor *ConstCtors::record(const RecordDecl *RD) {
   const TypeCtor *&Ctor = Records[RD->getId()];
   if (Ctor)
     return Ctor;
-  std::string Name =
-      (RD->isUnion() ? "union " : "struct ") + std::string(RD->getName());
-  Owned.emplace_back(std::move(Name), std::vector<Variance>());
+  Owned.emplace_back(recordCtorName(RD), std::vector<Variance>());
   Ctor = &Owned.back();
   return Ctor;
 }
@@ -102,13 +159,16 @@ RefTranslator::lprime(CQualType T, SourceLoc Loc,
   return Result;
 }
 
+void RefTranslator::markShared(QualVarId First) {
+  SharedStorage.resize(Sys.getNumVars(), false);
+  std::fill(SharedStorage.begin() + First, SharedStorage.end(), true);
+}
+
 QualType RefTranslator::lvalueType(CQualType T, SourceLoc Loc, bool Shared) {
   QualVarId First = Sys.getNumVars();
   LPair LP = lprime(T, Loc, /*Collect=*/nullptr, 0);
-  if (Shared) {
-    SharedStorage.resize(Sys.getNumVars(), false);
-    std::fill(SharedStorage.begin() + First, SharedStorage.end(), true);
-  }
+  if (Shared)
+    markShared(First);
   return Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
 }
 
@@ -143,6 +203,7 @@ QualType RefTranslator::functionInterfaceType(const FunctionDecl *FD) {
   const FunctionType *FT = FD->getType();
   const QualifierSet &QS = Sys.getQualifierSet();
   bool Defined = FD->isDefined();
+  QualVarId First = Sys.getNumVars();
   std::vector<QualType> Args;
   std::vector<InterestingPos> Collected;
 
@@ -196,6 +257,10 @@ QualType RefTranslator::functionInterfaceType(const FunctionDecl *FD) {
   QualType T = Factory.make(QualExpr::makeVar(Sys.freshVar()),
                             Ctors.fn(FT->getParams().size()), Args);
   FnTypes[FD->getId()] = T;
+  // A library interface is translated inside the body that first uses it,
+  // but it belongs to every caller, like a global.
+  if (!Defined)
+    markShared(First);
   Interesting.insert(Interesting.end(), Collected.begin(), Collected.end());
   return T;
 }

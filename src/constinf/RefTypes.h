@@ -41,6 +41,7 @@
 #include "qual/QualType.h"
 
 #include <deque>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -106,6 +107,14 @@ struct DeferredPin {
   bool IsEscape = false;
 };
 
+/// The shape of the qualified type the l translation gives \p D -- a
+/// FunctionDecl's interface fnN(...) or a VarDecl's cell ref(...) --
+/// computed from its C type alone, without translating it: constructor
+/// names, each constructor's arguments in parentheses. Two declarations
+/// with equal shapes translate to positionally identical variable lists,
+/// which is what cross-TU symbol unification relies on (link/Linker.h).
+std::string shapeOf(const cfront::CDecl *D);
+
 /// Performs the l translation, memoizing shared structure (record field
 /// environments, variable cell types, function interfaces) in tables
 /// indexed by declaration id and sized once from \p TU's declaration counts.
@@ -139,7 +148,23 @@ public:
   /// Memoized; interesting positions are recorded on first creation for
   /// *defined* functions, and the Section 4.2 library rule (undeclared
   /// non-const parameters are non-const) is applied for undefined ones.
+  /// An undefined (library) function's interface is translated on first
+  /// use, inside whichever function body uses it; its variables are marked
+  /// as shared storage, since every caller shares the one interface.
   QualType functionInterfaceType(const cfront::FunctionDecl *FD);
+
+  /// The memoized interface of \p FD, or a null type if nothing has used
+  /// it yet. Creates no variables.
+  QualType translatedInterface(const cfront::FunctionDecl *FD) const {
+    return FnTypes.lookup(FD->getId());
+  }
+
+  /// The memoized cell of \p VD, or a null type if it was never
+  /// translated (an `extern` global the unit does not use). Creates no
+  /// variables.
+  QualType translatedCell(const cfront::VarDecl *VD) const {
+    return VarTypes.lookup(VD->getId());
+  }
 
   /// Translates a C type to an r-value qualified type with all-fresh
   /// variables (used for casts, which sever qualifier flow).
@@ -149,9 +174,10 @@ public:
     return Interesting;
   }
 
-  /// True if \p V was created for storage that outlives a call: a shared
-  /// record field or a variable with static storage. Every instance of a
-  /// polymorphic function shares it, so generalization must not quantify it.
+  /// True if \p V was created for storage that outlives a call -- a shared
+  /// record field or a variable with static storage -- or for a library
+  /// function's interface. Every instance of a polymorphic function shares
+  /// it, so generalization must not quantify it.
   bool isSharedStorage(QualVarId V) const {
     return V < SharedStorage.size() && SharedStorage[V];
   }
@@ -205,6 +231,9 @@ private:
   /// The l-value type kappa ref(rho) of a declaration of type \p T; marks
   /// its variables as shared storage when \p Shared is set.
   QualType lvalueType(cfront::CQualType T, SourceLoc Loc, bool Shared);
+
+  /// Marks every variable created since \p First as shared storage.
+  void markShared(QualVarId First);
 };
 
 } // namespace constinf

@@ -95,8 +95,9 @@ struct QsumPin {
 /// One exported or imported symbol: its name, the skeleton of its qualified
 /// type (a shape string; equal shapes have identical variable layouts), and
 /// the flattened preorder list of interface qualifier variables. Imports
-/// additionally carry their deferred library pins. A function import its TU
-/// never references is shape-only: no variables and no pins.
+/// additionally carry their deferred library pins. An import its TU never
+/// uses (a function or an `extern` global) is shape-only: no variables and
+/// no pins.
 struct QsumSymbol {
   uint32_t Name = 0;  ///< String-table index.
   uint32_t Shape = 0; ///< String-table index.

@@ -11,7 +11,6 @@
 #include "qual/TypeScheme.h"
 #include "support/SourceManager.h"
 
-#include <cstdio>
 #include <unordered_map>
 
 using namespace quals;
@@ -43,38 +42,6 @@ private:
   std::vector<std::string> &Out;
   std::unordered_map<std::string, uint32_t> Index;
 };
-
-/// Flattens a qualified type: appends a shape string describing the
-/// constructor tree (with constant qualifiers baked into the shape) and
-/// collects the variable qualifiers in preorder. Two types with equal shape
-/// strings have positionally-identical variable lists, which is what symbol
-/// unification relies on.
-void flattenType(QualType T, std::string &Shape,
-                 std::vector<QualVarId> &Vars) {
-  if (T.isNull()) {
-    Shape += '_';
-    return;
-  }
-  QualExpr Q = T.getQual();
-  if (Q.isVar()) {
-    Vars.push_back(Q.getVar());
-  } else {
-    char Buf[24];
-    std::snprintf(Buf, sizeof(Buf), "[%llx]",
-                  static_cast<unsigned long long>(Q.getConst().bits()));
-    Shape += Buf;
-  }
-  Shape += T.getCtor()->getName();
-  if (unsigned N = T.getNumArgs()) {
-    Shape += '(';
-    for (unsigned I = 0; I != N; ++I) {
-      if (I)
-        Shape += ',';
-      flattenType(T.getArg(I), Shape, Vars);
-    }
-    Shape += ')';
-  }
-}
 
 QsumOrigin presumed(const SourceManager &SM, SourceLoc Loc, StringTable &ST,
                     uint32_t Reason) {
@@ -112,45 +79,37 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
 
   constinf::RefTranslator &TR = Inf.translator();
 
-  // Interface symbols. run() memoized every function interface and global
-  // cell type, so these lookups create no new variables.
-  auto makeSymbol = [&](std::string_view Name, QualType T) {
+  // Interface symbols: the shape comes from the C type, the variables (in
+  // preorder) from the translated type. run() translated every definition;
+  // an import it never translated -- an undefined function or an extern
+  // global the TU never uses -- is shape-only: no variables and no pins,
+  // and the linker only checks its kind and shape.
+  auto makeSymbol = [&](const CDecl *D, QualType T) {
     QsumSymbol Sym;
-    Sym.Name = ST.intern(Name);
-    std::string Shape;
-    std::vector<QualVarId> Vars;
-    flattenType(T, Shape, Vars);
-    Sym.Shape = ST.intern(Shape);
-    Sym.Vars.assign(Vars.begin(), Vars.end());
+    Sym.Name = ST.intern(D->getName());
+    Sym.Shape = ST.intern(constinf::shapeOf(D));
+    T.visit([&](QualType Node) {
+      if (Node.getQual().isVar())
+        Sym.Vars.push_back(Node.getQual().getVar());
+    });
     return Sym;
   };
-
-  // An undefined function the TU never references is a shape-only import:
-  // no variables and no pins, so its declared-type constraints are
-  // eliminated below and the linker only checks its kind and shape.
   std::unordered_map<const FunctionDecl *, size_t> ImportIndex;
   for (FunctionDecl *F : Inf.unit().Functions) {
-    QualType T = TR.functionInterfaceType(F);
+    QualType T = TR.translatedInterface(F);
     if (!F->isDefined()) {
-      QsumSymbol Sym = makeSymbol(F->getName(), T);
-      if (Inf.isReferenced(F))
+      if (!T.isNull())
         ImportIndex[F] = S.FnImports.size();
-      else
-        Sym.Vars.clear();
-      S.FnImports.push_back(std::move(Sym));
+      S.FnImports.push_back(makeSymbol(F, T));
     } else if (F->getStorageClass() != StorageClass::Static) {
-      S.FnExports.push_back(makeSymbol(F->getName(), T));
+      S.FnExports.push_back(makeSymbol(F, T));
     }
   }
   for (VarDecl *G : Inf.unit().Globals) {
-    QualType T = TR.varLValueType(G);
-    StorageClass SC = G->getStorageClass();
-    if (SC == StorageClass::Static)
+    if (G->getStorageClass() == StorageClass::Static)
       continue; // TU-local: never linked.
-    if (SC == StorageClass::Extern && !G->getInit())
-      S.GlobImports.push_back(makeSymbol(G->getName(), T));
-    else
-      S.GlobExports.push_back(makeSymbol(G->getName(), T));
+    (G->isDefinition() ? S.GlobExports : S.GlobImports)
+        .push_back(makeSymbol(G, TR.translatedCell(G)));
   }
 
   // Withheld library pins, attached to the imported symbol they belong to.

@@ -22,9 +22,11 @@
 /// and reason of a witness constraint. That is exact for linking: the TU
 /// was solved locally with no violations (the compile step refuses to emit
 /// a summary otherwise), and the link step only ever adds constraints on
-/// seeds. An undefined function the TU never references
-/// (ConstInference::isReferenced) is a shape-only import with no variables,
-/// so it seeds nothing.
+/// seeds. An import the TU never uses -- an undefined function or an
+/// `extern` global inference never translated -- is a shape-only symbol
+/// with no variables, so it seeds nothing. Every symbol's shape comes from
+/// its C type (constinf::shapeOf), so shape-only and translated occurrences
+/// of a symbol always agree.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -128,24 +128,30 @@ quals::simplifyConstraints(const ConstraintSystem &Sys, Watermark Mark,
 
   // One pass over the range: constant seeds go straight into the bounds
   // (the first constraint that moves a bound is its witness), var-to-var
-  // edges into the adjacency lists.
+  // edges into the adjacency lists. A free variable's own constant bounds
+  // are skipped: they stay in Sys, and the pairs to it carry them.
+  auto isFree = [&](QualVarId V) {
+    return V < Mark.FirstVar || (Free && Free(V));
+  };
   std::vector<uint32_t> LowerWork, UpperWork; // Seeded with those bounds.
   std::vector<std::pair<uint32_t, LocalEdge>> FwdPairs, BwdPairs;
   for (ConstraintId Id = Mark.FirstConstraint, E = Sys.getNumConstraints();
        Id != E; ++Id) {
     const Constraint &C = Sys.getConstraint(Id);
-    uint32_t L = C.Lhs.isVar() ? localOf(C.Lhs.getVar()) : 0;
-    uint32_t R = C.Rhs.isVar() ? localOf(C.Rhs.getVar()) : 0;
     if (C.Lhs.isVar() && C.Rhs.isVar()) {
+      uint32_t L = localOf(C.Lhs.getVar());
+      uint32_t R = localOf(C.Rhs.getVar());
       FwdPairs.push_back({L, {R, Id, C.Mask}});
       BwdPairs.push_back({R, {L, Id, C.Mask}});
-    } else if (C.Lhs.isConst() && C.Rhs.isVar()) {
+    } else if (C.Lhs.isConst() && C.Rhs.isVar() && !isFree(C.Rhs.getVar())) {
+      uint32_t R = localOf(C.Rhs.getVar());
       uint64_t Bits = C.Lhs.getConst().bits() & C.Mask;
       if (Bits && Lower[R].Wit == NoWitness)
         Lower[R].Wit = Id;
       Lower[R].Bits |= Bits;
       LowerWork.push_back(R);
-    } else if (C.Lhs.isVar() && C.Rhs.isConst()) {
+    } else if (C.Lhs.isVar() && C.Rhs.isConst() && !isFree(C.Lhs.getVar())) {
+      uint32_t L = localOf(C.Lhs.getVar());
       uint64_t New = Upper[L].Bits & (C.Rhs.getConst().bits() | ~C.Mask);
       if (New != Upper[L].Bits && Upper[L].Wit == NoWitness)
         Upper[L].Wit = Id;
@@ -254,8 +260,8 @@ quals::simplifyConstraints(const ConstraintSystem &Sys, Watermark Mark,
     Touched.clear();
   }
 
-  // Constant bounds for the interface variables. (Free variables already
-  // carry their local constant bounds in the system.)
+  // Constant bounds for the interface variables. (Free variables keep
+  // their own constant bounds in the system.)
   for (uint32_t L = 0; L != NumOwned; ++L) {
     QualExpr V = QualExpr::makeVar(Interface[L]);
     if (Lower[L].Bits)

@@ -60,8 +60,10 @@ inline Watermark takeWatermark(const ConstraintSystem &Sys) {
 /// with every other variable eliminated (Section 3.2's constraint
 /// simplification; TypeScheme.cpp). Variables older than Mark, and those
 /// \p Free returns true for, are *free*: they live on in \p Sys, so they
-/// take no bounds and no pairs among themselves, but they are interface
-/// variables for reachability. The result, in order:
+/// take no bounds and no pairs among themselves, and their own constant
+/// bounds stay in \p Sys instead of seeding the interface variables'
+/// bounds; but they are interface variables for reachability. The result,
+/// in order:
 ///
 ///   - masked reachability `a <= b` between interface variables a and b,
 ///     one of them not free, through non-interface variables only (a

@@ -278,4 +278,30 @@ TEST(ConstInfExtra, PolyDoesNotQuantifyStaticLocalStorage) {
   }
 }
 
+// A library function's interface is translated inside the first body that
+// uses it (w), yet every caller shares it: poly must link w's instances to
+// it and report the mono diagnostic, not quantify it away.
+TEST(ConstInfExtra, PolyDoesNotQuantifyLibraryInterface) {
+  const std::string Source = "int **get(void);\n"
+                             "void w(int *c) { *get() = c; }\n"
+                             "void a(const int *k) { w(k); }\n"
+                             "void use(void) { **get() = 1; }\n";
+  std::string Rendered[2];
+  for (bool Polymorphic : {true, false}) {
+    SCOPED_TRACE(Polymorphic ? "poly" : "mono");
+    XRig R;
+    EXPECT_FALSE(R.analyze(Source, Polymorphic));
+    ASSERT_EQ(R.Diags.getDiagnostics().size(), 1u) << R.Diags.renderAll();
+    const Diagnostic &D = R.Diags.getDiagnostics()[0];
+    PresumedLoc P = R.SM.getPresumedLoc(D.Loc);
+    EXPECT_EQ(P.Line, 4u);
+    EXPECT_EQ(P.Column, 26u);
+    EXPECT_NE(D.Message.find("bound: assignment target must not be const"),
+              std::string::npos)
+        << D.Message;
+    Rendered[Polymorphic] = R.Diags.renderAll();
+  }
+  EXPECT_EQ(Rendered[true], Rendered[false]);
+}
+
 } // namespace

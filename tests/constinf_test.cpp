@@ -556,4 +556,33 @@ TEST(ConstInf, FunctionPointerCallsConstrainArguments) {
   EXPECT_EQ(R.classOf("use", 0), PosClass::MustNonConst);
 }
 
+TEST(ConstInf, UnreferencedDeclarationsAddNoVariables) {
+  // Library interfaces and extern cells are translated on first use, so
+  // declarations the unit never uses add no variables and no constraints.
+  const std::string Unit = "int puts(const char *s);\n"
+                           "extern int *counter;\n"
+                           "int *keep;\n"
+                           "int log_it(char *msg) { *counter = 1;"
+                           " return puts(msg); }\n"
+                           "void save(int *p) { keep = p; }\n";
+  std::string Headers;
+  for (int I = 0; I != 100; ++I) {
+    std::string N = std::to_string(I);
+    Headers += "int lib" + N + "(int *p, const char **q);\n";
+    Headers += "extern int *ext" + N + ";\n";
+  }
+  for (bool Polymorphic : {true, false}) {
+    SCOPED_TRACE(Polymorphic ? "poly" : "mono");
+    InfRig Alone, WithHeaders;
+    ASSERT_TRUE(Alone.analyze(Unit, Polymorphic)) << Alone.Diags.renderAll();
+    ASSERT_TRUE(WithHeaders.analyze(Headers + Unit, Polymorphic))
+        << WithHeaders.Diags.renderAll();
+    EXPECT_EQ(Alone.Inf->numQualVars(), WithHeaders.Inf->numQualVars());
+    EXPECT_EQ(Alone.Inf->numConstraints(),
+              WithHeaders.Inf->numConstraints());
+    EXPECT_EQ(Alone.Inf->renderAnnotatedPrototypes(),
+              WithHeaders.Inf->renderAnnotatedPrototypes());
+  }
+}
+
 } // namespace

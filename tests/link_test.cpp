@@ -16,6 +16,7 @@
 #include "cfront/CParser.h"
 #include "cfront/CSema.h"
 #include "constinf/ConstInfer.h"
+#include "gen/SynthGen.h"
 #include "link/Linker.h"
 #include "link/Qsum.h"
 #include "link/SummaryBuilder.h"
@@ -24,7 +25,10 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -249,6 +253,97 @@ TEST(SummaryBuilder, UnreferencedImportIsShapeOnly) {
   EXPECT_EQ(R.str(R.FnImports[0].Shape), S.str(Unused.Shape));
 }
 
+/// The shape of a translated type -- constructor names, each
+/// constructor's arguments in parentheses -- which constinf::shapeOf must
+/// reproduce from the C type alone.
+std::string translatedShape(QualType T) {
+  std::string Shape(T.getCtor()->getName());
+  if (unsigned N = T.getNumArgs()) {
+    Shape += '(';
+    for (unsigned I = 0; I != N; ++I)
+      Shape += (I ? "," : "") + translatedShape(T.getArg(I));
+    Shape += ')';
+  }
+  return Shape;
+}
+
+TEST(SummaryBuilder, ShapeFromCTypeMatchesTranslation) {
+  // A symbol's shape comes from its C type whether or not its TU
+  // translated it, so a shape-only occurrence and a translated one of the
+  // same declaration always agree.
+  std::vector<std::string> Sources;
+  std::vector<std::filesystem::path> Examples;
+  for (const auto &E : std::filesystem::directory_iterator(
+           std::string(QUALS_SOURCE_DIR) + "/examples/programs"))
+    if (E.path().extension() == ".c")
+      Examples.push_back(E.path());
+  std::sort(Examples.begin(), Examples.end());
+  ASSERT_FALSE(Examples.empty());
+  for (const std::filesystem::path &Path : Examples) {
+    std::ifstream In(Path);
+    std::stringstream Text;
+    Text << In.rdbuf();
+    Sources.push_back(Text.str());
+  }
+  for (const synth::SynthProgram &TU :
+       synth::generateTuSplit(synth::paramsForLines(42, 1200), 4))
+    Sources.push_back(TU.Source);
+  Sources.push_back("enum color { RED, GREEN };\n"
+                    "union u { int i; char *s; };\n"
+                    "struct node { struct node *next; int vals[4]; };\n"
+                    "extern union u cells[8];\n"
+                    "extern int (*handler)(const char *, struct node *);\n"
+                    "void run(void (*cb)(int **), enum color c);\n"
+                    "char **names(struct node *n, int k[], ...);\n"
+                    "int old_style();\n");
+
+  unsigned Checked = 0;
+  for (const std::string &Source : Sources) {
+    Unit U;
+    U.analyze({Source}, /*SummaryMode=*/true); // Rejected examples too.
+    ASSERT_TRUE(U.Inf) << U.Diags->renderAll();
+    constinf::RefTranslator &TR = U.Inf->translator();
+    for (const cfront::FunctionDecl *F : U.TU.Functions) {
+      EXPECT_EQ(constinf::shapeOf(F),
+                translatedShape(TR.functionInterfaceType(F)))
+          << F->getName();
+      ++Checked;
+    }
+    for (const cfront::VarDecl *G : U.TU.Globals) {
+      EXPECT_EQ(constinf::shapeOf(G), translatedShape(TR.varLValueType(G)))
+          << G->getName();
+      ++Checked;
+    }
+  }
+  EXPECT_GT(Checked, 100u);
+}
+
+TEST(SummaryBuilder, UnreferencedExternGlobalIsShapeOnly) {
+  // `unused` is only declared: its import keeps its name and shape but no
+  // variables. `used` is read, so it keeps its variables.
+  const char *Decls = "extern int *unused;\n"
+                      "extern char **used;\n";
+  link::TuSummary S =
+      summarize("extern_shape_only.c",
+                std::string(Decls) + "int f(void) { return **used; }\n");
+  ASSERT_EQ(2u, S.GlobImports.size());
+  const link::QsumSymbol &Unused = S.GlobImports[0];
+  const link::QsumSymbol &Used = S.GlobImports[1];
+  ASSERT_EQ("unused", S.str(Unused.Name));
+  ASSERT_EQ("used", S.str(Used.Name));
+  EXPECT_TRUE(Unused.Vars.empty());
+  EXPECT_FALSE(Used.Vars.empty());
+
+  // The shape is the one the symbol has when referenced.
+  link::TuSummary R =
+      summarize("extern_used.c",
+                std::string(Decls) +
+                    "int f(void) { return **used + *unused; }\n");
+  ASSERT_EQ(2u, R.GlobImports.size());
+  EXPECT_FALSE(R.GlobImports[0].Vars.empty());
+  EXPECT_EQ(R.str(R.GlobImports[0].Shape), S.str(Unused.Shape));
+}
+
 TEST(Linker, CanonicalizationIsOrderAndDuplicateInvariant) {
   link::TuSummary A = summarize("a.c", kWriterTu);
   link::TuSummary B = summarize("b.c", kReaderHelperTu);
@@ -325,6 +420,34 @@ TEST(Linker, UnresolvedImportAppliesWithheldPins) {
   link::LinkResult R = link::linkSummaries(Sums, Opts);
   ASSERT_TRUE(R.LoadOk && R.LinkOk && R.SolveOk);
   EXPECT_EQ(WholeKeys, linkedKeys(R));
+}
+
+TEST(Linker, UnreferencedExternMatchesWholeProgram) {
+  // TU a stores its parameter into `shared` and declares `spare` without
+  // using it; TU b defines both and writes through each. The split links
+  // a's shape-only `spare` against b's definition and classifies every
+  // position as the concatenation does.
+  std::vector<std::string> Sources = {
+      "extern int *shared;\nextern int *spare;\n"
+      "void put(int *p) { shared = p; }\n",
+      "int *shared;\nint *spare;\n"
+      "void poke(int *q) { *shared = 1; *spare = 2; spare = q; }\n"};
+  std::vector<std::string> WholeKeys = wholeProgramKeys(Sources);
+
+  link::TuSummary A = summarize("tu0.c", Sources[0]);
+  ASSERT_EQ(2u, A.GlobImports.size());
+  EXPECT_FALSE(A.GlobImports[0].Vars.empty());
+  EXPECT_TRUE(A.GlobImports[1].Vars.empty());
+  link::TuSummary B = summarize("tu1.c", Sources[1]);
+  std::vector<link::TuSummary> Sums = {A, B};
+  link::LinkOptions Opts;
+  link::LinkResult R = link::linkSummaries(Sums, Opts);
+  ASSERT_TRUE(R.LoadOk && R.LinkOk && R.SolveOk)
+      << (R.Diagnostics.empty() ? "" : R.Diagnostics[0]);
+  EXPECT_EQ(WholeKeys, linkedKeys(R));
+  ASSERT_EQ(2u, R.Positions.size());
+  for (const link::LinkedPos &P : R.Positions)
+    EXPECT_EQ(P.Class, constinf::PosClass::MustNonConst) << P.FnName;
 }
 
 TEST(Linker, DuplicateDefinitionDiagnosed) {

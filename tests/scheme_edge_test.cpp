@@ -166,6 +166,46 @@ TEST_F(SchemeEdge, ReverseFlowFromFreeVariable) {
   EXPECT_TRUE(Sys.mustHave(Use.getQual().getVar(), Const));
 }
 
+TEST_F(SchemeEdge, FreeVariableKeepsItsOwnConstantBound) {
+  // The body stores its parameter into a global (free) and writes through
+  // the global. The global's own bound stays in the system: the scheme
+  // cans the pair p <= global but no constant bound, and a const argument
+  // to an instance fails once, at the global's bound, explained exactly as
+  // the monomorphic body explains it.
+  std::string Explained[2];
+  auto run = [&](bool Generalize) {
+    ConstraintSystem Sys(QS);
+    QualExpr Global = var(Sys);
+    Watermark Mark = takeWatermark(Sys);
+    QualExpr P = var(Sys);
+    Sys.addLeq(P, Global, {"parameter stored in global"});
+    Sys.addLeq(Global, QualExpr::makeConst(QS.notQual(Const)),
+               {"write through global"});
+    QualType Use = Factory.make(var(Sys), &Fn,
+                                {Factory.make(P, &Int),
+                                 Factory.make(var(Sys), &Int)});
+    if (Generalize) {
+      QualScheme S = QualScheme::generalize(Sys, Use, Mark);
+      ASSERT_EQ(S.getCannedConstraints().size(), 1u);
+      const Constraint &Pair = S.getCannedConstraints()[0];
+      EXPECT_TRUE(Pair.Lhs.isVar() && Pair.Lhs.getVar() == P.getVar());
+      EXPECT_TRUE(Pair.Rhs.isVar() && Pair.Rhs.getVar() == Global.getVar());
+      Use = S.instantiate(Sys, Factory);
+    }
+    Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Const})),
+               Use.getArg(0).getQual(), {"const argument"});
+    Sys.solve();
+    std::vector<Violation> Vs = Sys.collectViolations();
+    ASSERT_EQ(Vs.size(), 1u);
+    EXPECT_EQ(Sys.getReason(Sys.getConstraint(Vs[0].Cause).Reason),
+              "write through global");
+    Explained[Generalize] = Sys.explain(Vs[0]);
+  };
+  run(true);
+  run(false);
+  EXPECT_EQ(Explained[true], Explained[false]);
+}
+
 TEST_F(SchemeEdge, InstantiationOfInstantiationComposes) {
   // Generalize f; instantiate inside g's body; generalize g; instantiate
   // g: bounds flow through both layers.
