@@ -6,7 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// AST for the C-subset front end. Arena-allocated, kind-tag RTTI.
+/// AST for the C-subset front end. Arena-allocated, kind-tag RTTI. Every
+/// node is trivially destructible: child lists are spans over arena arrays
+/// (CAstContext::list), so the arena frees a whole AST with its slabs.
 /// Expressions carry the type computed by semantic analysis (CSema) plus an
 /// l-value flag -- the distinction Section 4.1 builds on (every C variable
 /// is an updateable ref; r-value uses auto-dereference).
@@ -19,6 +21,7 @@
 #include "cfront/CType.h"
 #include "support/SourceLoc.h"
 
+#include <span>
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
@@ -119,11 +122,11 @@ public:
 
   bool isUnion() const { return IsUnion; }
   bool isComplete() const { return Complete; }
-  void complete(std::vector<FieldDecl *> TheFields) {
-    Fields = std::move(TheFields);
+  void complete(std::span<FieldDecl *const> TheFields) {
+    Fields = TheFields;
     Complete = true;
   }
-  const std::vector<FieldDecl *> &getFields() const { return Fields; }
+  std::span<FieldDecl *const> getFields() const { return Fields; }
   FieldDecl *findField(std::string_view Name) const {
     for (FieldDecl *F : Fields)
       if (F->getName() == Name)
@@ -136,29 +139,16 @@ public:
 private:
   bool IsUnion;
   bool Complete = false;
-  std::vector<FieldDecl *> Fields;
+  std::span<FieldDecl *const> Fields;
 };
 
-/// enum E { A, B = 4 }.
+/// enum E { A, B = 4 }. The enumerators' values live in
+/// TranslationUnit::EnumConstants.
 class EnumDecl : public CDecl {
 public:
-  struct Enumerator {
-    std::string_view Name;
-    long Value;
-  };
-
   EnumDecl(std::string_view Tag, SourceLoc Loc)
       : CDecl(Kind::Enum, Tag, Loc) {}
-  void addEnumerator(std::string_view Name, long Value) {
-    Enumerators.push_back({Name, Value});
-  }
-  const std::vector<Enumerator> &getEnumerators() const {
-    return Enumerators;
-  }
   static bool classof(const CDecl *D) { return D->getKind() == Kind::Enum; }
-
-private:
-  std::vector<Enumerator> Enumerators;
 };
 
 /// typedef T Name. Per Section 4.2, typedefs are macro-expanded: the
@@ -181,12 +171,13 @@ private:
 class FunctionDecl : public CDecl {
 public:
   FunctionDecl(std::string_view Name, const FunctionType *Type,
-               std::vector<VarDecl *> Params, StorageClass SC, SourceLoc Loc)
-      : CDecl(Kind::Function, Name, Loc), Type(Type),
-        Params(std::move(Params)), SC(SC) {}
+               std::span<VarDecl *const> Params, StorageClass SC,
+               SourceLoc Loc)
+      : CDecl(Kind::Function, Name, Loc), Type(Type), Params(Params),
+        SC(SC) {}
 
   const FunctionType *getType() const { return Type; }
-  const std::vector<VarDecl *> &getParams() const { return Params; }
+  std::span<VarDecl *const> getParams() const { return Params; }
   StorageClass getStorageClass() const { return SC; }
   const CStmt *getBody() const { return Body; }
   void setBody(const CStmt *B) { Body = B; }
@@ -207,7 +198,7 @@ public:
 
 private:
   const FunctionType *Type;
-  std::vector<VarDecl *> Params;
+  std::span<VarDecl *const> Params;
   StorageClass SC;
   const CStmt *Body = nullptr;
   bool Implicit = false;
@@ -412,15 +403,16 @@ private:
 /// f(args...).
 class CCall : public CExpr {
 public:
-  CCall(const CExpr *Callee, std::vector<const CExpr *> Args, SourceLoc Loc)
-      : CExpr(Kind::Call, Loc), Callee(Callee), Args(std::move(Args)) {}
+  CCall(const CExpr *Callee, std::span<const CExpr *const> Args,
+        SourceLoc Loc)
+      : CExpr(Kind::Call, Loc), Callee(Callee), Args(Args) {}
   const CExpr *getCallee() const { return Callee; }
-  const std::vector<const CExpr *> &getArgs() const { return Args; }
+  std::span<const CExpr *const> getArgs() const { return Args; }
   static bool classof(const CExpr *E) { return E->getKind() == Kind::Call; }
 
 private:
   const CExpr *Callee;
-  std::vector<const CExpr *> Args;
+  std::span<const CExpr *const> Args;
 };
 
 /// base.field or base->field.
@@ -504,15 +496,15 @@ private:
 /// { e1, e2, ... } initializer list.
 class CInitList : public CExpr {
 public:
-  CInitList(std::vector<const CExpr *> Inits, SourceLoc Loc)
-      : CExpr(Kind::InitList, Loc), Inits(std::move(Inits)) {}
-  const std::vector<const CExpr *> &getInits() const { return Inits; }
+  CInitList(std::span<const CExpr *const> Inits, SourceLoc Loc)
+      : CExpr(Kind::InitList, Loc), Inits(Inits) {}
+  std::span<const CExpr *const> getInits() const { return Inits; }
   static bool classof(const CExpr *E) {
     return E->getKind() == Kind::InitList;
   }
 
 private:
-  std::vector<const CExpr *> Inits;
+  std::span<const CExpr *const> Inits;
 };
 
 //===----------------------------------------------------------------------===//
@@ -553,15 +545,15 @@ private:
 
 class CCompoundStmt : public CStmt {
 public:
-  CCompoundStmt(std::vector<const CStmt *> Body, SourceLoc Loc)
-      : CStmt(Kind::Compound, Loc), Body(std::move(Body)) {}
-  const std::vector<const CStmt *> &getBody() const { return Body; }
+  CCompoundStmt(std::span<const CStmt *const> Body, SourceLoc Loc)
+      : CStmt(Kind::Compound, Loc), Body(Body) {}
+  std::span<const CStmt *const> getBody() const { return Body; }
   static bool classof(const CStmt *S) {
     return S->getKind() == Kind::Compound;
   }
 
 private:
-  std::vector<const CStmt *> Body;
+  std::span<const CStmt *const> Body;
 };
 
 class CExprStmt : public CStmt {
@@ -577,13 +569,13 @@ private:
 /// A local declaration statement (possibly several declarators).
 class CDeclStmt : public CStmt {
 public:
-  CDeclStmt(std::vector<VarDecl *> Decls, SourceLoc Loc)
-      : CStmt(Kind::Decl, Loc), Decls(std::move(Decls)) {}
-  const std::vector<VarDecl *> &getDecls() const { return Decls; }
+  CDeclStmt(std::span<VarDecl *const> Decls, SourceLoc Loc)
+      : CStmt(Kind::Decl, Loc), Decls(Decls) {}
+  std::span<VarDecl *const> getDecls() const { return Decls; }
   static bool classof(const CStmt *S) { return S->getKind() == Kind::Decl; }
 
 private:
-  std::vector<VarDecl *> Decls;
+  std::span<VarDecl *const> Decls;
 };
 
 class CIfStmt : public CStmt {
@@ -752,6 +744,11 @@ public:
     if constexpr (std::is_base_of_v<CDecl, T>)
       Node->Id = NumDecls[static_cast<unsigned>(Node->getKind())]++;
     return Node;
+  }
+
+  /// Copies \p V into the arena: the child list of a node.
+  template <typename T> std::span<const T> list(const std::vector<T> &V) {
+    return {Arena.copyArray(V.data(), V.size()), V.size()};
   }
 
   /// Declarations of kind \p K created so far; their ids are [0, count).

@@ -103,23 +103,16 @@ CDecl *CParser::lookupTag(std::string_view Name) const {
 
 bool CParser::atDeclarationStart() {
   switch (Tok.Kind) {
-  case CTok::KwVoid: case CTok::KwChar: case CTok::KwShort: case CTok::KwInt:
-  case CTok::KwLong: case CTok::KwFloat: case CTok::KwDouble:
-  case CTok::KwSigned: case CTok::KwUnsigned:
-  case CTok::KwStruct: case CTok::KwUnion: case CTok::KwEnum:
-  case CTok::KwTypedef: case CTok::KwConst: case CTok::KwVolatile:
-  case CTok::KwStatic: case CTok::KwExtern: case CTok::KwRegister:
-  case CTok::KwAuto:
+  case CTok::KwTypedef: case CTok::KwStatic: case CTok::KwExtern:
+  case CTok::KwRegister: case CTok::KwAuto:
     return true;
-  case CTok::Ident:
-    return lookupTypedef(Tok.Text) != nullptr;
   default:
-    return false;
+    return startsTypeName(Tok);
   }
 }
 
-bool CParser::atTypeNameStart() {
-  switch (Tok.Kind) {
+bool CParser::startsTypeName(const CToken &T) const {
+  switch (T.Kind) {
   case CTok::KwVoid: case CTok::KwChar: case CTok::KwShort: case CTok::KwInt:
   case CTok::KwLong: case CTok::KwFloat: case CTok::KwDouble:
   case CTok::KwSigned: case CTok::KwUnsigned:
@@ -127,7 +120,7 @@ bool CParser::atTypeNameStart() {
   case CTok::KwConst: case CTok::KwVolatile:
     return true;
   case CTok::Ident:
-    return lookupTypedef(Tok.Text) != nullptr;
+    return lookupTypedef(T.Text) != nullptr;
   default:
     return false;
   }
@@ -284,7 +277,7 @@ const CType *CParser::parseStructOrUnionSpec() {
       return Types.getRecord(RD);
   }
   expect(CTok::RBrace);
-  RD->complete(std::move(Fields));
+  RD->complete(Ast.list(Fields));
   return Types.getRecord(RD);
 }
 
@@ -330,7 +323,6 @@ const CType *CParser::parseEnumSpec() {
         return Types.getEnum(ED);
       NextValue = Value;
     }
-    ED->addEnumerator(Name, NextValue);
     TU.EnumConstants[Name] = NextValue;
     ++NextValue;
     if (!consumeIf(CTok::Comma))
@@ -345,16 +337,6 @@ const CType *CParser::parseEnumSpec() {
 //===----------------------------------------------------------------------===//
 
 bool CParser::parseDeclarator(Declarator &D, bool AllowAbstract) {
-  if (!parseDeclaratorChunks(D, AllowAbstract))
-    return false;
-  D.TopIsFunction =
-      !D.Chunks.empty() && D.Chunks.front().Kind == DeclChunk::K::Function;
-  if (D.TopIsFunction)
-    D.TopParams = D.Chunks.front().Params;
-  return true;
-}
-
-bool CParser::parseDeclaratorChunks(Declarator &D, bool AllowAbstract) {
   // Parenthesized declarators ('(*(*(*...)))') recurse here.
   RecursionGuard Guard(Diags, Tok.Loc);
   if (!Guard.ok())
@@ -395,7 +377,7 @@ bool CParser::parseDeclaratorChunks(Declarator &D, bool AllowAbstract) {
                   (Next.is(CTok::Ident) && !lookupTypedef(Next.Text));
     if (Nested) {
       advance(); // (
-      if (!parseDeclaratorChunks(D, AllowAbstract))
+      if (!parseDeclarator(D, AllowAbstract))
         return false;
       if (!expect(CTok::RParen))
         return false;
@@ -548,33 +530,14 @@ bool CParser::parseExternalDecl() {
     return false;
   }
 
-  // Typedef declarations.
-  if (DS.SC == StorageClass::Typedef) {
-    Declarator *D = &First;
-    Declarator Extra;
-    for (;;) {
-      CQualType T = buildType(DS.Base, *D);
-      auto *TD = Ast.create<TypedefDecl>(D->Name, T, D->Loc);
-      TypedefScopes.back()[D->Name] = TD;
-      TU.Decls.push_back(TD);
-      if (!consumeIf(CTok::Comma))
-        break;
-      Extra = Declarator();
-      if (!parseDeclarator(Extra, false)) {
-        skipToRecovery();
-        return false;
-      }
-      D = &Extra;
-    }
-    return expect(CTok::Semi);
-  }
-
   // Function definition.
-  if (First.TopIsFunction && Tok.is(CTok::LBrace)) {
+  if (First.isFunction() && DS.SC != StorageClass::Typedef &&
+      Tok.is(CTok::LBrace)) {
     CQualType T = buildType(DS.Base, First);
     const auto *FT = cast<FunctionType>(T.getType());
-    auto *FD = Ast.create<FunctionDecl>(First.Name, FT, First.TopParams,
-                                        DS.SC, First.Loc);
+    auto *FD = Ast.create<FunctionDecl>(First.Name, FT,
+                                        Ast.list(First.params()), DS.SC,
+                                        First.Loc);
     FunctionDecl *&Slot = TU.FunctionMap[First.Name];
     if (Slot && !Slot->isDefined()) {
       // Complete a previous prototype (possibly from another buffer) in its
@@ -598,11 +561,10 @@ bool CParser::parseExternalDecl() {
     return true;
   }
 
-  // Prototypes and global variables (possibly a comma-separated list).
+  // Typedefs, prototypes and global variables (possibly a comma-separated
+  // list).
   std::vector<VarDecl *> Vars;
-  if (!parseInitDeclarators(DS, First, Vars, /*IsGlobal=*/true))
-    return false;
-  return true;
+  return parseInitDeclarators(DS, First, Vars, /*IsGlobal=*/true);
 }
 
 bool CParser::parseInitDeclarators(const DeclSpec &DS, Declarator &First,
@@ -611,13 +573,20 @@ bool CParser::parseInitDeclarators(const DeclSpec &DS, Declarator &First,
   Declarator *D = &First;
   Declarator Extra;
   for (;;) {
-    if (D->TopIsFunction) {
+    if (DS.SC == StorageClass::Typedef) {
+      auto *TD =
+          Ast.create<TypedefDecl>(D->Name, buildType(DS.Base, *D), D->Loc);
+      TypedefScopes.back()[D->Name] = TD;
+      if (IsGlobal)
+        TU.Decls.push_back(TD);
+    } else if (D->isFunction()) {
       // A prototype.
       CQualType T = buildType(DS.Base, *D);
       const auto *FT = cast<FunctionType>(T.getType());
       if (!TU.FunctionMap.count(D->Name)) {
-        auto *FD = Ast.create<FunctionDecl>(D->Name, FT, D->TopParams,
-                                            DS.SC, D->Loc);
+        auto *FD = Ast.create<FunctionDecl>(D->Name, FT,
+                                            Ast.list(D->params()), DS.SC,
+                                            D->Loc);
         TU.FunctionMap[D->Name] = FD;
         FD->setFunctionIndex(TU.Functions.size());
         TU.Functions.push_back(FD);
@@ -626,41 +595,9 @@ bool CParser::parseInitDeclarators(const DeclSpec &DS, Declarator &First,
     } else {
       VarDecl *V = makeVarDecl(DS, *D, IsGlobal);
       if (consumeIf(CTok::Assign)) {
-        const CExpr *Init;
-        if (Tok.is(CTok::LBrace)) {
-          advance();
-          std::vector<const CExpr *> Inits;
-          while (!Tok.is(CTok::RBrace) && !Tok.is(CTok::Eof)) {
-            const CExpr *E = Tok.is(CTok::LBrace) ? nullptr
-                                                  : parseAssignExpr();
-            if (Tok.is(CTok::LBrace)) {
-              // Nested initializer lists: parse recursively.
-              advance();
-              std::vector<const CExpr *> Nested;
-              while (!Tok.is(CTok::RBrace) && !Tok.is(CTok::Eof)) {
-                const CExpr *N = parseAssignExpr();
-                if (!N)
-                  return false;
-                Nested.push_back(N);
-                if (!consumeIf(CTok::Comma))
-                  break;
-              }
-              expect(CTok::RBrace);
-              E = Ast.create<CInitList>(std::move(Nested), Tok.Loc);
-            }
-            if (!E)
-              return false;
-            Inits.push_back(E);
-            if (!consumeIf(CTok::Comma))
-              break;
-          }
-          expect(CTok::RBrace);
-          Init = Ast.create<CInitList>(std::move(Inits), V->getLoc());
-        } else {
-          Init = parseAssignExpr();
-          if (!Init)
-            return false;
-        }
+        const CExpr *Init = parseInitializer();
+        if (!Init)
+          return false;
         V->setInit(Init);
       }
       Out.push_back(V);
@@ -684,6 +621,28 @@ bool CParser::parseInitDeclarators(const DeclSpec &DS, Declarator &First,
     D = &Extra;
   }
   return expect(CTok::Semi);
+}
+
+const CExpr *CParser::parseInitializer() {
+  if (!Tok.is(CTok::LBrace))
+    return parseAssignExpr();
+  // Nested initializer lists ('{{{...}}}') recurse here.
+  RecursionGuard Guard(Diags, Tok.Loc);
+  if (!Guard.ok())
+    return nullptr;
+  SourceLoc Loc = Tok.Loc;
+  advance(); // {
+  std::vector<const CExpr *> Inits;
+  while (!Tok.is(CTok::RBrace) && !Tok.is(CTok::Eof)) {
+    const CExpr *E = parseInitializer();
+    if (!E)
+      return nullptr;
+    Inits.push_back(E);
+    if (!consumeIf(CTok::Comma))
+      break;
+  }
+  expect(CTok::RBrace);
+  return Ast.create<CInitList>(Ast.list(Inits), Loc);
 }
 
 bool CParser::parseTranslationUnit() {
@@ -722,7 +681,7 @@ const CStmt *CParser::parseCompoundStmt() {
   }
   popScope();
   expect(CTok::RBrace);
-  return Ast.create<CCompoundStmt>(std::move(Body), Loc);
+  return Ast.create<CCompoundStmt>(Ast.list(Body), Loc);
 }
 
 const CStmt *CParser::parseStmt() {
@@ -908,18 +867,10 @@ const CStmt *CParser::parseStmt() {
     Declarator First;
     if (!parseDeclarator(First, false))
       return nullptr;
-    if (DS.SC == StorageClass::Typedef) {
-      CQualType T = buildType(DS.Base, First);
-      auto *TD = Ast.create<TypedefDecl>(First.Name, T, First.Loc);
-      TypedefScopes.back()[First.Name] = TD;
-      if (!expect(CTok::Semi))
-        return nullptr;
-      return Ast.create<CNullStmt>(Loc);
-    }
     std::vector<VarDecl *> Vars;
     if (!parseInitDeclarators(DS, First, Vars, /*IsGlobal=*/false))
       return nullptr;
-    return Ast.create<CDeclStmt>(std::move(Vars), Loc);
+    return Ast.create<CDeclStmt>(Ast.list(Vars), Loc);
   }
 
   // Expression statement.
@@ -960,7 +911,7 @@ bool CParser::parseConstantInt(long &Out) {
     advance();
     if (consumeIf(CTok::LParen)) {
       CQualType T;
-      if (atTypeNameStart()) {
+      if (startsTypeName(Tok)) {
         if (!parseTypeName(T))
           return false;
       } else if (!parseExpr()) {
@@ -1096,36 +1047,17 @@ const CExpr *CParser::parseCastExpr() {
   RecursionGuard Guard(Diags, Tok.Loc);
   if (!Guard.ok() || !Diags.checkResources(Tok.Loc))
     return nullptr;
-  if (Tok.is(CTok::LParen)) {
-    // Potential cast: '(' type-name ')' cast-expr.
-    // Peek to see if a type name begins inside.
-    const CToken &Next = peek();
-    bool TypeInside = false;
-    switch (Next.Kind) {
-    case CTok::KwVoid: case CTok::KwChar: case CTok::KwShort:
-    case CTok::KwInt: case CTok::KwLong: case CTok::KwFloat:
-    case CTok::KwDouble: case CTok::KwSigned: case CTok::KwUnsigned:
-    case CTok::KwStruct: case CTok::KwUnion: case CTok::KwEnum:
-    case CTok::KwConst: case CTok::KwVolatile:
-      TypeInside = true;
-      break;
-    case CTok::Ident:
-      TypeInside = lookupTypedef(Next.Text) != nullptr;
-      break;
-    default:
-      break;
-    }
-    if (TypeInside) {
-      SourceLoc Loc = Tok.Loc;
-      advance(); // (
-      CQualType T;
-      if (!parseTypeName(T) || !expect(CTok::RParen))
-        return nullptr;
-      const CExpr *Operand = parseCastExpr();
-      if (!Operand)
-        return nullptr;
-      return Ast.create<CCast>(T, Operand, Loc);
-    }
+  // A cast: '(' type-name ')' cast-expr.
+  if (Tok.is(CTok::LParen) && startsTypeName(peek())) {
+    SourceLoc Loc = Tok.Loc;
+    advance(); // (
+    CQualType T;
+    if (!parseTypeName(T) || !expect(CTok::RParen))
+      return nullptr;
+    const CExpr *Operand = parseCastExpr();
+    if (!Operand)
+      return nullptr;
+    return Ast.create<CCast>(T, Operand, Loc);
   }
   return parseUnaryExpr();
 }
@@ -1136,73 +1068,24 @@ const CExpr *CParser::parseUnaryExpr() {
   if (!Guard.ok())
     return nullptr;
   SourceLoc Loc = Tok.Loc;
+  UnaryOp Op;
   switch (Tok.Kind) {
-  case CTok::PlusPlus: {
-    advance();
-    const CExpr *E = parseUnaryExpr();
-    return E ? Ast.create<CUnary>(UnaryOp::PreInc, E, Loc) : nullptr;
-  }
-  case CTok::MinusMinus: {
-    advance();
-    const CExpr *E = parseUnaryExpr();
-    return E ? Ast.create<CUnary>(UnaryOp::PreDec, E, Loc) : nullptr;
-  }
-  case CTok::Amp: {
-    advance();
-    const CExpr *E = parseCastExpr();
-    return E ? Ast.create<CUnary>(UnaryOp::AddrOf, E, Loc) : nullptr;
-  }
-  case CTok::Star: {
-    advance();
-    const CExpr *E = parseCastExpr();
-    return E ? Ast.create<CUnary>(UnaryOp::Deref, E, Loc) : nullptr;
-  }
-  case CTok::Plus: {
-    advance();
-    const CExpr *E = parseCastExpr();
-    return E ? Ast.create<CUnary>(UnaryOp::Plus, E, Loc) : nullptr;
-  }
-  case CTok::Minus: {
-    advance();
-    const CExpr *E = parseCastExpr();
-    return E ? Ast.create<CUnary>(UnaryOp::Minus, E, Loc) : nullptr;
-  }
-  case CTok::Bang: {
-    advance();
-    const CExpr *E = parseCastExpr();
-    return E ? Ast.create<CUnary>(UnaryOp::Not, E, Loc) : nullptr;
-  }
-  case CTok::Tilde: {
-    advance();
-    const CExpr *E = parseCastExpr();
-    return E ? Ast.create<CUnary>(UnaryOp::BitNot, E, Loc) : nullptr;
-  }
+  case CTok::PlusPlus:   Op = UnaryOp::PreInc; break;
+  case CTok::MinusMinus: Op = UnaryOp::PreDec; break;
+  case CTok::Amp:        Op = UnaryOp::AddrOf; break;
+  case CTok::Star:       Op = UnaryOp::Deref; break;
+  case CTok::Plus:       Op = UnaryOp::Plus; break;
+  case CTok::Minus:      Op = UnaryOp::Minus; break;
+  case CTok::Bang:       Op = UnaryOp::Not; break;
+  case CTok::Tilde:      Op = UnaryOp::BitNot; break;
   case CTok::KwSizeof: {
     advance();
-    if (Tok.is(CTok::LParen)) {
-      const CToken &Next = peek();
-      bool TypeInside = false;
-      switch (Next.Kind) {
-      case CTok::KwVoid: case CTok::KwChar: case CTok::KwShort:
-      case CTok::KwInt: case CTok::KwLong: case CTok::KwFloat:
-      case CTok::KwDouble: case CTok::KwSigned: case CTok::KwUnsigned:
-      case CTok::KwStruct: case CTok::KwUnion: case CTok::KwEnum:
-      case CTok::KwConst: case CTok::KwVolatile:
-        TypeInside = true;
-        break;
-      case CTok::Ident:
-        TypeInside = lookupTypedef(Next.Text) != nullptr;
-        break;
-      default:
-        break;
-      }
-      if (TypeInside) {
-        advance();
-        CQualType T;
-        if (!parseTypeName(T) || !expect(CTok::RParen))
-          return nullptr;
-        return Ast.create<CSizeOf>(T, nullptr, Loc);
-      }
+    if (Tok.is(CTok::LParen) && startsTypeName(peek())) {
+      advance();
+      CQualType T;
+      if (!parseTypeName(T) || !expect(CTok::RParen))
+        return nullptr;
+      return Ast.create<CSizeOf>(T, nullptr, Loc);
     }
     const CExpr *E = parseUnaryExpr();
     return E ? Ast.create<CSizeOf>(CQualType(), E, Loc) : nullptr;
@@ -1210,6 +1093,12 @@ const CExpr *CParser::parseUnaryExpr() {
   default:
     return parsePostfixExpr();
   }
+  advance();
+  // '++'/'--' apply to a unary expression, the rest to a cast expression.
+  const CExpr *E = Op == UnaryOp::PreInc || Op == UnaryOp::PreDec
+                       ? parseUnaryExpr()
+                       : parseCastExpr();
+  return E ? Ast.create<CUnary>(Op, E, Loc) : nullptr;
 }
 
 const CExpr *CParser::parsePostfixExpr() {
@@ -1234,7 +1123,7 @@ const CExpr *CParser::parsePostfixExpr() {
       }
       if (!expect(CTok::RParen))
         return nullptr;
-      E = Ast.create<CCall>(E, std::move(Args), Loc);
+      E = Ast.create<CCall>(E, Ast.list(Args), Loc);
       break;
     }
     case CTok::LBracket: {

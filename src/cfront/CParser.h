@@ -104,7 +104,7 @@ private:
     SourceLoc Loc;
   };
 
-  /// One declarator "chunk"; see parseDeclaratorChunks for ordering.
+  /// One declarator "chunk"; see parseDeclarator for ordering.
   struct DeclChunk {
     enum class K { Pointer, Array, Function } Kind;
     unsigned Quals = CQ_None;               // Pointer
@@ -119,22 +119,26 @@ private:
     std::string_view Name; ///< Empty for abstract declarators.
     SourceLoc Loc;
     std::vector<DeclChunk> Chunks; ///< From the name outward.
-    /// Parameter VarDecls of the *outermost* function chunk, for function
-    /// definitions.
-    std::vector<VarDecl *> TopParams;
-    bool TopIsFunction = false;
+
+    /// True when the name declares a function (its first chunk is a
+    /// function declarator), whose parameters are params().
+    bool isFunction() const {
+      return !Chunks.empty() && Chunks.front().Kind == DeclChunk::K::Function;
+    }
+    const std::vector<VarDecl *> &params() const {
+      return Chunks.front().Params;
+    }
   };
 
   /// True if the current token can begin a declaration.
   bool atDeclarationStart();
-  /// True if the current token can begin a type name (for casts/sizeof).
-  bool atTypeNameStart();
+  /// True if \p T can begin a type name (for casts/sizeof).
+  bool startsTypeName(const CToken &T) const;
 
   bool parseDeclSpec(DeclSpec &DS);
   const CType *parseStructOrUnionSpec();
   const CType *parseEnumSpec();
   bool parseDeclarator(Declarator &D, bool AllowAbstract);
-  bool parseDeclaratorChunks(Declarator &D, bool AllowAbstract);
   bool parseParamList(DeclChunk &Chunk);
   CQualType buildType(CQualType Base, const Declarator &D);
   /// Parses a type-name (declspec + abstract declarator), for casts/sizeof.
@@ -144,11 +148,15 @@ private:
   /// typedef, or tag-only declaration).
   bool parseExternalDecl();
   /// Parses the declarator list after the first declarator of a
-  /// declaration; shared by globals and locals.
+  /// declaration (typedefs, prototypes and variables); shared by globals
+  /// and locals.
   bool parseInitDeclarators(const DeclSpec &DS, Declarator &First,
                             std::vector<VarDecl *> &Out, bool IsGlobal);
   VarDecl *makeVarDecl(const DeclSpec &DS, const Declarator &D,
                        bool IsGlobal);
+  /// Parses an initializer: an assignment expression or a brace-enclosed
+  /// list of initializers, nested to any depth.
+  const CExpr *parseInitializer();
 
   //===--------------------------------------------------------------------===//
   // Statements

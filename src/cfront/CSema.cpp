@@ -184,7 +184,7 @@ const FunctionDecl *CSema::resolveCallee(const CExpr *Callee) {
   const FunctionType *FT = Types.getFunction(
       CQualType(Types.getInt()), {}, /*Variadic=*/true, /*NoPrototype=*/true);
   auto *FD = Ast.create<FunctionDecl>(Ref->getName(), FT,
-                                      std::vector<VarDecl *>(),
+                                      std::span<VarDecl *const>(),
                                       StorageClass::Extern, Callee->getLoc());
   FD->setImplicit(true);
   TU->FunctionMap[Ref->getName()] = FD;

@@ -21,8 +21,8 @@
 #include "support/Casting.h"
 
 #include <cassert>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace quals {
 namespace cfront {
@@ -133,12 +133,12 @@ private:
 /// T (params...)
 class FunctionType : public CType {
 public:
-  FunctionType(CQualType Ret, std::vector<CQualType> Params, bool Variadic,
-               bool NoPrototype)
-      : CType(Kind::Function), Ret(Ret), Params(std::move(Params)),
-        Variadic(Variadic), NoPrototype(NoPrototype) {}
+  FunctionType(CQualType Ret, std::span<const CQualType> Params,
+               bool Variadic, bool NoPrototype)
+      : CType(Kind::Function), Ret(Ret), Params(Params), Variadic(Variadic),
+        NoPrototype(NoPrototype) {}
   CQualType getReturn() const { return Ret; }
-  const std::vector<CQualType> &getParams() const { return Params; }
+  std::span<const CQualType> getParams() const { return Params; }
   bool isVariadic() const { return Variadic; }
   /// True for K&R-style "T f()" declarations with unknown parameters.
   bool hasNoPrototype() const { return NoPrototype; }
@@ -148,7 +148,7 @@ public:
 
 private:
   CQualType Ret;
-  std::vector<CQualType> Params;
+  std::span<const CQualType> Params;
   bool Variadic;
   bool NoPrototype;
 };
@@ -199,11 +199,13 @@ public:
   const ArrayType *getArray(CQualType Element, long Size) {
     return Arena.create<ArrayType>(Element, Size);
   }
+  /// Copies \p Params into the arena.
   const FunctionType *getFunction(CQualType Ret,
-                                  std::vector<CQualType> Params,
+                                  std::span<const CQualType> Params,
                                   bool Variadic, bool NoPrototype = false) {
-    return Arena.create<FunctionType>(Ret, std::move(Params), Variadic,
-                                      NoPrototype);
+    std::span<const CQualType> Copy(
+        Arena.copyArray(Params.data(), Params.size()), Params.size());
+    return Arena.create<FunctionType>(Ret, Copy, Variadic, NoPrototype);
   }
   const RecordType *getRecord(RecordDecl *Decl) {
     return Arena.create<RecordType>(Decl);

@@ -84,35 +84,43 @@ void ConstraintGen::genGlobalInit(const VarDecl *VD) {
   if (!VD->getInit())
     return;
   QualType Cell = Translator.varLValueType(VD);
-  genInitInto(Cell.getArg(0), VD->getInit());
+  genInitInto(VD->getType(), Cell.getArg(0), VD->getInit());
 }
 
-void ConstraintGen::genInitInto(QualType CellContents, const CExpr *Init) {
-  if (Init->getKind() == CExpr::Kind::InitList) {
-    const auto *IL = cast<CInitList>(Init);
-    if (!CellContents.isNull() && CellContents.getCtor() == Ctors.ref()) {
-      // Array initializer: every element flows into the shared element cell.
-      for (const CExpr *E : IL->getInits())
-        genInitInto(CellContents.getArg(0), E);
-      return;
-    }
-    // Struct initializer: positional fields.
-    if (!CellContents.isNull() && CellContents.getCtor()->arity() == 0 &&
-        CellContents.getCtor() != Ctors.val()) {
-      // Nominal record constructor: look the fields up via the name; the
-      // translator's shared field cells carry the constraints.
-      // (We find the RecordDecl through the expression's C type.)
-    }
-    for (const CExpr *E : IL->getInits())
-      if (E->getKind() != CExpr::Kind::InitList)
-        rvalue(E);
-      else
-        genInitInto(QualType(), E);
+void ConstraintGen::genInitInto(CQualType CellType, QualType CellContents,
+                                const CExpr *Init) {
+  const auto *IL = dyn_cast<CInitList>(Init);
+  if (!IL) {
+    QualType V = rvalue(Init);
+    flowInto(V, CellContents,
+             ConstraintOrigin(Init->getLoc(), "initializer flows into cell"));
     return;
   }
-  QualType V = rvalue(Init);
-  flowInto(V, CellContents,
-           ConstraintOrigin(Init->getLoc(), "initializer flows into cell"));
+  const CType *Ty = CellType.getType();
+  const auto *AT = dyn_cast_or_null<ArrayType>(Ty);
+  if (AT && !CellContents.isNull() && CellContents.getCtor() == Ctors.ref()) {
+    // Array initializer: every element flows into the shared element cell.
+    for (const CExpr *E : IL->getInits())
+      genInitInto(AT->getElement(), CellContents.getArg(0), E);
+    return;
+  }
+  // Struct initializer: element I flows into field I's cell, which every
+  // instance of the record shares (Section 4.2). Braces around a scalar
+  // initialize it with their first element. Other elements are only
+  // evaluated.
+  std::span<FieldDecl *const> Fields;
+  if (const auto *RT = dyn_cast_or_null<RecordType>(Ty))
+    Fields = RT->getDecl()->getFields();
+  std::span<const CExpr *const> Inits = IL->getInits();
+  for (size_t I = 0; I != Inits.size(); ++I) {
+    if (I < Fields.size())
+      genInitInto(Fields[I]->getType(),
+                  Translator.fieldLValueType(Fields[I]).getArg(0), Inits[I]);
+    else if (I == 0 && Ty && isScalar(Ty))
+      genInitInto(CellType, CellContents, Inits[I]);
+    else
+      genInitInto(CQualType(), QualType(), Inits[I]);
+  }
 }
 
 void ConstraintGen::genStmt(const CStmt *S) {
@@ -130,7 +138,7 @@ void ConstraintGen::genStmt(const CStmt *S) {
     for (const VarDecl *V : cast<CDeclStmt>(S)->getDecls()) {
       QualType Cell = Translator.varLValueType(V);
       if (V->getInit())
-        genInitInto(Cell.getArg(0), V->getInit());
+        genInitInto(V->getType(), Cell.getArg(0), V->getInit());
     }
     return;
   case CStmt::Kind::If: {

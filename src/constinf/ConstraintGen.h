@@ -85,7 +85,11 @@ private:
   QualType rvalue(const cfront::CExpr *E);
 
   void flowBoth(QualType A, QualType B, const ConstraintOrigin &Origin);
-  void genInitInto(QualType CellContents, const cfront::CExpr *Init);
+  /// Flows initializer \p Init into the contents of a cell of C type
+  /// \p CellType, recursing through braced lists by array element and
+  /// struct field.
+  void genInitInto(cfront::CQualType CellType, QualType CellContents,
+                   const cfront::CExpr *Init);
   void requireNonConstCell(QualType LType, SourceLoc Loc, const char *Why);
   QualType freshVal() {
     return Factory.make(QualExpr::makeVar(Sys.freshVar()), Ctors.val());

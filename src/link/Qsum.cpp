@@ -462,25 +462,6 @@ uint64_t link::summaryConfigHash() {
   return B.digest();
 }
 
-bool link::readFileBytes(const std::string &Path, std::string &Out,
-                         std::string &Error) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    Error = "cannot open '" + Path + "'";
-    return false;
-  }
-  Out.clear();
-  char Buf[65536];
-  size_t Read;
-  while ((Read = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, Read);
-  bool Ok = !std::ferror(F);
-  std::fclose(F);
-  if (!Ok)
-    Error = "read error on '" + Path + "'";
-  return Ok;
-}
-
 bool link::writeFileAtomic(const std::string &Path, std::string_view Bytes,
                            std::string &Error) {
   // Unique temporary beside the target so the rename stays within one

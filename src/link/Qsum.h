@@ -169,11 +169,6 @@ std::string summaryFileName(uint64_t Key);
 /// plus every inference option `qualcc --emit-summary` bakes into results.
 uint64_t summaryConfigHash();
 
-/// Reads a whole file into \p Out. Returns false and sets \p Error on I/O
-/// failure.
-bool readFileBytes(const std::string &Path, std::string &Out,
-                   std::string &Error);
-
 /// Writes \p Bytes to \p Path atomically (unique temporary in the same
 /// directory, then rename), so concurrent writers of the same key race
 /// benignly. Returns false and sets \p Error on I/O failure.

@@ -14,9 +14,7 @@
 #include "lambda/QualInfer.h"
 #include "support/Hash.h"
 #include "support/Metrics.h"
-
-#include <cstdarg>
-#include <cstdio>
+#include "support/TextIO.h"
 
 using namespace quals;
 using namespace quals::serve;
@@ -36,29 +34,6 @@ uint64_t quals::serve::configHash(const AnalyzeJob &Job) {
 }
 
 namespace {
-
-void appendf(std::string &Buf, const char *Fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string &Buf, const char *Fmt, ...) {
-  va_list Args;
-  va_start(Args, Fmt);
-  char Stack[256];
-  int Needed = std::vsnprintf(Stack, sizeof(Stack), Fmt, Args);
-  va_end(Args);
-  if (Needed < 0)
-    return;
-  if (static_cast<size_t>(Needed) < sizeof(Stack)) {
-    Buf.append(Stack, Needed);
-    return;
-  }
-  size_t Old = Buf.size();
-  Buf.resize(Old + Needed + 1);
-  va_start(Args, Fmt);
-  std::vsnprintf(&Buf[Old], Needed + 1, Fmt, Args);
-  va_end(Args);
-  Buf.resize(Old + Needed);
-}
 
 /// The qualcc pipeline over one in-memory buffer: parse, sema, const
 /// inference. Timing lines are deliberately omitted (see the header).

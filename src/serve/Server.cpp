@@ -10,6 +10,7 @@
 #include "serve/Pipelines.h"
 #include "support/Hash.h"
 #include "support/Metrics.h"
+#include "support/TextIO.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
@@ -24,7 +25,6 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 using namespace quals;
@@ -190,13 +190,10 @@ std::string Server::handleAnalyze(const Request &Req, uint64_t Seq,
   if (Req.HasSource) {
     Job.Source = Req.Source;
   } else {
-    std::ifstream In(Req.Path, std::ios::binary);
-    if (!In)
+    std::string ReadErr;
+    if (!readFileBytes(Req.Path, Job.Source, ReadErr))
       return makeErrorResponse(Req.HasId, Req.Id,
                                "cannot read '" + Req.Path + "'");
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    Job.Source = std::move(Buffer).str();
   }
 
   CacheKey Key;
@@ -378,15 +375,10 @@ bool Server::warmFromManifest(const std::string &ManifestPath,
     Job.Name = E.Path;
     Job.Language = E.Language;
     Job.Lim = Config.Lim;
-    {
-      std::ifstream F(E.Path, std::ios::binary);
-      if (!F) {
-        ++Failed;
-        return;
-      }
-      std::ostringstream Buffer;
-      Buffer << F.rdbuf();
-      Job.Source = std::move(Buffer).str();
+    std::string ReadErr;
+    if (!readFileBytes(E.Path, Job.Source, ReadErr)) {
+      ++Failed;
+      return;
     }
     CacheKey Key;
     Key.ContentHash = hashString(Job.Source);

@@ -7,13 +7,12 @@
 ///
 /// \file
 /// A bump-pointer arena. AST nodes, type shapes, and constraint objects are
-/// allocated here and live for the duration of the owning analysis.
-/// create() registers a deferred destructor for types that are not
-/// trivially destructible (nodes holding std::vector members and the
-/// like), run in reverse order when the arena dies -- so long-lived batch
-/// processes reclaim node-owned heap memory with every analysis context,
-/// not just the slabs. Raw allocate()/copyArray() memory never runs
-/// destructors; keep it trivial.
+/// allocated here and live for the duration of the owning analysis. The
+/// arena never runs destructors: freeing the slabs frees everything, so
+/// create() and copyArray() accept only trivially destructible types. A
+/// node's child list is an arena array (copyArray), never a container that
+/// owns heap memory -- so all of an analysis' node memory is in the slabs,
+/// where bytesAllocated() and the arena limit see it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,29 +38,22 @@ public:
   BumpPtrAllocator(BumpPtrAllocator &&) = default;
   BumpPtrAllocator &operator=(BumpPtrAllocator &&) = default;
 
-  ~BumpPtrAllocator() {
-    // Reverse construction order, mirroring stack unwinding.
-    for (auto It = Dtors.rbegin(); It != Dtors.rend(); ++It)
-      It->Destroy(It->Obj);
-  }
-
   /// Allocates \p Size bytes aligned to \p Align.
   void *allocate(size_t Size, size_t Align);
 
-  /// Allocates and default-constructs a \p T with constructor args. When T
-  /// is not trivially destructible its destructor is deferred to the
-  /// arena's death (see the file comment).
+  /// Allocates and constructs a \p T with constructor args.
   template <typename T, typename... Args> T *create(Args &&...CtorArgs) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena objects are never destroyed (see the file comment)");
     void *Mem = allocate(sizeof(T), alignof(T));
-    T *Obj = new (Mem) T(std::forward<Args>(CtorArgs)...);
-    if constexpr (!std::is_trivially_destructible_v<T>)
-      Dtors.push_back({Obj, [](void *P) { static_cast<T *>(P)->~T(); }});
-    return Obj;
+    return new (Mem) T(std::forward<Args>(CtorArgs)...);
   }
 
-  /// Copies \p Count objects of trivially-copyable \p T into the arena and
-  /// returns a pointer to the copy (null when \p Count is zero).
+  /// Copies \p Count objects of \p T into the arena and returns a pointer
+  /// to the copy (null when \p Count is zero).
   template <typename T> T *copyArray(const T *Src, size_t Count) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena objects are never destroyed (see the file comment)");
     if (Count == 0)
       return nullptr;
     T *Mem = static_cast<T *>(allocate(sizeof(T) * Count, alignof(T)));
@@ -95,13 +87,6 @@ private:
   static std::atomic<uint64_t> TotalBytes;
   static thread_local uint64_t ThreadBytes;
 
-  /// A deferred destructor for one non-trivially-destructible node.
-  struct DtorEntry {
-    void *Obj;
-    void (*Destroy)(void *);
-  };
-
-  std::vector<DtorEntry> Dtors;
   std::vector<std::unique_ptr<char[]>> Slabs;
   char *Cur = nullptr;
   char *End = nullptr;

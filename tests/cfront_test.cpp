@@ -191,6 +191,15 @@ TEST(CParser, TypedefsAreMacroExpanded) {
   EXPECT_TRUE(isa<PointerType>(D->getType().getType()));
 }
 
+TEST(CParser, TypedefListsAtEveryScope) {
+  // One declarator loop serves typedefs at file and block scope alike.
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze("typedef int *ip, **ipp;\n"
+                                "int f(void) { typedef char *cp, c; cp p = 0;"
+                                " c k = 0; ip q = 0; ipp r = &q; return k; }\n"))
+      << R.Diags.renderAll();
+}
+
 TEST(CParser, TypedefOfStruct) {
   CRig R;
   ASSERT_TRUE(R.parse("typedef struct node { int v; struct node *next; } "
@@ -443,6 +452,26 @@ TEST(CParser, CastExpressions) {
       "char *f(void *p, long n) { return (char *)p + (size_t)n; }\n"))
       << R.Diags.renderAll();
   // Find the cast in the body and verify its type.
+}
+
+TEST(CParser, NestedInitializerLists) {
+  // Initializer lists nest to any depth; each list sits at its '{'.
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze(
+      "int a[1][1][1] = {{{1}}};\n"
+      "int f(void) { int b[2][1][1] = {{{2}}, {{3}}}; return b[1][0][0]; }\n"))
+      << R.Diags.renderAll();
+  const CExpr *E = R.global("a")->getInit();
+  for (unsigned Column : {18u, 19u, 20u}) {
+    const auto *IL = dyn_cast<CInitList>(E);
+    ASSERT_NE(IL, nullptr);
+    EXPECT_EQ(R.SM.getPresumedLoc(IL->getLoc()).Column, Column);
+    ASSERT_EQ(IL->getInits().size(), 1u);
+    E = IL->getInits()[0];
+  }
+  const auto *One = dyn_cast<CIntLit>(E);
+  ASSERT_NE(One, nullptr);
+  EXPECT_EQ(One->getValue(), 1);
 }
 
 TEST(CParser, ErrorRecoversAndReports) {

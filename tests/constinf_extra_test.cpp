@@ -9,8 +9,8 @@
 /// Third-round const-inference coverage: conditional joins over pointers,
 /// pointer arithmetic, nested structs, self-referential lists, multi-level
 /// write propagation, scale, idempotence of repeated runs, error
-/// explanations that do not depend on program size or on a scheme, and
-/// shared storage that polymorphism must not quantify.
+/// explanations that do not depend on program size or on a scheme, shared
+/// storage that polymorphism must not quantify, and struct initializers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -302,6 +302,35 @@ TEST(ConstInfExtra, PolyDoesNotQuantifyLibraryInterface) {
     Rendered[Polymorphic] = R.Diags.renderAll();
   }
   EXPECT_EQ(Rendered[true], Rendered[false]);
+}
+
+// A struct initializer stores its elements into the record's shared field
+// cells, exactly as assignments to the fields do: f's parameter is
+// classified like g's, also through a struct nested in a struct, an array
+// of structs, and braces around a scalar.
+TEST(ConstInfExtra, StructInitializerFlowsIntoFields) {
+  const std::string Source =
+      "struct P { int *a; };\n"
+      "void f(int *x) { struct P p = { x }; *p.a = 2; }\n"
+      "void g(int *x) { struct P p; p.a = x; *p.a = 2; }\n"
+      "struct Q { int *b; };\n"
+      "struct R { struct Q q; };\n"
+      "void h(int *y) { struct R r = { { y } }; *r.q.b = 3; }\n"
+      "void k(int *y) { struct R r; r.q.b = y; *r.q.b = 3; }\n"
+      "struct S { int n; int *c; };\n"
+      "void m(int *z) { struct S s[2] = { { 0, z }, { 1, 0 } }; *s[1].c = 4; }\n"
+      "void n(int *w) { int *p = { w }; *p = 5; }\n";
+  for (bool Polymorphic : {true, false}) {
+    SCOPED_TRACE(Polymorphic ? "poly" : "mono");
+    XRig R;
+    ASSERT_TRUE(R.analyze(Source, Polymorphic)) << R.Diags.renderAll();
+    EXPECT_EQ(R.classOf("g", 0), PosClass::MustNonConst);
+    EXPECT_EQ(R.classOf("f", 0), R.classOf("g", 0));
+    EXPECT_EQ(R.classOf("k", 0), PosClass::MustNonConst);
+    EXPECT_EQ(R.classOf("h", 0), R.classOf("k", 0));
+    EXPECT_EQ(R.classOf("m", 0), PosClass::MustNonConst);
+    EXPECT_EQ(R.classOf("n", 0), PosClass::MustNonConst);
+  }
 }
 
 } // namespace

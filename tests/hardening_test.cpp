@@ -136,6 +136,18 @@ TEST(HardeningDepth, CDeclaratorAtDepth100k) {
   EXPECT_NE(R.Rendered.find("nesting too deep"), std::string::npos);
 }
 
+TEST(HardeningDepth, CInitializerAtDepth100k) {
+  std::string Source = "int a = ";
+  Source.append(100000, '{');
+  Source += "1";
+  Source.append(100000, '}');
+  Source += ";\n";
+  CRun R = runC(Source);
+  EXPECT_FALSE(R.Parsed);
+  EXPECT_TRUE(R.Bailed);
+  EXPECT_NE(R.Rendered.find("nesting too deep"), std::string::npos);
+}
+
 TEST(HardeningDepth, CStatementsAtDepth100k) {
   std::string Source = "void f(void) { ";
   for (int I = 0; I != 100000; ++I)

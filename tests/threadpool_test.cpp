@@ -335,8 +335,8 @@ TEST(BatchDriver, FlushesResultsInInputOrderDespiteCompletionOrder) {
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
     else if (Path == "mid")
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    batch::appendf(R.Out, "out(%s,%zu)\n", Path.c_str(), Index);
-    batch::appendf(R.Err, "err(%s)\n", Path.c_str());
+    appendf(R.Out, "out(%s,%zu)\n", Path.c_str(), Index);
+    appendf(R.Err, "err(%s)\n", Path.c_str());
   };
   const char *ExpectOut = "out(slow,0)\nout(mid,1)\nout(fast0,2)\n"
                           "out(fast1,3)\nout(fast2,4)\n";
@@ -359,7 +359,7 @@ TEST(BatchDriver, ReturnsWorstExitCodeWithoutExceptions) {
   auto Analyze = [](const std::string &Path, size_t,
                     batch::FileResult &R) {
     if (Path == "frontend-error") {
-      batch::appendf(R.Err, "cannot parse %s\n", Path.c_str());
+      appendf(R.Err, "cannot parse %s\n", Path.c_str());
       R.ExitCode = 1;
     } else if (Path == "qual-error") {
       R.ExitCode = 2;

@@ -22,22 +22,6 @@
 using namespace quals;
 using namespace quals::batch;
 
-void quals::batch::appendf(std::string &Buf, const char *Fmt, ...) {
-  va_list Args;
-  va_start(Args, Fmt);
-  va_list Copy;
-  va_copy(Copy, Args);
-  int Needed = std::vsnprintf(nullptr, 0, Fmt, Copy);
-  va_end(Copy);
-  if (Needed > 0) {
-    size_t Old = Buf.size();
-    Buf.resize(Old + Needed + 1);
-    std::vsnprintf(&Buf[Old], Needed + 1, Fmt, Args);
-    Buf.resize(Old + Needed); // Drop the NUL vsnprintf wrote.
-  }
-  va_end(Args);
-}
-
 static bool expandArgDepth(const std::string &Arg,
                            std::vector<std::string> &Files,
                            std::string &Error, unsigned Depth) {

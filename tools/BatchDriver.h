@@ -40,7 +40,8 @@
 #ifndef QUALS_TOOLS_BATCHDRIVER_H
 #define QUALS_TOOLS_BATCHDRIVER_H
 
-#include <cstdarg>
+#include "support/TextIO.h"
+
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -50,17 +51,13 @@ namespace quals {
 namespace batch {
 
 /// One file's buffered analysis outcome. Callbacks append to Out/Err
-/// (appendf() below) instead of printing, so the driver can replay the
-/// streams in input order.
+/// (appendf(), support/TextIO.h) instead of printing, so the driver can
+/// replay the streams in input order.
 struct FileResult {
   std::string Out; ///< Buffered stdout.
   std::string Err; ///< Buffered stderr.
   int ExitCode = 0;
 };
-
-/// printf-style append to a FileResult stream.
-void appendf(std::string &Buf, const char *Fmt, ...)
-    __attribute__((format(printf, 2, 3)));
 
 /// Analyzes one file into \p R; runs on a pool worker (or inline at -j1).
 /// \p Index is the file's position in the input list (qualgen derives

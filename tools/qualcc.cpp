@@ -49,9 +49,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 #include <cerrno>
 #include <sys/stat.h>
@@ -59,16 +57,6 @@
 using namespace quals;
 using namespace quals::cfront;
 using namespace quals::constinf;
-
-static bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
 
 static const char *className(PosClass C) {
   switch (C) {
@@ -123,9 +111,10 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
   Timer CompileTimer;
   std::vector<std::string> Sources(Paths.size());
   StreamHasher ContentHasher;
+  std::string ReadErr;
   for (size_t I = 0; I != Paths.size(); ++I) {
-    if (!readFile(Paths[I], Sources[I])) {
-      batch::appendf(R.Err, "qualcc: cannot read '%s'\n", Paths[I].c_str());
+    if (!readFileBytes(Paths[I], Sources[I], ReadErr)) {
+      appendf(R.Err, "qualcc: cannot read '%s'\n", Paths[I].c_str());
       R.ExitCode = 1;
       return;
     }
@@ -145,7 +134,7 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
     SummaryOut = Opts.EmitSummaryDir + "/" + SummaryName;
     std::string Bytes, ProbeErr;
     link::QsumHeader Header;
-    if (link::readFileBytes(SummaryOut, Bytes, ProbeErr) &&
+    if (readFileBytes(SummaryOut, Bytes, ProbeErr) &&
         link::readSummaryHeader(
             reinterpret_cast<const uint8_t *>(Bytes.data()), Bytes.size(),
             Header, ProbeErr) &&
@@ -153,8 +142,8 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
         Header.ContentHash == ContentHash) {
       // The hit prints exactly what a miss prints, so batch output stays
       // byte-identical whatever the cache held going in.
-      batch::appendf(R.Out, "summary: %s -> %s\n", Paths[0].c_str(),
-                     SummaryName.c_str());
+      appendf(R.Out, "summary: %s -> %s\n", Paths[0].c_str(),
+              SummaryName.c_str());
       return;
     }
   }
@@ -180,8 +169,8 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
   ConstInference Inf(TU, Diags, InfOpts);
   Timer InferTimer;
   if (!Inf.run()) {
-    batch::appendf(R.Err, "qualcc: const errors detected:\n%s",
-                   Diags.renderAll().c_str());
+    appendf(R.Err, "qualcc: const errors detected:\n%s",
+            Diags.renderAll().c_str());
     if (Opts.PrintStats)
       R.Out += renderSolverStats(Inf.solverStats());
     R.ExitCode = 2;
@@ -195,7 +184,7 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
     std::string WriteErr;
     if (!link::writeFileAtomic(SummaryOut, link::serializeSummary(Summary),
                                WriteErr)) {
-      batch::appendf(R.Err, "qualcc: %s\n", WriteErr.c_str());
+      appendf(R.Err, "qualcc: %s\n", WriteErr.c_str());
       R.ExitCode = 1;
       return;
     }
@@ -203,12 +192,12 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
       // Dir mode prints one line per TU -- the same line a cache hit
       // prints -- and nothing else, so corpus output is deterministic at
       // any -jN even when identical TUs race for one cache slot.
-      batch::appendf(R.Out, "summary: %s -> %s\n", Paths[0].c_str(),
-                     SummaryName.c_str());
+      appendf(R.Out, "summary: %s -> %s\n", Paths[0].c_str(),
+              SummaryName.c_str());
       return;
     }
     if (!Opts.Quiet)
-      batch::appendf(R.Out, "summary: %s\n", SummaryOut.c_str());
+      appendf(R.Out, "summary: %s\n", SummaryOut.c_str());
   }
 
   if (Opts.PrintStats)
@@ -219,10 +208,10 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
       std::string Where = Pos.ParamIndex < 0
                               ? std::string("result")
                               : "param " + std::to_string(Pos.ParamIndex);
-      batch::appendf(R.Out, "%-24s %-8s depth %u  %-10s%s\n",
-                     std::string(Pos.Fn->getName()).c_str(), Where.c_str(),
-                     Pos.Depth, className(Inf.classify(Pos)),
-                     Pos.DeclaredConst ? "  [declared]" : "");
+      appendf(R.Out, "%-24s %-8s depth %u  %-10s%s\n",
+              std::string(Pos.Fn->getName()).c_str(), Where.c_str(),
+              Pos.Depth, className(Inf.classify(Pos)),
+              Pos.DeclaredConst ? "  [declared]" : "");
     }
   }
   if (Opts.PrintProtos)
@@ -230,27 +219,27 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
 
   ConstCounts C = Inf.counts();
   if (!Opts.Quiet)
-    batch::appendf(R.Out,
-                   "%s inference over %zu file(s): compile %.3fs, infer "
-                   "%.3fs, %u qualifier vars, %u constraints\n",
-                   Opts.Polymorphic ? "polymorphic" : "monomorphic",
-                   Paths.size(), CompileSeconds, InferSeconds,
-                   Inf.numQualVars(), Inf.numConstraints());
-  batch::appendf(R.Out,
-                 "declared %u, inferred possible-const %u, total positions "
-                 "%u\n",
-                 C.Declared, C.PossibleConst, C.Total);
+    appendf(R.Out,
+            "%s inference over %zu file(s): compile %.3fs, infer "
+            "%.3fs, %u qualifier vars, %u constraints\n",
+            Opts.Polymorphic ? "polymorphic" : "monomorphic",
+            Paths.size(), CompileSeconds, InferSeconds,
+            Inf.numQualVars(), Inf.numConstraints());
+  appendf(R.Out,
+          "declared %u, inferred possible-const %u, total positions "
+          "%u\n",
+          C.Declared, C.PossibleConst, C.Total);
 
   auto printWarnings = [&SM, &R](const char *Title, const auto &Warnings) {
-    batch::appendf(R.Out, "%s: %zu warning(s)\n", Title, Warnings.size());
+    appendf(R.Out, "%s: %zu warning(s)\n", Title, Warnings.size());
     for (const auto &W : Warnings) {
       PresumedLoc P = SM.getPresumedLoc(W.Loc);
       if (P.isValid())
-        batch::appendf(R.Out, "  %s:%u:%u: %s\n",
-                       std::string(P.Filename).c_str(), P.Line, P.Column,
-                       W.Message.c_str());
+        appendf(R.Out, "  %s:%u:%u: %s\n",
+                std::string(P.Filename).c_str(), P.Line, P.Column,
+                W.Message.c_str());
       else
-        batch::appendf(R.Out, "  %s\n", W.Message.c_str());
+        appendf(R.Out, "  %s\n", W.Message.c_str());
     }
   };
   if (Opts.RunNonNull) {

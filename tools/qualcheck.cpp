@@ -37,21 +37,10 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 using namespace quals;
 using namespace quals::lambda;
-
-static bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
 
 namespace {
 
@@ -92,9 +81,9 @@ static void checkOneFile(const std::string &Path, const CheckOptions &Opts,
     }
   }
 
-  std::string Source;
-  if (!readFile(Path, Source)) {
-    batch::appendf(R.Err, "qualcheck: cannot read '%s'\n", Path.c_str());
+  std::string Source, ReadErr;
+  if (!readFileBytes(Path, Source, ReadErr)) {
+    appendf(R.Err, "qualcheck: cannot read '%s'\n", Path.c_str());
     R.ExitCode = 1;
     return;
   }
@@ -129,8 +118,8 @@ static void checkOneFile(const std::string &Path, const CheckOptions &Opts,
     R.ExitCode = 1;
     return;
   }
-  batch::appendf(R.Out, "qualified type: %s\n",
-                 toString(QS, Result.Type, &Sys).c_str());
+  appendf(R.Out, "qualified type: %s\n",
+          toString(QS, Result.Type, &Sys).c_str());
   if (Opts.PrintStats)
     R.Out += renderSolverStats(Result.Stats);
   if (!Result.QualOk) {
@@ -140,8 +129,8 @@ static void checkOneFile(const std::string &Path, const CheckOptions &Opts,
     R.ExitCode = 2;
     return;
   }
-  batch::appendf(R.Out, "qualifier check: accepted (%s)\n",
-                 Opts.Polymorphic ? "polymorphic" : "monomorphic");
+  appendf(R.Out, "qualifier check: accepted (%s)\n",
+          Opts.Polymorphic ? "polymorphic" : "monomorphic");
 
   if (Opts.Run) {
     Evaluator Ev(Ast, QS);
@@ -149,18 +138,18 @@ static void checkOneFile(const std::string &Path, const CheckOptions &Opts,
     Evaluator::StepObserver Observer;
     if (Opts.Trace)
       Observer = [&](const Expr *Term) {
-        batch::appendf(R.Out, "  --> [%u] %s\n", ++StepNo,
-                       toString(QS, Term).c_str());
+        appendf(R.Out, "  --> [%u] %s\n", ++StepNo,
+                toString(QS, Term).c_str());
       };
     EvalResult Res = Ev.evaluate(Program, 100000, Observer);
     switch (Res.Outcome) {
     case EvalOutcome::Value:
-      batch::appendf(R.Out, "value: %s (%u steps)\n",
-                     toString(QS, Res.Result).c_str(), Res.Steps);
+      appendf(R.Out, "value: %s (%u steps)\n",
+              toString(QS, Res.Result).c_str(), Res.Steps);
       break;
     case EvalOutcome::Stuck:
-      batch::appendf(R.Out, "STUCK after %u steps: %s\n", Res.Steps,
-                     Res.StuckReason.c_str());
+      appendf(R.Out, "STUCK after %u steps: %s\n", Res.Steps,
+              Res.StuckReason.c_str());
       R.ExitCode = 3;
       break;
     case EvalOutcome::TimedOut:

@@ -66,7 +66,7 @@ static void generateOneFile(const std::string &Path, unsigned Index,
   SynthProgram Prog = generateProgram(P);
   std::ofstream Out(Path, std::ios::binary);
   if (!Out || !(Out << Prog.Source)) {
-    batch::appendf(R.Err, "qualgen: cannot write '%s'\n", Path.c_str());
+    appendf(R.Err, "qualgen: cannot write '%s'\n", Path.c_str());
     R.ExitCode = 1;
   }
 }
