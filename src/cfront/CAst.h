@@ -747,8 +747,11 @@ public:
   }
 
   /// Copies \p V into the arena: the child list of a node.
-  template <typename T> std::span<const T> list(const std::vector<T> &V) {
+  template <typename T> std::span<const T> list(std::span<const T> V) {
     return {Arena.copyArray(V.data(), V.size()), V.size()};
+  }
+  template <typename T> std::span<const T> list(const std::vector<T> &V) {
+    return list(std::span<const T>(V));
   }
 
   /// Declarations of kind \p K created so far; their ids are [0, count).

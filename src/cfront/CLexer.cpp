@@ -7,10 +7,9 @@
 
 #include "cfront/CLexer.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <unordered_map>
+#include <string>
 
 using namespace quals;
 using namespace quals::cfront;
@@ -106,15 +105,126 @@ const char *quals::cfront::ctokName(CTok Kind) {
   return "unknown token";
 }
 
+namespace {
+
+/// Character classes, one table lookup per byte (the "C" locale's
+/// isspace/isdigit/isxdigit/isalpha, plus '_' as a letter).
+enum : uint8_t {
+  CC_Space = 1,
+  CC_Digit = 2,
+  CC_Hex = 4,
+  CC_Letter = 8, ///< [A-Za-z_]
+  CC_Octal = 16,
+};
+
+struct CharTable {
+  uint8_t Class[256] = {};
+  constexpr CharTable() {
+    for (char C : {' ', '\t', '\n', '\v', '\f', '\r'})
+      Class[static_cast<unsigned char>(C)] |= CC_Space;
+    for (int C = '0'; C <= '9'; ++C)
+      Class[C] |= CC_Digit | CC_Hex | (C <= '7' ? CC_Octal : 0);
+    for (int C = 'a'; C <= 'z'; ++C)
+      Class[C] |= CC_Letter | (C <= 'f' ? CC_Hex : 0);
+    for (int C = 'A'; C <= 'Z'; ++C)
+      Class[C] |= CC_Letter | (C <= 'F' ? CC_Hex : 0);
+    Class[static_cast<unsigned char>('_')] |= CC_Letter;
+  }
+};
+constexpr CharTable Chars;
+
+bool is(char C, uint8_t Classes) {
+  return Chars.Class[static_cast<unsigned char>(C)] & Classes;
+}
+
+/// The keyword spelled \p W, or Ident: a switch on length and first
+/// character, then one comparison.
+CTok keywordKind(std::string_view W) {
+  auto Kw = [&](std::string_view Spelling, CTok Kind) {
+    return W == Spelling ? Kind : CTok::Ident;
+  };
+  switch (W.size()) {
+  case 2:
+    switch (W[0]) {
+    case 'i': return Kw("if", CTok::KwIf);
+    case 'd': return Kw("do", CTok::KwDo);
+    }
+    break;
+  case 3:
+    switch (W[0]) {
+    case 'i': return Kw("int", CTok::KwInt);
+    case 'f': return Kw("for", CTok::KwFor);
+    }
+    break;
+  case 4:
+    switch (W[0]) {
+    case 'v': return Kw("void", CTok::KwVoid);
+    case 'c':
+      return W[1] == 'h' ? Kw("char", CTok::KwChar) : Kw("case", CTok::KwCase);
+    case 'l': return Kw("long", CTok::KwLong);
+    case 'e':
+      return W[1] == 'n' ? Kw("enum", CTok::KwEnum) : Kw("else", CTok::KwElse);
+    case 'a': return Kw("auto", CTok::KwAuto);
+    case 'g': return Kw("goto", CTok::KwGoto);
+    }
+    break;
+  case 5:
+    switch (W[0]) {
+    case 's': return Kw("short", CTok::KwShort);
+    case 'f': return Kw("float", CTok::KwFloat);
+    case 'u': return Kw("union", CTok::KwUnion);
+    case 'c': return Kw("const", CTok::KwConst);
+    case 'w': return Kw("while", CTok::KwWhile);
+    case 'b': return Kw("break", CTok::KwBreak);
+    }
+    break;
+  case 6:
+    switch (W[0]) {
+    case 'd': return Kw("double", CTok::KwDouble);
+    case 'e': return Kw("extern", CTok::KwExtern);
+    case 'r': return Kw("return", CTok::KwReturn);
+    case 's':
+      switch (W[1]) {
+      case 'i':
+        return W[2] == 'g' ? Kw("signed", CTok::KwSigned)
+                           : Kw("sizeof", CTok::KwSizeof);
+      case 't':
+        return W[2] == 'r' ? Kw("struct", CTok::KwStruct)
+                           : Kw("static", CTok::KwStatic);
+      case 'w': return Kw("switch", CTok::KwSwitch);
+      }
+      break;
+    }
+    break;
+  case 7:
+    switch (W[0]) {
+    case 't': return Kw("typedef", CTok::KwTypedef);
+    case 'd': return Kw("default", CTok::KwDefault);
+    }
+    break;
+  case 8:
+    switch (W[0]) {
+    case 'u': return Kw("unsigned", CTok::KwUnsigned);
+    case 'v': return Kw("volatile", CTok::KwVolatile);
+    case 'r': return Kw("register", CTok::KwRegister);
+    case 'c': return Kw("continue", CTok::KwContinue);
+    }
+    break;
+  }
+  return CTok::Ident;
+}
+
+} // namespace
+
 CLexer::CLexer(const SourceManager &SM, unsigned BufferId,
-               DiagnosticEngine &Diags)
-    : SM(SM), Diags(Diags), Text(SM.getBufferText(BufferId)),
-      BufferId(BufferId) {}
+               DiagnosticEngine &Diags, StringInterner &Idents)
+    : Diags(Diags), Idents(Idents), Text(SM.getBufferText(BufferId)),
+      StartOffset(SM.getBufferStart(BufferId).getOffset()) {}
 
 void CLexer::skipTrivia() {
   while (Pos < Text.size()) {
     char C = Text[Pos];
-    if (std::isspace(static_cast<unsigned char>(C))) {
+    if (is(C, CC_Space)) {
       ++Pos;
       continue;
     }
@@ -158,31 +268,27 @@ CToken CLexer::make(CTok Kind, size_t Begin) {
 
 CToken CLexer::lexNumber(size_t Begin) {
   bool IsFloat = false;
+  auto skip = [&](uint8_t Classes) {
+    while (Pos < Text.size() && is(Text[Pos], Classes))
+      ++Pos;
+  };
   if (Text[Pos] == '0' && Pos + 1 < Text.size() &&
       (Text[Pos + 1] == 'x' || Text[Pos + 1] == 'X')) {
     Pos += 2;
-    while (Pos < Text.size() &&
-           std::isxdigit(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
+    skip(CC_Hex);
   } else {
-    while (Pos < Text.size() &&
-           std::isdigit(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
+    skip(CC_Digit);
     if (Pos < Text.size() && Text[Pos] == '.') {
       IsFloat = true;
       ++Pos;
-      while (Pos < Text.size() &&
-             std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        ++Pos;
+      skip(CC_Digit);
     }
     if (Pos < Text.size() && (Text[Pos] == 'e' || Text[Pos] == 'E')) {
       IsFloat = true;
       ++Pos;
       if (Pos < Text.size() && (Text[Pos] == '+' || Text[Pos] == '-'))
         ++Pos;
-      while (Pos < Text.size() &&
-             std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        ++Pos;
+      skip(CC_Digit);
     }
   }
   // Integer/float suffixes.
@@ -209,30 +315,16 @@ CToken CLexer::lexNumber(size_t Begin) {
 }
 
 CToken CLexer::lexIdentOrKeyword(size_t Begin) {
-  while (Pos < Text.size() &&
-         (std::isalnum(static_cast<unsigned char>(Text[Pos])) ||
-          Text[Pos] == '_'))
+  while (Pos < Text.size() && is(Text[Pos], CC_Letter | CC_Digit))
     ++Pos;
-  static const std::unordered_map<std::string_view, CTok> Keywords = {
-      {"void", CTok::KwVoid},         {"char", CTok::KwChar},
-      {"short", CTok::KwShort},       {"int", CTok::KwInt},
-      {"long", CTok::KwLong},         {"float", CTok::KwFloat},
-      {"double", CTok::KwDouble},     {"signed", CTok::KwSigned},
-      {"unsigned", CTok::KwUnsigned}, {"struct", CTok::KwStruct},
-      {"union", CTok::KwUnion},       {"enum", CTok::KwEnum},
-      {"typedef", CTok::KwTypedef},   {"const", CTok::KwConst},
-      {"volatile", CTok::KwVolatile}, {"static", CTok::KwStatic},
-      {"extern", CTok::KwExtern},     {"register", CTok::KwRegister},
-      {"auto", CTok::KwAuto},         {"return", CTok::KwReturn},
-      {"if", CTok::KwIf},             {"else", CTok::KwElse},
-      {"while", CTok::KwWhile},       {"for", CTok::KwFor},
-      {"do", CTok::KwDo},             {"break", CTok::KwBreak},
-      {"continue", CTok::KwContinue}, {"switch", CTok::KwSwitch},
-      {"case", CTok::KwCase},         {"default", CTok::KwDefault},
-      {"sizeof", CTok::KwSizeof},     {"goto", CTok::KwGoto}};
   std::string_view Word = Text.substr(Begin, Pos - Begin);
-  auto It = Keywords.find(Word);
-  return make(It == Keywords.end() ? CTok::Ident : It->second, Begin);
+  CTok Kind = keywordKind(Word);
+  CToken T = make(Kind, Begin);
+  if (Kind == CTok::Ident) {
+    T.Name = Idents.internSymbol(Word);
+    T.Text = T.Name.str();
+  }
+  return T;
 }
 
 CToken CLexer::lexCharLit(size_t Begin) {
@@ -241,17 +333,40 @@ CToken CLexer::lexCharLit(size_t Begin) {
   if (Pos < Text.size() && Text[Pos] == '\\') {
     ++Pos;
     if (Pos < Text.size()) {
-      switch (Text[Pos]) {
+      char C = Text[Pos++];
+      switch (C) {
       case 'n': Value = '\n'; break;
       case 't': Value = '\t'; break;
       case 'r': Value = '\r'; break;
-      case '0': Value = '\0'; break;
-      case '\\': Value = '\\'; break;
-      case '\'': Value = '\''; break;
-      case '"': Value = '"'; break;
-      default: Value = Text[Pos]; break;
+      case 'a': Value = '\a'; break;
+      case 'b': Value = '\b'; break;
+      case 'f': Value = '\f'; break;
+      case 'v': Value = '\v'; break;
+      case 'x': {
+        // Any number of hex digits; like GCC, the value is truncated to a
+        // (signed) char.
+        unsigned long Bits = 0;
+        while (Pos < Text.size() && is(Text[Pos], CC_Hex)) {
+          char D = Text[Pos++];
+          Bits = Bits * 16 +
+                 (is(D, CC_Digit) ? D - '0' : (D | 0x20) - 'a' + 10);
+        }
+        Value = static_cast<char>(Bits);
+        break;
       }
-      ++Pos;
+      default:
+        if (is(C, CC_Octal)) {
+          // Up to three octal digits, the first already consumed.
+          unsigned Bits = C - '0';
+          for (int I = 1;
+               I != 3 && Pos < Text.size() && is(Text[Pos], CC_Octal); ++I)
+            Bits = Bits * 8 + (Text[Pos++] - '0');
+          Value = static_cast<char>(Bits);
+        } else {
+          Value = C; // \\ \' \" \? and unknown escapes stand for themselves.
+        }
+        break;
+      }
     }
   } else if (Pos < Text.size()) {
     Value = Text[Pos];
@@ -288,11 +403,10 @@ CToken CLexer::next() {
   size_t Begin = Pos;
   char C = Text[Pos];
 
-  if (std::isdigit(static_cast<unsigned char>(C)))
-    return lexNumber(Begin);
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
+  if (is(C, CC_Letter))
     return lexIdentOrKeyword(Begin);
-  }
+  if (is(C, CC_Digit))
+    return lexNumber(Begin);
   if (C == '\'')
     return lexCharLit(Begin);
   if (C == '"')

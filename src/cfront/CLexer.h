@@ -11,6 +11,7 @@
 #include "cfront/CToken.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
+#include "support/StringInterner.h"
 
 namespace quals {
 namespace cfront {
@@ -18,21 +19,26 @@ namespace cfront {
 /// Hand-written C lexer. Handles // and /* */ comments; lines starting with
 /// '#' (preprocessor directives) are skipped wholesale -- benchmark inputs
 /// are expected to be preprocessed or directive-free.
+///
+/// Every identifier is interned into \p Idents as it is lexed, once: an
+/// Ident token's Name is its Symbol and its Text the interned spelling, so
+/// later stages compare and key names by identity without re-hashing.
 class CLexer {
 public:
-  CLexer(const SourceManager &SM, unsigned BufferId, DiagnosticEngine &Diags);
+  CLexer(const SourceManager &SM, unsigned BufferId, DiagnosticEngine &Diags,
+         StringInterner &Idents);
 
   CToken next();
 
 private:
-  const SourceManager &SM;
   DiagnosticEngine &Diags;
+  StringInterner &Idents;
   std::string_view Text;
   size_t Pos = 0;
-  unsigned BufferId;
+  uint32_t StartOffset; ///< Location offset of Text[0].
 
   SourceLoc locAt(size_t Offset) const {
-    return SM.getLocForOffset(BufferId, Offset);
+    return SourceLoc(StartOffset + static_cast<uint32_t>(Offset));
   }
   void skipTrivia();
   CToken make(CTok Kind, size_t Begin);

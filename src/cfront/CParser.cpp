@@ -9,14 +9,17 @@
 
 #include "support/Metrics.h"
 
+#include <algorithm>
+
 using namespace quals;
 using namespace quals::cfront;
 
 CParser::CParser(const SourceManager &SM, unsigned BufferId, CAstContext &Ast,
                  CTypeContext &Types, StringInterner &Idents,
                  DiagnosticEngine &Diags, TranslationUnit &TU)
-    : Lex(SM, BufferId, Diags), Ast(Ast), Types(Types), Idents(Idents),
-      Diags(Diags), TU(TU), InitialErrors(Diags.getNumErrors()) {
+    : Lex(SM, BufferId, Diags, Idents), Ast(Ast), Types(Types),
+      Idents(Idents), Diags(Diags), TU(TU),
+      InitialErrors(Diags.getNumErrors()) {
   // Declaration ids are per context, so every buffer of a unit must share
   // one (CDecl::getId).
   assert((!TU.Context || TU.Context == &Ast) &&
@@ -79,7 +82,7 @@ void CParser::popScope() {
   TagScopes.pop_back();
 }
 
-TypedefDecl *CParser::lookupTypedef(std::string_view Name) const {
+TypedefDecl *CParser::lookupTypedef(Symbol Name) const {
   for (auto It = TypedefScopes.rbegin(); It != TypedefScopes.rend(); ++It) {
     auto Found = It->find(Name);
     if (Found != It->end())
@@ -88,7 +91,7 @@ TypedefDecl *CParser::lookupTypedef(std::string_view Name) const {
   return nullptr;
 }
 
-CDecl *CParser::lookupTag(std::string_view Name) const {
+CDecl *CParser::lookupTag(Symbol Name) const {
   for (auto It = TagScopes.rbegin(); It != TagScopes.rend(); ++It) {
     auto Found = It->find(Name);
     if (Found != It->end())
@@ -120,7 +123,7 @@ bool CParser::startsTypeName(const CToken &T) const {
   case CTok::KwConst: case CTok::KwVolatile:
     return true;
   case CTok::Ident:
-    return lookupTypedef(T.Text) != nullptr;
+    return lookupTypedef(T.Name) != nullptr;
   default:
     return false;
   }
@@ -177,7 +180,7 @@ bool CParser::parseDeclSpec(DeclSpec &DS) {
                       SawDouble || SawSigned || SawUnsigned;
       if (HaveType)
         goto done;
-      if (TypedefDecl *TD = lookupTypedef(Tok.Text)) {
+      if (TypedefDecl *TD = lookupTypedef(Tok.Name)) {
         FromTypedef = TD;
         advance();
         break;
@@ -230,9 +233,9 @@ const CType *CParser::parseStructOrUnionSpec() {
   SourceLoc KwLoc = Tok.Loc;
   advance();
 
-  std::string_view Tag;
+  Symbol Tag;
   if (Tok.is(CTok::Ident)) {
-    Tag = Idents.intern(Tok.Text);
+    Tag = Tok.Name;
     advance();
   }
 
@@ -243,8 +246,8 @@ const CType *CParser::parseStructOrUnionSpec() {
   }
   bool HasBody = Tok.is(CTok::LBrace);
   if (!RD || (HasBody && RD->isComplete())) {
-    RD = Ast.create<RecordDecl>(Tag.empty() ? Idents.intern("<anon>") : Tag,
-                                IsUnion, KwLoc);
+    RD = Ast.create<RecordDecl>(
+        Tag.empty() ? Idents.intern("<anon>") : Tag.str(), IsUnion, KwLoc);
     TU.Records.push_back(RD);
     TU.Decls.push_back(RD);
     if (!Tag.empty())
@@ -264,7 +267,7 @@ const CType *CParser::parseStructOrUnionSpec() {
       return Types.getRecord(RD);
     }
     do {
-      Declarator D;
+      Declarator D(*this);
       if (!parseDeclarator(D, /*AllowAbstract=*/false)) {
         skipToRecovery();
         return Types.getRecord(RD);
@@ -285,9 +288,9 @@ const CType *CParser::parseEnumSpec() {
   SourceLoc KwLoc = Tok.Loc;
   advance();
 
-  std::string_view Tag;
+  Symbol Tag;
   if (Tok.is(CTok::Ident)) {
-    Tag = Idents.intern(Tok.Text);
+    Tag = Tok.Name;
     advance();
   }
 
@@ -297,8 +300,8 @@ const CType *CParser::parseEnumSpec() {
       ED = Existing;
   }
   if (!ED) {
-    ED = Ast.create<EnumDecl>(Tag.empty() ? Idents.intern("<anon>") : Tag,
-                              KwLoc);
+    ED = Ast.create<EnumDecl>(
+        Tag.empty() ? Idents.intern("<anon>") : Tag.str(), KwLoc);
     TU.Decls.push_back(ED);
     if (!Tag.empty())
       TagScopes.back()[Tag] = ED;
@@ -315,7 +318,7 @@ const CType *CParser::parseEnumSpec() {
       skipToRecovery();
       return Types.getEnum(ED);
     }
-    std::string_view Name = Idents.intern(Tok.Text);
+    std::string_view Name = Tok.Text;
     advance();
     if (consumeIf(CTok::Assign)) {
       long Value;
@@ -341,8 +344,9 @@ bool CParser::parseDeclarator(Declarator &D, bool AllowAbstract) {
   RecursionGuard Guard(Diags, Tok.Loc);
   if (!Guard.ok())
     return false;
-  // Pointers (with qualifier lists) in source order.
-  std::vector<DeclChunk> Ptrs;
+  // Pointers (with qualifier lists) in source order; moved behind the
+  // suffixes below.
+  size_t PtrBegin = ChunkStack.size();
   while (Tok.is(CTok::Star)) {
     advance();
     DeclChunk P;
@@ -358,15 +362,16 @@ bool CParser::parseDeclarator(Declarator &D, bool AllowAbstract) {
       }
       break;
     }
-    Ptrs.push_back(P);
+    ChunkStack.push_back(P);
   }
+  size_t PtrEnd = ChunkStack.size();
 
   // Direct declarator. An identifier here is always the declared name,
   // even if it collides with a typedef: fields and block-scope locals may
   // shadow typedef names (the declspec already consumed any leading
   // typedef-as-type).
   if (Tok.is(CTok::Ident)) {
-    D.Name = Idents.intern(Tok.Text);
+    D.Name = Tok.Name;
     D.Loc = Tok.Loc;
     advance();
   } else if (Tok.is(CTok::LParen)) {
@@ -374,7 +379,7 @@ bool CParser::parseDeclarator(Declarator &D, bool AllowAbstract) {
     // parameter list: '*', '(', or a non-typedef identifier.
     const CToken &Next = peek();
     bool Nested = Next.is(CTok::Star) || Next.is(CTok::LParen) ||
-                  (Next.is(CTok::Ident) && !lookupTypedef(Next.Text));
+                  (Next.is(CTok::Ident) && !lookupTypedef(Next.Name));
     if (Nested) {
       advance(); // (
       if (!parseDeclarator(D, AllowAbstract))
@@ -406,7 +411,7 @@ bool CParser::parseDeclarator(Declarator &D, bool AllowAbstract) {
       }
       if (!expect(CTok::RBracket))
         return false;
-      D.Chunks.push_back(std::move(A));
+      ChunkStack.push_back(A);
       continue;
     }
     if (Tok.is(CTok::LParen)) {
@@ -415,15 +420,17 @@ bool CParser::parseDeclarator(Declarator &D, bool AllowAbstract) {
       F.Kind = DeclChunk::K::Function;
       if (!parseParamList(F))
         return false;
-      D.Chunks.push_back(std::move(F));
+      ChunkStack.push_back(F);
       continue;
     }
     break;
   }
 
-  // Pointers bind less tightly than suffixes: append them reversed.
-  for (auto It = Ptrs.rbegin(); It != Ptrs.rend(); ++It)
-    D.Chunks.push_back(std::move(*It));
+  // Pointers bind less tightly than suffixes: move them to the end,
+  // reversed.
+  std::rotate(ChunkStack.begin() + PtrBegin, ChunkStack.begin() + PtrEnd,
+              ChunkStack.end());
+  std::reverse(ChunkStack.end() - (PtrEnd - PtrBegin), ChunkStack.end());
   return true;
 }
 
@@ -437,6 +444,10 @@ bool CParser::parseParamList(DeclChunk &Chunk) {
     advance();
     return true;
   }
+  // This list's parameters are ParamStack[Begin..); a parameter's own
+  // function declarator finishes (and pops) its list before the parameter
+  // is pushed.
+  size_t Begin = ParamStack.size();
   for (;;) {
     if (Tok.is(CTok::Ellipsis)) {
       advance();
@@ -446,11 +457,14 @@ bool CParser::parseParamList(DeclChunk &Chunk) {
     DeclSpec DS;
     if (!parseDeclSpec(DS)) {
       error("expected a parameter declaration");
+      ParamStack.resize(Begin);
       return false;
     }
-    Declarator D;
-    if (!parseDeclarator(D, /*AllowAbstract=*/true))
+    Declarator D(*this);
+    if (!parseDeclarator(D, /*AllowAbstract=*/true)) {
+      ParamStack.resize(Begin);
       return false;
+    }
     CQualType T = buildType(DS.Base, D);
     // Parameter adjustment: arrays decay to pointers, functions to
     // function pointers.
@@ -458,20 +472,22 @@ bool CParser::parseParamList(DeclChunk &Chunk) {
       T = CQualType(Types.getPointer(AT->getElement()), T.getQuals());
     else if (isa<FunctionType>(T.getType()))
       T = CQualType(Types.getPointer(CQualType(T.getType())), CQ_None);
-    VarDecl *P = Ast.create<VarDecl>(D.Name, T, StorageClass::None,
-                                     /*IsParam=*/true,
-                                     D.Loc.isValid() ? D.Loc : DS.Loc);
-    Chunk.Params.push_back(P);
-    Chunk.ParamTypes.push_back(T);
+    ParamStack.push_back(Ast.create<VarDecl>(
+        D.Name, T, StorageClass::None, /*IsParam=*/true,
+        D.Loc.isValid() ? D.Loc : DS.Loc));
     if (!consumeIf(CTok::Comma))
       break;
   }
+  Chunk.Params = Ast.list(std::span<VarDecl *const>(
+      ParamStack.data() + Begin, ParamStack.size() - Begin));
+  ParamStack.resize(Begin);
   return expect(CTok::RParen);
 }
 
 CQualType CParser::buildType(CQualType Base, const Declarator &D) {
   CQualType T = Base;
-  for (auto It = D.Chunks.rbegin(); It != D.Chunks.rend(); ++It) {
+  std::span<const DeclChunk> Chunks = D.chunks();
+  for (auto It = Chunks.rbegin(); It != Chunks.rend(); ++It) {
     switch (It->Kind) {
     case DeclChunk::K::Pointer:
       T = CQualType(Types.getPointer(T), It->Quals);
@@ -480,7 +496,10 @@ CQualType CParser::buildType(CQualType Base, const Declarator &D) {
       T = CQualType(Types.getArray(T, It->ArraySize));
       break;
     case DeclChunk::K::Function:
-      T = CQualType(Types.getFunction(T, It->ParamTypes, It->Variadic,
+      ParamTypes.clear();
+      for (const VarDecl *P : It->Params)
+        ParamTypes.push_back(P->getType());
+      T = CQualType(Types.getFunction(T, ParamTypes, It->Variadic,
                                       It->NoPrototype));
       break;
     }
@@ -494,7 +513,7 @@ bool CParser::parseTypeName(CQualType &Out) {
     error("expected a type name");
     return false;
   }
-  Declarator D;
+  Declarator D(*this);
   if (!parseDeclarator(D, /*AllowAbstract=*/true))
     return false;
   Out = buildType(DS.Base, D);
@@ -524,7 +543,7 @@ bool CParser::parseExternalDecl() {
   if (consumeIf(CTok::Semi))
     return true; // struct/union/enum declaration alone
 
-  Declarator First;
+  Declarator First(*this);
   if (!parseDeclarator(First, /*AllowAbstract=*/false)) {
     skipToRecovery();
     return false;
@@ -535,10 +554,9 @@ bool CParser::parseExternalDecl() {
       Tok.is(CTok::LBrace)) {
     CQualType T = buildType(DS.Base, First);
     const auto *FT = cast<FunctionType>(T.getType());
-    auto *FD = Ast.create<FunctionDecl>(First.Name, FT,
-                                        Ast.list(First.params()), DS.SC,
-                                        First.Loc);
-    FunctionDecl *&Slot = TU.FunctionMap[First.Name];
+    auto *FD = Ast.create<FunctionDecl>(First.Name, FT, First.params(),
+                                        DS.SC, First.Loc);
+    FunctionDecl *&Slot = TU.FunctionMap.try_emplace(First.Name).first->second;
     if (Slot && !Slot->isDefined()) {
       // Complete a previous prototype (possibly from another buffer) in its
       // Functions slot; the definition's parameter names and type win. An
@@ -567,33 +585,29 @@ bool CParser::parseExternalDecl() {
   return parseInitDeclarators(DS, First, Vars, /*IsGlobal=*/true);
 }
 
-bool CParser::parseInitDeclarators(const DeclSpec &DS, Declarator &First,
+bool CParser::parseInitDeclarators(const DeclSpec &DS, Declarator &D,
                                    std::vector<VarDecl *> &Out,
                                    bool IsGlobal) {
-  Declarator *D = &First;
-  Declarator Extra;
   for (;;) {
     if (DS.SC == StorageClass::Typedef) {
-      auto *TD =
-          Ast.create<TypedefDecl>(D->Name, buildType(DS.Base, *D), D->Loc);
-      TypedefScopes.back()[D->Name] = TD;
+      auto *TD = Ast.create<TypedefDecl>(D.Name, buildType(DS.Base, D), D.Loc);
+      TypedefScopes.back()[D.Name] = TD;
       if (IsGlobal)
         TU.Decls.push_back(TD);
-    } else if (D->isFunction()) {
+    } else if (D.isFunction()) {
       // A prototype.
-      CQualType T = buildType(DS.Base, *D);
-      const auto *FT = cast<FunctionType>(T.getType());
-      if (!TU.FunctionMap.count(D->Name)) {
-        auto *FD = Ast.create<FunctionDecl>(D->Name, FT,
-                                            Ast.list(D->params()), DS.SC,
-                                            D->Loc);
-        TU.FunctionMap[D->Name] = FD;
+      auto [It, New] = TU.FunctionMap.try_emplace(D.Name);
+      if (New) {
+        const auto *FT = cast<FunctionType>(buildType(DS.Base, D).getType());
+        auto *FD = Ast.create<FunctionDecl>(D.Name, FT, D.params(), DS.SC,
+                                            D.Loc);
+        It->second = FD;
         FD->setFunctionIndex(TU.Functions.size());
         TU.Functions.push_back(FD);
         TU.Decls.push_back(FD);
       }
     } else {
-      VarDecl *V = makeVarDecl(DS, *D, IsGlobal);
+      VarDecl *V = makeVarDecl(DS, D, IsGlobal);
       if (consumeIf(CTok::Assign)) {
         const CExpr *Init = parseInitializer();
         if (!Init)
@@ -601,24 +615,19 @@ bool CParser::parseInitDeclarators(const DeclSpec &DS, Declarator &First,
         V->setInit(Init);
       }
       Out.push_back(V);
-      if (IsGlobal) {
-        // Extern redeclarations of the same global merge.
-        auto It = TU.GlobalMap.find(V->getName());
-        if (It == TU.GlobalMap.end()) {
-          TU.GlobalMap[V->getName()] = V;
-          TU.Globals.push_back(V);
-          TU.Decls.push_back(V);
-        }
+      // Extern redeclarations of the same global merge.
+      if (IsGlobal && TU.GlobalMap.try_emplace(V->getName(), V).second) {
+        TU.Globals.push_back(V);
+        TU.Decls.push_back(V);
       }
     }
     if (!consumeIf(CTok::Comma))
       break;
-    Extra = Declarator();
-    if (!parseDeclarator(Extra, false)) {
+    D.reset();
+    if (!parseDeclarator(D, false)) {
       skipToRecovery();
       return false;
     }
-    D = &Extra;
   }
   return expect(CTok::Semi);
 }
@@ -835,7 +844,7 @@ const CStmt *CParser::parseStmt() {
       error("expected label after 'goto'");
       return nullptr;
     }
-    std::string_view Label = Idents.intern(Tok.Text);
+    std::string_view Label = Tok.Text;
     advance();
     if (!expect(CTok::Semi))
       return nullptr;
@@ -843,8 +852,8 @@ const CStmt *CParser::parseStmt() {
   }
   case CTok::Ident:
     // Label?
-    if (peek().is(CTok::Colon) && !lookupTypedef(Tok.Text)) {
-      std::string_view Label = Idents.intern(Tok.Text);
+    if (peek().is(CTok::Colon) && !lookupTypedef(Tok.Name)) {
+      std::string_view Label = Tok.Text;
       advance();
       advance();
       const CStmt *Sub = parseStmt();
@@ -864,7 +873,7 @@ const CStmt *CParser::parseStmt() {
       return nullptr;
     if (consumeIf(CTok::Semi))
       return Ast.create<CNullStmt>(Loc); // bare struct decl in a block
-    Declarator First;
+    Declarator First(*this);
     if (!parseDeclarator(First, false))
       return nullptr;
     std::vector<VarDecl *> Vars;
@@ -1140,7 +1149,7 @@ const CExpr *CParser::parsePostfixExpr() {
         error("expected field name after '.'");
         return nullptr;
       }
-      E = Ast.create<CMember>(E, Idents.intern(Tok.Text), false, Loc);
+      E = Ast.create<CMember>(E, Tok.Text, false, Loc);
       advance();
       break;
     }
@@ -1150,7 +1159,7 @@ const CExpr *CParser::parsePostfixExpr() {
         error("expected field name after '->'");
         return nullptr;
       }
-      E = Ast.create<CMember>(E, Idents.intern(Tok.Text), true, Loc);
+      E = Ast.create<CMember>(E, Tok.Text, true, Loc);
       advance();
       break;
     }
@@ -1191,7 +1200,7 @@ const CExpr *CParser::parsePrimaryExpr() {
     return Ast.create<CStringLit>(Text, Loc);
   }
   case CTok::Ident: {
-    std::string_view Name = Idents.intern(Tok.Text);
+    std::string_view Name = Tok.Text;
     advance();
     return Ast.create<CDeclRef>(Name, Loc);
   }
@@ -1219,11 +1228,13 @@ bool quals::cfront::parseCSource(SourceManager &SM, std::string Name,
   unsigned BufferId = SM.addBuffer(std::move(Name), std::move(Source));
   // Lexing is fused into the parse; measure it with a token-counting
   // pre-scan when observability is on (lex diagnostics go to a sink engine
-  // -- the parse below re-lexes and re-reports them).
+  // -- the parse below re-lexes and re-reports them -- and identifiers to
+  // a scratch interner, so the pre-scan pays the parse's interning cost).
   if (observabilityActive()) {
     PhaseScope Phase("lex", "cfront");
     DiagnosticEngine Sink(SM);
-    CLexer L(SM, BufferId, Sink);
+    StringInterner ScratchIdents;
+    CLexer L(SM, BufferId, Sink, ScratchIdents);
     uint64_t Tokens = 0;
     while (L.next().Kind != CTok::Eof)
       ++Tokens;

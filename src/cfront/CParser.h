@@ -30,6 +30,7 @@
 #include "cfront/CLexer.h"
 #include "support/StringInterner.h"
 
+#include <span>
 #include <unordered_map>
 
 namespace quals {
@@ -59,12 +60,12 @@ private:
   bool HadError = false;
   unsigned InitialErrors = 0;
 
-  // Scoped name tables. Tags (struct/union/enum) share one namespace;
-  // typedef names live in the ordinary namespace but only the typedef
-  // subset matters for parsing.
-  std::vector<std::unordered_map<std::string_view, TypedefDecl *>>
+  // Scoped name tables, keyed by the lexer's interned identifiers. Tags
+  // (struct/union/enum) share one namespace; typedef names live in the
+  // ordinary namespace but only the typedef subset matters for parsing.
+  std::vector<std::unordered_map<Symbol, TypedefDecl *, Symbol::Hash>>
       TypedefScopes;
-  std::vector<std::unordered_map<std::string_view, CDecl *>> TagScopes;
+  std::vector<std::unordered_map<Symbol, CDecl *, Symbol::Hash>> TagScopes;
 
   //===--------------------------------------------------------------------===//
   // Token plumbing
@@ -92,8 +93,8 @@ private:
 
   void pushScope();
   void popScope();
-  TypedefDecl *lookupTypedef(std::string_view Name) const;
-  CDecl *lookupTag(std::string_view Name) const;
+  TypedefDecl *lookupTypedef(Symbol Name) const;
+  CDecl *lookupTag(Symbol Name) const;
 
   //===--------------------------------------------------------------------===//
   // Declarations
@@ -109,25 +110,56 @@ private:
     enum class K { Pointer, Array, Function } Kind;
     unsigned Quals = CQ_None;               // Pointer
     long ArraySize = -1;                    // Array
-    std::vector<VarDecl *> Params;          // Function
-    std::vector<CQualType> ParamTypes;      // Function
+    std::span<VarDecl *const> Params;       // Function (arena array)
     bool Variadic = false;                  // Function
     bool NoPrototype = false;               // Function
   };
 
-  struct Declarator {
-    std::string_view Name; ///< Empty for abstract declarators.
-    SourceLoc Loc;
-    std::vector<DeclChunk> Chunks; ///< From the name outward.
+  /// Chunks of the declarators being parsed, innermost declarator on top:
+  /// a declarator's chunks are the top of the stack from its Begin up, and
+  /// a parameter's declarator is popped before its list goes on.
+  std::vector<DeclChunk> ChunkStack;
+  /// Parameters of the lists being parsed, likewise nested; a finished
+  /// list is copied into the arena once and popped.
+  std::vector<VarDecl *> ParamStack;
+  /// Parameter types handed to CTypeContext::getFunction (which copies).
+  std::vector<CQualType> ParamTypes;
 
+  /// A declarator under construction. Its chunks, from the name outward,
+  /// live on the parser's ChunkStack until it is destroyed or reset, so
+  /// declarators must nest (each one's lifetime inside the previous one's).
+  class Declarator {
+  public:
+    explicit Declarator(CParser &P)
+        : Stack(P.ChunkStack), Begin(P.ChunkStack.size()) {}
+    Declarator(const Declarator &) = delete;
+    Declarator &operator=(const Declarator &) = delete;
+    ~Declarator() { Stack.resize(Begin); }
+
+    Symbol Name; ///< Empty for abstract declarators.
+    SourceLoc Loc;
+
+    std::span<const DeclChunk> chunks() const {
+      return {Stack.data() + Begin, Stack.size() - Begin};
+    }
     /// True when the name declares a function (its first chunk is a
     /// function declarator), whose parameters are params().
     bool isFunction() const {
-      return !Chunks.empty() && Chunks.front().Kind == DeclChunk::K::Function;
+      return Stack.size() > Begin &&
+             Stack[Begin].Kind == DeclChunk::K::Function;
     }
-    const std::vector<VarDecl *> &params() const {
-      return Chunks.front().Params;
+    std::span<VarDecl *const> params() const { return Stack[Begin].Params; }
+    /// Forgets everything parsed into this declarator, for the next one of
+    /// a declarator list.
+    void reset() {
+      Stack.resize(Begin);
+      Name = Symbol();
+      Loc = SourceLoc();
     }
+
+  private:
+    std::vector<DeclChunk> &Stack;
+    size_t Begin;
   };
 
   /// True if the current token can begin a declaration.
@@ -150,7 +182,9 @@ private:
   /// Parses the declarator list after the first declarator of a
   /// declaration (typedefs, prototypes and variables); shared by globals
   /// and locals.
-  bool parseInitDeclarators(const DeclSpec &DS, Declarator &First,
+  /// \p D holds the first declarator on entry and is reset for each
+  /// following one.
+  bool parseInitDeclarators(const DeclSpec &DS, Declarator &D,
                             std::vector<VarDecl *> &Out, bool IsGlobal);
   VarDecl *makeVarDecl(const DeclSpec &DS, const Declarator &D,
                        bool IsGlobal);

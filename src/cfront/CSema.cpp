@@ -28,6 +28,12 @@ const CDecl *CSema::lookup(std::string_view Name) const {
     if (Found != It->end())
       return Found->second;
   }
+  // File scope: the unit's own tables. A function wins over a global of the
+  // same name.
+  if (auto F = TU->FunctionMap.find(Name); F != TU->FunctionMap.end())
+    return F->second;
+  if (auto G = TU->GlobalMap.find(Name); G != TU->GlobalMap.end())
+    return G->second;
   return nullptr;
 }
 
@@ -45,14 +51,10 @@ bool CSema::analyze(TranslationUnit &Unit) {
   PhaseScope Phase("sema", "cfront");
   TU = &Unit;
   Scopes.clear();
-  pushScope();
 
-  // Pre-register every file-scope name (whole-program analysis merges
-  // files, so use-before-declaration across buffers is tolerated).
-  for (VarDecl *G : Unit.Globals)
-    declare(G);
-  for (FunctionDecl *F : Unit.Functions)
-    declare(F);
+  // The file scope is the unit's FunctionMap and GlobalMap, complete before
+  // sema starts (whole-program analysis merges files, so
+  // use-before-declaration across buffers is tolerated).
 
   // Type global initializers.
   for (VarDecl *G : Unit.Globals) {
@@ -62,7 +64,10 @@ bool CSema::analyze(TranslationUnit &Unit) {
       checkExpr(Init);
   }
 
-  for (FunctionDecl *F : Unit.Functions) {
+  // By index: implicit declarations (resolveCallee) append to Functions
+  // while bodies are analyzed. They have no body, so they need no visit.
+  for (size_t I = 0, E = Unit.Functions.size(); I != E; ++I) {
+    FunctionDecl *F = Unit.Functions[I];
     // Stop cleanly once the error cap or a resource budget fired; the
     // recoverable `fatal:` diagnostic is already in the engine.
     if (Diags.shouldBail() || !Diags.checkResources(F->getLoc()))
@@ -71,7 +76,6 @@ bool CSema::analyze(TranslationUnit &Unit) {
       analyzeFunction(F);
   }
 
-  popScope();
   return !HadError && !Diags.shouldBail();
 }
 
@@ -187,10 +191,9 @@ const FunctionDecl *CSema::resolveCallee(const CExpr *Callee) {
                                       std::span<VarDecl *const>(),
                                       StorageClass::Extern, Callee->getLoc());
   FD->setImplicit(true);
-  TU->FunctionMap[Ref->getName()] = FD;
+  TU->FunctionMap.emplace(Ref->getName(), FD);
   FD->setFunctionIndex(TU->Functions.size());
   TU->Functions.push_back(FD);
-  Scopes.front()[Ref->getName()] = FD;
   Ref->setDecl(FD);
   return FD;
 }

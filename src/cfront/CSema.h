@@ -50,6 +50,8 @@ private:
   const FunctionDecl *CurrentFunction = nullptr;
   bool HadError = false;
 
+  /// Block scopes, innermost last; the file scope behind them is the
+  /// unit's FunctionMap and GlobalMap (see lookup).
   std::vector<std::unordered_map<std::string_view, const CDecl *>> Scopes;
 
   void pushScope() { Scopes.emplace_back(); }

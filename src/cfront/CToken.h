@@ -18,6 +18,7 @@
 #define QUALS_CFRONT_CTOKEN_H
 
 #include "support/SourceLoc.h"
+#include "support/StringInterner.h"
 
 #include <string_view>
 
@@ -61,7 +62,9 @@ enum class CTok {
 struct CToken {
   CTok Kind = CTok::Eof;
   SourceLoc Loc;
+  /// The spelling; for an Ident, the interned name (Name.str()).
   std::string_view Text;
+  Symbol Name;              ///< For Ident: the interned identifier.
   long IntValue = 0;        ///< For IntLit / CharLit.
   double FloatValue = 0.0;  ///< For FloatLit.
 

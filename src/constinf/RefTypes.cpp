@@ -8,6 +8,7 @@
 #include "constinf/RefTypes.h"
 
 #include <algorithm>
+#include <charconv>
 
 using namespace quals;
 using namespace quals::constinf;
@@ -15,13 +16,18 @@ using namespace quals::cfront;
 
 namespace {
 
-/// The constructor names, shared by the translation and shapeOf().
-std::string fnCtorName(size_t NumParams) {
-  return "fn" + std::to_string(NumParams);
+/// The constructor names, shared by the translation and shapeOf(); they
+/// append, so a shape is built in one buffer.
+void appendFnCtorName(size_t NumParams, std::string &Out) {
+  char Digits[24];
+  Out += "fn";
+  Out.append(Digits,
+             std::to_chars(Digits, Digits + sizeof(Digits), NumParams).ptr);
 }
 
-std::string recordCtorName(const RecordDecl *RD) {
-  return (RD->isUnion() ? "union " : "struct ") + std::string(RD->getName());
+void appendRecordCtorName(const RecordDecl *RD, std::string &Out) {
+  Out += RD->isUnion() ? "union " : "struct ";
+  Out += RD->getName();
 }
 
 /// Appends the shape of the r-type l'(T), mirroring RefTranslator::lprime.
@@ -41,11 +47,11 @@ void appendShape(CQualType T, std::string &Shape) {
     Shape += ')';
     return;
   case CType::Kind::Record:
-    Shape += recordCtorName(cast<RecordType>(Ty)->getDecl());
+    appendRecordCtorName(cast<RecordType>(Ty)->getDecl(), Shape);
     return;
   case CType::Kind::Function: {
     const auto *FT = cast<FunctionType>(Ty);
-    Shape += fnCtorName(FT->getParams().size());
+    appendFnCtorName(FT->getParams().size(), Shape);
     Shape += '(';
     for (CQualType P : FT->getParams()) {
       appendShape(P, Shape);
@@ -60,8 +66,7 @@ void appendShape(CQualType T, std::string &Shape) {
 
 } // namespace
 
-std::string constinf::shapeOf(const CDecl *D) {
-  std::string Shape;
+void constinf::appendShapeOf(const CDecl *D, std::string &Shape) {
   if (const auto *FD = dyn_cast<FunctionDecl>(D)) {
     appendShape(CQualType(FD->getType()), Shape);
   } else {
@@ -69,6 +74,11 @@ std::string constinf::shapeOf(const CDecl *D) {
     appendShape(cast<VarDecl>(D)->getType(), Shape);
     Shape += ')';
   }
+}
+
+std::string constinf::shapeOf(const CDecl *D) {
+  std::string Shape;
+  appendShapeOf(D, Shape);
   return Shape;
 }
 
@@ -81,7 +91,9 @@ const TypeCtor *ConstCtors::fn(unsigned NumParams) {
     return It->second;
   std::vector<Variance> Args(NumParams, Variance::Contravariant);
   Args.push_back(Variance::Covariant);
-  Owned.emplace_back(fnCtorName(NumParams), std::move(Args));
+  std::string Name;
+  appendFnCtorName(NumParams, Name);
+  Owned.emplace_back(std::move(Name), std::move(Args));
   FnCtors[NumParams] = &Owned.back();
   return &Owned.back();
 }
@@ -90,7 +102,9 @@ const TypeCtor *ConstCtors::record(const RecordDecl *RD) {
   const TypeCtor *&Ctor = Records[RD->getId()];
   if (Ctor)
     return Ctor;
-  Owned.emplace_back(recordCtorName(RD), std::vector<Variance>());
+  std::string Name;
+  appendRecordCtorName(RD, Name);
+  Owned.emplace_back(std::move(Name), std::vector<Variance>());
   Ctor = &Owned.back();
   return Ctor;
 }

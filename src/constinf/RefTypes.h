@@ -114,6 +114,9 @@ struct DeferredPin {
 /// with equal shapes translate to positionally identical variable lists,
 /// which is what cross-TU symbol unification relies on (link/Linker.h).
 std::string shapeOf(const cfront::CDecl *D);
+/// Appends shapeOf(\p D) to \p Shape, so a caller shaping many
+/// declarations reuses one buffer.
+void appendShapeOf(const cfront::CDecl *D, std::string &Shape);
 
 /// Performs the l translation, memoizing shared structure (record field
 /// environments, variable cell types, function interfaces) in tables

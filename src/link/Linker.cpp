@@ -10,7 +10,8 @@
 #include "support/Metrics.h"
 
 #include <algorithm>
-#include <map>
+#include <span>
+#include <unordered_map>
 
 using namespace quals;
 using namespace quals::link;
@@ -54,11 +55,74 @@ std::string renderError(const TuSummary &S, const QsumOrigin &O,
 
 /// One symbol occurrence during resolution.
 struct SymEntry {
-  bool IsFn = false;
-  bool IsExport = false;
-  uint32_t Sum = 0; ///< Canonical summary index.
+  uint32_t Key = 0; ///< Summary index << 2 | section (Fn/Glob x Exp/Imp).
   const QsumSymbol *Sym = nullptr;
+
+  uint32_t sum() const { return Key >> 2; }
+  bool isFn() const { return (Key & 2) == 0; }
+  bool isExport() const { return (Key & 1) == 0; }
 };
+
+/// The occurrences Entries[Begin, End) of one name.
+struct SymGroup {
+  std::string_view Name;
+  uint32_t Begin = 0, End = 0;
+};
+
+/// Groups every symbol occurrence of \p Summaries by name, through a hash
+/// table from name to group: Entries holds each group's occurrences
+/// contiguously, in canonical order (by summary, then section, then
+/// position), and the groups come back sorted by name. No string is copied
+/// and no per-name container is built.
+std::vector<SymGroup> groupSymbols(const std::vector<TuSummary> &Summaries,
+                                   std::vector<SymEntry> &Entries) {
+  auto forEachOccurrence = [&](auto Fn) {
+    for (size_t K = 0; K != Summaries.size(); ++K) {
+      const TuSummary &S = Summaries[K];
+      const std::vector<QsumSymbol> *Sections[] = {
+          &S.FnExports, &S.FnImports, &S.GlobExports, &S.GlobImports};
+      for (uint32_t Section = 0; Section != 4; ++Section)
+        for (const QsumSymbol &Sym : *Sections[Section])
+          Fn(SymEntry{static_cast<uint32_t>(K) << 2 | Section, &Sym},
+             S.str(Sym.Name));
+    }
+  };
+  size_t Total = 0;
+  forEachOccurrence([&](SymEntry, std::string_view) { ++Total; });
+
+  // Pass 1: the group of every occurrence, and each group's size (in End).
+  std::unordered_map<std::string_view, uint32_t> GroupIndex;
+  std::vector<SymGroup> Groups;
+  std::vector<uint32_t> GroupOf;
+  GroupOf.reserve(Total);
+  forEachOccurrence([&](SymEntry, std::string_view Name) {
+    auto [It, New] = GroupIndex.try_emplace(Name, Groups.size());
+    if (New)
+      Groups.push_back({Name, 0, 0});
+    GroupOf.push_back(It->second);
+    ++Groups[It->second].End;
+  });
+  GroupIndex = {};
+
+  // Pass 2: lay the groups out and place each occurrence in its group.
+  uint32_t Next = 0;
+  for (SymGroup &G : Groups) {
+    G.Begin = Next;
+    Next += G.End;
+    G.End = G.Begin;
+  }
+  Entries.resize(Total);
+  size_t Occurrence = 0;
+  forEachOccurrence([&](SymEntry E, std::string_view) {
+    Entries[Groups[GroupOf[Occurrence++]].End++] = E;
+  });
+
+  std::sort(Groups.begin(), Groups.end(),
+            [](const SymGroup &A, const SymGroup &B) {
+              return A.Name < B.Name;
+            });
+  return Groups;
+}
 
 } // namespace
 
@@ -119,21 +183,22 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
   Config.MaxConstraints = Opts.MaxConstraints;
   ConstraintSystem Sys(QS, Config);
 
-  // Merge: each summary's variables get a contiguous block; a side table
-  // maps every merged constraint id back to (summary, serialized origin)
-  // for diagnostics, since ConstraintOrigin's SourceLoc cannot describe
-  // locations in files this process never parsed.
-  struct MergedOrigin {
-    uint32_t Sum = 0;
-    QsumOrigin Origin;
-  };
-  std::vector<MergedOrigin> Origins;
+  // Merge: each summary's variables get a contiguous block, and its
+  // constraints the contiguous ids from MergeBase[K] on (the budget may
+  // drop some, but that fails the load before any origin is read). So a
+  // merged constraint's serialized origin is found from its id, and only
+  // the library pins added by resolution need a side table: ConstraintOrigin's
+  // SourceLoc cannot describe locations in files this process never parsed.
+  std::vector<ConstraintId> MergeBase(Summaries.size());
   std::vector<uint32_t> VarBase(Summaries.size(), 0);
   {
     PhaseScope Phase("link-merge", "link");
+    std::vector<ReasonId> ReasonOf; // Summary string id -> interned reason.
     for (size_t K = 0; K != Summaries.size(); ++K) {
       const TuSummary &S = Summaries[K];
       VarBase[K] = Sys.freshVars(S.NumVars);
+      MergeBase[K] = Sys.getNumConstraints();
+      ReasonOf.assign(S.Strings.size(), ~ReasonId(0));
       for (const QsumConstraint &C : S.Constraints) {
         QualExpr Lhs =
             C.LhsIsVar
@@ -143,57 +208,57 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
             C.RhsIsVar
                 ? QualExpr::makeVar(VarBase[K] + static_cast<uint32_t>(C.Rhs))
                 : QualExpr::makeConst(LatticeValue(C.Rhs));
-        Sys.addLeqMasked(Lhs, Rhs, C.Mask, {S.str(C.Origin.Reason)});
-        Origins.resize(Sys.getNumConstraints(),
-                       {static_cast<uint32_t>(K), C.Origin});
+        ReasonId &Reason = ReasonOf[C.Origin.Reason];
+        if (Reason == ~ReasonId(0))
+          Reason = Sys.internReason(S.str(C.Origin.Reason));
+        Sys.addConstraint({Lhs, Rhs, C.Mask, SourceLoc(), Reason});
       }
     }
   }
+  ConstraintId MergeEnd = Sys.getNumConstraints();
 
-  // Resolution: group every occurrence by name (std::map iterates names in
-  // sorted order; within a name, occurrences follow canonical summary
-  // order), pick the defining occurrence -- or else the first one with
-  // variables -- as representative, and unify. A shape-only import (no
-  // variables: its TU never references the function) meets the kind and
-  // shape checks but equates nothing.
+  // Resolution: group every occurrence by name (names visited in sorted
+  // order; within a name, occurrences follow canonical summary order),
+  // pick the defining occurrence -- or else the first one with variables
+  // -- as representative, and unify. A shape-only import (no variables:
+  // its TU never references the function) meets the kind and shape checks
+  // but equates nothing.
+  struct PinOrigin {
+    ConstraintId Id;
+    uint32_t Sum;
+    const QsumOrigin *Origin;
+  };
+  std::vector<PinOrigin> PinOrigins; // Ascending Id.
   {
     PhaseScope Phase("link-unify", "link");
-    std::map<std::string_view, std::vector<SymEntry>> ByName;
-    for (size_t K = 0; K != Summaries.size(); ++K) {
-      const TuSummary &S = Summaries[K];
-      uint32_t Ki = static_cast<uint32_t>(K);
-      for (const QsumSymbol &Sym : S.FnExports)
-        ByName[S.str(Sym.Name)].push_back({true, true, Ki, &Sym});
-      for (const QsumSymbol &Sym : S.FnImports)
-        ByName[S.str(Sym.Name)].push_back({true, false, Ki, &Sym});
-      for (const QsumSymbol &Sym : S.GlobExports)
-        ByName[S.str(Sym.Name)].push_back({false, true, Ki, &Sym});
-      for (const QsumSymbol &Sym : S.GlobImports)
-        ByName[S.str(Sym.Name)].push_back({false, false, Ki, &Sym});
-    }
+    std::vector<SymEntry> Entries;
+    std::vector<SymGroup> Groups = groupSymbols(Summaries, Entries);
 
-    for (const auto &[Name, Entries] : ByName) {
+    for (const SymGroup &G : Groups) {
+      std::string_view Name = G.Name;
+      std::span<const SymEntry> Occurrences(Entries.data() + G.Begin,
+                                            G.End - G.Begin);
       const SymEntry *Rep = nullptr;
-      for (const SymEntry &E : Entries)
-        if (E.IsExport) {
+      for (const SymEntry &E : Occurrences)
+        if (E.isExport()) {
           Rep = &E;
           break;
         }
       bool Resolved = Rep != nullptr;
-      for (const SymEntry &E : Entries)
+      for (const SymEntry &E : Occurrences)
         if (!Rep && !E.Sym->Vars.empty())
           Rep = &E;
       if (!Rep)
-        Rep = &Entries.front();
-      std::string_view RepSrc = Summaries[Rep->Sum].sourceName();
-      std::string_view RepShape = Summaries[Rep->Sum].str(Rep->Sym->Shape);
+        Rep = &Occurrences.front();
+      std::string_view RepSrc = Summaries[Rep->sum()].sourceName();
+      std::string_view RepShape = Summaries[Rep->sum()].str(Rep->Sym->Shape);
       ReasonId Linkage = 0; // Interned on the first equated variable.
 
-      for (const SymEntry &E : Entries) {
+      for (const SymEntry &E : Occurrences) {
         if (&E == Rep)
           continue;
-        const TuSummary &S = Summaries[E.Sum];
-        if (E.IsExport) {
+        const TuSummary &S = Summaries[E.sum()];
+        if (E.isExport()) {
           R.LinkOk = false;
           R.Diagnostics.push_back("error: duplicate definition of '" +
                                   std::string(Name) + "' (defined in '" +
@@ -201,13 +266,13 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
                                   std::string(S.sourceName()) + "')");
           continue;
         }
-        if (E.IsFn != Rep->IsFn) {
+        if (E.isFn() != Rep->isFn()) {
           R.LinkOk = false;
           R.Diagnostics.push_back(
               "error: symbol '" + std::string(Name) + "' is a " +
-              (Rep->IsFn ? "function" : "object") + " in '" +
+              (Rep->isFn() ? "function" : "object") + " in '" +
               std::string(RepSrc) + "' but a " +
-              (E.IsFn ? "function" : "object") + " in '" +
+              (E.isFn() ? "function" : "object") + " in '" +
               std::string(S.sourceName()) + "'");
           continue;
         }
@@ -225,17 +290,17 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
         }
         // Equal shapes carry positionally-identical variable lists: equate
         // them, welding this occurrence's interface to the representative.
+        // These constraints have no serialized origin.
         if (!E.Sym->Vars.empty() && !Linkage)
           Linkage = Sys.internReason("cross-TU linkage of '" +
                                      std::string(Name) + "'");
         for (size_t I = 0; I != E.Sym->Vars.size(); ++I) {
-          QualExpr Occ = QualExpr::makeVar(VarBase[E.Sum] + E.Sym->Vars[I]);
+          QualExpr Occ =
+              QualExpr::makeVar(VarBase[E.sum()] + E.Sym->Vars[I]);
           QualExpr Def =
-              QualExpr::makeVar(VarBase[Rep->Sum] + Rep->Sym->Vars[I]);
+              QualExpr::makeVar(VarBase[Rep->sum()] + Rep->Sym->Vars[I]);
           Sys.addConstraint({Occ, Def, QS.usedBits(), SourceLoc(), Linkage});
           Sys.addConstraint({Def, Occ, QS.usedBits(), SourceLoc(), Linkage});
-          Origins.resize(Sys.getNumConstraints(),
-                         {E.Sum, QsumOrigin()});
         }
       }
 
@@ -244,13 +309,14 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
       // apply; after unification they bound the same variables, so the
       // duplicates are idempotent.
       if (!Resolved)
-        for (const SymEntry &E : Entries)
+        for (const SymEntry &E : Occurrences)
           for (const QsumPin &Pin : E.Sym->Pins) {
-            const TuSummary &S = Summaries[E.Sum];
-            Sys.addLeq(QualExpr::makeVar(VarBase[E.Sum] + Pin.Var),
+            const TuSummary &S = Summaries[E.sum()];
+            PinOrigins.push_back(
+                {Sys.getNumConstraints(), E.sum(), &Pin.Origin});
+            Sys.addLeq(QualExpr::makeVar(VarBase[E.sum()] + Pin.Var),
                        QualExpr::makeConst(QS.notQual(ConstQual)),
                        ConstraintOrigin(S.str(Pin.Origin.Reason)));
-            Origins.resize(Sys.getNumConstraints(), {E.Sum, Pin.Origin});
           }
     }
   }
@@ -274,9 +340,25 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
   if (!Ok || !Violations.empty()) {
     R.SolveOk = false;
     for (const Violation &V : Violations) {
-      const MergedOrigin &MO = Origins[V.Cause];
-      R.Diagnostics.push_back(
-          renderError(Summaries[MO.Sum], MO.Origin, Sys.explain(V)));
+      // The summary and serialized origin of V's cause (none for linkage).
+      uint32_t Sum = 0;
+      const QsumOrigin *Origin = nullptr;
+      if (V.Cause < MergeEnd) {
+        Sum = std::upper_bound(MergeBase.begin(), MergeBase.end(), V.Cause) -
+              MergeBase.begin() - 1;
+        Origin = &Summaries[Sum].Constraints[V.Cause - MergeBase[Sum]].Origin;
+      } else {
+        auto Pin = std::lower_bound(
+            PinOrigins.begin(), PinOrigins.end(), V.Cause,
+            [](const PinOrigin &P, ConstraintId Id) { return P.Id < Id; });
+        if (Pin != PinOrigins.end() && Pin->Id == V.Cause) {
+          Sum = Pin->Sum;
+          Origin = Pin->Origin;
+        }
+      }
+      R.Diagnostics.push_back(renderError(Summaries[Sum],
+                                          Origin ? *Origin : QsumOrigin(),
+                                          Sys.explain(V)));
     }
   }
 

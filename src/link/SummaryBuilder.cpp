@@ -29,7 +29,7 @@ public:
   }
 
   uint32_t intern(std::string_view S) {
-    auto It = Index.find(std::string(S));
+    auto It = Index.find(S); // Heterogeneous: no string is built to look.
     if (It != Index.end())
       return It->second;
     uint32_t Id = static_cast<uint32_t>(Out.size());
@@ -39,22 +39,45 @@ public:
   }
 
 private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
   std::vector<std::string> &Out;
-  std::unordered_map<std::string, uint32_t> Index;
+  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> Index;
 };
 
-QsumOrigin presumed(const SourceManager &SM, SourceLoc Loc, StringTable &ST,
-                    uint32_t Reason) {
-  QsumOrigin O;
-  PresumedLoc P = SM.getPresumedLoc(Loc);
-  if (P.isValid()) {
-    O.File = ST.intern(P.Filename);
-    O.Line = P.Line;
-    O.Col = P.Column;
+/// Serialized origins. A SourceManager hands out each buffer's file name as
+/// one view, so the name is interned once per buffer, not per origin.
+class OriginTable {
+public:
+  OriginTable(const SourceManager &SM, StringTable &ST) : SM(SM), ST(ST) {}
+
+  QsumOrigin presumed(SourceLoc Loc, uint32_t Reason) {
+    QsumOrigin O;
+    PresumedLoc P = SM.getPresumedLoc(Loc);
+    if (P.isValid()) {
+      if (P.Filename.data() != LastFile.data() ||
+          P.Filename.size() != LastFile.size()) {
+        LastFile = P.Filename;
+        LastFileId = ST.intern(P.Filename);
+      }
+      O.File = LastFileId;
+      O.Line = P.Line;
+      O.Col = P.Column;
+    }
+    O.Reason = Reason;
+    return O;
   }
-  O.Reason = Reason;
-  return O;
-}
+
+private:
+  const SourceManager &SM;
+  StringTable &ST;
+  std::string_view LastFile;
+  uint32_t LastFileId = 0;
+};
 
 } // namespace
 
@@ -84,10 +107,13 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
   // an import it never translated -- an undefined function or an extern
   // global the TU never uses -- is shape-only: no variables and no pins,
   // and the linker only checks its kind and shape.
+  std::string Shape; // One buffer for every symbol's shape.
   auto makeSymbol = [&](const CDecl *D, QualType T) {
     QsumSymbol Sym;
     Sym.Name = ST.intern(D->getName());
-    Sym.Shape = ST.intern(constinf::shapeOf(D));
+    Shape.clear();
+    constinf::appendShapeOf(D, Shape);
+    Sym.Shape = ST.intern(Shape);
     T.visit([&](QualType Node) {
       if (Node.getQual().isVar())
         Sym.Vars.push_back(Node.getQual().getVar());
@@ -112,6 +138,8 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
         .push_back(makeSymbol(G, TR.translatedCell(G)));
   }
 
+  OriginTable Origins(SM, ST);
+
   // Withheld library pins, attached to the imported symbol they belong to.
   // Every DeferredPin's function is undefined, hence in FnImports; the pins
   // of a shape-only import are dropped with its variables. (An escape pin's
@@ -128,7 +156,7 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
                       ? std::string("argument to unknown/variadic function")
                       : "library function '" + std::string(DP.Fn->getName()) +
                             "' parameter not declared const");
-    Pin.Origin = presumed(SM, DP.Loc, ST, Reason);
+    Pin.Origin = Origins.presumed(DP.Loc, Reason);
     S.FnImports[It->second].Pins.push_back(Pin);
   }
 
@@ -173,6 +201,7 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
 
   std::vector<Constraint> Canned = simplifyConstraints(Sys, {0, 0}, Seeds);
   S.Constraints.reserve(Canned.size());
+  std::vector<uint32_t> ReasonString(Sys.getNumReasons(), ~0u);
   for (const Constraint &C : Canned) {
     QsumConstraint Q;
     Q.LhsIsVar = C.Lhs.isVar();
@@ -180,7 +209,10 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
     Q.RhsIsVar = C.Rhs.isVar();
     Q.Rhs = Q.RhsIsVar ? Remap[C.Rhs.getVar()] : C.Rhs.getConst().bits();
     Q.Mask = C.Mask;
-    Q.Origin = presumed(SM, C.Loc, ST, ST.intern(Sys.getReason(C.Reason)));
+    uint32_t &Reason = ReasonString[C.Reason];
+    if (Reason == ~0u)
+      Reason = ST.intern(Sys.getReason(C.Reason));
+    Q.Origin = Origins.presumed(C.Loc, Reason);
     S.Constraints.push_back(Q);
   }
   return S;

@@ -167,6 +167,8 @@ public:
 
   /// The text of reason \p Id (lives as long as this system).
   std::string_view getReason(ReasonId Id) const { return ReasonText[Id]; }
+  /// Reasons interned so far; their ids are [0, count).
+  size_t getNumReasons() const { return ReasonText.size(); }
 
   /// Adds a record whose reason is already interned here (scheme replay).
   void addConstraint(const Constraint &C);

@@ -8,35 +8,15 @@
 #include "support/Allocator.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace quals;
 
-std::atomic<uint64_t> BumpPtrAllocator::TotalBytes{0};
-thread_local uint64_t BumpPtrAllocator::ThreadBytes = 0;
-
-void BumpPtrAllocator::startNewSlab(size_t MinSize) {
-  size_t Size = std::max(SlabSize, MinSize);
-  Slabs.push_back(std::make_unique<char[]>(Size));
+uintptr_t BumpPtrAllocator::startNewSlab(size_t Size, size_t Align) {
+  size_t SlabBytes = std::max(SlabSize, Size + Align);
+  Slabs.push_back(std::make_unique<char[]>(SlabBytes));
   Cur = Slabs.back().get();
-  End = Cur + Size;
-}
-
-void *BumpPtrAllocator::allocate(size_t Size, size_t Align) {
-  assert(Align != 0 && (Align & (Align - 1)) == 0 &&
-         "alignment must be a power of two");
-  uintptr_t P = reinterpret_cast<uintptr_t>(Cur);
-  uintptr_t Aligned = (P + Align - 1) & ~uintptr_t(Align - 1);
-  size_t Adjust = Aligned - P;
-  if (!Cur || Aligned + Size > reinterpret_cast<uintptr_t>(End)) {
-    startNewSlab(Size + Align);
-    P = reinterpret_cast<uintptr_t>(Cur);
-    Aligned = (P + Align - 1) & ~uintptr_t(Align - 1);
-    Adjust = Aligned - P;
-  }
-  Cur += Adjust + Size;
-  BytesAllocated += Size;
-  TotalBytes.fetch_add(Size, std::memory_order_relaxed);
-  ThreadBytes += Size;
-  return reinterpret_cast<void *>(Aligned);
+  End = Cur + SlabBytes;
+  TotalBytes.fetch_add(SlabBytes, std::memory_order_relaxed);
+  return (reinterpret_cast<uintptr_t>(Cur) + Align - 1) &
+         ~uintptr_t(Align - 1);
 }

@@ -20,6 +20,7 @@
 #define QUALS_SUPPORT_ALLOCATOR_H
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -38,8 +39,20 @@ public:
   BumpPtrAllocator(BumpPtrAllocator &&) = default;
   BumpPtrAllocator &operator=(BumpPtrAllocator &&) = default;
 
-  /// Allocates \p Size bytes aligned to \p Align.
-  void *allocate(size_t Size, size_t Align);
+  /// Allocates \p Size bytes aligned to \p Align. The bump is inline; only
+  /// starting a slab is out of line.
+  void *allocate(size_t Size, size_t Align) {
+    assert(Align != 0 && (Align & (Align - 1)) == 0 &&
+           "alignment must be a power of two");
+    uintptr_t Aligned =
+        (reinterpret_cast<uintptr_t>(Cur) + Align - 1) & ~uintptr_t(Align - 1);
+    if (!Cur || Aligned + Size > reinterpret_cast<uintptr_t>(End))
+      Aligned = startNewSlab(Size, Align);
+    Cur = reinterpret_cast<char *>(Aligned + Size);
+    BytesAllocated += Size;
+    ThreadBytes += Size;
+    return reinterpret_cast<void *>(Aligned);
+  }
 
   /// Allocates and constructs a \p T with constructor args.
   template <typename T, typename... Args> T *create(Args &&...CtorArgs) {
@@ -65,9 +78,10 @@ public:
   /// Total bytes handed out so far (diagnostic/statistics use).
   size_t bytesAllocated() const { return BytesAllocated; }
 
-  /// Bytes handed out by *every* arena in the process since startup. A
-  /// relaxed atomic add per allocate() call -- negligible next to the slab
-  /// work it accounts for.
+  /// Slab bytes started by *every* arena in the process since startup.
+  /// Counted once per slab, so allocate() touches no shared cache line:
+  /// concurrent workers each bump their own arenas. A caller that
+  /// allocates nothing starts no slab and leaves this flat.
   static uint64_t totalBytesAllocated() {
     return TotalBytes.load(std::memory_order_relaxed);
   }
@@ -84,15 +98,17 @@ public:
 private:
   static constexpr size_t SlabSize = 64 * 1024;
 
-  static std::atomic<uint64_t> TotalBytes;
-  static thread_local uint64_t ThreadBytes;
+  static inline std::atomic<uint64_t> TotalBytes{0};
+  static inline thread_local uint64_t ThreadBytes = 0;
 
   std::vector<std::unique_ptr<char[]>> Slabs;
   char *Cur = nullptr;
   char *End = nullptr;
   size_t BytesAllocated = 0;
 
-  void startNewSlab(size_t MinSize);
+  /// Starts a slab that fits \p Size bytes at \p Align; returns the
+  /// aligned address of those bytes in it.
+  uintptr_t startNewSlab(size_t Size, size_t Align);
 };
 
 } // namespace quals

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 using namespace quals;
 
@@ -20,9 +21,10 @@ unsigned SourceManager::addBuffer(std::string Filename, std::string Text) {
   B.Text = std::move(Text);
   B.StartOffset = NextOffset;
   B.LineOffsets.push_back(0);
-  for (size_t I = 0, E = B.Text.size(); I != E; ++I)
-    if (B.Text[I] == '\n')
-      B.LineOffsets.push_back(I + 1);
+  const char *Begin = B.Text.data(), *End = Begin + B.Text.size();
+  for (const char *P = Begin;
+       (P = static_cast<const char *>(std::memchr(P, '\n', End - P)));)
+    B.LineOffsets.push_back(++P - Begin);
   NextOffset += B.Text.size() + 1; // +1 so even empty buffers are disjoint.
   Buffers.push_back(std::move(B));
   return Buffers.size() - 1;

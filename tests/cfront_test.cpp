@@ -56,7 +56,7 @@ TEST(CLexer, SkipsPreprocessorAndComments) {
   CRig R;
   unsigned Id = R.SM.addBuffer("t.c", "#include <stdio.h>\n"
                                       "/* block */ int x; // line\n");
-  CLexer L(R.SM, Id, R.Diags);
+  CLexer L(R.SM, Id, R.Diags, R.Idents);
   EXPECT_TRUE(L.next().is(CTok::KwInt));
   EXPECT_TRUE(L.next().is(CTok::Ident));
   EXPECT_TRUE(L.next().is(CTok::Semi));
@@ -66,7 +66,7 @@ TEST(CLexer, SkipsPreprocessorAndComments) {
 TEST(CLexer, NumbersAndSuffixes) {
   CRig R;
   unsigned Id = R.SM.addBuffer("t.c", "42 0x1F 3.5 1e3 7UL 2.5f");
-  CLexer L(R.SM, Id, R.Diags);
+  CLexer L(R.SM, Id, R.Diags, R.Idents);
   CToken T = L.next();
   EXPECT_TRUE(T.is(CTok::IntLit));
   EXPECT_EQ(T.IntValue, 42);
@@ -87,7 +87,7 @@ TEST(CLexer, NumbersAndSuffixes) {
 TEST(CLexer, CharAndStringLiterals) {
   CRig R;
   unsigned Id = R.SM.addBuffer("t.c", "'a' '\\n' \"hi\\\"there\"");
-  CLexer L(R.SM, Id, R.Diags);
+  CLexer L(R.SM, Id, R.Diags, R.Idents);
   CToken T = L.next();
   EXPECT_TRUE(T.is(CTok::CharLit));
   EXPECT_EQ(T.IntValue, 'a');
@@ -99,7 +99,7 @@ TEST(CLexer, CharAndStringLiterals) {
 TEST(CLexer, MultiCharOperators) {
   CRig R;
   unsigned Id = R.SM.addBuffer("t.c", "-> ++ -- << >> <<= >>= ... && || ==");
-  CLexer L(R.SM, Id, R.Diags);
+  CLexer L(R.SM, Id, R.Diags, R.Idents);
   EXPECT_TRUE(L.next().is(CTok::Arrow));
   EXPECT_TRUE(L.next().is(CTok::PlusPlus));
   EXPECT_TRUE(L.next().is(CTok::MinusMinus));
@@ -111,6 +111,100 @@ TEST(CLexer, MultiCharOperators) {
   EXPECT_TRUE(L.next().is(CTok::AmpAmp));
   EXPECT_TRUE(L.next().is(CTok::PipePipe));
   EXPECT_TRUE(L.next().is(CTok::EqEq));
+}
+
+TEST(CLexer, EveryKeywordLexesToItsOwnKind) {
+  const std::pair<const char *, CTok> Keywords[] = {
+      {"void", CTok::KwVoid},         {"char", CTok::KwChar},
+      {"short", CTok::KwShort},       {"int", CTok::KwInt},
+      {"long", CTok::KwLong},         {"float", CTok::KwFloat},
+      {"double", CTok::KwDouble},     {"signed", CTok::KwSigned},
+      {"unsigned", CTok::KwUnsigned}, {"struct", CTok::KwStruct},
+      {"union", CTok::KwUnion},       {"enum", CTok::KwEnum},
+      {"typedef", CTok::KwTypedef},   {"const", CTok::KwConst},
+      {"volatile", CTok::KwVolatile}, {"static", CTok::KwStatic},
+      {"extern", CTok::KwExtern},     {"register", CTok::KwRegister},
+      {"auto", CTok::KwAuto},         {"return", CTok::KwReturn},
+      {"if", CTok::KwIf},             {"else", CTok::KwElse},
+      {"while", CTok::KwWhile},       {"for", CTok::KwFor},
+      {"do", CTok::KwDo},             {"break", CTok::KwBreak},
+      {"continue", CTok::KwContinue}, {"switch", CTok::KwSwitch},
+      {"case", CTok::KwCase},         {"default", CTok::KwDefault},
+      {"sizeof", CTok::KwSizeof},     {"goto", CTok::KwGoto}};
+  std::string Source;
+  std::set<CTok> Kinds;
+  for (const auto &[Spelling, Kind] : Keywords) {
+    Source += std::string(Spelling) + " ";
+    Kinds.insert(Kind);
+  }
+  EXPECT_EQ(Kinds.size(), 32u);
+  CRig R;
+  unsigned Id = R.SM.addBuffer("t.c", Source);
+  CLexer L(R.SM, Id, R.Diags, R.Idents);
+  for (const auto &[Spelling, Kind] : Keywords) {
+    CToken T = L.next();
+    EXPECT_EQ(T.Kind, Kind) << Spelling;
+    EXPECT_EQ(T.Text, Spelling);
+  }
+  EXPECT_TRUE(L.next().is(CTok::Eof));
+}
+
+TEST(CLexer, KeywordNearMissesAreIdentifiers) {
+  const char *Words[] = {"int_", "If", "doubles", "_", "structure", "do1"};
+  std::string Source;
+  for (const char *W : Words)
+    Source += std::string(W) + " ";
+  CRig R;
+  unsigned Id = R.SM.addBuffer("t.c", Source);
+  CLexer L(R.SM, Id, R.Diags, R.Idents);
+  for (const char *W : Words) {
+    CToken T = L.next();
+    EXPECT_TRUE(T.is(CTok::Ident)) << W;
+    EXPECT_EQ(T.Text, W);
+  }
+  EXPECT_TRUE(L.next().is(CTok::Eof));
+}
+
+TEST(CLexer, IdentifierTextIsInterned) {
+  // The lexer interns each identifier once; later stages key names by it.
+  CRig R;
+  unsigned Id = R.SM.addBuffer("t.c", "name other name");
+  CLexer L(R.SM, Id, R.Diags, R.Idents);
+  CToken A = L.next(), B = L.next(), C = L.next();
+  EXPECT_EQ(A.Text, "name");
+  EXPECT_EQ(A.Text.data(), C.Text.data());
+  EXPECT_NE(A.Text.data(), B.Text.data());
+}
+
+TEST(CLexer, HexOctalAndControlCharEscapes) {
+  CRig R;
+  unsigned Id = R.SM.addBuffer(
+      "t.c", "'\\x41' '\\012' '\\a' '\\b' '\\f' '\\v' '\\?' '\\0' '\\x7e'");
+  CLexer L(R.SM, Id, R.Diags, R.Idents);
+  for (long Expected : {65L, 10L, 7L, 8L, 12L, 11L, long('?'), 0L, 126L}) {
+    CToken T = L.next();
+    EXPECT_TRUE(T.is(CTok::CharLit));
+    EXPECT_EQ(T.IntValue, Expected);
+  }
+  EXPECT_TRUE(L.next().is(CTok::Eof));
+  EXPECT_FALSE(R.Diags.hasErrors()) << R.Diags.renderAll();
+}
+
+TEST(CParser, CharEscapesInInitializers) {
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze("char a = '\\x41';\n"
+                                "char b = '\\012';\n"
+                                "char c = '\\a';\n"))
+      << R.Diags.renderAll();
+  long Values[3];
+  for (int I = 0; I != 3; ++I) {
+    const auto *Init = R.TU.Globals[I]->getInit();
+    ASSERT_TRUE(Init && isa<CIntLit>(Init));
+    Values[I] = cast<CIntLit>(Init)->getValue();
+  }
+  EXPECT_EQ(Values[0], 65);
+  EXPECT_EQ(Values[1], 10);
+  EXPECT_EQ(Values[2], 7);
 }
 
 //===----------------------------------------------------------------------===//
@@ -553,6 +647,59 @@ TEST(CSemaTest, MultiBufferWholeProgram) {
   CSema Sema(R.Ast, R.Types, R.Idents, R.Diags);
   ASSERT_TRUE(Sema.analyze(R.TU)) << R.Diags.renderAll();
   EXPECT_TRUE(R.fn("shared")->isDefined());
+}
+
+TEST(CSemaTest, LocalShadowsGlobal) {
+  // *x needs the local pointer, not the global int.
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze(
+      "int x;\nint f(void) { int *x = 0; return *x; }\n"))
+      << R.Diags.renderAll();
+  // And the other way round: the local int hides the global pointer.
+  CRig R2;
+  EXPECT_FALSE(R2.parseAndAnalyze(
+      "int *y;\nint f(void) { int y = 0; return *y; }\n"));
+}
+
+TEST(CSemaTest, FunctionWinsOverGlobalOfTheSameName) {
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze("int h;\n"
+                                "int *h(void);\n"
+                                "int use(void) { return *h(); }\n"))
+      << R.Diags.renderAll();
+  const auto *Body = cast<CCompoundStmt>(R.fn("use")->getBody());
+  const auto *Ret = cast<CReturnStmt>(Body->getBody()[0]);
+  const auto *Call = cast<CCall>(cast<CUnary>(Ret->getValue())->getOperand());
+  EXPECT_EQ(cast<CDeclRef>(Call->getCallee())->getDecl(), R.fn("h"));
+}
+
+TEST(CSemaTest, ImplicitDeclarationIsReusedByLaterCalls) {
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze(
+      "int f(void) { ext(1); return ext(2); }\n"
+      "int g(void) { return ext(3); }\n"))
+      << R.Diags.renderAll();
+  unsigned Count = 0;
+  for (const FunctionDecl *F : R.TU.Functions)
+    Count += F->getName() == "ext";
+  EXPECT_EQ(Count, 1u);
+  ASSERT_NE(R.fn("ext"), nullptr);
+  EXPECT_TRUE(R.fn("ext")->isImplicit());
+}
+
+TEST(CSemaTest, UseBeforeDeclarationAcrossBuffers) {
+  CRig R;
+  ASSERT_TRUE(R.parse("int user(void) { return later(counter); }"));
+  ASSERT_TRUE(R.parse("int counter;\nint later(int x) { return x; }"));
+  CSema Sema(R.Ast, R.Types, R.Idents, R.Diags);
+  ASSERT_TRUE(Sema.analyze(R.TU)) << R.Diags.renderAll();
+  ASSERT_NE(R.fn("later"), nullptr);
+  EXPECT_TRUE(R.fn("later")->isDefined());
+  EXPECT_FALSE(R.fn("later")->isImplicit());
+  unsigned Count = 0;
+  for (const FunctionDecl *F : R.TU.Functions)
+    Count += F->getName() == "later";
+  EXPECT_EQ(Count, 1u);
 }
 
 TEST(CSemaTest, FunctionPointerCall) {

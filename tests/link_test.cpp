@@ -595,6 +595,42 @@ TEST(Linker, ConstraintBudgetAbove32BitsDoesNotWrap) {
   EXPECT_TRUE(R.Diagnostics.empty());
 }
 
+TEST(Linker, DiagnosticsComeOutInNameOrder) {
+  // Resolution finds a name's occurrences through a hash table but visits
+  // names in sorted order. These names are declared neither in sorted nor
+  // in hash order, so the duplicate-definition diagnostics show which order
+  // was used -- for either summary order.
+  const std::vector<std::string> Names = {"zeta", "alpha", "omega", "beta",
+                                          "mu",   "gamma", "kappa"};
+  std::vector<std::string> Sorted = Names, ByHash = Names;
+  std::sort(Sorted.begin(), Sorted.end());
+  std::sort(ByHash.begin(), ByHash.end(),
+            [](const std::string &A, const std::string &B) {
+              std::hash<std::string_view> H;
+              return H(A) < H(B);
+            });
+  ASSERT_NE(Names, Sorted);
+  ASSERT_NE(ByHash, Sorted);
+  std::string Source;
+  for (const std::string &N : Names)
+    Source += "int " + N + "(int *p) { return *p; }\n";
+  link::TuSummary A = summarize("ord0.c", Source, 1);
+  link::TuSummary B = summarize("ord1.c", Source, 2);
+  for (bool Reversed : {false, true}) {
+    SCOPED_TRACE(Reversed);
+    std::vector<link::TuSummary> Sums = {A, B};
+    if (Reversed)
+      std::swap(Sums[0], Sums[1]);
+    link::LinkResult R = link::linkSummaries(Sums, link::LinkOptions());
+    EXPECT_FALSE(R.LinkOk);
+    ASSERT_EQ(R.Diagnostics.size(), Names.size());
+    for (size_t I = 0; I != Sorted.size(); ++I)
+      EXPECT_EQ(R.Diagnostics[I], "error: duplicate definition of '" +
+                                      Sorted[I] +
+                                      "' (defined in 'ord0.c' and 'ord1.c')");
+  }
+}
+
 TEST(Linker, StatsAreDeterministic) {
   link::TuSummary A = summarize("det0.c", kWriterTu);
   link::TuSummary B = summarize("det1.c", kReaderHelperTu);
