@@ -62,7 +62,8 @@ BindingTime BindingTimeAnalysis::timeOf(const lambda::Expr *E) const {
 
 std::string BindingTimeAnalysis::errors() const {
   std::string Out = Diags->renderAll();
+  ViolationExplainer Explainer(*Sys);
   for (const Violation &V : Violations)
-    Out += Sys->explain(V);
+    Out += Explainer.explain(V);
   return Out;
 }

@@ -40,8 +40,9 @@ bool TaintAnalysis::analyze(const std::string &Source) {
     return false;
 
   Sys->solve();
+  ViolationExplainer Explainer(*Sys);
   for (const Violation &V : Sys->collectViolations())
-    Leaks.push_back(Sys->explain(V));
+    Leaks.push_back(Explainer.explain(V));
   return Leaks.empty();
 }
 

@@ -20,6 +20,7 @@
 
 #include "cfront/CType.h"
 #include "support/SourceLoc.h"
+#include "support/StringInterner.h"
 
 #include <span>
 #include <string_view>
@@ -51,14 +52,16 @@ public:
 
   Kind getKind() const { return TheKind; }
   SourceLoc getLoc() const { return Loc; }
-  std::string_view getName() const { return Name; }
+  std::string_view getName() const { return Name.str(); }
+  /// The interned name: sema resolves a CDeclRef by comparing Symbols.
+  Symbol getSymbol() const { return Name; }
   /// Dense per-kind id assigned by CAstContext::create: the declarations of
   /// one kind in one context are numbered 0, 1, 2, ... in creation order,
   /// so later passes index plain arrays by it instead of hashing pointers.
   unsigned getId() const { return Id; }
 
 protected:
-  CDecl(Kind K, std::string_view Name, SourceLoc Loc)
+  CDecl(Kind K, Symbol Name, SourceLoc Loc)
       : TheKind(K), Name(Name), Loc(Loc) {}
 
 private:
@@ -66,14 +69,14 @@ private:
 
   Kind TheKind;
   unsigned Id = 0;
-  std::string_view Name;
+  Symbol Name;
   SourceLoc Loc;
 };
 
 /// A variable or parameter.
 class VarDecl : public CDecl {
 public:
-  VarDecl(std::string_view Name, CQualType Type, StorageClass SC,
+  VarDecl(Symbol Name, CQualType Type, StorageClass SC,
           bool IsParam, SourceLoc Loc)
       : CDecl(Kind::Var, Name, Loc), Type(Type), SC(SC), IsParam(IsParam) {}
 
@@ -101,7 +104,7 @@ private:
 /// A struct/union field.
 class FieldDecl : public CDecl {
 public:
-  FieldDecl(std::string_view Name, CQualType Type, unsigned Index,
+  FieldDecl(Symbol Name, CQualType Type, unsigned Index,
             SourceLoc Loc)
       : CDecl(Kind::Field, Name, Loc), Type(Type), Index(Index) {}
   CQualType getType() const { return Type; }
@@ -117,7 +120,7 @@ private:
 /// first (forward) use.
 class RecordDecl : public CDecl {
 public:
-  RecordDecl(std::string_view Tag, bool IsUnion, SourceLoc Loc)
+  RecordDecl(Symbol Tag, bool IsUnion, SourceLoc Loc)
       : CDecl(Kind::Record, Tag, Loc), IsUnion(IsUnion) {}
 
   bool isUnion() const { return IsUnion; }
@@ -146,7 +149,7 @@ private:
 /// TranslationUnit::EnumConstants.
 class EnumDecl : public CDecl {
 public:
-  EnumDecl(std::string_view Tag, SourceLoc Loc)
+  EnumDecl(Symbol Tag, SourceLoc Loc)
       : CDecl(Kind::Enum, Tag, Loc) {}
   static bool classof(const CDecl *D) { return D->getKind() == Kind::Enum; }
 };
@@ -156,7 +159,7 @@ public:
 /// variables, so distinct declarations do not share qualifiers.
 class TypedefDecl : public CDecl {
 public:
-  TypedefDecl(std::string_view Name, CQualType Underlying, SourceLoc Loc)
+  TypedefDecl(Symbol Name, CQualType Underlying, SourceLoc Loc)
       : CDecl(Kind::Typedef, Name, Loc), Underlying(Underlying) {}
   CQualType getUnderlying() const { return Underlying; }
   static bool classof(const CDecl *D) {
@@ -170,7 +173,7 @@ private:
 /// A function declaration or definition.
 class FunctionDecl : public CDecl {
 public:
-  FunctionDecl(std::string_view Name, const FunctionType *Type,
+  FunctionDecl(Symbol Name, const FunctionType *Type,
                std::span<VarDecl *const> Params, StorageClass SC,
                SourceLoc Loc)
       : CDecl(Kind::Function, Name, Loc), Type(Type), Params(Params),
@@ -191,6 +194,11 @@ public:
   /// prototype was parsed from another buffer of the same unit.
   unsigned getFunctionIndex() const { return FunctionIndex; }
   void setFunctionIndex(unsigned I) { FunctionIndex = I; }
+  /// Every occurrence of a function name in the body, in body order --
+  /// calls, designators, implicit declarations -- recorded by CSema. These
+  /// are the function dependence graph's edges (Definition 4, constinf/Fdg).
+  std::span<const FunctionDecl *const> getUses() const { return Uses; }
+  void setUses(std::span<const FunctionDecl *const> U) { Uses = U; }
 
   static bool classof(const CDecl *D) {
     return D->getKind() == Kind::Function;
@@ -201,6 +209,7 @@ private:
   std::span<VarDecl *const> Params;
   StorageClass SC;
   const CStmt *Body = nullptr;
+  std::span<const FunctionDecl *const> Uses;
   bool Implicit = false;
   unsigned FunctionIndex = 0;
 };
@@ -316,15 +325,16 @@ private:
 /// Reference to a variable, function, or enumerator.
 class CDeclRef : public CExpr {
 public:
-  CDeclRef(std::string_view Name, SourceLoc Loc)
+  CDeclRef(Symbol Name, SourceLoc Loc)
       : CExpr(Kind::DeclRef, Loc), Name(Name) {}
-  std::string_view getName() const { return Name; }
+  std::string_view getName() const { return Name.str(); }
+  Symbol getSymbol() const { return Name; }
   const CDecl *getDecl() const { return Decl; }
   void setDecl(const CDecl *D) const { Decl = D; }
   static bool classof(const CExpr *E) { return E->getKind() == Kind::DeclRef; }
 
 private:
-  std::string_view Name;
+  Symbol Name;
   mutable const CDecl *Decl = nullptr;
 };
 

@@ -247,7 +247,7 @@ const CType *CParser::parseStructOrUnionSpec() {
   bool HasBody = Tok.is(CTok::LBrace);
   if (!RD || (HasBody && RD->isComplete())) {
     RD = Ast.create<RecordDecl>(
-        Tag.empty() ? Idents.intern("<anon>") : Tag.str(), IsUnion, KwLoc);
+        Tag.empty() ? Idents.internSymbol("<anon>") : Tag, IsUnion, KwLoc);
     TU.Records.push_back(RD);
     TU.Decls.push_back(RD);
     if (!Tag.empty())
@@ -301,7 +301,7 @@ const CType *CParser::parseEnumSpec() {
   }
   if (!ED) {
     ED = Ast.create<EnumDecl>(
-        Tag.empty() ? Idents.intern("<anon>") : Tag.str(), KwLoc);
+        Tag.empty() ? Idents.internSymbol("<anon>") : Tag, KwLoc);
     TU.Decls.push_back(ED);
     if (!Tag.empty())
       TagScopes.back()[Tag] = ED;
@@ -1200,7 +1200,7 @@ const CExpr *CParser::parsePrimaryExpr() {
     return Ast.create<CStringLit>(Text, Loc);
   }
   case CTok::Ident: {
-    std::string_view Name = Tok.Text;
+    Symbol Name = Tok.Name;
     advance();
     return Ast.create<CDeclRef>(Name, Loc);
   }

@@ -18,23 +18,25 @@ void CSema::error(SourceLoc Loc, const std::string &Message) {
 }
 
 void CSema::declare(const CDecl *D) {
-  if (!D->getName().empty())
-    Scopes.back()[D->getName()] = D;
+  if (!D->getSymbol().empty())
+    Bindings.push_back({D->getSymbol(), D});
 }
 
-const CDecl *CSema::lookup(std::string_view Name) const {
-  for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-    auto Found = It->find(Name);
-    if (Found != It->end())
-      return Found->second;
-  }
+const CDecl *CSema::lookup(Symbol Name) {
+  // Innermost first, so a later declaration shadows an earlier one.
+  for (auto It = Bindings.rbegin(); It != Bindings.rend(); ++It)
+    if (It->Name == Name)
+      return It->Decl;
   // File scope: the unit's own tables. A function wins over a global of the
   // same name.
-  if (auto F = TU->FunctionMap.find(Name); F != TU->FunctionMap.end())
-    return F->second;
-  if (auto G = TU->GlobalMap.find(Name); G != TU->GlobalMap.end())
-    return G->second;
-  return nullptr;
+  auto [Memo, New] = FileScope.try_emplace(Name, nullptr);
+  if (New) {
+    if (auto F = TU->FunctionMap.find(Name); F != TU->FunctionMap.end())
+      Memo->second = F->second;
+    else if (auto G = TU->GlobalMap.find(Name); G != TU->GlobalMap.end())
+      Memo->second = G->second;
+  }
+  return Memo->second;
 }
 
 CQualType CSema::decayed(CQualType T) {
@@ -50,7 +52,8 @@ CQualType CSema::decayed(CQualType T) {
 bool CSema::analyze(TranslationUnit &Unit) {
   PhaseScope Phase("sema", "cfront");
   TU = &Unit;
-  Scopes.clear();
+  Bindings.clear();
+  FileScope.clear();
 
   // The file scope is the unit's FunctionMap and GlobalMap, complete before
   // sema starts (whole-program analysis merges files, so
@@ -81,21 +84,23 @@ bool CSema::analyze(TranslationUnit &Unit) {
 
 void CSema::analyzeFunction(FunctionDecl *FD) {
   CurrentFunction = FD;
-  pushScope();
+  size_t Mark = enterScope();
   for (VarDecl *P : FD->getParams())
     declare(P);
   analyzeStmt(FD->getBody());
-  popScope();
+  exitScope(Mark);
+  FD->setUses(Ast.list(Uses));
+  Uses.clear();
   CurrentFunction = nullptr;
 }
 
 void CSema::analyzeStmt(const CStmt *S) {
   switch (S->getKind()) {
   case CStmt::Kind::Compound: {
-    pushScope();
+    size_t Mark = enterScope();
     for (const CStmt *Sub : cast<CCompoundStmt>(S)->getBody())
       analyzeStmt(Sub);
-    popScope();
+    exitScope(Mark);
     return;
   }
   case CStmt::Kind::Expr:
@@ -131,7 +136,7 @@ void CSema::analyzeStmt(const CStmt *S) {
   }
   case CStmt::Kind::For: {
     const auto *F = cast<CForStmt>(S);
-    pushScope();
+    size_t Mark = enterScope();
     if (F->getInit())
       analyzeStmt(F->getInit());
     if (F->getCond())
@@ -139,7 +144,7 @@ void CSema::analyzeStmt(const CStmt *S) {
     if (F->getStep())
       checkExpr(F->getStep());
     analyzeStmt(F->getBody());
-    popScope();
+    exitScope(Mark);
     return;
   }
   case CStmt::Kind::Return: {
@@ -178,23 +183,28 @@ const FunctionDecl *CSema::resolveCallee(const CExpr *Callee) {
   const auto *Ref = dyn_cast<CDeclRef>(Callee);
   if (!Ref)
     return nullptr; // Indirect call through a function pointer.
-  const CDecl *D = lookup(Ref->getName());
+  const CDecl *D = lookup(Ref->getSymbol());
   if (D) {
     Ref->setDecl(D);
-    return dyn_cast<FunctionDecl>(D);
+    const auto *FD = dyn_cast<FunctionDecl>(D);
+    if (FD)
+      noteUse(FD);
+    return FD;
   }
   // Implicit declaration: "int name()" with unknown parameters. Section
   // 4.2's conservative library-function treatment kicks in downstream.
   const FunctionType *FT = Types.getFunction(
       CQualType(Types.getInt()), {}, /*Variadic=*/true, /*NoPrototype=*/true);
-  auto *FD = Ast.create<FunctionDecl>(Ref->getName(), FT,
+  auto *FD = Ast.create<FunctionDecl>(Ref->getSymbol(), FT,
                                       std::span<VarDecl *const>(),
                                       StorageClass::Extern, Callee->getLoc());
   FD->setImplicit(true);
   TU->FunctionMap.emplace(Ref->getName(), FD);
+  FileScope[Ref->getSymbol()] = FD;
   FD->setFunctionIndex(TU->Functions.size());
   TU->Functions.push_back(FD);
   Ref->setDecl(FD);
+  noteUse(FD);
   return FD;
 }
 
@@ -216,7 +226,7 @@ CQualType CSema::checkExpr(const CExpr *E) {
     break;
   case CExpr::Kind::DeclRef: {
     const auto *Ref = cast<CDeclRef>(E);
-    const CDecl *D = lookup(Ref->getName());
+    const CDecl *D = lookup(Ref->getSymbol());
     if (!D) {
       auto It = TU->EnumConstants.find(Ref->getName());
       if (It != TU->EnumConstants.end()) {
@@ -235,6 +245,7 @@ CQualType CSema::checkExpr(const CExpr *E) {
       LValue = true;
     } else if (const auto *F = dyn_cast<FunctionDecl>(D)) {
       Result = CQualType(F->getType());
+      noteUse(F);
     } else {
       Result = CQualType(Types.getInt());
     }

@@ -50,14 +50,32 @@ private:
   const FunctionDecl *CurrentFunction = nullptr;
   bool HadError = false;
 
-  /// Block scopes, innermost last; the file scope behind them is the
-  /// unit's FunctionMap and GlobalMap (see lookup).
-  std::vector<std::unordered_map<std::string_view, const CDecl *>> Scopes;
+  /// The block-scope bindings of the body being analyzed, innermost last.
+  /// A scope is the suffix pushed since its entry; leaving it truncates the
+  /// stack back to its mark.
+  struct Binding {
+    Symbol Name;
+    const CDecl *Decl;
+  };
+  std::vector<Binding> Bindings;
+  /// The file scope behind the bindings is the unit's FunctionMap and
+  /// GlobalMap; each name's result (null: neither has it) is memoized here
+  /// on its first lookup.
+  std::unordered_map<Symbol, const CDecl *, Symbol::Hash> FileScope;
+  /// The functions the current body names so far, in body order; they
+  /// become its FunctionDecl::getUses().
+  std::vector<const FunctionDecl *> Uses;
 
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
+  size_t enterScope() const { return Bindings.size(); }
+  void exitScope(size_t Mark) { Bindings.resize(Mark); }
   void declare(const CDecl *D);
-  const CDecl *lookup(std::string_view Name) const;
+  const CDecl *lookup(Symbol Name);
+  /// Records a use of \p F by the function being analyzed (none in a
+  /// global initializer).
+  void noteUse(const FunctionDecl *F) {
+    if (CurrentFunction)
+      Uses.push_back(F);
+  }
 
   void error(SourceLoc Loc, const std::string &Message);
 

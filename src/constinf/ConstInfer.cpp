@@ -36,8 +36,9 @@ ConstInference::ConstInference(TranslationUnit &TU, DiagnosticEngine &Diags,
 ConstInference::~ConstInference() = default;
 
 QualType ConstInference::functionUse(const FunctionDecl *FD) {
-  if (Opts.Polymorphic && Schemes[FD->getId()].isPolymorphic())
-    return Schemes[FD->getId()].instantiate(*Sys, Factory);
+  const QualScheme &S = Schemes.lookup(FD->getId());
+  if (Opts.Polymorphic && S.isPolymorphic())
+    return S.instantiate(*Sys, Factory);
   return Translator->functionInterfaceType(FD);
 }
 
@@ -63,10 +64,6 @@ bool ConstInference::run() {
   // buildFdg records its own "fdg" phase; everything from here to the solve
   // is the "constraint-gen" phase.
   Graph = buildFdg(TU);
-  // Fields and statics are one cell for every instance of a function.
-  const std::function<bool(QualVarId)> SharedStorage = [this](QualVarId V) {
-    return Translator->isSharedStorage(V);
-  };
   {
     PhaseScope GenPhase("constraint-gen", "constinf");
     std::vector<unsigned> Order;
@@ -100,8 +97,11 @@ bool ConstInference::run() {
         FunctionDecl *F = Graph.Functions[Node];
         if (!F->isDefined())
           continue;
-        Schemes[F->getId()] = QualScheme::generalize(
-            *Sys, Translator->functionInterfaceType(F), Mark, SharedStorage);
+        // Fields and statics are one cell for every instance of a
+        // function, so they are never bound.
+        Schemes.slot(F->getId()) = QualScheme::generalize(
+            *Sys, Translator->functionInterfaceType(F), Mark, Scratch,
+            &Translator->sharedStorage());
       }
     }
 
@@ -126,10 +126,17 @@ bool ConstInference::run() {
 
   // 5. Solve ("solve" phase recorded inside ConstraintSystem::solve()).
   bool Ok = Sys->solve();
-  if (!Ok || !Sys->collectViolations().empty()) {
-    for (const Violation &V : Sys->collectViolations())
-      Diags.error(Sys->getConstraint(V.Cause).Loc,
-                  Sys->explain(V));
+  std::vector<Violation> Violations = Sys->collectViolations();
+  if (!Ok || !Violations.empty()) {
+    // One explainer shares its search index across the violations; those
+    // past the error cap would be dropped by Diags, so they are not
+    // explained at all.
+    ViolationExplainer Explainer(*Sys);
+    for (const Violation &V : Violations) {
+      if (Diags.shouldBail())
+        break;
+      Diags.error(Sys->getConstraint(V.Cause).Loc, Explainer.explain(V));
+    }
     return false;
   }
   return true;

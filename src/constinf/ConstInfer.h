@@ -32,7 +32,7 @@
 #define QUALS_CONSTINF_CONSTINFER_H
 
 #include "constinf/ConstraintGen.h"
-#include "constinf/DeclTable.h"
+#include "support/PagedArray.h"
 #include "constinf/Fdg.h"
 #include "qual/TypeScheme.h"
 
@@ -177,7 +177,9 @@ private:
   ConstCtors Ctors;
   std::unique_ptr<RefTranslator> Translator;
   /// Indexed by FunctionDecl id; a null body means no scheme.
-  DeclTable<QualScheme> Schemes;
+  PagedArray<QualScheme> Schemes;
+  /// Working storage every generalization of this run reuses.
+  SimplifyScratch Scratch;
   Fdg Graph;
 
   QualType functionUse(const cfront::FunctionDecl *FD);

@@ -45,7 +45,7 @@ void ConstraintGen::flowBoth(QualType A, QualType B,
 }
 
 void ConstraintGen::requireNonConstCell(QualType LType, SourceLoc Loc,
-                                        const char *Why) {
+                                        InternedReason &Why) {
   if (LType.isNull() || LType.getCtor() != Ctors.ref())
     return;
   Sys.addLeq(LType.getQual(),
@@ -63,7 +63,6 @@ QualType ConstraintGen::rvalue(const CExpr *E) {
 }
 
 void ConstraintGen::genFunction(const FunctionDecl *FD, QualType FnTy) {
-  CurrentFn = FD;
   unsigned NumParams = FD->getType()->getParams().size();
   assert(FnTy.getNumArgs() == NumParams + 1 && "interface arity mismatch");
   if (FnTy.getNumArgs() != NumParams + 1) {
@@ -71,12 +70,15 @@ void ConstraintGen::genFunction(const FunctionDecl *FD, QualType FnTy) {
     // with a diagnostic instead of indexing out of bounds.
     Diags.error(FD->getLoc(), "internal: interface arity mismatch for '" +
                                   std::string(FD->getName()) + "'");
-    CurrentFn = nullptr;
     return;
   }
   CurrentRet = FnTy.getArg(NumParams);
+  // Built once per function; interned by the first return that flows.
+  ReturnReasonText = "returned value flows into result of '";
+  ReturnReasonText += FD->getName();
+  ReturnReasonText += '\'';
+  ReturnFlow = InternedReason(ReturnReasonText);
   genStmt(FD->getBody());
-  CurrentFn = nullptr;
   CurrentRet = QualType();
 }
 
@@ -92,8 +94,7 @@ void ConstraintGen::genInitInto(CQualType CellType, QualType CellContents,
   const auto *IL = dyn_cast<CInitList>(Init);
   if (!IL) {
     QualType V = rvalue(Init);
-    flowInto(V, CellContents,
-             ConstraintOrigin(Init->getLoc(), "initializer flows into cell"));
+    flowInto(V, CellContents, ConstraintOrigin(Init->getLoc(), InitFlow));
     return;
   }
   const CType *Ty = CellType.getType();
@@ -174,11 +175,7 @@ void ConstraintGen::genStmt(const CStmt *S) {
     const auto *R = cast<CReturnStmt>(S);
     if (R->getValue() && !CurrentRet.isNull()) {
       QualType V = rvalue(R->getValue());
-      flowInto(V, CurrentRet,
-               ConstraintOrigin(S->getLoc(),
-                                "returned value flows into result of '" +
-                                    std::string(CurrentFn->getName()) +
-                                    "'"));
+      flowInto(V, CurrentRet, ConstraintOrigin(S->getLoc(), ReturnFlow));
     } else if (R->getValue()) {
       rvalue(R->getValue());
     }
@@ -253,8 +250,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     case UnaryOp::PostDec: {
       QualType T = genExpr(U->getOperand());
       if (U->getOperand()->isLValue())
-        requireNonConstCell(T, E->getLoc(),
-                            "increment/decrement target must not be const");
+        requireNonConstCell(T, E->getLoc(), IncDecTarget);
       if (!T.isNull() && U->getOperand()->isLValue() &&
           T.getCtor() == Ctors.ref())
         return T.getArg(0);
@@ -275,11 +271,8 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
       QualType L = genExpr(B->getLhs());
       QualType R = rvalue(B->getRhs());
       if (!L.isNull() && L.getCtor() == Ctors.ref()) {
-        requireNonConstCell(L, E->getLoc(),
-                            "assignment target must not be const");
-        flowInto(R, L.getArg(0),
-                 ConstraintOrigin(E->getLoc(),
-                                  "assigned value flows into cell"));
+        requireNonConstCell(L, E->getLoc(), AssignTarget);
+        flowInto(R, L.getArg(0), ConstraintOrigin(E->getLoc(), AssignFlow));
         return L.getArg(0);
       }
       return R;
@@ -290,8 +283,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
       QualType L = genExpr(B->getLhs());
       rvalue(B->getRhs());
       if (!L.isNull() && L.getCtor() == Ctors.ref()) {
-        requireNonConstCell(L, E->getLoc(),
-                            "compound assignment target must not be const");
+        requireNonConstCell(L, E->getLoc(), CompoundTarget);
         return L.getArg(0);
       }
       return L;
@@ -317,7 +309,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     QualType F = rvalue(C->getElse());
     if (!T.isNull() && !F.isNull() && T.shapeEquals(F)) {
       QualType Join = Factory.spread(Sys, T);
-      ConstraintOrigin Origin(E->getLoc(), "conditional branch joins");
+      ConstraintOrigin Origin(E->getLoc(), BranchJoin);
       flowInto(T, Join, Origin);
       flowInto(F, Join, Origin);
       return Join;
@@ -353,8 +345,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
       QualType A = rvalue(Args[I]);
       if (!FnTy.isNull() && I < NumParams) {
         flowInto(A, FnTy.getArg(I),
-                 ConstraintOrigin(Args[I]->getLoc(),
-                                  "argument flows into parameter"));
+                 ConstraintOrigin(Args[I]->getLoc(), ArgumentFlow));
       } else if (CalleeUnknown && ConservativeLibraries) {
         // Extra argument to an undefined/variadic function: conservatively
         // non-const at every pointer level (Section 4.2). In summary mode a
@@ -366,8 +357,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
           Translator.deferEscapePins(Callee, A, Args[I]->getLoc());
         else
           Translator.forceNonConstRefs(
-              A, ConstraintOrigin(Args[I]->getLoc(),
-                                  "argument to unknown/variadic function"));
+              A, ConstraintOrigin(Args[I]->getLoc(), UnknownArgument));
       }
       // Extra arguments to defined functions are simply ignored.
     }
@@ -399,8 +389,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     QualType Result =
         Translator.freshRValueType(C->getTargetType(), E->getLoc());
     if (!CastsSeverFlow)
-      flowInto(Op, Result,
-               ConstraintOrigin(E->getLoc(), "cast keeps flow (ablation)"));
+      flowInto(Op, Result, ConstraintOrigin(E->getLoc(), CastFlow));
     return Result;
   }
   case CExpr::Kind::SizeOf: {

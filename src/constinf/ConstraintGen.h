@@ -74,8 +74,23 @@ private:
   bool CastsSeverFlow;
   bool ConservativeLibraries;
 
-  QualType CurrentRet;                 ///< Result position of CurrentFn.
-  const cfront::FunctionDecl *CurrentFn = nullptr;
+  QualType CurrentRet; ///< Result position of the function being walked.
+
+  // The fixed reasons, each interned by the first constraint it labels.
+  InternedReason InitFlow{"initializer flows into cell"};
+  InternedReason AssignFlow{"assigned value flows into cell"};
+  InternedReason ArgumentFlow{"argument flows into parameter"};
+  InternedReason BranchJoin{"conditional branch joins"};
+  InternedReason CastFlow{"cast keeps flow (ablation)"};
+  InternedReason UnknownArgument{"argument to unknown/variadic function"};
+  InternedReason AssignTarget{"assignment target must not be const"};
+  InternedReason CompoundTarget{
+      "compound assignment target must not be const"};
+  InternedReason IncDecTarget{"increment/decrement target must not be const"};
+  /// The current function's return reason, "returned value flows into
+  /// result of 'f'".
+  std::string ReturnReasonText;
+  InternedReason ReturnFlow;
 
   void genStmt(const cfront::CStmt *S);
   /// Qualified type of \p E: the l-type (shape ref) for l-values, the
@@ -90,7 +105,7 @@ private:
   /// struct field.
   void genInitInto(cfront::CQualType CellType, QualType CellContents,
                    const cfront::CExpr *Init);
-  void requireNonConstCell(QualType LType, SourceLoc Loc, const char *Why);
+  void requireNonConstCell(QualType LType, SourceLoc Loc, InternedReason &Why);
   QualType freshVal() {
     return Factory.make(QualExpr::makeVar(Sys.freshVar()), Ctors.val());
   }

@@ -118,7 +118,7 @@ RefTranslator::lprime(CQualType T, SourceLoc Loc,
     Sys.addLeq(QualExpr::makeConst(
                    Sys.getQualifierSet().withQual(
                        Sys.getQualifierSet().bottom(), ConstQual)),
-               Result.TopQual, ConstraintOrigin(Loc, "declared const"));
+               Result.TopQual, ConstraintOrigin(Loc, DeclaredConst));
 
   const CType *Ty = T.isNull() ? nullptr : T.getType();
   if (!Ty) {
@@ -160,13 +160,15 @@ RefTranslator::lprime(CQualType T, SourceLoc Loc,
     // Function types nested inside other types (function pointers): build
     // the interface shape; interesting-position collection does not descend
     // into them (only direct parameters/results are counted, Section 4.4).
-    std::vector<QualType> Args;
-    for (CQualType P : FT->getParams())
-      Args.push_back(lprime(P, Loc, /*Collect=*/nullptr, 0).Contents);
-    Args.push_back(
-        lprime(FT->getReturn(), Loc, /*Collect=*/nullptr, 0).Contents);
-    Result.Contents = Factory.make(QualExpr::makeVar(Sys.freshVar()),
-                                   Ctors.fn(FT->getParams().size()), Args);
+    const unsigned NumParams = FT->getParams().size();
+    QualType *Args = Factory.allocateArgs(NumParams + 1);
+    for (unsigned I = 0; I != NumParams; ++I)
+      Args[I] =
+          lprime(FT->getParams()[I], Loc, /*Collect=*/nullptr, 0).Contents;
+    Args[NumParams] =
+        lprime(FT->getReturn(), Loc, /*Collect=*/nullptr, 0).Contents;
+    Result.Contents = Factory.adopt(QualExpr::makeVar(Sys.freshVar()),
+                                    Ctors.fn(NumParams), Args);
     break;
   }
   }
@@ -187,7 +189,7 @@ QualType RefTranslator::lvalueType(CQualType T, SourceLoc Loc, bool Shared) {
 }
 
 QualType RefTranslator::varLValueType(const VarDecl *VD) {
-  QualType &Memo = VarTypes[VD->getId()];
+  QualType &Memo = VarTypes.slot(VD->getId());
   if (Memo.isNull()) {
     StorageClass SC = VD->getStorageClass();
     Memo = lvalueType(VD->getType(), VD->getLoc(),
@@ -198,84 +200,93 @@ QualType RefTranslator::varLValueType(const VarDecl *VD) {
 }
 
 QualType RefTranslator::fieldLValueType(const FieldDecl *FD) {
-  if (!FieldTypes[FD->getId()].isNull())
-    return FieldTypes[FD->getId()];
+  if (!FieldTypes.lookup(FD->getId()).isNull())
+    return FieldTypes.lookup(FD->getId());
   // Section 4.2: all variables with the same struct type share the field
   // declaration, so field qualifiers are shared (memoized). The ablation
   // mode skips the memoization, giving each access fresh (unsound)
   // qualifiers.
   QualType T = lvalueType(FD->getType(), FD->getLoc(), StructFieldsShared);
   if (StructFieldsShared)
-    FieldTypes[FD->getId()] = T;
+    FieldTypes.slot(FD->getId()) = T;
   return T;
 }
 
 QualType RefTranslator::functionInterfaceType(const FunctionDecl *FD) {
-  if (!FnTypes[FD->getId()].isNull())
-    return FnTypes[FD->getId()];
+  if (!FnTypes.lookup(FD->getId()).isNull())
+    return FnTypes.lookup(FD->getId());
 
   const FunctionType *FT = FD->getType();
   const QualifierSet &QS = Sys.getQualifierSet();
   bool Defined = FD->isDefined();
   QualVarId First = Sys.getNumVars();
-  std::vector<QualType> Args;
-  std::vector<InterestingPos> Collected;
+  const unsigned NumParams = FT->getParams().size();
+  QualType *Args = Factory.allocateArgs(NumParams + 1);
+  // A defined function's positions go straight to Interesting; nothing
+  // else appends to it while the interface is built.
+  std::vector<InterestingPos> &Collect = Defined ? Interesting : Positions;
+  // Built on the first library pin this interface adds.
+  std::string LibraryReasonText;
+  InternedReason LibraryReason;
 
   const auto &Params = FD->getParams();
-  for (unsigned I = 0, E = FT->getParams().size(); I != E; ++I) {
-    std::vector<InterestingPos> ParamPositions;
+  for (unsigned I = 0; I != NumParams; ++I) {
+    size_t FirstPos = Collect.size();
     LPair LP = lprime(FT->getParams()[I],
                       I < Params.size() ? Params[I]->getLoc() : FD->getLoc(),
-                      &ParamPositions, 0);
-    for (InterestingPos &Pos : ParamPositions) {
+                      &Collect, 0);
+    for (size_t K = FirstPos; K != Collect.size(); ++K) {
+      InterestingPos &Pos = Collect[K];
       Pos.Fn = FD;
       Pos.ParamIndex = static_cast<int>(I);
-      if (Defined)
-        Collected.push_back(Pos);
-      else if (ConservativeLibraries && !Pos.DeclaredConst) {
-        // Section 4.2: parameters of undefined (library) functions not
-        // declared const are treated as non-const. In summary mode the pin
-        // is deferred: another TU may define this function, in which case
-        // whole-program inference would never pin it.
-        if (DeferLibraryPins)
-          Deferred.push_back({FD, Pos.Var, FD->getLoc(), /*IsEscape=*/false});
-        else
-          Sys.addLeq(QualExpr::makeVar(Pos.Var),
-                     QualExpr::makeConst(QS.notQual(ConstQual)),
-                     ConstraintOrigin(FD->getLoc(),
-                                      "library function '" +
-                                          std::string(FD->getName()) +
-                                          "' parameter not declared const"));
+      if (Defined || !ConservativeLibraries || Pos.DeclaredConst)
+        continue;
+      // Section 4.2: parameters of undefined (library) functions not
+      // declared const are treated as non-const. In summary mode the pin is
+      // deferred: another TU may define this function, in which case
+      // whole-program inference would never pin it.
+      if (DeferLibraryPins) {
+        Deferred.push_back({FD, Pos.Var, FD->getLoc(), /*IsEscape=*/false});
+        continue;
       }
+      if (LibraryReasonText.empty()) {
+        LibraryReasonText = "library function '" + std::string(FD->getName()) +
+                            "' parameter not declared const";
+        LibraryReason = InternedReason(LibraryReasonText);
+      }
+      Sys.addLeq(QualExpr::makeVar(Pos.Var),
+                 QualExpr::makeConst(QS.notQual(ConstQual)),
+                 ConstraintOrigin(FD->getLoc(), LibraryReason));
     }
+    if (!Defined)
+      Positions.clear();
     // The parameter *variable* shares the interface r-type as its cell
     // contents, so writes through the pointer inside the body constrain the
     // interface.
     if (Defined && I < Params.size() &&
-        VarTypes[Params[I]->getId()].isNull())
-      VarTypes[Params[I]->getId()] =
+        VarTypes.lookup(Params[I]->getId()).isNull())
+      VarTypes.slot(Params[I]->getId()) =
           Factory.make(LP.TopQual, Ctors.ref(), {LP.Contents});
-    Args.push_back(LP.Contents);
+    Args[I] = LP.Contents;
   }
 
-  std::vector<InterestingPos> RetPositions;
-  LPair Ret = lprime(FT->getReturn(), FD->getLoc(), &RetPositions, 0);
-  for (InterestingPos &Pos : RetPositions) {
-    Pos.Fn = FD;
-    Pos.ParamIndex = -1;
-    if (Defined)
-      Collected.push_back(Pos);
+  size_t FirstPos = Collect.size();
+  LPair Ret = lprime(FT->getReturn(), FD->getLoc(), &Collect, 0);
+  for (size_t K = FirstPos; K != Collect.size(); ++K) {
+    Collect[K].Fn = FD;
+    Collect[K].ParamIndex = -1;
   }
-  Args.push_back(Ret.Contents);
+  if (!Defined)
+    Positions.clear();
+  Args[NumParams] = Ret.Contents;
 
-  QualType T = Factory.make(QualExpr::makeVar(Sys.freshVar()),
-                            Ctors.fn(FT->getParams().size()), Args);
-  FnTypes[FD->getId()] = T;
+  QualType T = Factory.adopt(QualExpr::makeVar(Sys.freshVar()),
+                             Ctors.fn(NumParams), Args);
+  FnTypes.slot(FD->getId()) = T;
   // A library interface is translated inside the body that first uses it,
   // but it belongs to every caller, like a global.
   if (!Defined)
     markShared(First);
-  Interesting.insert(Interesting.end(), Collected.begin(), Collected.end());
   return T;
 }
 

@@ -37,8 +37,9 @@
 #define QUALS_CONSTINF_REFTYPES_H
 
 #include "cfront/CAst.h"
-#include "constinf/DeclTable.h"
+#include "support/PagedArray.h"
 #include "qual/QualType.h"
+#include "qual/TypeScheme.h"
 
 #include <deque>
 #include <string>
@@ -177,13 +178,11 @@ public:
     return Interesting;
   }
 
-  /// True if \p V was created for storage that outlives a call -- a shared
+  /// The variables created for storage that outlives a call -- a shared
   /// record field or a variable with static storage -- or for a library
   /// function's interface. Every instance of a polymorphic function shares
-  /// it, so generalization must not quantify it.
-  bool isSharedStorage(QualVarId V) const {
-    return V < SharedStorage.size() && SharedStorage[V];
-  }
+  /// them, so generalization must not quantify them.
+  const FreeVarSet &sharedStorage() const { return SharedStorage; }
 
   /// Adds "kappa must not be const" upper bounds on every ref level of
   /// \p T (the conservative treatment of values escaping to unknown code).
@@ -214,12 +213,16 @@ private:
   std::vector<DeferredPin> Deferred;
 
   // Indexed by declaration id; a null QualType means "not translated yet".
-  DeclTable<QualType> VarTypes;
-  DeclTable<QualType> FieldTypes;
-  DeclTable<QualType> FnTypes;
+  PagedArray<QualType> VarTypes;
+  PagedArray<QualType> FieldTypes;
+  PagedArray<QualType> FnTypes;
   std::vector<InterestingPos> Interesting;
-  /// Indexed by variable id; see isSharedStorage().
+  /// Scratch for a library interface's positions (they are pinned, never
+  /// kept).
+  std::vector<InterestingPos> Positions;
+  /// Indexed by variable id; see sharedStorage().
   std::vector<bool> SharedStorage;
+  InternedReason DeclaredConst{"declared const"};
 
   struct LPair {
     QualExpr TopQual;

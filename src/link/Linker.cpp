@@ -339,6 +339,7 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
   std::vector<Violation> Violations = Sys.collectViolations();
   if (!Ok || !Violations.empty()) {
     R.SolveOk = false;
+    ViolationExplainer Explainer(Sys);
     for (const Violation &V : Violations) {
       // The summary and serialized origin of V's cause (none for linkage).
       uint32_t Sum = 0;
@@ -358,7 +359,7 @@ LinkResult link::linkSummaries(std::vector<TuSummary> &Summaries,
       }
       R.Diagnostics.push_back(renderError(Summaries[Sum],
                                           Origin ? *Origin : QsumOrigin(),
-                                          Sys.explain(V)));
+                                          Explainer.explain(V)));
     }
   }
 

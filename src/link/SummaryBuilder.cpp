@@ -199,7 +199,9 @@ TuSummary link::buildSummary(constinf::ConstInference &Inf,
   S.NumVars = Seeds.size();
   forEachSeed([&](uint32_t &V) { V = Remap[V]; });
 
-  std::vector<Constraint> Canned = simplifyConstraints(Sys, {0, 0}, Seeds);
+  SimplifyScratch Scratch;
+  std::vector<Constraint> Canned =
+      simplifyConstraints(Sys, {0, 0}, Seeds, Scratch);
   S.Constraints.reserve(Canned.size());
   std::vector<uint32_t> ReasonString(Sys.getNumReasons(), ~0u);
   for (const Constraint &C : Canned) {

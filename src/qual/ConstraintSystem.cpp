@@ -16,9 +16,7 @@
 using namespace quals;
 
 QualVarId ConstraintSystem::freshVars(unsigned N) {
-  QualVarId First = Vars.size();
-  Vars.resize(Vars.size() + N, VarInfo{QS.bottom(), QS.top()});
-  return First;
+  return Vars.append(N, VarInfo{QS.bottom(), QS.top()});
 }
 
 ReasonId ConstraintSystem::internReason(std::string_view Text) {
@@ -31,6 +29,14 @@ ReasonId ConstraintSystem::internReason(std::string_view Text) {
   return It->second;
 }
 
+ReasonId ConstraintSystem::internReason(const ConstraintOrigin &Origin) {
+  if (!Origin.Interned)
+    return internReason(Origin.Reason);
+  if (Origin.Interned->Id == NoReasonId)
+    Origin.Interned->Id = internReason(Origin.Interned->Text);
+  return Origin.Interned->Id;
+}
+
 void ConstraintSystem::addLeq(QualExpr Lhs, QualExpr Rhs,
                               ConstraintOrigin Origin) {
   addLeqMasked(Lhs, Rhs, QS.usedBits(), Origin);
@@ -38,7 +44,7 @@ void ConstraintSystem::addLeq(QualExpr Lhs, QualExpr Rhs,
 
 void ConstraintSystem::addLeqMasked(QualExpr Lhs, QualExpr Rhs, uint64_t Mask,
                                     ConstraintOrigin Origin) {
-  addConstraint({Lhs, Rhs, Mask, Origin.Loc, internReason(Origin.Reason)});
+  addConstraint({Lhs, Rhs, Mask, Origin.Loc, internReason(Origin)});
 }
 
 void ConstraintSystem::addConstraint(const Constraint &C) {
@@ -55,10 +61,8 @@ void ConstraintSystem::addConstraint(const Constraint &C) {
     ++NumVarVarEdges;
     VarInfo &L = Vars[C.Lhs.getVar()];
     VarInfo &R = Vars[C.Rhs.getVar()];
-    EdgePool.push_back({Id, L.SuccHead});
-    L.SuccHead = EdgePool.size() - 1;
-    EdgePool.push_back({Id, R.PredHead});
-    R.PredHead = EdgePool.size() - 1;
+    L.SuccHead = EdgePool.push_back({Id, L.SuccHead});
+    R.PredHead = EdgePool.push_back({Id, R.PredHead});
     return;
   }
   if (C.Rhs.isConst()) {
@@ -228,15 +232,59 @@ bool ConstraintSystem::isSatisfiable() {
 }
 
 std::string ConstraintSystem::explain(const Violation &V) const {
+  return ViolationExplainer(*this).explain(V);
+}
+
+const ViolationExplainer::InEdgeIndex &
+ViolationExplainer::indexFor(uint64_t Bit) {
+  for (const InEdgeIndex &Index : Indexes)
+    if (Index.Bit == Bit)
+      return Index;
+  // An edge Src <= Dst with the bit in its mask is a genuine carrier iff
+  // the bit is in Src's least solution (the solved fixpoint guarantees it
+  // then reached Dst), and a constant left-hand side with the bit under
+  // the mask is a seed. A counting sort by target keeps each variable's
+  // in-edges in constraint-id order.
+  auto Carries = [&](const Constraint &C) {
+    if (!C.Rhs.isVar() || !(C.Mask & Bit))
+      return false;
+    if (C.Lhs.isVar())
+      return (Sys.lower(C.Lhs.getVar()).bits() & Bit) != 0;
+    return (C.Lhs.getConst().bits() & C.Mask & Bit) != 0;
+  };
+  InEdgeIndex &Index = Indexes.emplace_back();
+  Index.Bit = Bit;
+  const unsigned NumVars = Sys.getNumVars();
+  const ConstraintId NumConstraints = Sys.getNumConstraints();
+  Index.Start.assign(NumVars + 1, 0);
+  for (ConstraintId Id = 0; Id != NumConstraints; ++Id) {
+    const Constraint &C = Sys.getConstraint(Id);
+    if (Carries(C))
+      ++Index.Start[C.Rhs.getVar() + 1];
+  }
+  for (unsigned V = 0; V != NumVars; ++V)
+    Index.Start[V + 1] += Index.Start[V];
+  Index.Ids.resize(Index.Start[NumVars]);
+  std::vector<uint32_t> Fill(Index.Start.begin(), Index.Start.end() - 1);
+  for (ConstraintId Id = 0; Id != NumConstraints; ++Id) {
+    const Constraint &C = Sys.getConstraint(Id);
+    if (Carries(C))
+      Index.Ids[Fill[C.Rhs.getVar()]++] = Id;
+  }
+  return Index;
+}
+
+std::string ViolationExplainer::explain(const Violation &V) {
   // Reconstruct the provenance of the lowest offending bit backwards from
   // the violated constraint's left-hand side to a constant that introduced
   // it. Provenance is computed lazily here (never recorded during
   // propagation), so the hot loops stay free of bookkeeping and the
   // rendered chain is a pure function of the constraint sequence.
+  const QualifierSet &QS = Sys.getQualifierSet();
   uint64_t Bit = V.OffendingBits & ~(V.OffendingBits - 1);
 
   // Name every offending qualifier component in the header line.
-  const Constraint &Cause = Constraints[V.Cause];
+  const Constraint &Cause = Sys.getConstraint(V.Cause);
   std::string Out = "qualifier constraint violated (";
   bool First = true;
   for (unsigned I = 0, E = QS.size(); I != E; ++I) {
@@ -258,84 +306,78 @@ std::string ConstraintSystem::explain(const Violation &V) const {
   }
   Out += ")";
   Out += "\n  bound: ";
-  Out += getReason(Cause.Reason);
+  Out += Sys.getReason(Cause.Reason);
   Out += '\n';
 
-  if (Cause.Lhs.isVar()) {
-    // Breadth-first search from the violated variable backwards over the
-    // constraints that can carry the bit: an edge Src <= Dst with the bit
-    // in its mask is a genuine carrier iff the bit is in Src's least
-    // solution (the solved fixpoint guarantees it then reached Dst), and a
-    // constant left-hand side with the bit under the mask is a seed. FIFO
-    // order with in-edges scanned in constraint-id order makes the chain
-    // deterministic: the shortest one, ties broken by lowest id.
-    QualVarId Root = Cause.Lhs.getVar();
-    std::vector<std::pair<QualVarId, ConstraintId>> Parent; // BFS tree.
-    std::vector<uint32_t> ParentOf(Vars.size(), ~0u); // Var -> Parent index.
-    std::vector<QualVarId> Queue{Root};
-    ParentOf[Root] = ~1u; // Visited marker for the root (no parent edge).
-    ConstraintId SeedCons = ~0u;
-    QualVarId SeedAt = Root;
-    // Index the bit-carrying in-edges per variable, in id order.
-    std::vector<std::vector<ConstraintId>> InEdges(Vars.size());
-    for (ConstraintId Id = 0, E = Constraints.size(); Id != E; ++Id) {
-      const Constraint &C = Constraints[Id];
-      if (!C.Rhs.isVar() || !(C.Mask & Bit))
-        continue;
-      if (C.Lhs.isVar() && !(Vars[C.Lhs.getVar()].Lower.bits() & Bit))
-        continue;
-      if (C.Lhs.isConst() && !(C.Lhs.getConst().bits() & C.Mask & Bit))
-        continue;
-      InEdges[C.Rhs.getVar()].push_back(Id);
-    }
-    for (size_t Head = 0; Head != Queue.size() && SeedCons == ~0u; ++Head) {
-      QualVarId At = Queue[Head];
-      for (ConstraintId Id : InEdges[At]) {
-        const Constraint &C = Constraints[Id];
-        if (C.Lhs.isConst()) {
-          SeedCons = Id;
-          SeedAt = At;
-          break;
-        }
-        QualVarId Src = C.Lhs.getVar();
-        if (Src == At || ParentOf[Src] != ~0u)
-          continue;
-        Parent.push_back({At, Id});
-        ParentOf[Src] = Parent.size() - 1;
-        Queue.push_back(Src);
-      }
-    }
-    if (SeedCons != ~0u) {
-      // Unwind the tree from the seed's variable back to the root, then
-      // print the chain violation-first: each step's constraint, ending at
-      // the seed itself and its constant.
-      std::vector<ConstraintId> Chain;
-      for (QualVarId At = SeedAt; At != Root;) {
-        auto &Link = Parent[ParentOf[At]];
-        Chain.push_back(Link.second);
-        At = Link.first;
-      }
-      std::reverse(Chain.begin(), Chain.end());
-      Chain.push_back(SeedCons);
-      for (ConstraintId Id : Chain) {
-        const Constraint &Step = Constraints[Id];
-        Out += "  via: ";
-        Out += Step.Reason ? getReason(Step.Reason)
-                           : "(unlabeled constraint)";
-        Out += '\n';
-      }
-      Out += "  source: qualifier constant '";
-      Out += QS.toString(Constraints[SeedCons].Lhs.getConst());
-      Out += "'\n";
-    }
-    // No seed found would mean the bit appeared from nowhere; be defensive
-    // and leave the chain empty (matches the old walker's defensive stop).
-  } else {
+  if (!Cause.Lhs.isVar()) {
     // A const <= const violation: the constant itself is the source.
     Out += "  source: qualifier constant '";
     Out += QS.toString(Cause.Lhs.getConst());
     Out += "'\n";
+    return Out;
   }
+
+  // Breadth-first search from the violated variable backwards over the
+  // bit-carrying in-edges. FIFO order with in-edges scanned in
+  // constraint-id order makes the chain deterministic: the shortest one,
+  // ties broken by lowest id.
+  const InEdgeIndex &Index = indexFor(Bit);
+  constexpr uint32_t Unvisited = ~0u, IsRoot = ~1u;
+  if (ParentOf.size() != Sys.getNumVars())
+    ParentOf.assign(Sys.getNumVars(), Unvisited);
+  QualVarId Root = Cause.Lhs.getVar();
+  Parent.clear();
+  Queue.assign(1, Root);
+  ParentOf[Root] = IsRoot;
+  ConstraintId SeedCons = ~0u;
+  QualVarId SeedAt = Root;
+  for (size_t Head = 0; Head != Queue.size() && SeedCons == ~0u; ++Head) {
+    QualVarId At = Queue[Head];
+    for (uint32_t I = Index.Start[At]; I != Index.Start[At + 1]; ++I) {
+      ConstraintId Id = Index.Ids[I];
+      const Constraint &C = Sys.getConstraint(Id);
+      if (C.Lhs.isConst()) {
+        SeedCons = Id;
+        SeedAt = At;
+        break;
+      }
+      QualVarId Src = C.Lhs.getVar();
+      if (Src == At || ParentOf[Src] != Unvisited)
+        continue;
+      Parent.push_back({At, Id});
+      ParentOf[Src] = Parent.size() - 1;
+      Queue.push_back(Src);
+    }
+  }
+  if (SeedCons != ~0u) {
+    // Unwind the tree from the seed's variable back to the root, then
+    // print the chain violation-first: each step's constraint, ending at
+    // the seed itself and its constant.
+    std::vector<ConstraintId> Chain;
+    for (QualVarId At = SeedAt; At != Root;) {
+      auto &Link = Parent[ParentOf[At]];
+      Chain.push_back(Link.second);
+      At = Link.first;
+    }
+    std::reverse(Chain.begin(), Chain.end());
+    Chain.push_back(SeedCons);
+    for (ConstraintId Id : Chain) {
+      const Constraint &Step = Sys.getConstraint(Id);
+      Out += "  via: ";
+      Out += Step.Reason ? Sys.getReason(Step.Reason)
+                         : "(unlabeled constraint)";
+      Out += '\n';
+    }
+    Out += "  source: qualifier constant '";
+    Out += QS.toString(Sys.getConstraint(SeedCons).Lhs.getConst());
+    Out += "'\n";
+  }
+  // No seed found would mean the bit appeared from nowhere; be defensive
+  // and leave the chain empty (matches the old walker's defensive stop).
+
+  // Every visited variable is on the queue: reset exactly those.
+  for (QualVarId At : Queue)
+    ParentOf[At] = Unvisited;
   return Out;
 }
 

@@ -35,6 +35,7 @@
 #define QUALS_QUAL_CONSTRAINTSYSTEM_H
 
 #include "qual/QualExpr.h"
+#include "support/PagedArray.h"
 #include "support/SourceLoc.h"
 
 #include <deque>
@@ -45,23 +46,43 @@
 
 namespace quals {
 
-/// Where (and why) a constraint is generated, for error explanations. add*()
-/// copies the borrowed reason, so it may view a temporary for the call.
-struct ConstraintOrigin {
-  SourceLoc Loc;
-  std::string_view Reason;
-
-  ConstraintOrigin() = default;
-  ConstraintOrigin(std::string_view Reason) : Reason(Reason) {}
-  ConstraintOrigin(SourceLoc Loc, std::string_view Reason)
-      : Loc(Loc), Reason(Reason) {}
-};
-
 /// Dense id of a constraint within its ConstraintSystem.
 using ConstraintId = uint32_t;
 
 /// Id of an interned reason text within its ConstraintSystem (0 = empty).
 using ReasonId = uint32_t;
+
+/// No reason interned yet (see InternedReason).
+constexpr ReasonId NoReasonId = ~ReasonId(0);
+
+/// A fixed reason text together with its id in one ConstraintSystem. The
+/// id starts out NoReasonId; the first constraint added with it interns
+/// the text and stores the id, and every later one uses the id without
+/// hashing the text. Reasons are thus interned in the order their first
+/// constraints are added, exactly as plain text reasons are.
+struct InternedReason {
+  std::string_view Text;
+  ReasonId Id = NoReasonId;
+
+  InternedReason() = default;
+  explicit InternedReason(std::string_view Text) : Text(Text) {}
+};
+
+/// Where (and why) a constraint is generated, for error explanations. add*()
+/// copies a borrowed text reason, so it may view a temporary for the call;
+/// an InternedReason must outlive the call and belong to the same system.
+struct ConstraintOrigin {
+  SourceLoc Loc;
+  std::string_view Reason;
+  InternedReason *Interned = nullptr;
+
+  ConstraintOrigin() = default;
+  ConstraintOrigin(std::string_view Reason) : Reason(Reason) {}
+  ConstraintOrigin(SourceLoc Loc, std::string_view Reason)
+      : Loc(Loc), Reason(Reason) {}
+  ConstraintOrigin(SourceLoc Loc, InternedReason &Interned)
+      : Loc(Loc), Interned(&Interned) {}
+};
 
 /// An atomic constraint: (Lhs & Mask) <= (Rhs | ~Mask) componentwise, i.e.
 /// Lhs <= Rhs restricted to the qualifier bits in Mask.
@@ -165,6 +186,9 @@ public:
   /// The id of \p Text in the reason table; the text is copied in once.
   ReasonId internReason(std::string_view Text);
 
+  /// The reason id \p Origin carries, interning its text if needed.
+  ReasonId internReason(const ConstraintOrigin &Origin);
+
   /// The text of reason \p Id (lives as long as this system).
   std::string_view getReason(ReasonId Id) const { return ReasonText[Id]; }
   /// Reasons interned so far; their ids are [0, count).
@@ -228,6 +252,8 @@ public:
 
   /// Renders a human-readable explanation of \p V: the chain of constraints
   /// that carried the offending qualifier from its source to the bound.
+  /// Builds a search index over the whole system; to explain several
+  /// violations, share one ViolationExplainer instead.
   std::string explain(const Violation &V) const;
 
   /// Instrumentation snapshot; cheap, callable at any time.
@@ -254,10 +280,12 @@ private:
 
   const QualifierSet &QS;
   SolverConfig Config;
-  std::vector<VarInfo> Vars;
-  std::vector<Constraint> Constraints;
+  // Paged (support/PagedArray.h): ids stay dense and growth never copies a
+  // record, so adding a constraint never reallocates.
+  PagedArray<VarInfo> Vars;
+  PagedArray<Constraint> Constraints;
   /// Backing store for the per-var edge lists.
-  std::vector<EdgeNode> EdgePool;
+  PagedArray<EdgeNode> EdgePool;
   unsigned NumVarVarEdges = 0;
   /// Ids of constraints whose Rhs is a constant (upper bounds), for the
   /// violation scan.
@@ -283,6 +311,40 @@ private:
   /// least solution, then backward meet propagation for the greatest.
   void runWorklists(std::vector<QualVarId> &LowerWork,
                     std::vector<QualVarId> &UpperWork);
+};
+
+/// Explains the violations of one solved system. explain() searches, per
+/// offending qualifier bit, an index of the constraints that carry the bit
+/// into each variable; the index is built on the first explanation that
+/// needs its bit and shared by every later one, so explaining k violations
+/// costs one index build per bit plus k searches. The system must stay
+/// unchanged while the explainer is in use.
+class ViolationExplainer {
+public:
+  explicit ViolationExplainer(const ConstraintSystem &Sys) : Sys(Sys) {}
+
+  /// The explanation ConstraintSystem::explain(\p V) gives.
+  std::string explain(const Violation &V);
+
+private:
+  /// The bit-carrying in-edges of every variable, in constraint-id order,
+  /// in compressed-sparse-row form: variable V's are
+  /// Ids[Start[V] .. Start[V + 1]).
+  struct InEdgeIndex {
+    uint64_t Bit = 0;
+    std::vector<uint32_t> Start;
+    std::vector<ConstraintId> Ids;
+  };
+
+  const ConstraintSystem &Sys;
+  std::vector<InEdgeIndex> Indexes; ///< One per bit explained so far.
+  /// Search scratch: BFS parent link per variable (~0u = unvisited),
+  /// reset after each search, and the BFS queue.
+  std::vector<uint32_t> ParentOf;
+  std::vector<std::pair<QualVarId, ConstraintId>> Parent;
+  std::vector<QualVarId> Queue;
+
+  const InEdgeIndex &indexFor(uint64_t Bit);
 };
 
 } // namespace quals

@@ -7,6 +7,8 @@
 
 #include "qual/QualType.h"
 
+#include <algorithm>
+
 using namespace quals;
 
 bool QualType::shapeEquals(QualType Other) const {
@@ -20,56 +22,23 @@ bool QualType::shapeEquals(QualType Other) const {
   return true;
 }
 
-void QualType::visit(const std::function<void(QualType)> &Fn) const {
-  if (isNull())
-    return;
-  Fn(*this);
-  for (unsigned I = 0, E = getNumArgs(); I != E; ++I)
-    getArg(I).visit(Fn);
-}
-
 QualType QualTypeFactory::make(QualExpr Qual, const TypeCtor *Ctor,
-                               const std::vector<QualType> &Args) {
+                               std::span<const QualType> Args) {
   assert(Ctor && "null type constructor");
   assert(Args.size() == Ctor->arity() && "constructor arity mismatch");
-  QualType *ArgArray =
-      Args.empty() ? nullptr : Arena.copyArray(Args.data(), Args.size());
-  ShapeNode *Shape = Arena.create<ShapeNode>();
-  Shape->Ctor = Ctor;
-  Shape->Args = ArgArray;
-  return QualType(Qual, Shape);
-}
-
-QualType QualTypeFactory::substitute(
-    QualType T, const std::function<QualExpr(QualVarId)> &MapVar) {
-  if (T.isNull())
-    return T;
-  QualExpr Q = T.getQual();
-  if (Q.isVar())
-    Q = MapVar(Q.getVar());
-  std::vector<QualType> Args;
-  Args.reserve(T.getNumArgs());
-  bool ArgsChanged = false;
-  for (unsigned I = 0, E = T.getNumArgs(); I != E; ++I) {
-    QualType NewArg = substitute(T.getArg(I), MapVar);
-    ArgsChanged |= NewArg.getShape() != T.getArg(I).getShape() ||
-                   NewArg.getQual() != T.getArg(I).getQual();
-    Args.push_back(NewArg);
-  }
-  if (!ArgsChanged)
-    return T.withQual(Q);
-  return make(Q, T.getCtor(), Args);
+  QualType *ArgArray = allocateArgs(Args.size());
+  std::copy(Args.begin(), Args.end(), ArgArray);
+  return adopt(Qual, Ctor, ArgArray);
 }
 
 QualType QualTypeFactory::spread(ConstraintSystem &Sys, QualType T) {
   if (T.isNull())
     return T;
-  std::vector<QualType> Args;
-  Args.reserve(T.getNumArgs());
+  QualType *Args = allocateArgs(T.getNumArgs());
   for (unsigned I = 0, E = T.getNumArgs(); I != E; ++I)
-    Args.push_back(spread(Sys, T.getArg(I)));
+    Args[I] = spread(Sys, T.getArg(I));
   QualExpr Fresh = QualExpr::makeVar(Sys.freshVar());
-  return make(Fresh, T.getCtor(), Args);
+  return adopt(Fresh, T.getCtor(), Args);
 }
 
 static void printQual(const QualifierSet &QS, QualExpr Q,

@@ -32,8 +32,8 @@
 #include "qual/QualExpr.h"
 #include "support/Allocator.h"
 
-#include <functional>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,7 +118,13 @@ public:
   bool shapeEquals(QualType Other) const;
 
   /// Calls \p Fn on this type and every nested qualified type, preorder.
-  void visit(const std::function<void(QualType)> &Fn) const;
+  template <typename FnT> void visit(FnT &&Fn) const {
+    if (isNull())
+      return;
+    Fn(*this);
+    for (unsigned I = 0, E = getNumArgs(); I != E; ++I)
+      getArg(I).visit(Fn);
+  }
 
 private:
   QualExpr Qual;
@@ -126,29 +132,77 @@ private:
 };
 
 /// Allocates qualified types. Owns the arena backing every shape node it
-/// creates; types remain valid while the factory lives.
+/// creates; types remain valid while the factory lives. Building a type
+/// allocates only its arena nodes.
 class QualTypeFactory {
 public:
-  /// Builds Q c(Args...).
+  /// Builds Q c(Args...); the arguments are copied into the arena.
   QualType make(QualExpr Qual, const TypeCtor *Ctor,
-                const std::vector<QualType> &Args);
-
-  /// Builds a nullary Q c.
-  QualType make(QualExpr Qual, const TypeCtor *Ctor) {
-    return make(Qual, Ctor, std::vector<QualType>());
+                std::span<const QualType> Args = {});
+  QualType make(QualExpr Qual, const TypeCtor *Ctor,
+                std::initializer_list<QualType> Args) {
+    return make(Qual, Ctor, std::span<const QualType>(Args.begin(),
+                                                      Args.size()));
   }
 
   /// Rebuilds \p T with every qualifier variable remapped through \p MapVar
-  /// (variables not in the map's domain are kept). Used by scheme
-  /// instantiation.
-  QualType substitute(
-      QualType T,
-      const std::function<QualExpr(QualVarId)> &MapVar);
+  /// (a callable QualVarId -> QualExpr; variables outside the map's domain
+  /// map to themselves). A subtree whose qualifiers all map to themselves
+  /// is shared, not copied. Used by scheme instantiation.
+  template <typename MapFn> QualType substitute(QualType T, MapFn &&MapVar) {
+    if (T.isNull())
+      return T;
+    QualExpr Q = T.getQual();
+    if (Q.isVar())
+      Q = MapVar(Q.getVar());
+    // The argument array is allocated at the first argument that changes.
+    QualType *Args = nullptr;
+    for (unsigned I = 0, E = T.getNumArgs(); I != E; ++I) {
+      QualType Old = T.getArg(I);
+      QualType New = substitute(Old, MapVar);
+      if (!Args && (New.getShape() != Old.getShape() ||
+                    New.getQual() != Old.getQual())) {
+        Args = allocateArgs(E);
+        for (unsigned J = 0; J != I; ++J)
+          Args[J] = T.getArg(J);
+      }
+      if (Args)
+        Args[I] = New;
+    }
+    if (!Args)
+      return T.withQual(Q);
+    return adopt(Q, T.getCtor(), Args);
+  }
 
   /// The sp operator of Section 3.1: rebuilds \p T with *fresh* qualifier
   /// variables at every level, preserving the shape. \p Sys provides fresh
-  /// variables.
+  /// variables (children before their parent).
   QualType spread(ConstraintSystem &Sys, QualType T);
+
+  /// An arena array of \p N null types, for the arguments of a type that
+  /// adopt() will build (null when \p N is zero). Lets a caller build
+  /// arguments in place instead of in a temporary container.
+  QualType *allocateArgs(unsigned N) {
+    if (N == 0)
+      return nullptr;
+    void *Mem = Arena.allocate(sizeof(QualType) * N, alignof(QualType));
+    QualType *Args = static_cast<QualType *>(Mem);
+    for (unsigned I = 0; I != N; ++I)
+      new (Args + I) QualType();
+    return Args;
+  }
+
+  /// Builds Q c(Args...) over \p Args, an allocateArgs() array the caller
+  /// filled with Ctor->arity() arguments; the array is not copied.
+  QualType adopt(QualExpr Qual, const TypeCtor *Ctor, QualType *Args) {
+    assert(Ctor && "null type constructor");
+    assert((Args != nullptr) == (Ctor->arity() != 0) &&
+           "constructor arity mismatch");
+    ShapeNode *Shape = Arena.create<ShapeNode>();
+    Shape->Ctor = Ctor;
+    Shape->Args = Args;
+    return QualType(Qual, Shape);
+  }
 
 private:
   BumpPtrAllocator Arena;

@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 using namespace quals;
 
@@ -51,14 +50,17 @@ struct LocalEdge {
 struct Csr {
   std::vector<uint32_t> Start;
   std::vector<LocalEdge> Edges;
+  std::vector<uint32_t> Fill;
 
-  Csr(uint32_t NumNodes,
-      const std::vector<std::pair<uint32_t, LocalEdge>> &Pairs)
-      : Start(NumNodes + 1, 0), Edges(Pairs.size()) {
+  /// Rebuilds the lists, reusing this object's buffers.
+  void build(uint32_t NumNodes,
+             const std::vector<std::pair<uint32_t, LocalEdge>> &Pairs) {
+    Start.assign(NumNodes + 1, 0);
+    Edges.resize(Pairs.size());
     for (const auto &P : Pairs)
       ++Start[P.first + 1];
     std::partial_sum(Start.begin(), Start.end(), Start.begin());
-    std::vector<uint32_t> Fill(Start.begin(), Start.end() - 1);
+    Fill.assign(Start.begin(), Start.end() - 1);
     for (const auto &P : Pairs)
       Edges[Fill[P.first]++] = P.second;
   }
@@ -78,13 +80,84 @@ struct Flow {
 
 } // namespace
 
+struct SimplifyScratch::Buffers {
+  /// Variable - watermark -> local node, NoNode outside a call; grown to
+  /// the largest range seen. NodeVar (node -> variable) undoes it after a
+  /// call.
+  std::vector<uint32_t> NodeOf;
+  std::vector<QualVarId> NodeVar;
+  /// Variables older than the watermark -> node, in an open-addressing
+  /// table (linear probing, power-of-two size, at most half full) that a
+  /// call empties again. A range touches few older variables, so a dense
+  /// map over every variable would cost more memory than it saves time.
+  std::vector<std::pair<QualVarId, uint32_t>> Older;
+  uint32_t NumOlder = 0;
+  std::vector<Flow> Lower, Upper, Reach; // const -> var, var -> const
+  /// Node -> position in Externals, or NotExternal for internal nodes.
+  std::vector<uint32_t> ExtPos;
+  std::vector<std::pair<uint32_t, QualVarId>> Externals; // (node, var)
+  std::vector<std::pair<uint32_t, LocalEdge>> FwdPairs, BwdPairs;
+  Csr Fwd, Bwd;
+  std::vector<uint32_t> LowerWork, UpperWork, Work, Touched, Hits;
+  /// Node -> reached by the current reachability search.
+  std::vector<bool> Reached;
+  /// generalize(): variable - watermark -> bound; false outside a call.
+  std::vector<bool> IsBound;
+
+  static constexpr QualVarId NoVar = ~0u;
+
+  size_t olderHome(QualVarId V) const {
+    return ((uint64_t(V) * 0x9E3779B97F4A7C15ull) >> 32) & (Older.size() - 1);
+  }
+
+  /// The node of older variable \p V, or NoNode.
+  uint32_t findOlder(QualVarId V) const {
+    if (Older.empty())
+      return ~0u;
+    for (size_t I = olderHome(V);; I = (I + 1) & (Older.size() - 1)) {
+      if (Older[I].first == V)
+        return Older[I].second;
+      if (Older[I].first == NoVar)
+        return ~0u;
+    }
+  }
+
+  void addOlder(QualVarId V, uint32_t Node) {
+    if (2 * (NumOlder + 1) > Older.size()) {
+      std::vector<std::pair<QualVarId, uint32_t>> Old;
+      Old.swap(Older);
+      Older.assign(std::max<size_t>(16, 2 * Old.size()), {NoVar, 0});
+      NumOlder = 0;
+      for (const auto &Entry : Old)
+        if (Entry.first != NoVar)
+          addOlder(Entry.first, Entry.second);
+    }
+    size_t I = olderHome(V);
+    while (Older[I].first != NoVar)
+      I = (I + 1) & (Older.size() - 1);
+    Older[I] = {V, Node};
+    ++NumOlder;
+  }
+
+  void clearOlder() {
+    if (NumOlder)
+      std::fill(Older.begin(), Older.end(),
+                std::pair<QualVarId, uint32_t>(NoVar, 0));
+    NumOlder = 0;
+  }
+};
+
+SimplifyScratch::SimplifyScratch() : B(std::make_unique<Buffers>()) {}
+SimplifyScratch::~SimplifyScratch() = default;
+
 std::vector<Constraint>
 quals::simplifyConstraints(const ConstraintSystem &Sys, Watermark Mark,
                            const std::vector<QualVarId> &Interface,
-                           const std::function<bool(QualVarId)> &Free) {
+                           SimplifyScratch &Scratch, const FreeVarSet *Free) {
   std::vector<Constraint> Canned;
   if (Interface.empty())
     return Canned;
+  SimplifyScratch::Buffers &B = Scratch.buffers();
   const uint64_t UsedBits = Sys.getQualifierSet().usedBits();
 
   // Local numbering: the interface variables are nodes 0 .. NumOwned - 1,
@@ -94,73 +167,69 @@ quals::simplifyConstraints(const ConstraintSystem &Sys, Watermark Mark,
   // is a node's position in Externals, NotExternal for internal nodes.
   constexpr uint32_t NoNode = ~0u, NotExternal = ~0u;
   const uint32_t NumOwned = Interface.size();
-  std::vector<uint32_t> FreshNode(Sys.getNumVars() - Mark.FirstVar, NoNode);
-  std::unordered_map<QualVarId, uint32_t> OlderNode;
-  std::vector<Flow> Lower, Upper; // const -> var, var -> const
-  std::vector<uint32_t> ExtPos;
-  std::vector<std::pair<uint32_t, QualVarId>> Externals; // (node, var)
-  Lower.reserve(FreshNode.size());
-  Upper.reserve(FreshNode.size());
-  ExtPos.reserve(FreshNode.size());
+  auto isFree = [&](QualVarId V) {
+    return V < Mark.FirstVar || (Free && V < Free->size() && (*Free)[V]);
+  };
+  const size_t Range = Sys.getNumVars() - Mark.FirstVar;
+  if (B.NodeOf.size() < Range)
+    B.NodeOf.resize(Range, NoNode);
   auto newNode = [&](QualVarId V, bool External) -> uint32_t {
-    uint32_t N = Lower.size();
-    Lower.push_back({0, NoWitness});
-    Upper.push_back({UsedBits, NoWitness});
-    ExtPos.push_back(External ? Externals.size() : NotExternal);
+    uint32_t N = B.Lower.size();
+    if (V >= Mark.FirstVar)
+      B.NodeOf[V - Mark.FirstVar] = N;
+    else
+      B.addOlder(V, N);
+    B.NodeVar.push_back(V);
+    B.Lower.push_back({0, NoWitness});
+    B.Upper.push_back({UsedBits, NoWitness});
+    B.ExtPos.push_back(External ? B.Externals.size() : NotExternal);
     if (External)
-      Externals.push_back({N, V});
+      B.Externals.push_back({N, V});
     return N;
   };
   for (QualVarId V : Interface)
-    FreshNode[V - Mark.FirstVar] = newNode(V, true);
+    newNode(V, true);
   auto localOf = [&](QualVarId V) -> uint32_t {
     if (V < Mark.FirstVar) {
-      auto [It, New] = OlderNode.try_emplace(V, 0);
-      if (New)
-        It->second = newNode(V, true);
-      return It->second;
+      uint32_t N = B.findOlder(V);
+      return N != NoNode ? N : newNode(V, true);
     }
-    uint32_t &N = FreshNode[V - Mark.FirstVar];
-    if (N == NoNode)
-      N = newNode(V, Free && Free(V));
-    return N;
+    uint32_t N = B.NodeOf[V - Mark.FirstVar];
+    return N != NoNode ? N : newNode(V, isFree(V));
   };
 
   // One pass over the range: constant seeds go straight into the bounds
   // (the first constraint that moves a bound is its witness), var-to-var
   // edges into the adjacency lists. A free variable's own constant bounds
   // are skipped: they stay in Sys, and the pairs to it carry them.
-  auto isFree = [&](QualVarId V) {
-    return V < Mark.FirstVar || (Free && Free(V));
-  };
-  std::vector<uint32_t> LowerWork, UpperWork; // Seeded with those bounds.
-  std::vector<std::pair<uint32_t, LocalEdge>> FwdPairs, BwdPairs;
   for (ConstraintId Id = Mark.FirstConstraint, E = Sys.getNumConstraints();
        Id != E; ++Id) {
     const Constraint &C = Sys.getConstraint(Id);
     if (C.Lhs.isVar() && C.Rhs.isVar()) {
       uint32_t L = localOf(C.Lhs.getVar());
       uint32_t R = localOf(C.Rhs.getVar());
-      FwdPairs.push_back({L, {R, Id, C.Mask}});
-      BwdPairs.push_back({R, {L, Id, C.Mask}});
+      B.FwdPairs.push_back({L, {R, Id, C.Mask}});
+      B.BwdPairs.push_back({R, {L, Id, C.Mask}});
     } else if (C.Lhs.isConst() && C.Rhs.isVar() && !isFree(C.Rhs.getVar())) {
       uint32_t R = localOf(C.Rhs.getVar());
       uint64_t Bits = C.Lhs.getConst().bits() & C.Mask;
-      if (Bits && Lower[R].Wit == NoWitness)
-        Lower[R].Wit = Id;
-      Lower[R].Bits |= Bits;
-      LowerWork.push_back(R);
+      if (Bits && B.Lower[R].Wit == NoWitness)
+        B.Lower[R].Wit = Id;
+      B.Lower[R].Bits |= Bits;
+      B.LowerWork.push_back(R);
     } else if (C.Lhs.isVar() && C.Rhs.isConst() && !isFree(C.Lhs.getVar())) {
       uint32_t L = localOf(C.Lhs.getVar());
-      uint64_t New = Upper[L].Bits & (C.Rhs.getConst().bits() | ~C.Mask);
-      if (New != Upper[L].Bits && Upper[L].Wit == NoWitness)
-        Upper[L].Wit = Id;
-      Upper[L].Bits = New;
-      UpperWork.push_back(L);
+      uint64_t New = B.Upper[L].Bits & (C.Rhs.getConst().bits() | ~C.Mask);
+      if (New != B.Upper[L].Bits && B.Upper[L].Wit == NoWitness)
+        B.Upper[L].Wit = Id;
+      B.Upper[L].Bits = New;
+      B.UpperWork.push_back(L);
     }
   }
-  const uint32_t NumLocal = Lower.size();
-  const Csr Fwd(NumLocal, FwdPairs), Bwd(NumLocal, BwdPairs);
+  const uint32_t NumLocal = B.Lower.size();
+  B.Fwd.build(NumLocal, B.FwdPairs);
+  B.Bwd.build(NumLocal, B.BwdPairs);
+  const Csr &Fwd = B.Fwd, &Bwd = B.Bwd;
 
   // Forward join propagation from the nodes on Work, expanding only nodes
   // Expand accepts. A node first gaining bits takes its predecessor's
@@ -188,14 +257,15 @@ quals::simplifyConstraints(const ConstraintSystem &Sys, Watermark Mark,
   };
 
   // (1) Lower-bound summaries: forward join propagation of local constants.
-  joinForward(Lower, LowerWork, [](uint32_t) { return true; },
+  joinForward(B.Lower, B.LowerWork, [](uint32_t) { return true; },
               [](uint32_t) {});
 
   // (2) Upper-bound summaries: backward meet propagation.
-  while (!UpperWork.empty()) {
-    const Flow &From = Upper[UpperWork.back()];
-    const uint32_t V = UpperWork.back();
-    UpperWork.pop_back();
+  std::vector<Flow> &Upper = B.Upper;
+  while (!B.UpperWork.empty()) {
+    const Flow &From = Upper[B.UpperWork.back()];
+    const uint32_t V = B.UpperWork.back();
+    B.UpperWork.pop_back();
     for (const LocalEdge *Edge = Bwd.begin(V); Edge != Bwd.end(V); ++Edge) {
       Flow &To = Upper[Edge->Target];
       uint64_t New = To.Bits & (From.Bits | ~Edge->Mask);
@@ -203,7 +273,7 @@ quals::simplifyConstraints(const ConstraintSystem &Sys, Watermark Mark,
         To.Bits = New;
         if (To.Wit == NoWitness)
           To.Wit = From.Wit;
-        UpperWork.push_back(Edge->Target);
+        B.UpperWork.push_back(Edge->Target);
       }
     }
   }
@@ -225,83 +295,99 @@ quals::simplifyConstraints(const ConstraintSystem &Sys, Watermark Mark,
   // an edge into it is scanned (even with no bits), and only reached
   // external nodes yield pairs, in Externals order; the touched list
   // resets exactly the reached entries for the next source.
-  std::vector<Flow> Reach(NumLocal, {0, NoWitness});
-  std::vector<bool> Reached(NumLocal, false);
-  std::vector<uint32_t> Touched, Work, Hits;
+  B.Reach.assign(NumLocal, {0, NoWitness});
+  B.Reached.assign(NumLocal, false);
   auto reach = [&](uint32_t L) {
-    if (!Reached[L]) {
-      Reached[L] = true;
-      Touched.push_back(L);
+    if (!B.Reached[L]) {
+      B.Reached[L] = true;
+      B.Touched.push_back(L);
     }
   };
-  auto internal = [&](uint32_t L) { return ExtPos[L] == NotExternal; };
-  for (uint32_t SourcePos = 0; SourcePos != Externals.size(); ++SourcePos) {
-    auto [Source, From] = Externals[SourcePos];
+  auto internal = [&](uint32_t L) { return B.ExtPos[L] == NotExternal; };
+  for (uint32_t SourcePos = 0; SourcePos != B.Externals.size(); ++SourcePos) {
+    auto [Source, From] = B.Externals[SourcePos];
     reach(Source);
-    Reach[Source].Bits = UsedBits;
-    Work.push_back(Source);
-    joinForward(Reach, Work, internal, reach);
+    B.Reach[Source].Bits = UsedBits;
+    B.Work.push_back(Source);
+    joinForward(B.Reach, B.Work, internal, reach);
     // Pairs of free variables are already linked in the system.
-    Hits.clear();
-    for (uint32_t L : Touched)
+    B.Hits.clear();
+    for (uint32_t L : B.Touched)
       if (L != Source && !internal(L) &&
-          (SourcePos < NumOwned || ExtPos[L] < NumOwned))
-        Hits.push_back(ExtPos[L]);
-    std::sort(Hits.begin(), Hits.end());
-    for (uint32_t TargetPos : Hits) {
-      auto [Target, To] = Externals[TargetPos];
-      emit(QualExpr::makeVar(From), QualExpr::makeVar(To), Reach[Target].Bits,
-           Reach[Target].Wit);
+          (SourcePos < NumOwned || B.ExtPos[L] < NumOwned))
+        B.Hits.push_back(B.ExtPos[L]);
+    std::sort(B.Hits.begin(), B.Hits.end());
+    for (uint32_t TargetPos : B.Hits) {
+      auto [Target, To] = B.Externals[TargetPos];
+      emit(QualExpr::makeVar(From), QualExpr::makeVar(To),
+           B.Reach[Target].Bits, B.Reach[Target].Wit);
     }
-    for (uint32_t L : Touched) {
-      Reach[L] = {0, NoWitness};
-      Reached[L] = false;
+    for (uint32_t L : B.Touched) {
+      B.Reach[L] = {0, NoWitness};
+      B.Reached[L] = false;
     }
-    Touched.clear();
+    B.Touched.clear();
   }
 
   // Constant bounds for the interface variables. (Free variables keep
   // their own constant bounds in the system.)
   for (uint32_t L = 0; L != NumOwned; ++L) {
     QualExpr V = QualExpr::makeVar(Interface[L]);
-    if (Lower[L].Bits)
-      emit(QualExpr::makeConst(LatticeValue(Lower[L].Bits)), V, UsedBits,
-           Lower[L].Wit);
+    if (B.Lower[L].Bits)
+      emit(QualExpr::makeConst(LatticeValue(B.Lower[L].Bits)), V, UsedBits,
+           B.Lower[L].Wit);
     if ((Upper[L].Bits & UsedBits) != UsedBits)
       emit(V, QualExpr::makeConst(LatticeValue(Upper[L].Bits)), UsedBits,
            Upper[L].Wit);
   }
+
+  // Leave the scratch empty for the next call (the work lists drained).
+  for (QualVarId V : B.NodeVar)
+    if (V >= Mark.FirstVar)
+      B.NodeOf[V - Mark.FirstVar] = NoNode;
+  B.clearOlder();
+  B.NodeVar.clear();
+  B.Lower.clear();
+  B.Upper.clear();
+  B.ExtPos.clear();
+  B.Externals.clear();
+  B.FwdPairs.clear();
+  B.BwdPairs.clear();
   return Canned;
 }
 
-QualScheme
-QualScheme::generalize(const ConstraintSystem &Sys, QualType Body,
-                       Watermark Mark,
-                       const std::function<bool(QualVarId)> &Escapes) {
+QualScheme QualScheme::generalize(const ConstraintSystem &Sys, QualType Body,
+                                  Watermark Mark, SimplifyScratch &Scratch,
+                                  const FreeVarSet *Escapes) {
   QualScheme S;
   S.Body = Body;
 
   // Bound (interface) variables: fresh variables occurring in the body
   // type. Only these are observable by callers, so only these need
   // per-instance copies.
-  std::vector<bool> IsBound(Sys.getNumVars() - Mark.FirstVar, false);
+  std::vector<bool> &IsBound = Scratch.buffers().IsBound;
+  if (IsBound.size() < Sys.getNumVars() - Mark.FirstVar)
+    IsBound.resize(Sys.getNumVars() - Mark.FirstVar, false);
   Body.visit([&](QualType T) {
     if (!T.getQual().isVar())
       return;
     QualVarId V = T.getQual().getVar();
-    if (V >= Mark.FirstVar && !(Escapes && Escapes(V)) &&
-        !IsBound[V - Mark.FirstVar]) {
+    if (V >= Mark.FirstVar && !IsBound[V - Mark.FirstVar] &&
+        !(Escapes && V < Escapes->size() && (*Escapes)[V])) {
       IsBound[V - Mark.FirstVar] = true;
       S.BoundVars.push_back(V);
     }
   });
+  for (QualVarId V : S.BoundVars)
+    IsBound[V - Mark.FirstVar] = false;
   if (S.BoundVars.empty())
     return S;
+  S.BoundSet.reserve(S.BoundVars.size());
   for (uint32_t I = 0; I != S.BoundVars.size(); ++I)
     S.BoundSet.push_back({S.BoundVars[I], I});
   std::sort(S.BoundSet.begin(), S.BoundSet.end());
 
-  S.Canned = simplifyConstraints(Sys, Mark, S.BoundVars, Escapes);
+  S.Canned = simplifyConstraints(Sys, Mark, S.BoundVars, Scratch, Escapes);
   return S;
 }
 

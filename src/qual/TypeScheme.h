@@ -37,7 +37,7 @@
 
 #include "qual/QualType.h"
 
-#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -55,15 +55,39 @@ inline Watermark takeWatermark(const ConstraintSystem &Sys) {
   return {Sys.getNumVars(), Sys.getNumConstraints()};
 }
 
+/// Variables a summary treats as free besides those older than its
+/// watermark: V is free iff V < size() and bit V is set (for const
+/// inference, constinf::RefTranslator::sharedStorage()).
+using FreeVarSet = std::vector<bool>;
+
+/// The working storage of simplifyConstraints and QualScheme::generalize
+/// (node maps, bound and reachability arrays, edge lists and work lists).
+/// A caller that summarizes many ranges owns one and passes it to every
+/// call: the buffers are cleared between calls, never freed, so a steady
+/// stream of summaries allocates only their results. One scratch serves
+/// one thread at a time; every call leaves it ready for the next.
+class SimplifyScratch {
+public:
+  SimplifyScratch();
+  ~SimplifyScratch();
+  SimplifyScratch(const SimplifyScratch &) = delete;
+  SimplifyScratch &operator=(const SimplifyScratch &) = delete;
+
+  struct Buffers; // TypeScheme.cpp
+  Buffers &buffers() { return *B; }
+
+private:
+  std::unique_ptr<Buffers> B;
+};
+
 /// The observable effect of the constraints created since \p Mark on the
 /// \p Interface variables (distinct, created at or after Mark.FirstVar),
 /// with every other variable eliminated (Section 3.2's constraint
 /// simplification; TypeScheme.cpp). Variables older than Mark, and those
-/// \p Free returns true for, are *free*: they live on in \p Sys, so they
-/// take no bounds and no pairs among themselves, and their own constant
-/// bounds stay in \p Sys instead of seeding the interface variables'
-/// bounds; but they are interface variables for reachability. The result,
-/// in order:
+/// in \p Free, are *free*: they live on in \p Sys, so they take no bounds
+/// and no pairs among themselves, and their own constant bounds stay in
+/// \p Sys instead of seeding the interface variables' bounds; but they are
+/// interface variables for reachability. The result, in order:
 ///
 ///   - masked reachability `a <= b` between interface variables a and b,
 ///     one of them not free, through non-interface variables only (a
@@ -74,11 +98,12 @@ inline Watermark takeWatermark(const ConstraintSystem &Sys) {
 ///
 /// Each canned constraint carries the location and reason of a witness
 /// constraint of the range: the constant bound that set it, or the first
-/// hop of the path it summarizes.
+/// hop of the path it summarizes. \p Scratch holds the working storage.
 std::vector<Constraint>
 simplifyConstraints(const ConstraintSystem &Sys, Watermark Mark,
                     const std::vector<QualVarId> &Interface,
-                    const std::function<bool(QualVarId)> &Free = nullptr);
+                    SimplifyScratch &Scratch,
+                    const FreeVarSet *Free = nullptr);
 
 /// forall kappa_vec . rho \ C.
 class QualScheme {
@@ -91,15 +116,23 @@ public:
   }
 
   /// Generalizes \p Body over the qualifier variables of \p Sys created at
-  /// or after \p Mark, excluding those for which \p Escapes returns true
-  /// (variables that leaked into the environment, e.g. via global state or
-  /// storage every instance shares). The constraints created after the
-  /// watermark are simplified over the bound variables
-  /// (simplifyConstraints) and canned into the scheme for
-  /// per-instantiation replay in \p Sys, the system every instance lives in.
-  static QualScheme
-  generalize(const ConstraintSystem &Sys, QualType Body, Watermark Mark,
-             const std::function<bool(QualVarId)> &Escapes = nullptr);
+  /// or after \p Mark, excluding those in \p Escapes (variables that
+  /// leaked into the environment, e.g. via global state or storage every
+  /// instance shares). The constraints created after the watermark are
+  /// simplified over the bound variables (simplifyConstraints, working in
+  /// \p Scratch) and canned into the scheme for per-instantiation replay in
+  /// \p Sys, the system every instance lives in.
+  static QualScheme generalize(const ConstraintSystem &Sys, QualType Body,
+                               Watermark Mark, SimplifyScratch &Scratch,
+                               const FreeVarSet *Escapes = nullptr);
+
+  /// generalize() with a scratch of its own, for one-off callers.
+  static QualScheme generalize(const ConstraintSystem &Sys, QualType Body,
+                               Watermark Mark,
+                               const FreeVarSet *Escapes = nullptr) {
+    SimplifyScratch Scratch;
+    return generalize(Sys, Body, Mark, Scratch, Escapes);
+  }
 
   /// Instantiates the scheme: substitutes a block of fresh variables
   /// (created in \p Sys) for the bound variables in the body and replays

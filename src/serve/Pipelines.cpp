@@ -121,8 +121,9 @@ void runLambda(const AnalyzeJob &Job, CachedResult &R) {
           toString(QS, Result.Type, &Sys).c_str());
   if (!Result.QualOk) {
     R.Out += "qualifier check: REJECTED\n";
+    ViolationExplainer Explainer(Sys);
     for (const Violation &V : Result.Violations)
-      R.Out += Sys.explain(V);
+      R.Out += Explainer.explain(V);
     R.ExitCode = 2;
     return;
   }

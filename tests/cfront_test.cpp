@@ -710,3 +710,82 @@ TEST(CSemaTest, FunctionPointerCall) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Function uses recorded by sema (the FDG's edges)
+//===----------------------------------------------------------------------===//
+
+/// The names of the functions \p F's body uses, in recorded order.
+static std::vector<std::string_view> useNames(const FunctionDecl *F) {
+  std::vector<std::string_view> Names;
+  for (const FunctionDecl *G : F->getUses())
+    Names.push_back(G->getName());
+  return Names;
+}
+
+TEST(CSemaUses, CallsDesignatorsAndAssignmentsEachAddAUse) {
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze("int f(void) { return 1; }\n"
+                                "int g(void) { return 2; }\n"
+                                "int h(void) { return 3; }\n"
+                                "int use(void) {\n"
+                                "  int (*fp)(void);\n"
+                                "  f();\n"
+                                "  fp = &g;\n"
+                                "  fp = h;\n"
+                                "  return fp();\n"
+                                "}\n"))
+      << R.Diags.renderAll();
+  // The indirect call through fp names no function.
+  EXPECT_EQ(useNames(R.fn("use")),
+            (std::vector<std::string_view>{"f", "g", "h"}));
+  EXPECT_TRUE(R.fn("f")->getUses().empty());
+}
+
+TEST(CSemaUses, ImplicitDeclarationAddsAUse) {
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze("int use(void) { return ext(1); }\n"))
+      << R.Diags.renderAll();
+  ASSERT_NE(R.fn("ext"), nullptr);
+  ASSERT_EQ(R.fn("use")->getUses().size(), 1u);
+  EXPECT_EQ(R.fn("use")->getUses()[0], R.fn("ext"));
+}
+
+TEST(CSemaUses, LocalShadowingAFunctionAddsNone) {
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze("int f(void) { return 1; }\n"
+                                "int use(void) { int f = 2; return f; }\n"
+                                "int after(void) { return f(); }\n"))
+      << R.Diags.renderAll();
+  EXPECT_TRUE(R.fn("use")->getUses().empty());
+  // The shadow ends with its scope.
+  EXPECT_EQ(useNames(R.fn("after")), (std::vector<std::string_view>{"f"}));
+}
+
+TEST(CSemaUses, GlobalInitializerAddsNone) {
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze("int f(void) { return 1; }\n"
+                                "int (*gp)(void) = f;\n"
+                                "int use(void) { return gp(); }\n"))
+      << R.Diags.renderAll();
+  for (const FunctionDecl *F : R.TU.Functions)
+    EXPECT_TRUE(F->getUses().empty()) << F->getName();
+}
+
+TEST(CSemaUses, UsesComeInBodyOrder) {
+  CRig R;
+  ASSERT_TRUE(R.parseAndAnalyze(
+      "int a(int x) { return x; }\nint b(int x) { return x; }\n"
+      "int c(int x) { return x; }\nint d(int x) { return x; }\n"
+      "int e(int x) { return x; }\n"
+      "int use(int n) {\n"
+      "  int k = e(1);\n"
+      "  for (k = d(k); k < c(n); k = b(k))\n"
+      "    k = a(k) ? b(k) : c(k);\n"
+      "  return d(a(k) + e(k));\n"
+      "}\n"))
+      << R.Diags.renderAll();
+  EXPECT_EQ(useNames(R.fn("use")),
+            (std::vector<std::string_view>{"e", "d", "c", "b", "a", "b", "c",
+                                           "d", "a", "e"}));
+}

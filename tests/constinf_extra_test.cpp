@@ -28,8 +28,11 @@ using namespace quals::constinf;
 namespace {
 
 struct XRig {
+  XRig() : Diags(SM) {}
+  explicit XRig(Limits L) : Diags(SM, L) {}
+
   SourceManager SM;
-  DiagnosticEngine Diags{SM};
+  DiagnosticEngine Diags;
   CAstContext Ast;
   CTypeContext Types;
   StringInterner Idents;
@@ -334,3 +337,148 @@ TEST(ConstInfExtra, StructInitializerFlowsIntoFields) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Explanations through one shared index
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The explanation search as a self-contained oracle: it rebuilds the
+/// per-variable bit-carrying in-edge lists for every call, the way
+/// ConstraintSystem::explain() did before explanations shared an index.
+std::string referenceExplain(const ConstraintSystem &Sys, const Violation &V) {
+  const QualifierSet &QS = Sys.getQualifierSet();
+  uint64_t Bit = V.OffendingBits & ~(V.OffendingBits - 1);
+  const Constraint &Cause = Sys.getConstraint(V.Cause);
+  std::string Out = "qualifier constraint violated (";
+  bool First = true;
+  for (unsigned I = 0, E = QS.size(); I != E; ++I) {
+    if (!(V.OffendingBits & QS.bitFor(I)))
+      continue;
+    if (!First)
+      Out += "; ";
+    First = false;
+    const Qualifier &Q = QS.get(I);
+    Out += "qualifier '" + Q.Name +
+           (Q.Pol == Polarity::Positive ? "' not allowed here"
+                                        : "' required here");
+  }
+  Out += ")\n  bound: " + std::string(Sys.getReason(Cause.Reason)) + "\n";
+  if (!Cause.Lhs.isVar())
+    return Out + "  source: qualifier constant '" +
+           QS.toString(Cause.Lhs.getConst()) + "'\n";
+  std::vector<std::vector<ConstraintId>> InEdges(Sys.getNumVars());
+  for (ConstraintId Id = 0; Id != Sys.getNumConstraints(); ++Id) {
+    const Constraint &C = Sys.getConstraint(Id);
+    if (!C.Rhs.isVar() || !(C.Mask & Bit))
+      continue;
+    if (C.Lhs.isVar() ? !(Sys.lower(C.Lhs.getVar()).bits() & Bit)
+                      : !(C.Lhs.getConst().bits() & C.Mask & Bit))
+      continue;
+    InEdges[C.Rhs.getVar()].push_back(Id);
+  }
+  QualVarId Root = Cause.Lhs.getVar();
+  std::vector<std::pair<QualVarId, ConstraintId>> Parent;
+  std::vector<uint32_t> ParentOf(Sys.getNumVars(), ~0u);
+  std::vector<QualVarId> Queue{Root};
+  ParentOf[Root] = ~1u;
+  ConstraintId SeedCons = ~0u;
+  QualVarId SeedAt = Root;
+  for (size_t Head = 0; Head != Queue.size() && SeedCons == ~0u; ++Head) {
+    QualVarId At = Queue[Head];
+    for (ConstraintId Id : InEdges[At]) {
+      const Constraint &C = Sys.getConstraint(Id);
+      if (C.Lhs.isConst()) {
+        SeedCons = Id;
+        SeedAt = At;
+        break;
+      }
+      QualVarId Src = C.Lhs.getVar();
+      if (Src == At || ParentOf[Src] != ~0u)
+        continue;
+      Parent.push_back({At, Id});
+      ParentOf[Src] = Parent.size() - 1;
+      Queue.push_back(Src);
+    }
+  }
+  if (SeedCons == ~0u)
+    return Out;
+  std::vector<ConstraintId> Chain;
+  for (QualVarId At = SeedAt; At != Root;) {
+    Chain.push_back(Parent[ParentOf[At]].second);
+    At = Parent[ParentOf[At]].first;
+  }
+  std::reverse(Chain.begin(), Chain.end());
+  Chain.push_back(SeedCons);
+  for (ConstraintId Id : Chain) {
+    ReasonId R = Sys.getConstraint(Id).Reason;
+    Out += "  via: " +
+           std::string(R ? Sys.getReason(R) : "(unlabeled constraint)") + "\n";
+  }
+  return Out + "  source: qualifier constant '" +
+         QS.toString(Sys.getConstraint(SeedCons).Lhs.getConst()) + "'\n";
+}
+
+/// The 6000-line seed-7 program plus \p N functions that each write
+/// through a const pointer: half directly, half through a pointer whose
+/// const arrives through one shared global, so their explanation chains
+/// share variables.
+std::string programWithViolations(unsigned N) {
+  std::string Source =
+      synth::generateProgram(synth::paramsForLines(7, 6000)).Source;
+  Source += "int *shared_cell;\n"
+            "void share(const int *p) { shared_cell = p; }\n";
+  for (unsigned I = 0; I != N; ++I) {
+    std::string K = std::to_string(I);
+    if (I % 2)
+      Source += "void w" + K + "(void) { int *q = shared_cell; *q = " + K +
+                "; }\n";
+    else
+      Source += "void v" + K + "(const int *p) { *p = " + K + "; }\n";
+  }
+  return Source;
+}
+
+} // namespace
+
+TEST(SharedExplanations, MatchThePerViolationSearch) {
+  const std::string Source = programWithViolations(60);
+  for (bool Polymorphic : {true, false}) {
+    XRig R;
+    EXPECT_FALSE(R.analyze(Source, Polymorphic));
+    const ConstraintSystem &Sys = R.Inf->system();
+    std::vector<Violation> Violations = Sys.collectViolations();
+    ASSERT_GE(Violations.size(), 60u);
+    ViolationExplainer Shared(Sys);
+    for (const Violation &V : Violations) {
+      std::string Expected = referenceExplain(Sys, V);
+      EXPECT_NE(Expected.find("via: "), std::string::npos);
+      EXPECT_EQ(Shared.explain(V), Expected);
+      EXPECT_EQ(Sys.explain(V), Expected);
+    }
+  }
+}
+
+TEST(SharedExplanations, StopAtTheErrorCap) {
+  const std::string Source = programWithViolations(60);
+  XRig Full;
+  EXPECT_FALSE(Full.analyze(Source));
+  std::vector<Violation> Violations = Full.Inf->system().collectViolations();
+  ASSERT_GE(Violations.size(), 60u);
+  ViolationExplainer Shared(Full.Inf->system());
+
+  Limits Lim;
+  Lim.MaxErrors = 3;
+  XRig Capped(Lim);
+  EXPECT_FALSE(Capped.analyze(Source));
+  // Three explained errors, then the cap's fatal note and nothing else.
+  const std::vector<Diagnostic> &Diags = Capped.Diags.getDiagnostics();
+  ASSERT_EQ(Diags.size(), 4u);
+  for (unsigned I = 0; I != 3; ++I) {
+    EXPECT_EQ(Diags[I].Kind, DiagKind::Error);
+    EXPECT_EQ(Diags[I].Message, Shared.explain(Violations[I]));
+  }
+  EXPECT_EQ(Diags[3].Kind, DiagKind::Fatal);
+  EXPECT_TRUE(Capped.Diags.shouldBail());
+}

@@ -254,8 +254,9 @@ TEST_F(QualTypeTest, EscapeHookPreventsGeneralization) {
   Watermark Mark = takeWatermark(Sys);
   QualVarId K = Sys.freshVar();
   QualType I = Factory.make(QualExpr::makeVar(K), &Int);
-  QualScheme S = QualScheme::generalize(
-      Sys, I, Mark, [K](QualVarId V) { return V == K; });
+  FreeVarSet Escapes(Sys.getNumVars());
+  Escapes[K] = true;
+  QualScheme S = QualScheme::generalize(Sys, I, Mark, &Escapes);
   EXPECT_FALSE(S.isPolymorphic());
 }
 

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <random>
 
 using namespace quals;
@@ -373,10 +374,9 @@ struct OracleSide {
       Args.push_back(Factory.make(QualExpr::makeVar(Fresh[I]), &Int));
     QualType Body =
         Factory.make(QualExpr::makeConst(QS.bottom()), &Tuple, Args);
-    QualScheme S = QualScheme::generalize(
-        Sys, Body, Mark, [&](QualVarId V) {
-          return V >= Mark.FirstVar && B.Escaping[V - Mark.FirstVar];
-        });
+    FreeVarSet Escapes(Mark.FirstVar);
+    Escapes.insert(Escapes.end(), B.Escaping.begin(), B.Escaping.end());
+    QualScheme S = QualScheme::generalize(Sys, Body, Mark, &Escapes);
 
     for (int Site = 0; Site != 2; ++Site) {
       std::vector<QualVarId> Interface;
@@ -459,6 +459,71 @@ TEST(SchemeOracle, InstancesSolveLikeFullBodyReplay) {
       EXPECT_EQ(Scheme.Sys.lower(A).bits(), Replay.Sys.lower(R).bits());
       EXPECT_EQ(Scheme.Sys.upper(A).bits() & Used,
                 Replay.Sys.upper(R).bits() & Used);
+    }
+  }
+}
+
+TEST(SchemeScratch, ReusedScratchCansLikeFreshScratch) {
+  // Two functions generalized in sequence through one scratch, the second
+  // body mentioning the first's variables (older than its watermark), give
+  // the same canned constraints as generalizations with fresh scratch.
+  QualifierSet QS;
+  QS.add("const", Polarity::Positive);
+  QS.add("nonzero", Polarity::Negative);
+  QS.add("tainted", Polarity::Positive);
+  const uint64_t Used = QS.usedBits();
+  QualTypeFactory Factory;
+  TypeCtor Int("int", {});
+  std::deque<TypeCtor> Tuples;
+  std::mt19937 Rng(7177);
+  SimplifyScratch Shared;
+  for (int Trial = 0; Trial != 300; ++Trial) {
+    SCOPED_TRACE("trial " + std::to_string(Trial));
+    ConstraintSystem Sys(QS);
+    std::vector<QualVarId> Env;
+    for (unsigned I = 0; I != 4; ++I)
+      Env.push_back(Sys.freshVar());
+    for (int Fn = 0; Fn != 2; ++Fn) {
+      RandomBody B = makeBody(Rng, Used);
+      Watermark Mark = takeWatermark(Sys);
+      std::vector<QualVarId> Fresh;
+      for (unsigned I = 0; I != B.NumFresh; ++I)
+        Fresh.push_back(Sys.freshVar());
+      auto Operand = [&](int I, uint64_t Bits) {
+        if (I < 0)
+          return QualExpr::makeConst(LatticeValue(Bits));
+        return QualExpr::makeVar(unsigned(I) < B.NumEnv ? Env[I]
+                                                        : Fresh[I - B.NumEnv]);
+      };
+      for (const RandomBody::Item &C : B.Cons)
+        Sys.addLeqMasked(Operand(C.Lhs, C.Bits), Operand(C.Rhs, C.Bits),
+                         C.Mask, {"body " + std::to_string(Fn)});
+      Tuples.emplace_back("tuple", std::vector<Variance>(B.Interface.size(),
+                                                         Variance::Invariant));
+      std::vector<QualType> Args;
+      for (unsigned I : B.Interface)
+        Args.push_back(Factory.make(QualExpr::makeVar(Fresh[I]), &Int));
+      QualType Body = Factory.make(QualExpr::makeConst(QS.bottom()),
+                                   &Tuples.back(), Args);
+      FreeVarSet Escapes(Mark.FirstVar);
+      Escapes.insert(Escapes.end(), B.Escaping.begin(), B.Escaping.end());
+
+      QualScheme Reused =
+          QualScheme::generalize(Sys, Body, Mark, Shared, &Escapes);
+      QualScheme Alone = QualScheme::generalize(Sys, Body, Mark, &Escapes);
+      EXPECT_EQ(Reused.getNumBoundVars(), Alone.getNumBoundVars());
+      const std::vector<Constraint> &R = Reused.getCannedConstraints();
+      const std::vector<Constraint> &A = Alone.getCannedConstraints();
+      ASSERT_EQ(R.size(), A.size());
+      for (size_t K = 0; K != R.size(); ++K) {
+        EXPECT_TRUE(R[K].Lhs == A[K].Lhs && R[K].Rhs == A[K].Rhs &&
+                    R[K].Mask == A[K].Mask && R[K].Reason == A[K].Reason)
+            << "canned constraint " << K;
+      }
+      // The next function sees this one's variables as its environment.
+      Env = Fresh;
+      while (Env.size() < 4)
+        Env.push_back(Sys.freshVar());
     }
   }
 }

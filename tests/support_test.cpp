@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Allocator.h"
+#include "support/PagedArray.h"
 #include "support/Scc.h"
 #include "support/SourceManager.h"
 #include "support/StringInterner.h"
@@ -70,6 +71,57 @@ TEST(Allocator, CopyArrayCopiesContents) {
   EXPECT_EQ(Copy[0], 1);
   EXPECT_EQ(Copy[3], 4);
   EXPECT_EQ(A.copyArray(Src, 0), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// PagedArray
+//===----------------------------------------------------------------------===//
+
+TEST(PagedArray, GrowsAcrossPageBoundariesWithDenseIds) {
+  PagedArray<uint32_t> A;
+  const size_t N = 3 * PagedArray<uint32_t>::PageSize + 5;
+  for (size_t I = 0; I != N; ++I)
+    EXPECT_EQ(A.push_back(static_cast<uint32_t>(I * 7)), I);
+  ASSERT_EQ(A.size(), N);
+  EXPECT_EQ(A.allocatedPages(), 4u);
+  for (size_t I = 0; I != N; ++I)
+    EXPECT_EQ(A[I], I * 7) << "at " << I;
+  // append() continues the numbering and fills every new entry.
+  size_t First = A.append(PagedArray<uint32_t>::PageSize, 9);
+  EXPECT_EQ(First, N);
+  EXPECT_EQ(A.size(), N + PagedArray<uint32_t>::PageSize);
+  EXPECT_EQ(A[First], 9u);
+  EXPECT_EQ(A[A.size() - 1], 9u);
+  EXPECT_EQ(A[N - 1], (N - 1) * 7);
+}
+
+TEST(PagedArray, ReferencesSurviveGrowth) {
+  PagedArray<uint64_t> A;
+  A.push_back(41);
+  uint64_t &First = A[0];
+  const uint64_t *Addr = &First;
+  for (unsigned I = 0; I != 10 * PagedArray<uint64_t>::PageSize; ++I)
+    A.push_back(I);
+  EXPECT_EQ(&A[0], Addr);
+  First = 42;
+  EXPECT_EQ(A[0], 42u);
+}
+
+TEST(PagedArray, LookupAllocatesNoPage) {
+  const size_t N = 4 * PagedArray<int>::PageSize;
+  PagedArray<int> A(N);
+  EXPECT_EQ(A.size(), N);
+  EXPECT_EQ(A.allocatedPages(), 0u);
+  for (size_t I = 0; I < N; I += 97)
+    EXPECT_EQ(A.lookup(I), 0);
+  EXPECT_EQ(A.allocatedPages(), 0u);
+  // Writing one entry allocates exactly its page, value-initialized.
+  A.slot(N - 1) = 5;
+  EXPECT_EQ(A.allocatedPages(), 1u);
+  EXPECT_EQ(A.lookup(N - 1), 5);
+  EXPECT_EQ(A.lookup(N - 2), 0);
+  EXPECT_EQ(A.lookup(0), 0);
+  EXPECT_EQ(A.allocatedPages(), 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,10 +13,16 @@
 #     explanation chains;
 #   - the .qsum bytes written by qualcc --emit-summary(-dir), and quallink
 #     --positions --stats over the split's summaries.
+#   - qualcc's const errors and their explanation chains on an error-heavy
+#     program, at the default error cap and at --limit-errors=3, polymorphic
+#     and --mono.
 # Inputs: examples/programs, fuzz/corpus/{cfront,lambda}, qualgen --lines
-# 600, 6000 and 200000 (seed 7), and a qualgen --tus 16 --lines 60000 split
-# (seed 42). Timing-only text (the "solve time (ms)" row and the
-# compile/infer seconds) is dropped before comparing; exit codes are kept.
+# 600, 6000 and 200000 (seed 7), the 6000-line program with 60 appended
+# functions that each write through a const pointer (half of them one
+# that a shared global made const), and a qualgen --tus 16
+# --lines 60000 split (seed 42). Timing-only text (the "solve time (ms)"
+# row and the compile/infer seconds) is dropped before comparing; exit
+# codes are kept.
 #
 # Exit 0: no difference. Exit 1: some output differs (a diff excerpt for each
 # goes to stderr). Exit 2: usage error.
@@ -108,6 +114,21 @@ if ! diff -r -q "$WORK/in/tus" "$WORK/new_tus" >/dev/null; then
     FAILED=1
 fi
 
+# Error-heavy: every appended function is a const violation to explain,
+# half of them through one shared global, so their chains share variables.
+cp "$WORK/in/gen_6000.c" "$WORK/in/errors_6000.c"
+{
+    echo "int *shared_cell;"
+    echo "void share(const int *p) { shared_cell = p; }"
+    for N in $(seq 0 59); do
+        if [ $((N % 2)) = 1 ]; then
+            echo "void w$N(void) { int *q = shared_cell; *q = $N; }"
+        else
+            echo "void v$N(const int *p) { *p = $N; }"
+        fi
+    done
+} >>"$WORK/in/errors_6000.c"
+
 CFILES=("$ROOT"/examples/programs/*.c "$ROOT"/fuzz/corpus/cfront/*
         "$WORK"/in/gen_*.c)
 QFILES=("$ROOT"/examples/programs/*.q "$ROOT"/fuzz/corpus/lambda/*)
@@ -125,6 +146,13 @@ for F in "${CFILES[@]}"; do
     same "cc$I.summary" qualcc --quiet --emit-summary="cc$I.qsum" "$F"
     same_file "cc$I.qsum"
 done
+
+# --- explanation chains on the error-heavy program -------------------------
+ERRORS="$WORK/in/errors_6000.c"
+same errors.poly qualcc "$ERRORS"
+same errors.mono qualcc --mono "$ERRORS"
+same errors.poly-cap3 qualcc --limit-errors=3 "$ERRORS"
+same errors.mono-cap3 qualcc --limit-errors=3 --mono "$ERRORS"
 
 # --- qualcheck ------------------------------------------------------------
 I=0

@@ -124,8 +124,9 @@ static void checkOneFile(const std::string &Path, const CheckOptions &Opts,
     R.Out += renderSolverStats(Result.Stats);
   if (!Result.QualOk) {
     R.Out += "qualifier check: REJECTED\n";
+    ViolationExplainer Explainer(Sys);
     for (const Violation &V : Result.Violations)
-      R.Out += Sys.explain(V);
+      R.Out += Explainer.explain(V);
     R.ExitCode = 2;
     return;
   }
