@@ -21,8 +21,7 @@ using namespace quals::serve;
 
 uint64_t quals::serve::configHash(const AnalyzeJob &Job) {
   HashBuilder B;
-  B.add(static_cast<uint64_t>(ResultCache::FormatVersion))
-      .add(Job.Language)
+  B.add(Job.Language)
       .add(Job.Name)
       .add(Job.Polymorphic)
       .add(Job.Protos)

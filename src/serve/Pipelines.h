@@ -18,8 +18,7 @@
 ///     (tests/server_soak_test.cpp) holds this line.
 /// \li **Deterministic output.** No wall-clock timings in the report, so
 ///     the same (source, config) pair always produces the same bytes --
-///     the property that makes results cacheable and restart-warm replies
-///     byte-comparable (docs/SERVER.md).
+///     the property that makes results cacheable (docs/SERVER.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,11 +47,11 @@ struct AnalyzeJob {
 };
 
 /// Hash of every output-affecting field of \p Job except the source bytes
-/// (those are the other key half), folded with ResultCache::FormatVersion.
-/// Name is included: diagnostics and banners embed it, so the same bytes
-/// under a different name are a different (byte-exact) result. The content
-/// half of the key stays a pure function of the source bytes, which is
-/// what makes `invalidate` by content hash drop every alias at once.
+/// (those are the other key half). Name is included: diagnostics and
+/// banners embed it, so the same bytes under a different name are a
+/// different (byte-exact) result. The content half of the key stays a pure
+/// function of the source bytes, which is what makes `invalidate` by
+/// content hash drop every alias at once.
 uint64_t configHash(const AnalyzeJob &Job);
 
 /// Runs the pipeline for \p Job in a fully isolated context, buffering

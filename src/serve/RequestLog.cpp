@@ -26,8 +26,6 @@ std::string RequestLog::render(const RequestLogEvent &Ev) {
          ",\"bytes_out\":" + std::to_string(Ev.BytesOut) +
          ",\"queue_us\":" + std::to_string(Ev.QueueUs) +
          ",\"service_us\":" + std::to_string(Ev.ServiceUs);
-  if (Ev.Slow)
-    Out += ",\"slow\":true";
   if (!Ev.PhasesUs.empty()) {
     Out += ",\"phases\":{";
     bool First = true;
@@ -43,11 +41,9 @@ std::string RequestLog::render(const RequestLogEvent &Ev) {
   return Out;
 }
 
-void RequestLog::write(RequestLogEvent &Ev) {
+void RequestLog::write(const RequestLogEvent &Ev) {
   if (!Out)
     return;
-  if (SlowMicros && Ev.ServiceUs >= SlowMicros)
-    Ev.Slow = true;
   std::string Line = render(Ev);
   Line += '\n';
   std::lock_guard<std::mutex> Lock(Mutex);

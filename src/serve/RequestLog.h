@@ -49,7 +49,6 @@ struct RequestLogEvent {
   uint64_t BytesOut = 0;          ///< Response line length (with newline).
   uint64_t QueueUs = 0;           ///< Read-to-worker-pickup wait.
   uint64_t ServiceUs = 0;         ///< Read-to-response-ready, end to end.
-  bool Slow = false;              ///< Set by RequestLog from --slow-ms.
   /// Aggregated per-phase micros (PhaseCapture samples summed by name),
   /// first-completion order. Non-empty only on cache-miss analyzes.
   std::vector<std::pair<std::string, uint64_t>> PhasesUs;
@@ -60,14 +59,13 @@ struct RequestLogEvent {
 class RequestLog {
 public:
   RequestLog() = default;
-  RequestLog(std::ostream *Out, uint64_t SlowMicros)
-      : Out(Out), SlowMicros(SlowMicros) {}
+  explicit RequestLog(std::ostream *Out) : Out(Out) {}
 
   explicit operator bool() const { return Out != nullptr; }
 
-  /// Applies the slow-request threshold, renders, writes, and flushes.
-  /// Thread-safe; events from concurrent workers serialize here.
-  void write(RequestLogEvent &Ev);
+  /// Renders, writes, and flushes one event. Thread-safe; events from
+  /// concurrent workers serialize here.
+  void write(const RequestLogEvent &Ev);
 
   /// Renders one event as a single JSON line (no trailing newline) with a
   /// fixed key order. Exposed for tests.
@@ -75,7 +73,6 @@ public:
 
 private:
   std::ostream *Out = nullptr;
-  uint64_t SlowMicros = 0;
   std::mutex Mutex;
 };
 

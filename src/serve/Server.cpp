@@ -19,13 +19,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <istream>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <vector>
 
 using namespace quals;
 using namespace quals::serve;
@@ -121,8 +119,8 @@ std::string quals::serve::makeErrorResponse(bool HasId, int64_t Id,
 }
 
 Server::Server(const ServerConfig &Config)
-    : Config(Config), Cache(Config.CacheMaxBytes, Config.SpillDir),
-      Log(Config.RequestLogStream, Config.SlowMicros) {
+    : Config(Config), Cache(Config.CacheMaxBytes),
+      Log(Config.RequestLogStream) {
   MetricsRegistry &R = MetricsRegistry::global();
   LatAnalyze = &R.histogram("server.latency.analyze");
   LatDelta = &R.histogram("server.latency.analyze-delta");
@@ -283,9 +281,6 @@ std::string Server::handleStats(const Request &Req) {
   R += ",\"misses\":" + std::to_string(S.Misses);
   R += ",\"evictions\":" + std::to_string(S.Evictions);
   R += ",\"inserts\":" + std::to_string(S.Inserts);
-  R += ",\"promotions\":" + std::to_string(S.Promotions);
-  R += ",\"spill_loads\":" + std::to_string(S.SpillLoads);
-  R += ",\"spill_writes\":" + std::to_string(S.SpillWrites);
   R += "}";
   R += ",\"delta\":{\"requests\":" + std::to_string(DeltaRequests.load()) +
        "}";
@@ -328,80 +323,6 @@ std::string Server::handleMetrics(const Request &Req) {
   R += MetricsRegistry::global().renderJson(/*Compact=*/true);
   R += "}\n";
   return R;
-}
-
-bool Server::warmFromManifest(const std::string &ManifestPath,
-                              WarmStats &Stats, std::string &Error) {
-  std::ifstream In(ManifestPath, std::ios::binary);
-  if (!In) {
-    Error = "cannot read warm manifest '" + ManifestPath + "'";
-    return false;
-  }
-  struct Entry {
-    std::string Path;
-    std::string Language;
-  };
-  std::vector<Entry> Entries;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (!Line.empty() && Line.back() == '\r')
-      Line.pop_back();
-    size_t First = Line.find_first_not_of(" \t");
-    if (First == std::string::npos || Line[First] == '#')
-      continue;
-    Entry E;
-    size_t Tab = Line.find('\t', First);
-    if (Tab == std::string::npos) {
-      E.Path = Line.substr(First);
-    } else {
-      E.Path = Line.substr(First, Tab - First);
-      size_t LangFirst = Line.find_first_not_of(" \t", Tab);
-      if (LangFirst != std::string::npos)
-        E.Language = Line.substr(LangFirst);
-    }
-    if (E.Language.empty())
-      E.Language = E.Path.size() >= 2 &&
-                           E.Path.compare(E.Path.size() - 2, 2, ".q") == 0
-                       ? "lambda"
-                       : "c";
-    Entries.push_back(std::move(E));
-  }
-  Stats.Listed = Entries.size();
-
-  std::atomic<uint64_t> Warmed{0}, AlreadyCached{0}, Failed{0};
-  auto WarmOne = [&](size_t I) {
-    const Entry &E = Entries[I];
-    AnalyzeJob Job;
-    Job.Name = E.Path;
-    Job.Language = E.Language;
-    Job.Lim = Config.Lim;
-    std::string ReadErr;
-    if (!readFileBytes(E.Path, Job.Source, ReadErr)) {
-      ++Failed;
-      return;
-    }
-    CacheKey Key;
-    Key.ContentHash = hashString(Job.Source);
-    Key.ConfigHash = configHash(Job);
-    CachedResult Res;
-    if (Cache.lookup(Key, Res)) { // Spill-warm from a previous run.
-      ++AlreadyCached;
-      return;
-    }
-    runAnalysis(Job, Res);
-    Cache.insert(Key, Res);
-    ++Warmed;
-  };
-  TraceScope Span("server.warm", "serve");
-  if (WorkerPool)
-    WorkerPool->parallelForEach(Entries.size(), WarmOne);
-  else
-    for (size_t I = 0; I != Entries.size(); ++I)
-      WarmOne(I);
-  Stats.Warmed = Warmed;
-  Stats.AlreadyCached = AlreadyCached;
-  Stats.Failed = Failed;
-  return true;
 }
 
 int Server::run(std::istream &In, std::ostream &Out) {

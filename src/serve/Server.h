@@ -77,8 +77,6 @@ struct ServerConfig {
   unsigned Jobs = 1;
   /// In-memory cache payload budget; 0 disables caching.
   uint64_t CacheMaxBytes = 64u << 20;
-  /// Spill directory for restart-warm state; empty disables spill.
-  std::string SpillDir;
   /// Resource budgets applied to every per-request analysis context.
   Limits Lim;
   /// Budgets for the request parser itself.
@@ -87,18 +85,6 @@ struct ServerConfig {
   /// order; serve/RequestLog.h); null disables. Not owned; must outlive
   /// the server. Shared by every session (writes are mutex-serialized).
   std::ostream *RequestLogStream = nullptr;
-  /// Request-log events with end-to-end service time at or above this many
-  /// microseconds are tagged "slow":true; 0 disables tagging.
-  uint64_t SlowMicros = 0;
-};
-
-/// What cache warm-up from a corpus manifest accomplished; see
-/// Server::warmFromManifest.
-struct WarmStats {
-  uint64_t Listed = 0;        ///< Manifest entries (after comments/blanks).
-  uint64_t Warmed = 0;        ///< Files analyzed and inserted.
-  uint64_t AlreadyCached = 0; ///< Files whose key was already warm (spill).
-  uint64_t Failed = 0;        ///< Files that could not be read.
 };
 
 /// The persistent analysis server; see the file comment.
@@ -116,18 +102,6 @@ public:
   /// (serve/Transport.h) -- ordering and barriers are per-call, the cache
   /// and pool are shared.
   int run(std::istream &In, std::ostream &Out);
-
-  /// Pre-analyzes every file listed in \p ManifestPath so the first
-  /// clients hit a warm cache (qualsd --warm). Manifest format: one entry
-  /// per line, `PATH` or `PATH<TAB>LANGUAGE`; blank lines and lines
-  /// starting with '#' are skipped; without an explicit language, `.q`
-  /// files run the lambda pipeline and everything else runs C
-  /// (docs/SERVER.md). Entries run on the worker pool when Jobs > 1.
-  /// Warm-up traffic counts into the cache.* stats (one miss + insert per
-  /// cold file). Returns false with \p Error set only when the manifest
-  /// itself cannot be read; per-file failures just count in \p Stats.
-  bool warmFromManifest(const std::string &ManifestPath, WarmStats &Stats,
-                        std::string &Error);
 
   /// True once any session has processed a `shutdown` request; the
   /// transport polls this to stop accepting and close other connections.

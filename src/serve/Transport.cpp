@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <list>
@@ -20,11 +19,11 @@
 #include <ostream>
 #include <streambuf>
 #include <thread>
+#include <utility>
 
-#include <netdb.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -104,35 +103,6 @@ void closeFd(int &Fd) {
 
 } // namespace
 
-bool quals::serve::parseListenSpec(const std::string &Spec, ListenSpec &Out,
-                                   std::string &Error) {
-  if (Spec.empty()) {
-    Error = "empty --listen spec";
-    return false;
-  }
-  size_t Colon = Spec.rfind(':');
-  if (Colon == std::string::npos) {
-    Out.K = ListenSpec::Kind::Unix;
-    Out.Path = Spec;
-    return true;
-  }
-  Out.K = ListenSpec::Kind::Tcp;
-  Out.Host = Spec.substr(0, Colon);
-  std::string PortStr = Spec.substr(Colon + 1);
-  if (PortStr.empty() ||
-      PortStr.find_first_not_of("0123456789") != std::string::npos) {
-    Error = "bad port in --listen spec '" + Spec + "'";
-    return false;
-  }
-  unsigned long Port = std::strtoul(PortStr.c_str(), nullptr, 10);
-  if (Port > 65535) {
-    Error = "port out of range in --listen spec '" + Spec + "'";
-    return false;
-  }
-  Out.Port = static_cast<uint16_t>(Port);
-  return true;
-}
-
 /// One accepted connection: its socket, its session thread, and a done
 /// flag the thread raises so the accept loop can reap it. Lives in a
 /// std::list for address stability while the thread runs.
@@ -148,8 +118,8 @@ struct Transport::Impl {
   std::atomic<bool> StopRequested{false};
 };
 
-Transport::Transport(Server &S, const ListenSpec &Spec)
-    : S(S), Spec(Spec), I(new Impl) {}
+Transport::Transport(Server &S, std::string Path)
+    : S(S), Path(std::move(Path)), I(new Impl) {}
 
 Transport::~Transport() {
   // serve() joins on its way out; this handles open()-then-destroy and
@@ -162,8 +132,8 @@ Transport::~Transport() {
   closeFd(ListenFd);
   closeFd(StopPipe[0]);
   closeFd(StopPipe[1]);
-  if (Spec.K == ListenSpec::Kind::Unix && !BoundName.empty())
-    ::unlink(BoundName.c_str());
+  if (Bound)
+    ::unlink(Path.c_str());
   delete I;
 }
 
@@ -172,71 +142,36 @@ bool Transport::open(std::string &Error) {
     Error = std::string("pipe: ") + std::strerror(errno);
     return false;
   }
-  if (Spec.K == ListenSpec::Kind::Unix) {
-    sockaddr_un Addr{};
-    Addr.sun_family = AF_UNIX;
-    if (Spec.Path.size() >= sizeof(Addr.sun_path)) {
-      Error = "unix socket path too long: '" + Spec.Path + "'";
-      return false;
-    }
-    std::memcpy(Addr.sun_path, Spec.Path.c_str(), Spec.Path.size() + 1);
-    ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (ListenFd < 0) {
-      Error = std::string("socket: ") + std::strerror(errno);
-      return false;
-    }
-    ::unlink(Spec.Path.c_str()); // Replace a stale socket from a dead server.
-    if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr),
-               sizeof(Addr)) != 0) {
-      Error = "bind '" + Spec.Path + "': " + std::strerror(errno);
-      return false;
-    }
-    BoundName = Spec.Path;
-  } else {
-    addrinfo Hints{};
-    Hints.ai_family = AF_UNSPEC;
-    Hints.ai_socktype = SOCK_STREAM;
-    Hints.ai_flags = AI_PASSIVE;
-    std::string PortStr = std::to_string(Spec.Port);
-    addrinfo *Res = nullptr;
-    int Rc = ::getaddrinfo(Spec.Host.empty() ? nullptr : Spec.Host.c_str(),
-                           PortStr.c_str(), &Hints, &Res);
-    if (Rc != 0) {
-      Error = "resolve '" + Spec.Host + "': " + ::gai_strerror(Rc);
-      return false;
-    }
-    for (addrinfo *Ai = Res; Ai; Ai = Ai->ai_next) {
-      ListenFd = ::socket(Ai->ai_family, Ai->ai_socktype, Ai->ai_protocol);
-      if (ListenFd < 0)
-        continue;
-      int One = 1;
-      ::setsockopt(ListenFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-      if (::bind(ListenFd, Ai->ai_addr, Ai->ai_addrlen) == 0)
-        break;
-      closeFd(ListenFd);
-    }
-    ::freeaddrinfo(Res);
-    if (ListenFd < 0) {
-      Error = "bind '" + Spec.Host + ":" + PortStr +
-              "': " + std::strerror(errno);
-      return false;
-    }
-    // Report the real port (PORT 0 picks an ephemeral one).
-    sockaddr_storage Bound{};
-    socklen_t Len = sizeof(Bound);
-    uint16_t Port = Spec.Port;
-    if (::getsockname(ListenFd, reinterpret_cast<sockaddr *>(&Bound), &Len) ==
-        0) {
-      if (Bound.ss_family == AF_INET)
-        Port = ntohs(reinterpret_cast<sockaddr_in *>(&Bound)->sin_port);
-      else if (Bound.ss_family == AF_INET6)
-        Port = ntohs(reinterpret_cast<sockaddr_in6 *>(&Bound)->sin6_port);
-    }
-    BoundName = (Spec.Host.empty() ? std::string("0.0.0.0") : Spec.Host) +
-                ":" + std::to_string(Port);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  if (Path.size() >= sizeof(Addr.sun_path)) {
+    Error = "unix socket path too long: '" + Path + "'";
+    return false;
   }
+  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+  // Replace a stale socket from a dead server, but never anything else: a
+  // mistyped --listen must not delete the user's file.
+  struct stat St;
+  if (::lstat(Path.c_str(), &St) == 0) {
+    if (!S_ISSOCK(St.st_mode)) {
+      Error = "'" + Path + "' exists and is not a socket";
+      return false;
+    }
+    ::unlink(Path.c_str());
+  }
+  ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (ListenFd < 0) {
+    Error = std::string("socket: ") + std::strerror(errno);
+    return false;
+  }
+  if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
+      0) {
+    Error = "bind '" + Path + "': " + std::strerror(errno);
+    return false;
+  }
+  Bound = true;
   if (::listen(ListenFd, 64) != 0) {
-    Error = "listen '" + BoundName + "': " + std::strerror(errno);
+    Error = "listen '" + Path + "': " + std::strerror(errno);
     return false;
   }
   return true;
@@ -255,7 +190,7 @@ void Transport::requestStop() {
 void Transport::stop() { requestStop(); }
 
 int Transport::serve() {
-  std::fprintf(stderr, "qualsd: listening on %s\n", BoundName.c_str());
+  std::fprintf(stderr, "qualsd: listening on %s\n", Path.c_str());
   // A session raises Done when its stream ends; the loop reaps (joins)
   // done sessions each pass so a long-lived server doesn't accumulate a
   // thread per past client.
@@ -320,9 +255,7 @@ int Transport::serve() {
         ::shutdown(Sess.Fd, SHUT_RD);
   }
   Reap(/*All=*/true);
-  if (Spec.K == ListenSpec::Kind::Unix) {
-    ::unlink(BoundName.c_str());
-    BoundName.clear(); // The dtor must not unlink a path we already freed.
-  }
+  ::unlink(Path.c_str());
+  Bound = false; // The dtor must not unlink a path we already freed.
   return 0;
 }

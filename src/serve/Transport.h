@@ -6,18 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The socket front end for the persistent analysis server: a listener
-/// (unix-domain or TCP) that accepts many concurrent connections and runs
-/// one Server session (one Server::run call) per connection, all
+/// The socket front end for the persistent analysis server: a unix-domain
+/// listener (qualsd --listen=PATH) that accepts many concurrent connections
+/// and runs one Server session (one Server::run call) per connection, all
 /// multiplexed onto the server's shared worker pool and cache.
 ///
-/// **Listen specs** (qualsd --listen=SPEC):
-///   - a spec containing no ':' is a filesystem path -> unix-domain socket
-///     (a stale socket file at that path is replaced);
-///   - `HOST:PORT` binds TCP on HOST (numeric or name; empty HOST means
-///     all interfaces), PORT 0 picks an ephemeral port -- boundName()
-///     reports the actual address, and the transport announces it on
-///     stderr as `qualsd: listening on ...` so scripts can scrape it.
+/// **The socket path.** A stale socket file at PATH (from a dead server) is
+/// replaced; any other file there makes open() fail and is left untouched.
+/// The path is removed again when serve() returns. Once listening, the
+/// transport announces `qualsd: listening on PATH` on stderr.
 ///
 /// **Connection lifecycle.** Each accepted socket gets a dedicated session
 /// thread running the stdio protocol loop verbatim over the socket (same
@@ -43,7 +40,6 @@
 #ifndef QUALS_SERVE_TRANSPORT_H
 #define QUALS_SERVE_TRANSPORT_H
 
-#include <cstdint>
 #include <string>
 
 namespace quals {
@@ -51,32 +47,20 @@ namespace serve {
 
 class Server;
 
-/// A parsed --listen spec; see the file comment for the grammar.
-struct ListenSpec {
-  enum class Kind { Unix, Tcp } K = Kind::Unix;
-  std::string Path; ///< Unix: socket path.
-  std::string Host; ///< Tcp: interface (empty = all).
-  uint16_t Port = 0; ///< Tcp: port (0 = ephemeral).
-};
-
-/// Parses \p Spec into \p Out. Returns false with \p Error set on a
-/// malformed spec (bad port, empty path).
-bool parseListenSpec(const std::string &Spec, ListenSpec &Out,
-                     std::string &Error);
-
 /// Owns the listening socket and the per-connection session threads; see
 /// the file comment. Not copyable. The Server must outlive it.
 class Transport {
 public:
-  Transport(Server &S, const ListenSpec &Spec);
-  ~Transport(); // Joins any remaining sessions, unlinks a unix socket.
+  /// Serves \p S on the unix-domain socket at \p Path.
+  Transport(Server &S, std::string Path);
+  ~Transport(); // Joins any remaining sessions, unlinks the socket.
 
   Transport(const Transport &) = delete;
   Transport &operator=(const Transport &) = delete;
 
   /// Creates, binds, and starts listening on the socket. Returns false
-  /// with \p Error set on any socket-layer failure (path in use, port in
-  /// use, resolve failure); the transport is then unusable.
+  /// with \p Error set on any failure (a non-socket file at the path, a
+  /// path too long, a bind error); the transport is then unusable.
   bool open(std::string &Error);
 
   /// Accepts connections and serves them until a session processes
@@ -89,16 +73,12 @@ public:
   /// from any thread; tests use it to end a serve() loop externally.
   void stop();
 
-  /// The bound address in --listen syntax ("PATH" or "HOST:PORT" with the
-  /// real port), valid after open(); how tests learn an ephemeral port.
-  const std::string &boundName() const { return BoundName; }
-
 private:
   Server &S;
-  ListenSpec Spec;
+  std::string Path;
+  bool Bound = false; ///< The socket file at Path is ours to unlink.
   int ListenFd = -1;
   int StopPipe[2] = {-1, -1}; ///< Self-pipe: wakes the accept poll.
-  std::string BoundName;
   struct Impl; ///< Connection bookkeeping (kept out of the header).
   Impl *I;
 

@@ -8,9 +8,10 @@
 /// \file
 /// A stable, seedless 64-bit hash for content addressing. The analysis
 /// server (src/serve) keys its result cache by (source content hash,
-/// analysis config hash); those keys are persisted to disk by the spill
-/// layer and must therefore be identical across processes, runs, and
-/// platforms -- which rules out std::hash (unspecified, may be salted).
+/// analysis config hash) and reports the content hash to clients, and
+/// `.qsum` summaries (src/link) carry content hashes on disk; all of them
+/// must be identical across processes, runs, and platforms -- which rules
+/// out std::hash (unspecified, may be salted).
 ///
 /// The byte hash is FNV-1a with a murmur-style avalanche finalizer: FNV-1a
 /// walks the input as a byte stream (endian-independent), and the finalizer

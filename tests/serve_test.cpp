@@ -7,8 +7,8 @@
 //
 // Covers the serving layer bottom-up: support/Hash (stability, the
 // never-zero contract), serve/Protocol (the hardened JSON request parser
-// and its budgets), serve/ResultCache (LRU byte budget, invalidation, the
-// disk spill format including corruption handling), and serve/Server
+// and its budgets), serve/ResultCache (LRU byte budget, invalidation,
+// concurrent coherence), and serve/Server
 // end-to-end over string streams (response ordering at every worker count,
 // cold-vs-warm byte identity, error responses, clean shutdown, and
 // analyze-delta answering exactly like a fresh server's analyze).
@@ -341,7 +341,7 @@ CachedResult result(const std::string &Out, int Exit = 0) {
   return R;
 }
 
-/// A fresh temp dir removed on scope exit (spill tests).
+/// A fresh temp dir removed on scope exit.
 class TempDir {
 public:
   TempDir() {
@@ -450,74 +450,6 @@ TEST(ResultCache, InvalidateContentDropsEveryConfig) {
   EXPECT_EQ(Cache.stats().Entries, 0u);
 }
 
-TEST(ResultCache, SpillSurvivesRestart) {
-  TempDir T;
-  CacheKey K{hashString("prog"), 99};
-  CachedResult Put = result("out bytes\n", 2);
-  Put.Err = "err bytes\n";
-  {
-    ResultCache Cache(1 << 20, T.Dir.string());
-    Cache.insert(K, Put);
-    EXPECT_EQ(Cache.stats().SpillWrites, 1u);
-  }
-  // "Restart": a fresh cache over the same directory.
-  ResultCache Cache(1 << 20, T.Dir.string());
-  CachedResult Got;
-  ASSERT_TRUE(Cache.lookup(K, Got));
-  EXPECT_EQ(Got.Out, Put.Out);
-  EXPECT_EQ(Got.Err, Put.Err);
-  EXPECT_EQ(Got.ExitCode, 2);
-  EXPECT_EQ(Cache.stats().SpillLoads, 1u);
-  // Now in memory: a second lookup does not touch disk again.
-  ASSERT_TRUE(Cache.lookup(K, Got));
-  EXPECT_EQ(Cache.stats().SpillLoads, 1u);
-}
-
-TEST(ResultCache, SpillRejectsCorruptAndTruncatedFiles) {
-  TempDir T;
-  CacheKey K{42, 43};
-  {
-    ResultCache Cache(1 << 20, T.Dir.string());
-    Cache.insert(K, result("payload"));
-  }
-  ASSERT_EQ(std::distance(std::filesystem::directory_iterator(T.Dir),
-                          std::filesystem::directory_iterator()), 1);
-  std::filesystem::path Entry =
-      *std::filesystem::directory_iterator(T.Dir);
-  // Truncate mid-payload.
-  std::filesystem::resize_file(Entry, 10);
-  {
-    ResultCache Cache(1 << 20, T.Dir.string());
-    CachedResult Got;
-    EXPECT_FALSE(Cache.lookup(K, Got));
-    // The corrupt file was deleted, not left to fail forever.
-    EXPECT_FALSE(std::filesystem::exists(Entry));
-  }
-  // Garbage magic.
-  {
-    std::ofstream Out(Entry, std::ios::binary);
-    Out << "NOTQSDC garbage that is long enough to cover a header maybe";
-  }
-  ResultCache Cache(1 << 20, T.Dir.string());
-  CachedResult Got;
-  EXPECT_FALSE(Cache.lookup(K, Got));
-  EXPECT_FALSE(std::filesystem::exists(Entry));
-}
-
-TEST(ResultCache, InvalidateAlsoClearsSpill) {
-  TempDir T;
-  ResultCache Cache(1 << 20, T.Dir.string());
-  Cache.insert({1, 1}, result("a"));
-  Cache.insert({1, 2}, result("b"));
-  Cache.insert({2, 1}, result("c"));
-  Cache.invalidateContent(1);
-  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(T.Dir),
-                          std::filesystem::directory_iterator()), 1);
-  Cache.invalidateAll();
-  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(T.Dir),
-                          std::filesystem::directory_iterator()), 0);
-}
-
 TEST(ResultCache, ManyKeysReachableAndStatsAggregate) {
   // Every key stays reachable, and the counters add up in one stats view.
   ResultCache Cache(1 << 20);
@@ -532,42 +464,11 @@ TEST(ResultCache, ManyKeysReachableAndStatsAggregate) {
   EXPECT_EQ(S.Hits, 64u);
 }
 
-TEST(ResultCache, SpillPromotionCountsAsPromotionNotInsert) {
-  TempDir T;
-  CacheKey K{hashString("warm me"), 7};
-  {
-    ResultCache Cache(1 << 20, T.Dir.string());
-    CachedResult Got;
-    EXPECT_FALSE(Cache.lookup(K, Got));
-    Cache.insert(K, result("payload\n"));
-    CacheStats S = Cache.stats();
-    EXPECT_EQ(S.Inserts, 1u);
-    EXPECT_EQ(S.Promotions, 0u);
-    EXPECT_LE(S.Inserts, S.Misses);
-  }
-  // Restart-warm: the hit is served from spill and *promoted*, never
-  // counted as an insert, so Inserts <= Misses holds across restarts (the
-  // accounting bug this pins down reported inserts > misses here).
-  ResultCache Cache(1 << 20, T.Dir.string());
-  CachedResult Got;
-  ASSERT_TRUE(Cache.lookup(K, Got));
-  ASSERT_TRUE(Cache.lookup(K, Got)); // Second hit comes from memory.
-  CacheStats S = Cache.stats();
-  EXPECT_EQ(S.Hits, 2u);
-  EXPECT_EQ(S.Misses, 0u);
-  EXPECT_EQ(S.Inserts, 0u);
-  EXPECT_EQ(S.Promotions, 1u);
-  EXPECT_EQ(S.SpillLoads, 1u);
-  EXPECT_LE(S.Inserts, S.Misses);
-}
-
-TEST(ResultCache, ConcurrentSpillTrafficIsRaceFreeAndCoherent) {
-  // Regression (run under TSan in CI): spill-file I/O used to happen
-  // inside the cache critical section; now hit/miss/insert/invalidate
-  // traffic from many threads, all spill-backed, must be race-free, and
-  // every hit must observe the exact payload inserted for its key.
-  TempDir T;
-  ResultCache Cache(1 << 20, T.Dir.string());
+TEST(ResultCache, ConcurrentTrafficIsRaceFreeAndCoherent) {
+  // Run under TSan in CI: hit/miss/insert/invalidate traffic from many
+  // threads must be race-free, and every hit must observe the exact
+  // payload inserted for its key.
+  ResultCache Cache(1 << 20);
   constexpr int Threads = 4, Rounds = 64;
   constexpr uint64_t Keys = 16;
   std::atomic<uint64_t> BadPayloads{0};
@@ -736,79 +637,6 @@ TEST(Server, RequestByteLimitJudgedAfterCrStripping) {
   EXPECT_EQ(serveStream(Req + "\r\n", Config), Over); // with either framing.
 }
 
-TEST(Server, StatsInvariantHoldsAfterRestartWarm) {
-  TempDir T;
-  std::string Req = "{\"id\":1,\"method\":\"analyze\",\"params\":"
-                    "{\"source\":\"int rw(int *p) { return *p; }\","
-                    "\"name\":\"t.c\"}}\n";
-  ServerConfig Config;
-  Config.SpillDir = T.Dir.string();
-  serveStream(Req, Config); // Cold: miss + insert + spill write.
-  // "Restart": a fresh server over the same spill directory. The replay
-  // promotes from disk -- a hit, never an insert -- so the stats response
-  // keeps inserts <= misses after restart-warm workloads.
-  Server S(Config);
-  std::istringstream In(Req + "{\"id\":2,\"method\":\"stats\"}\n");
-  std::ostringstream Out;
-  EXPECT_EQ(S.run(In, Out), 0);
-  CacheStats CS = S.cache().stats();
-  EXPECT_EQ(CS.Hits, 1u);
-  EXPECT_EQ(CS.Misses, 0u);
-  EXPECT_EQ(CS.Inserts, 0u);
-  EXPECT_EQ(CS.Promotions, 1u);
-  EXPECT_LE(CS.Inserts, CS.Misses);
-  EXPECT_NE(Out.str().find("\"promotions\":1"), std::string::npos);
-}
-
-TEST(Server, WarmManifestPreAnalyzesListedFiles) {
-  TempDir T;
-  std::string CPath = (T.Dir / "warm.c").string();
-  std::string QPath = (T.Dir / "warm.q").string();
-  {
-    std::ofstream C(CPath, std::ios::binary);
-    C << "int w(int *p) { return *p; }\n";
-    std::ofstream Q(QPath, std::ios::binary);
-    Q << "let x = ref 1 in !x ni\n";
-  }
-  std::string Manifest = (T.Dir / "corpus.txt").string();
-  {
-    std::ofstream M(Manifest, std::ios::binary);
-    M << "# corpus\n\n" << CPath << "\n" << QPath << "\n"
-      << (T.Dir / "missing.c").string() << "\n";
-  }
-  ServerConfig Config;
-  Config.Jobs = 2; // Warm-up runs on the shared worker pool.
-  Server S(Config);
-  WarmStats WS;
-  std::string Error;
-  ASSERT_TRUE(S.warmFromManifest(Manifest, WS, Error)) << Error;
-  EXPECT_EQ(WS.Listed, 3u);
-  EXPECT_EQ(WS.Warmed, 2u);
-  EXPECT_EQ(WS.AlreadyCached, 0u);
-  EXPECT_EQ(WS.Failed, 1u);
-  // The first client request for a warmed file is a cache hit (the .q
-  // entry was warmed under the lambda pipeline, which is what a client
-  // asking for language lambda keys to).
-  std::istringstream In(
-      "{\"id\":1,\"method\":\"analyze\",\"params\":{\"path\":\"" + CPath +
-      "\"}}\n"
-      "{\"id\":2,\"method\":\"analyze\",\"params\":{\"path\":\"" + QPath +
-      "\",\"language\":\"lambda\"}}\n");
-  std::ostringstream Out;
-  EXPECT_EQ(S.run(In, Out), 0);
-  EXPECT_NE(Out.str().find("{\"id\":1,\"ok\":true,\"exit\":0"),
-            std::string::npos);
-  EXPECT_NE(Out.str().find("{\"id\":2,\"ok\":true,\"exit\":0"),
-            std::string::npos);
-  CacheStats CS = S.cache().stats();
-  EXPECT_EQ(CS.Misses, 2u); // The warm-up's own misses.
-  EXPECT_EQ(CS.Hits, 2u);   // Both client requests hit warm.
-  // An unreadable manifest is the only hard failure.
-  EXPECT_FALSE(
-      S.warmFromManifest((T.Dir / "no-such-manifest").string(), WS, Error));
-  EXPECT_NE(Error.find("warm manifest"), std::string::npos);
-}
-
 TEST(Server, AnalyzeReadsFilesAndReportsMissingOnes) {
   TempDir T;
   std::string Path = (T.Dir / "prog.c").string();
@@ -949,8 +777,8 @@ TEST(Server, StatsLatencyBlockGatedOnTelemetry) {
 }
 
 TEST(Server, TelemetryNeverAltersResponseBytes) {
-  // The determinism contract: the request log and --slow-ms may not
-  // change a single response byte. (stats/metrics responses embed
+  // The determinism contract: the request log may not change a single
+  // response byte. (stats/metrics responses embed
   // live telemetry by design, so the stream here is the pure-function
   // subset: analyze, invalidate, shutdown.)
   std::string Req = kAnalyzeT;
@@ -966,7 +794,6 @@ TEST(Server, TelemetryNeverAltersResponseBytes) {
   std::ostringstream Sink;
   ServerConfig Logged;
   Logged.RequestLogStream = &Sink;
-  Logged.SlowMicros = 1; // Tag (nearly) everything; bytes must not move.
   EXPECT_EQ(serveStream(Req, Logged), Baseline);
   EXPECT_EQ(splitLines(Sink.str()).size(), 5u);
 }
@@ -1033,13 +860,12 @@ TEST(Server, RequestLogRenderHasFixedKeyOrder) {
   Ev.BytesOut = 64;
   Ev.QueueUs = 5;
   Ev.ServiceUs = 240;
-  Ev.Slow = true;
   Ev.PhasesUs = {{"parse", 57}, {"solve", 3}};
   EXPECT_EQ(RequestLog::render(Ev),
             "{\"seq\":3,\"id\":7,\"method\":\"analyze-delta\",\"ok\":true,"
             "\"exit\":1,\"hash\":\"deadbeef\",\"cache\":\"miss\","
             "\"bytes_in\":120,\"bytes_out\":64,\"queue_us\":5,"
-            "\"service_us\":240,\"slow\":true,"
+            "\"service_us\":240,"
             "\"phases\":{\"parse\":57,\"solve\":3}}");
 
   RequestLogEvent Min;
@@ -1048,35 +874,6 @@ TEST(Server, RequestLogRenderHasFixedKeyOrder) {
   EXPECT_EQ(RequestLog::render(Min),
             "{\"seq\":1,\"id\":null,\"method\":\"invalid\",\"ok\":false,"
             "\"bytes_in\":0,\"bytes_out\":0,\"queue_us\":0,\"service_us\":0}");
-}
-
-TEST(Server, RequestLogSlowThresholdTagsOnCommit) {
-  std::ostringstream Sink;
-  RequestLog Log(&Sink, /*SlowMicros=*/100);
-  RequestLogEvent Fast;
-  Fast.Seq = 1;
-  Fast.Method = "analyze";
-  Fast.ServiceUs = 99;
-  Log.write(Fast);
-  RequestLogEvent Slow;
-  Slow.Seq = 2;
-  Slow.Method = "analyze";
-  Slow.ServiceUs = 100; // Threshold is inclusive.
-  Log.write(Slow);
-  std::vector<std::string> Lines = splitLines(Sink.str());
-  ASSERT_EQ(Lines.size(), 2u);
-  EXPECT_EQ(Lines[0].find("\"slow\""), std::string::npos);
-  EXPECT_NE(Lines[1].find("\"slow\":true"), std::string::npos);
-
-  // SlowMicros == 0 (the default / --slow-ms absent) never tags.
-  std::ostringstream Sink2;
-  RequestLog Untagged(&Sink2, 0);
-  RequestLogEvent Ev;
-  Ev.Seq = 1;
-  Ev.Method = "stats";
-  Ev.ServiceUs = 1u << 30;
-  Untagged.write(Ev);
-  EXPECT_EQ(Sink2.str().find("\"slow\""), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,10 +3,11 @@
 // Part of the libquals project, reproducing "A Theory of Type Qualifiers"
 // (Foster, Fähndrich, Aiken; PLDI 1999).
 //
-// End-to-end coverage for serve/Transport: listen-spec parsing, multi-
-// client byte identity against stdio, cross-connection invalidate and
-// shutdown semantics, and socket-level hostile input (the hardening
-// expectations of tests/hardening_test.cpp carried onto the wire).
+// End-to-end coverage for serve/Transport: the socket path (stale socket
+// replaced, any other file left alone, ':' allowed), multi-client byte
+// identity against stdio, cross-connection invalidate and shutdown
+// semantics, and socket-level hostile input (the hardening expectations
+// of tests/hardening_test.cpp carried onto the wire).
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,12 +18,12 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <netdb.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -64,32 +65,6 @@ int connectUnix(const std::string &Path) {
     ::close(Fd);
     return -1;
   }
-  return Fd;
-}
-
-/// Connects to a "HOST:PORT" bound name (what Transport::boundName gives).
-int connectTcp(const std::string &HostPort) {
-  size_t Colon = HostPort.rfind(':');
-  std::string Host = HostPort.substr(0, Colon);
-  std::string Port = HostPort.substr(Colon + 1);
-  addrinfo Hints{};
-  Hints.ai_family = AF_UNSPEC;
-  Hints.ai_socktype = SOCK_STREAM;
-  addrinfo *Res = nullptr;
-  if (::getaddrinfo(Host == "0.0.0.0" ? "127.0.0.1" : Host.c_str(),
-                    Port.c_str(), &Hints, &Res) != 0)
-    return -1;
-  int Fd = -1;
-  for (addrinfo *Ai = Res; Ai; Ai = Ai->ai_next) {
-    Fd = ::socket(Ai->ai_family, Ai->ai_socktype, Ai->ai_protocol);
-    if (Fd < 0)
-      continue;
-    if (::connect(Fd, Ai->ai_addr, Ai->ai_addrlen) == 0)
-      break;
-    ::close(Fd);
-    Fd = -1;
-  }
-  ::freeaddrinfo(Res);
   return Fd;
 }
 
@@ -145,11 +120,9 @@ std::string recvAll(int Fd) {
 /// down via a real `shutdown` request (or stop()) at scope exit.
 class LiveServer {
 public:
-  explicit LiveServer(ServerConfig Config = {}) : S(Config) {
-    ListenSpec Spec;
-    Spec.K = ListenSpec::Kind::Unix;
-    Spec.Path = (Dir.Dir / "qualsd.sock").string();
-    T = std::make_unique<Transport>(S, Spec);
+  explicit LiveServer(ServerConfig Config = {})
+      : Path((Dir.Dir / "qualsd.sock").string()), S(Config) {
+    T = std::make_unique<Transport>(S, Path);
     std::string Error;
     Opened = T->open(Error);
     EXPECT_TRUE(Opened) << Error;
@@ -158,7 +131,7 @@ public:
   }
   ~LiveServer() { join(); }
 
-  int connect() { return connectUnix(T->boundName()); }
+  int connect() { return connectUnix(Path); }
 
   /// Stops the transport (as a `shutdown` request would) and joins; safe
   /// to call twice.
@@ -170,6 +143,7 @@ public:
   }
 
   TempDir Dir;
+  std::string Path;
   Server S;
   std::unique_ptr<Transport> T;
   bool Opened = false;
@@ -197,24 +171,75 @@ std::string analyzeLine(int Id, const std::string &Source,
 
 } // namespace
 
-TEST(Transport, ParsesListenSpecs) {
-  ListenSpec Spec;
+TEST(Transport, SocketPathWithColonServes) {
+  // Every --listen value is a socket path, ':' included.
+  TempDir Dir;
+  std::string Path = (Dir.Dir / "a:b.sock").string();
+  Server S(ServerConfig{});
+  Transport T(S, Path);
   std::string Error;
-  ASSERT_TRUE(parseListenSpec("/run/qualsd.sock", Spec, Error));
-  EXPECT_EQ(Spec.K, ListenSpec::Kind::Unix);
-  EXPECT_EQ(Spec.Path, "/run/qualsd.sock");
-  ASSERT_TRUE(parseListenSpec("localhost:8080", Spec, Error));
-  EXPECT_EQ(Spec.K, ListenSpec::Kind::Tcp);
-  EXPECT_EQ(Spec.Host, "localhost");
-  EXPECT_EQ(Spec.Port, 8080);
-  ASSERT_TRUE(parseListenSpec(":0", Spec, Error));
-  EXPECT_EQ(Spec.K, ListenSpec::Kind::Tcp);
-  EXPECT_TRUE(Spec.Host.empty());
-  EXPECT_EQ(Spec.Port, 0);
-  EXPECT_FALSE(parseListenSpec("", Spec, Error));
-  EXPECT_FALSE(parseListenSpec("host:", Spec, Error));
-  EXPECT_FALSE(parseListenSpec("host:70000", Spec, Error));
-  EXPECT_FALSE(parseListenSpec("host:12x4", Spec, Error));
+  ASSERT_TRUE(T.open(Error)) << Error;
+  std::thread Serve([&T] { EXPECT_EQ(T.serve(), 0); });
+  int Fd = connectUnix(Path);
+  ASSERT_GE(Fd, 0);
+  std::string Req = analyzeLine(1, "int colon(int *p) { return *p; }") +
+                    "{\"id\":2,\"method\":\"shutdown\"}\n";
+  sendAll(Fd, Req);
+  std::string Got = recvAll(Fd);
+  ::close(Fd);
+  Serve.join();
+  EXPECT_EQ(Got, stdioReference(Req));
+  EXPECT_FALSE(std::filesystem::exists(Path)); // Removed on the way out.
+}
+
+TEST(Transport, OpenLeavesANonSocketFileAlone) {
+  // A mistyped --listen must not delete the user's file.
+  TempDir Dir;
+  std::string Path = (Dir.Dir / "notes.txt").string();
+  const std::string Bytes = "sixteen bytes!!\n";
+  {
+    std::ofstream F(Path, std::ios::binary);
+    F << Bytes;
+  }
+  {
+    Server S(ServerConfig{});
+    Transport T(S, Path);
+    std::string Error;
+    EXPECT_FALSE(T.open(Error));
+    EXPECT_NE(Error.find(Path), std::string::npos) << Error;
+  }
+  std::ifstream In(Path, std::ios::binary);
+  std::stringstream Kept;
+  Kept << In.rdbuf();
+  EXPECT_EQ(Kept.str(), Bytes);
+}
+
+TEST(Transport, OpenReplacesAStaleSocket) {
+  // A socket file left behind by a dead server is replaced.
+  TempDir Dir;
+  std::string Path = (Dir.Dir / "stale.sock").string();
+  {
+    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(Fd, 0);
+    sockaddr_un Addr{};
+    Addr.sun_family = AF_UNIX;
+    std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+    ASSERT_EQ(::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+              0);
+    ::close(Fd); // Closed without unlinking: a stale socket file.
+  }
+  ASSERT_TRUE(std::filesystem::is_socket(Path));
+  Server S(ServerConfig{});
+  Transport T(S, Path);
+  std::string Error;
+  ASSERT_TRUE(T.open(Error)) << Error;
+  std::thread Serve([&T] { EXPECT_EQ(T.serve(), 0); });
+  int Fd = connectUnix(Path);
+  ASSERT_GE(Fd, 0);
+  sendAll(Fd, "{\"id\":1,\"method\":\"shutdown\"}\n");
+  EXPECT_EQ(recvAll(Fd), "{\"id\":1,\"ok\":true}\n");
+  ::close(Fd);
+  Serve.join();
 }
 
 TEST(Transport, MultiClientByteIdenticalToStdio) {
@@ -257,28 +282,6 @@ TEST(Transport, MultiClientByteIdenticalToStdio) {
     Want[C] = stdioReference(Streams[C], Config);
     EXPECT_EQ(Got[C], Want[C]) << "connection " << C;
   }
-}
-
-TEST(Transport, TcpEphemeralPortServesAndReportsBoundName) {
-  ServerConfig Config;
-  Server S(Config);
-  ListenSpec Spec;
-  std::string Error;
-  ASSERT_TRUE(parseListenSpec("127.0.0.1:0", Spec, Error));
-  Transport T(S, Spec);
-  ASSERT_TRUE(T.open(Error)) << Error;
-  // PORT 0 resolved to a real ephemeral port.
-  EXPECT_EQ(T.boundName().rfind("127.0.0.1:", 0), 0u);
-  EXPECT_NE(T.boundName(), "127.0.0.1:0");
-  std::thread Serve([&T] { EXPECT_EQ(T.serve(), 0); });
-  int Fd = connectTcp(T.boundName());
-  ASSERT_GE(Fd, 0);
-  std::string Req = analyzeLine(1, "int tcp(int *p) { return *p; }");
-  sendAll(Fd, Req + "{\"id\":2,\"method\":\"shutdown\"}\n");
-  std::string Got = recvAll(Fd);
-  ::close(Fd);
-  Serve.join();
-  EXPECT_EQ(Got, stdioReference(Req + "{\"id\":2,\"method\":\"shutdown\"}\n"));
 }
 
 TEST(Transport, InvalidateFromOneConnectionWhileOthersServe) {

@@ -8,7 +8,12 @@
 # its "Documentation map" section), so no page is orphaned; (2) every
 # relative markdown link in README.md and docs/*.md resolves to an existing
 # file (anchors stripped; http(s)/mailto links skipped), so renames and
-# deletions cannot silently strand readers.
+# deletions cannot silently strand readers. It also asserts (3) every
+# `--flag` named in README.md and docs/*.md is parsed by some tool: it must
+# appear as the string literal "--flag in tools/*.{cpp,h},
+# perfbench/*.{cpp,py}, bench/*.cpp or fuzz/*.cpp, so a deleted option
+# cannot linger in the docs. A name ending in '-' (`--limit-*`) matches as
+# a prefix; ctest's --test-dir is the one flag of another program.
 
 set -u
 
@@ -43,6 +48,29 @@ for MD in "$ROOT"/README.md "$ROOT"/docs/*.md; do
             FAILED=1
         fi
     done
+done
+
+# --- (3) every documented --flag is parsed by a tool -------------------
+SOURCES=()
+for F in "$ROOT"/tools/*.cpp "$ROOT"/tools/*.h "$ROOT"/perfbench/*.cpp \
+         "$ROOT"/perfbench/*.py "$ROOT"/bench/*.cpp "$ROOT"/fuzz/*.cpp; do
+    [ -e "$F" ] && SOURCES+=("$F")
+done
+FLAGS=$(for MD in "$ROOT"/README.md "$ROOT"/docs/*.md; do
+            [ -e "$MD" ] || continue
+            grep -oE '(^|[^A-Za-z0-9_-])--[a-z][a-z0-9_-]*' "$MD" \
+                | sed -E 's/^[^-]*--/--/'
+        done | sort -u)
+for FLAG in $FLAGS; do
+    case "$FLAG" in
+        --test-dir) continue ;;
+        *-) PATTERN="\"$FLAG" ;;                  # Prefix: --limit-*.
+        *) PATTERN="\"$FLAG([^A-Za-z0-9_-]|\$)" ;;
+    esac
+    if ! grep -qE -- "$PATTERN" "${SOURCES[@]}"; then
+        echo "FAIL: $FLAG is documented but no tool parses \"$FLAG" >&2
+        FAILED=1
+    fi
 done
 
 exit "$FAILED"

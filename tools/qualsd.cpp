@@ -14,21 +14,14 @@
 //   qualsd [options] < requests.ndjson
 //   qualsd --listen=/run/qualsd.sock [options]
 //
-//   --listen=SPEC   serve many concurrent clients over a socket instead of
-//                   stdio: SPEC is a unix-domain socket path (no ':') or
-//                   HOST:PORT for TCP (port 0 = ephemeral; the bound
-//                   address is announced on stderr). Each connection is an
+//   --listen=PATH   serve many concurrent clients over the unix-domain
+//                   socket PATH instead of stdio. Each connection is an
 //                   independent protocol session; `shutdown` from any
 //                   client stops the whole daemon (docs/SERVER.md).
-//   --warm=FILE     pre-analyze every file listed in FILE (one PATH or
-//                   PATH<TAB>LANGUAGE per line, '#' comments) before
-//                   serving, so first clients hit a warm cache
 //   --cache-mb=N    in-memory result-cache budget in MiB (default 64;
 //                   0 disables caching entirely)
-//   --cache-dir=D   spill results to D so warm state survives restarts
 //   --request-log=F append one NDJSON event per request to F ('-' =
 //                   stderr): timings, cache outcome, per-phase breakdown
-//   --slow-ms=N     tag request-log events at or above N ms "slow":true
 //   -jN, --jobs N   analyze requests on N pool workers; responses stay in
 //                   request order for every N (docs/PARALLEL.md)
 //
@@ -61,37 +54,27 @@ using namespace quals;
 using namespace quals::serve;
 
 static const char *kOptionsHelp =
-    "  --listen=SPEC    accept concurrent clients on a socket: a path is a\n"
-    "                   unix-domain socket, HOST:PORT is TCP (port 0 =\n"
-    "                   ephemeral; bound address announced on stderr)\n"
-    "  --warm=FILE      pre-analyze files listed in FILE (PATH or\n"
-    "                   PATH<TAB>LANGUAGE per line) before serving\n"
+    "  --listen=PATH    accept concurrent clients on the unix-domain socket\n"
+    "                   PATH\n"
     "  --cache-mb=N     in-memory result-cache budget in MiB (default 64;\n"
     "                   0 disables caching)\n"
-    "  --cache-dir=D    spill cached results to directory D (restart-warm)\n"
     "  --request-log=F  append one NDJSON event per request to F\n"
-    "                   ('-' writes to stderr)\n"
-    "  --slow-ms=N      tag request-log events >= N ms with \"slow\":true\n";
+    "                   ('-' writes to stderr)\n";
 
 int main(int argc, char **argv) {
   ServerConfig Config;
   ToolFlags Common("qualsd", "< requests.ndjson", kOptionsHelp);
   std::string RequestLogPath;
-  std::string ListenSpecStr;
-  std::string WarmManifest;
+  std::string ListenPath;
 
   for (int I = 1; I != argc; ++I) {
     if (Common.parseCommon(argc, argv, I)) {
       if (Common.exitNow())
         return Common.exitStatus();
     } else if (!std::strncmp(argv[I], "--listen=", 9)) {
-      ListenSpecStr = argv[I] + 9;
-      if (ListenSpecStr.empty())
-        return Common.fail("--listen= requires a socket path or HOST:PORT");
-    } else if (!std::strncmp(argv[I], "--warm=", 7)) {
-      WarmManifest = argv[I] + 7;
-      if (WarmManifest.empty())
-        return Common.fail("--warm= requires a manifest file");
+      ListenPath = argv[I] + 9;
+      if (ListenPath.empty())
+        return Common.fail("--listen= requires a socket path");
     } else if (!std::strncmp(argv[I], "--cache-mb=", 11)) {
       const char *Digits = argv[I] + 11;
       char *End = nullptr;
@@ -100,22 +83,10 @@ int main(int argc, char **argv) {
         return Common.fail(std::string("bad --cache-mb value '") + Digits +
                            "' (want MiB in [0, 1048576])");
       Config.CacheMaxBytes = static_cast<uint64_t>(N) << 20;
-    } else if (!std::strncmp(argv[I], "--cache-dir=", 12)) {
-      Config.SpillDir = argv[I] + 12;
-      if (Config.SpillDir.empty())
-        return Common.fail("--cache-dir= requires a directory");
     } else if (!std::strncmp(argv[I], "--request-log=", 14)) {
       RequestLogPath = argv[I] + 14;
       if (RequestLogPath.empty())
         return Common.fail("--request-log= requires a file name (or '-')");
-    } else if (!std::strncmp(argv[I], "--slow-ms=", 10)) {
-      const char *Digits = argv[I] + 10;
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Digits, &End, 10);
-      if (*Digits == '\0' || *End != '\0' || N > (1ull << 32))
-        return Common.fail(std::string("bad --slow-ms value '") + Digits +
-                           "' (want milliseconds in [0, 2^32])");
-      Config.SlowMicros = static_cast<uint64_t>(N) * 1000;
     } else {
       return Common.usageError(argv[I]);
     }
@@ -142,27 +113,11 @@ int main(int argc, char **argv) {
   }
 
   Server S(Config);
-  if (!WarmManifest.empty()) {
-    WarmStats WS;
-    std::string Error;
-    if (!S.warmFromManifest(WarmManifest, WS, Error))
-      return Common.fail(Error);
-    std::fprintf(stderr,
-                 "qualsd: warmed %llu of %llu manifest entries "
-                 "(%llu already cached, %llu unreadable)\n",
-                 static_cast<unsigned long long>(WS.Warmed),
-                 static_cast<unsigned long long>(WS.Listed),
-                 static_cast<unsigned long long>(WS.AlreadyCached),
-                 static_cast<unsigned long long>(WS.Failed));
-  }
-  if (ListenSpecStr.empty())
+  if (ListenPath.empty())
     return S.run(std::cin, std::cout);
 
-  ListenSpec Spec;
+  Transport T(S, ListenPath);
   std::string Error;
-  if (!parseListenSpec(ListenSpecStr, Spec, Error))
-    return Common.fail(Error);
-  Transport T(S, Spec);
   if (!T.open(Error))
     return Common.fail(Error);
   return T.serve();
