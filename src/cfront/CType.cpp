@@ -67,7 +67,7 @@ static const char *builtinName(BuiltinType::Id Id) {
   return "?";
 }
 
-static void printType(CQualType T, std::string &Out) {
+void quals::cfront::appendType(CQualType T, std::string &Out) {
   if (T.isNull()) {
     Out += "<null>";
     return;
@@ -82,13 +82,13 @@ static void printType(CQualType T, std::string &Out) {
     Out += builtinName(cast<BuiltinType>(Ty)->getId());
     return;
   case CType::Kind::Pointer: {
-    printType(cast<PointerType>(Ty)->getPointee(), Out);
+    appendType(cast<PointerType>(Ty)->getPointee(), Out);
     Out += " *";
     return;
   }
   case CType::Kind::Array: {
     const auto *A = cast<ArrayType>(Ty);
-    printType(A->getElement(), Out);
+    appendType(A->getElement(), Out);
     Out += " [";
     if (A->getSize() >= 0)
       Out += std::to_string(A->getSize());
@@ -97,13 +97,13 @@ static void printType(CQualType T, std::string &Out) {
   }
   case CType::Kind::Function: {
     const auto *F = cast<FunctionType>(Ty);
-    printType(F->getReturn(), Out);
+    appendType(F->getReturn(), Out);
     Out += " (";
     const auto &Params = F->getParams();
     for (size_t I = 0; I != Params.size(); ++I) {
       if (I)
         Out += ", ";
-      printType(Params[I], Out);
+      appendType(Params[I], Out);
     }
     if (F->isVariadic())
       Out += Params.empty() ? "..." : ", ...";
@@ -128,6 +128,6 @@ static void printType(CQualType T, std::string &Out) {
 
 std::string quals::cfront::toString(CQualType T) {
   std::string Out;
-  printType(T, Out);
+  appendType(T, Out);
   return Out;
 }

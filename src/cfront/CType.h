@@ -229,6 +229,9 @@ bool isScalar(const CType *T);
 /// Renders \p T in C-ish syntax ("const int *", "int (*)(char *)").
 std::string toString(CQualType T);
 
+/// Appends toString(\p T) to \p Out.
+void appendType(CQualType T, std::string &Out);
+
 } // namespace cfront
 } // namespace quals
 

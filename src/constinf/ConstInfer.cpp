@@ -35,10 +35,12 @@ ConstInference::ConstInference(TranslationUnit &TU, DiagnosticEngine &Diags,
 
 ConstInference::~ConstInference() = default;
 
-QualType ConstInference::functionUse(const FunctionDecl *FD) {
+QualType ConstInference::functionUse(const FunctionDecl *FD,
+                                     bool DirectCall) {
   const QualScheme &S = Schemes.lookup(FD->getId());
   if (Opts.Polymorphic && S.isPolymorphic())
-    return S.instantiate(*Sys, Factory);
+    return DirectCall ? S.instantiateCall(*Sys, Factory)
+                      : S.instantiate(*Sys, Factory);
   return Translator->functionInterfaceType(FD);
 }
 
@@ -54,8 +56,8 @@ bool ConstInference::run() {
   }
 
   ConstraintGen Gen(*Sys, Factory, Ctors, *Translator, ConstQual, Diags,
-                    [this](const FunctionDecl *FD) {
-                      return functionUse(FD);
+                    [this](const FunctionDecl *FD, bool DirectCall) {
+                      return functionUse(FD, DirectCall);
                     },
                     Opts.CastsSeverFlow, Opts.ConservativeLibraries);
 
@@ -204,6 +206,52 @@ ConstCounts countPositions(const std::vector<ClassifiedPos> &Positions) {
   return C;
 }
 
+namespace {
+
+/// The positions of one function, in classification order.
+using PosGroup = std::vector<const ClassifiedPos *>;
+
+/// True if the position at (\p ParamIndex, \p Depth) may be const.
+bool constAt(const PosGroup &Group, int ParamIndex, unsigned Depth) {
+  for (const ClassifiedPos *P : Group)
+    if (P->Pos.ParamIndex == ParamIndex && P->Pos.Depth == Depth)
+      return P->Class != PosClass::MustNonConst;
+  return false;
+}
+
+bool isPointerLike(CQualType T) {
+  return !T.isNull() &&
+         (isa<PointerType>(T.getType()) || isa<ArrayType>(T.getType()));
+}
+
+/// Appends \p T with const inserted at the annotatable pointer depths. C
+/// spelling: a const pointee that is itself a pointer reads "T * const *",
+/// while a const non-pointer pointee reads "const T *".
+void appendAnnotated(CQualType T, const PosGroup &Group, int ParamIndex,
+                     unsigned Depth, std::string &Out) {
+  if (!isPointerLike(T)) {
+    appendType(T, Out);
+    return;
+  }
+  const CType *Ty = T.getType();
+  CQualType Pointee = isa<PointerType>(Ty)
+                          ? cast<PointerType>(Ty)->getPointee()
+                          : cast<ArrayType>(Ty)->getElement();
+  bool AddConst = constAt(Group, ParamIndex, Depth) && !Pointee.isConst();
+  bool PointeeIsPtr = isPointerLike(Pointee);
+  if (AddConst && !PointeeIsPtr)
+    Out += "const "; // e.g. "const char *"
+  size_t Start = Out.size();
+  appendAnnotated(Pointee, Group, ParamIndex, Depth + 1, Out);
+  if (AddConst && PointeeIsPtr)
+    Out += "const "; // e.g. "char * const *"
+  if (Out.size() != Start && Out.back() != ' ' && Out.back() != '*')
+    Out += ' ';
+  Out += '*';
+}
+
+} // namespace
+
 std::string renderAnnotatedPrototypes(const std::vector<ClassifiedPos> &Positions) {
   // Group positions by function (indexed by FunctionDecl id, sized once to
   // the largest id present), then rebuild each prototype with const
@@ -211,54 +259,19 @@ std::string renderAnnotatedPrototypes(const std::vector<ClassifiedPos> &Position
   unsigned NumFnIds = 0;
   for (const ClassifiedPos &CP : Positions)
     NumFnIds = std::max(NumFnIds, CP.Pos.Fn->getId() + 1);
-  std::vector<std::vector<const ClassifiedPos *>> ByFn(NumFnIds);
+  std::vector<PosGroup> ByFn(NumFnIds);
   std::vector<const FunctionDecl *> Order;
   for (const ClassifiedPos &CP : Positions) {
-    std::vector<const ClassifiedPos *> &Group = ByFn[CP.Pos.Fn->getId()];
+    PosGroup &Group = ByFn[CP.Pos.Fn->getId()];
     if (Group.empty())
       Order.push_back(CP.Pos.Fn);
     Group.push_back(&CP);
   }
 
-  auto constAt = [&](const FunctionDecl *FD, int ParamIndex,
-                     unsigned Depth) {
-    for (const ClassifiedPos *P : ByFn[FD->getId()])
-      if (P->Pos.ParamIndex == ParamIndex && P->Pos.Depth == Depth)
-        return P->Class != PosClass::MustNonConst;
-    return false;
-  };
-
-  // Renders T with const inserted at the annotatable pointer depths. C
-  // spelling: a const pointee that is itself a pointer reads "T * const *",
-  // while a const non-pointer pointee reads "const T *".
-  std::function<std::string(CQualType, const FunctionDecl *, int, unsigned)>
-      render = [&](CQualType T, const FunctionDecl *FD, int ParamIndex,
-                   unsigned Depth) -> std::string {
-    const CType *Ty = T.isNull() ? nullptr : T.getType();
-    if (Ty && (isa<PointerType>(Ty) || isa<ArrayType>(Ty))) {
-      CQualType Pointee = isa<PointerType>(Ty)
-                              ? cast<PointerType>(Ty)->getPointee()
-                              : cast<ArrayType>(Ty)->getElement();
-      std::string Inner = render(Pointee, FD, ParamIndex, Depth + 1);
-      bool PointeeIsPtr = !Pointee.isNull() &&
-                          (isa<PointerType>(Pointee.getType()) ||
-                           isa<ArrayType>(Pointee.getType()));
-      if (constAt(FD, ParamIndex, Depth) && !Pointee.isConst()) {
-        if (PointeeIsPtr)
-          Inner += "const ";   // e.g. "char * const *"
-        else
-          Inner = "const " + Inner; // e.g. "const char *"
-      }
-      if (!Inner.empty() && Inner.back() != ' ' && Inner.back() != '*')
-        Inner += ' ';
-      return Inner + "*";
-    }
-    return toString(T);
-  };
-
   std::string Out;
   for (const FunctionDecl *FD : Order) {
-    Out += render(FD->getType()->getReturn(), FD, -1, 0);
+    const PosGroup &Group = ByFn[FD->getId()];
+    appendAnnotated(FD->getType()->getReturn(), Group, -1, 0, Out);
     if (Out.size() && Out.back() != '*')
       Out += ' ';
     Out += FD->getName();
@@ -268,7 +281,7 @@ std::string renderAnnotatedPrototypes(const std::vector<ClassifiedPos> &Position
     for (unsigned I = 0; I != ParamTypes.size(); ++I) {
       if (I)
         Out += ", ";
-      Out += render(ParamTypes[I], FD, static_cast<int>(I), 0);
+      appendAnnotated(ParamTypes[I], Group, static_cast<int>(I), 0, Out);
       if (I < Params.size() && !Params[I]->getName().empty()) {
         if (Out.back() != '*' && Out.back() != ' ')
           Out += ' ';

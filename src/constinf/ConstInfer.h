@@ -182,7 +182,10 @@ private:
   SimplifyScratch Scratch;
   Fdg Graph;
 
-  QualType functionUse(const cfront::FunctionDecl *FD);
+  /// The type of one use of \p FD: a call instance of its scheme for a
+  /// direct call, a full instance for any other use, and its interface in
+  /// monomorphic mode or before its SCC is generalized.
+  QualType functionUse(const cfront::FunctionDecl *FD, bool DirectCall);
 };
 
 } // namespace constinf

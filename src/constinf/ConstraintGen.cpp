@@ -17,7 +17,9 @@ void ConstraintGen::flowInto(QualType A, QualType B,
     return;
   if (A.getCtor() != B.getCtor())
     return; // Conversion: drop the association (Section 4.2 casts/implicit).
-  Sys.addLeq(A.getQual(), B.getQual(), Origin);
+  if (!QualScheme::isDontCare(A.getQual()) &&
+      !QualScheme::isDontCare(B.getQual()))
+    Sys.addLeq(A.getQual(), B.getQual(), Origin);
   for (unsigned I = 0, E = A.getNumArgs(); I != E; ++I) {
     switch (A.getCtor()->getVariance(I)) {
     case Variance::Covariant:
@@ -39,7 +41,9 @@ void ConstraintGen::flowBoth(QualType A, QualType B,
     return;
   if (A.getCtor() != B.getCtor())
     return;
-  Sys.addEq(A.getQual(), B.getQual(), Origin);
+  if (!QualScheme::isDontCare(A.getQual()) &&
+      !QualScheme::isDontCare(B.getQual()))
+    Sys.addEq(A.getQual(), B.getQual(), Origin);
   for (unsigned I = 0, E = A.getNumArgs(); I != E; ++I)
     flowBoth(A.getArg(I), B.getArg(I), Origin);
 }
@@ -224,7 +228,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
       return Translator.varLValueType(V);
     if (const auto *F = dyn_cast_or_null<FunctionDecl>(D)) {
       // A function designator used as a value: a pointer to the function.
-      return freshCell(FunctionUse(F));
+      return freshCell(FunctionUse(F, /*DirectCall=*/false));
     }
     return freshVal(); // enum constant
   }
@@ -328,7 +332,7 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     if (const auto *Ref = dyn_cast<CDeclRef>(Call->getCallee())) {
       Callee = dyn_cast_or_null<FunctionDecl>(Ref->getDecl());
       if (Callee)
-        FnTy = FunctionUse(Callee);
+        FnTy = FunctionUse(Callee, /*DirectCall=*/true);
     }
     if (FnTy.isNull()) {
       // Indirect call: the callee's r-value should be ref(fn...).

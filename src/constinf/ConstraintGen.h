@@ -20,7 +20,9 @@
 ///     forced non-const at every pointer level; extra arguments to defined
 ///     functions are ignored (Section 4.2);
 /// \li function name uses go through a hook so the driver can instantiate
-///     polymorphic schemes per use site (rule Var').
+///     polymorphic schemes per use site (rule Var'); a direct call's
+///     argument adds no constraint at a don't-care position of its
+///     instance (QualScheme::instantiateCall).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +30,7 @@
 #define QUALS_CONSTINF_CONSTRAINTGEN_H
 
 #include "constinf/RefTypes.h"
+#include "qual/TypeScheme.h"
 #include "support/Diagnostics.h"
 
 #include <functional>
@@ -39,11 +42,14 @@ namespace constinf {
 class ConstraintGen {
 public:
   /// \p FunctionUse maps a referenced function to the qualified type to use
-  /// for this occurrence (monomorphic interface or fresh instantiation).
+  /// for this occurrence (monomorphic interface or fresh instantiation);
+  /// its flag is true for the callee of a direct call, whose parameters
+  /// meet only that call's arguments.
   ConstraintGen(ConstraintSystem &Sys, QualTypeFactory &Factory,
                 ConstCtors &Ctors, RefTranslator &Translator,
                 QualifierId ConstQual, DiagnosticEngine &Diags,
-                std::function<QualType(const cfront::FunctionDecl *)>
+                std::function<QualType(const cfront::FunctionDecl *,
+                                       bool DirectCall)>
                     FunctionUse,
                 bool CastsSeverFlow = true,
                 bool ConservativeLibraries = true)
@@ -60,7 +66,8 @@ public:
   void genGlobalInit(const cfront::VarDecl *VD);
 
   /// Structural flow A <= B where the shapes match; silently stops at shape
-  /// mismatches (conversions drop the association).
+  /// mismatches (conversions drop the association). A level where either
+  /// side is QualScheme::DontCare adds no constraint.
   void flowInto(QualType A, QualType B, const ConstraintOrigin &Origin);
 
 private:
@@ -70,7 +77,8 @@ private:
   RefTranslator &Translator;
   QualifierId ConstQual;
   DiagnosticEngine &Diags;
-  std::function<QualType(const cfront::FunctionDecl *)> FunctionUse;
+  std::function<QualType(const cfront::FunctionDecl *, bool DirectCall)>
+      FunctionUse;
   bool CastsSeverFlow;
   bool ConservativeLibraries;
 

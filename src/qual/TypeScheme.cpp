@@ -101,8 +101,11 @@ struct SimplifyScratch::Buffers {
   std::vector<uint32_t> LowerWork, UpperWork, Work, Touched, Hits;
   /// Node -> reached by the current reachability search.
   std::vector<bool> Reached;
-  /// generalize(): variable - watermark -> bound; false outside a call.
-  std::vector<bool> IsBound;
+  /// generalize(): variable - watermark -> its Occurrence, NotBound
+  /// outside a call; the bound variables in body order.
+  enum Occurrence : uint8_t { NotBound, OnceInParam, Observed };
+  std::vector<Occurrence> Occurs;
+  std::vector<QualVarId> BoundVars;
 
   static constexpr QualVarId NoVar = ~0u;
 
@@ -359,57 +362,96 @@ quals::simplifyConstraints(const ConstraintSystem &Sys, Watermark Mark,
 QualScheme QualScheme::generalize(const ConstraintSystem &Sys, QualType Body,
                                   Watermark Mark, SimplifyScratch &Scratch,
                                   const FreeVarSet *Escapes) {
+  using Buffers = SimplifyScratch::Buffers;
   QualScheme S;
   S.Body = Body;
 
   // Bound (interface) variables: fresh variables occurring in the body
-  // type. Only these are observable by callers, so only these need
-  // per-instance copies.
-  std::vector<bool> &IsBound = Scratch.buffers().IsBound;
-  if (IsBound.size() < Sys.getNumVars() - Mark.FirstVar)
-    IsBound.resize(Sys.getNumVars() - Mark.FirstVar, false);
-  Body.visit([&](QualType T) {
+  // type, in visit order. Only these are observable by callers, so only
+  // these need per-instance copies. A variable whose one occurrence lies
+  // inside a parameter stays OnceInParam.
+  Buffers &B = Scratch.buffers();
+  std::vector<Buffers::Occurrence> &Occurs = B.Occurs;
+  if (Occurs.size() < Sys.getNumVars() - Mark.FirstVar)
+    Occurs.resize(Sys.getNumVars() - Mark.FirstVar, Buffers::NotBound);
+  auto Note = [&](QualType T, bool InParam) {
     if (!T.getQual().isVar())
       return;
     QualVarId V = T.getQual().getVar();
-    if (V >= Mark.FirstVar && !IsBound[V - Mark.FirstVar] &&
-        !(Escapes && V < Escapes->size() && (*Escapes)[V])) {
-      IsBound[V - Mark.FirstVar] = true;
-      S.BoundVars.push_back(V);
+    if (V < Mark.FirstVar || (Escapes && V < Escapes->size() && (*Escapes)[V]))
+      return;
+    Buffers::Occurrence &O = Occurs[V - Mark.FirstVar];
+    if (O == Buffers::NotBound) {
+      O = InParam ? Buffers::OnceInParam : Buffers::Observed;
+      B.BoundVars.push_back(V);
+    } else {
+      O = Buffers::Observed;
     }
-  });
-  for (QualVarId V : S.BoundVars)
-    IsBound[V - Mark.FirstVar] = false;
-  if (S.BoundVars.empty())
+  };
+  if (!Body.isNull()) {
+    Note(Body, false);
+    for (unsigned I = 0, E = Body.getNumArgs(); I != E; ++I) {
+      bool InParam = Body.getCtor()->getVariance(I) == Variance::Contravariant;
+      Body.getArg(I).visit([&](QualType T) { Note(T, InParam); });
+    }
+  }
+  if (B.BoundVars.empty())
     return S;
-  S.BoundSet.reserve(S.BoundVars.size());
-  for (uint32_t I = 0; I != S.BoundVars.size(); ++I)
-    S.BoundSet.push_back({S.BoundVars[I], I});
-  std::sort(S.BoundSet.begin(), S.BoundSet.end());
 
-  S.Canned = simplifyConstraints(Sys, Mark, S.BoundVars, Scratch, Escapes);
+  S.Canned = simplifyConstraints(Sys, Mark, B.BoundVars, Scratch, Escapes);
+  // A bound variable some canned constraint mentions is observable at
+  // every instance.
+  auto Observe = [&](QualExpr E) {
+    if (E.isVar() && E.getVar() >= Mark.FirstVar &&
+        Occurs[E.getVar() - Mark.FirstVar] == Buffers::OnceInParam)
+      Occurs[E.getVar() - Mark.FirstVar] = Buffers::Observed;
+  };
+  for (const Constraint &C : S.Canned) {
+    Observe(C.Lhs);
+    Observe(C.Rhs);
+  }
+
+  S.Bound.reserve(B.BoundVars.size());
+  for (uint32_t I = 0; I != B.BoundVars.size(); ++I) {
+    QualVarId V = B.BoundVars[I];
+    Buffers::Occurrence &O = Occurs[V - Mark.FirstVar];
+    S.Bound.push_back(
+        {V, I, O == Buffers::OnceInParam ? NotAtCall : S.NumCallVars++});
+    O = Buffers::NotBound;
+  }
+  B.BoundVars.clear();
+  std::sort(S.Bound.begin(), S.Bound.end(),
+            [](const BoundVar &L, const BoundVar &R) { return L.Var < R.Var; });
   return S;
 }
 
-uint32_t QualScheme::boundIndex(QualVarId Var) const {
-  auto It = std::lower_bound(BoundSet.begin(), BoundSet.end(),
-                             std::make_pair(Var, 0u));
-  return It != BoundSet.end() && It->first == Var ? It->second : ~0u;
+const QualScheme::BoundVar *QualScheme::find(QualVarId Var) const {
+  auto It = std::lower_bound(
+      Bound.begin(), Bound.end(), Var,
+      [](const BoundVar &B, QualVarId V) { return B.Var < V; });
+  return It != Bound.end() && It->Var == Var ? &*It : nullptr;
 }
 
-QualType QualScheme::instantiate(ConstraintSystem &Sys,
-                                 QualTypeFactory &Factory) const {
-  if (BoundVars.empty())
+QualType QualScheme::instance(ConstraintSystem &Sys, QualTypeFactory &Factory,
+                              bool AtCall) const {
+  if (Bound.empty())
     return Body;
 
-  // BoundVars[I] becomes First + I.
-  const QualVarId First = Sys.freshVars(BoundVars.size());
+  // A full instance maps the bound variable of body position I to
+  // First + I; a call instance numbers only the observable ones.
+  const QualVarId First = Sys.freshVars(AtCall ? NumCallVars : Bound.size());
   auto MapVar = [&](QualVarId V) {
-    uint32_t I = boundIndex(V);
-    return QualExpr::makeVar(I == ~0u ? V : First + I);
+    const BoundVar *B = find(V);
+    if (!B)
+      return QualExpr::makeVar(V);
+    if (!AtCall)
+      return QualExpr::makeVar(First + B->Index);
+    return QualExpr::makeVar(B->CallIndex == NotAtCall ? DontCare
+                                                       : First + B->CallIndex);
   };
   auto MapExpr = [&](QualExpr E) { return E.isVar() ? MapVar(E.getVar()) : E; };
 
+  // No canned constraint mentions a don't-care variable.
   for (const Constraint &C : Canned)
     Sys.addConstraint(
         {MapExpr(C.Lhs), MapExpr(C.Rhs), C.Mask, C.Loc, C.Reason});

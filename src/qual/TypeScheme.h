@@ -17,7 +17,8 @@
 /// existentially-bound "purely local" variables of the paper). Instantiation
 /// (rule Var') substitutes fresh variables for the bound ones in both the
 /// body and the canned constraints, re-adding the latter to the caller's
-/// constraint system.
+/// constraint system. A direct call instantiates only the bound variables
+/// its own flows can observe (QualScheme::instantiateCall).
 ///
 /// The watermark discipline: because qualified types are immutable and
 /// qualifier inference never unifies type structure, a variable created
@@ -122,6 +123,12 @@ public:
   /// simplified over the bound variables (simplifyConstraints, working in
   /// \p Scratch) and canned into the scheme for per-instantiation replay in
   /// \p Sys, the system every instance lives in.
+  ///
+  /// A bound variable is marked *don't-care* when it occurs exactly once
+  /// in the body, inside a parameter (a contravariant argument of the
+  /// body's constructor, as in a function interface fn(params..., result)),
+  /// and in no canned constraint: at a direct call the only flow to meet
+  /// it is the call's own argument (instantiateCall).
   static QualScheme generalize(const ConstraintSystem &Sys, QualType Body,
                                Watermark Mark, SimplifyScratch &Scratch,
                                const FreeVarSet *Escapes = nullptr);
@@ -136,28 +143,67 @@ public:
 
   /// Instantiates the scheme: substitutes a block of fresh variables
   /// (created in \p Sys) for the bound variables in the body and replays
-  /// the canned constraints under the substitution.
-  QualType instantiate(ConstraintSystem &Sys, QualTypeFactory &Factory) const;
+  /// the canned constraints under the substitution. Every use that may
+  /// meet a parameter position more than once (a function designator
+  /// stored or passed as a value) takes this full instance.
+  QualType instantiate(ConstraintSystem &Sys, QualTypeFactory &Factory) const {
+    return instance(Sys, Factory, /*AtCall=*/false);
+  }
+
+  /// Instantiates the scheme at a direct call, which flows one argument
+  /// into each parameter and nothing else into them: only the bound
+  /// variables not marked don't-care get fresh variables, and every
+  /// don't-care position of the instance holds DontCare. The caller must
+  /// add no constraint that mentions DontCare. Dropping those constraints
+  /// is sound: a variable met only by `a <= v`, `v <= a` or `v = a`, with
+  /// no constant bound, moves no other variable's solution, is never a
+  /// violation site, and lies on no shortest explanation path.
+  QualType instantiateCall(ConstraintSystem &Sys,
+                           QualTypeFactory &Factory) const {
+    return instance(Sys, Factory, /*AtCall=*/true);
+  }
+
+  /// The variable at a don't-care position of a call instance. It belongs
+  /// to no system.
+  static constexpr QualVarId DontCare = InvalidQualVar - 1;
+  static bool isDontCare(QualExpr E) {
+    return E.isVar() && E.getVar() == DontCare;
+  }
 
   QualType getBody() const { return Body; }
-  bool isPolymorphic() const { return !BoundVars.empty(); }
-  unsigned getNumBoundVars() const { return BoundVars.size(); }
+  bool isPolymorphic() const { return !Bound.empty(); }
+  unsigned getNumBoundVars() const { return Bound.size(); }
+  /// Bound variables a call instance leaves out.
+  unsigned getNumDontCareVars() const { return Bound.size() - NumCallVars; }
   const std::vector<Constraint> &getCannedConstraints() const {
     return Canned;
   }
 
   /// True if \p Var is quantified by this scheme.
-  bool isBound(QualVarId Var) const { return boundIndex(Var) != ~0u; }
+  bool isBound(QualVarId Var) const { return find(Var) != nullptr; }
 
 private:
+  static constexpr uint32_t NotAtCall = ~0u;
+
+  struct BoundVar {
+    QualVarId Var;
+    /// Position in body order: a full instance maps Var to First + Index.
+    uint32_t Index;
+    /// A call instance maps Var to First + CallIndex, or to DontCare when
+    /// this is NotAtCall.
+    uint32_t CallIndex;
+  };
+
   QualType Body;
-  std::vector<QualVarId> BoundVars;
-  /// (bound variable, its index in BoundVars), sorted by variable.
-  std::vector<std::pair<QualVarId, uint32_t>> BoundSet;
+  /// Sorted by variable.
+  std::vector<BoundVar> Bound;
+  uint32_t NumCallVars = 0;
   std::vector<Constraint> Canned;
 
-  /// Index of \p Var in BoundVars, or ~0u if it is free.
-  uint32_t boundIndex(QualVarId Var) const;
+  /// The entry of \p Var, or null if it is free.
+  const BoundVar *find(QualVarId Var) const;
+  QualType instance(ConstraintSystem &Sys, QualTypeFactory &Factory,
+                    bool AtCall) const;
 };
 
 } // namespace quals

@@ -101,6 +101,31 @@ void closeFd(int &Fd) {
   }
 }
 
+/// True if no server accepts connections at the socket \p Addr names
+/// (connect() is refused, or the file is already gone). Otherwise false,
+/// with \p Error naming the path. The probe does not block: a live server
+/// with a full backlog answers EAGAIN.
+bool probeStale(const sockaddr_un &Addr, std::string &Error) {
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (Fd < 0) {
+    Error = std::string("socket: ") + std::strerror(errno);
+    return false;
+  }
+  int Err = ::connect(Fd, reinterpret_cast<const sockaddr *>(&Addr),
+                      sizeof(Addr)) == 0
+                ? 0
+                : errno;
+  closeFd(Fd);
+  if (Err == ECONNREFUSED || Err == ENOENT)
+    return true;
+  const std::string Path = Addr.sun_path;
+  if (Err == 0 || Err == EAGAIN)
+    Error = "'" + Path + "' is served by a running server";
+  else
+    Error = "probe '" + Path + "': " + std::strerror(Err);
+  return false;
+}
+
 } // namespace
 
 /// One accepted connection: its socket, its session thread, and a done
@@ -150,13 +175,16 @@ bool Transport::open(std::string &Error) {
   }
   std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
   // Replace a stale socket from a dead server, but never anything else: a
-  // mistyped --listen must not delete the user's file.
+  // mistyped --listen must not delete the user's file, and a second server
+  // must not take the socket of a live one.
   struct stat St;
   if (::lstat(Path.c_str(), &St) == 0) {
     if (!S_ISSOCK(St.st_mode)) {
       Error = "'" + Path + "' exists and is not a socket";
       return false;
     }
+    if (!probeStale(Addr, Error))
+      return false;
     ::unlink(Path.c_str());
   }
   ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);

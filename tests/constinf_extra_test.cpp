@@ -10,7 +10,9 @@
 /// pointer arithmetic, nested structs, self-referential lists, multi-level
 /// write propagation, scale, idempotence of repeated runs, error
 /// explanations that do not depend on program size or on a scheme, shared
-/// storage that polymorphism must not quantify, and struct initializers.
+/// storage that polymorphism must not quantify, struct initializers, and
+/// call-site instantiation (a direct call instantiates only what it can
+/// observe; a function designator takes the full instance).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -481,4 +483,90 @@ TEST(SharedExplanations, StopAtTheErrorCap) {
   }
   EXPECT_EQ(Diags[3].Kind, DiagKind::Fatal);
   EXPECT_TRUE(Capped.Diags.shouldBail());
+}
+
+// Call-site instantiation (QualScheme::instantiateCall): a direct call
+// creates no variable for a parameter position only its own argument
+// meets; every other use of a function name takes the full instance.
+namespace {
+
+const char *const CallPrelude =
+    "void f(char **p, char **q) { **p = 0; }\n"
+    "void (*fp)(char **, char **);\n"
+    "void sink(void (*h)(char **, char **)) { }\n";
+
+/// Qualifier variables of CallPrelude plus `void g(char **c) { Body }`.
+unsigned varsWithUse(const std::string &Body) {
+  XRig R;
+  EXPECT_TRUE(R.analyze(std::string(CallPrelude) + "void g(char **c) { " +
+                        Body + " }\n"))
+      << R.Diags.renderAll();
+  return R.Inf->numQualVars();
+}
+
+const QualScheme &schemeOf(XRig &R, std::string_view Name) {
+  const QualScheme *S = R.Inf->schemeFor(R.TU.FunctionMap.at(Name));
+  EXPECT_NE(S, nullptr) << Name;
+  return *S;
+}
+
+} // namespace
+
+TEST(CallInstance, DesignatorUsesTakeTheFullInstance) {
+  XRig R;
+  ASSERT_TRUE(R.analyze(std::string(CallPrelude) + "void g(char **c) { }\n"))
+      << R.Diags.renderAll();
+  const QualScheme &F = schemeOf(R, "f"), &Sink = schemeOf(R, "sink");
+  // f's q, and the contents of p below the written cell, are don't-cares.
+  ASSERT_GT(F.getNumDontCareVars(), 0u);
+  ASSERT_GT(Sink.getNumDontCareVars(), 0u);
+  const unsigned Base = R.Inf->numQualVars();
+  EXPECT_EQ(varsWithUse(""), Base);
+  // A direct call: the observable variables only.
+  EXPECT_EQ(varsWithUse("f(c, c);"),
+            Base + F.getNumBoundVars() - F.getNumDontCareVars());
+  // `fp = f`: a pointer cell over the full instance.
+  EXPECT_EQ(varsWithUse("fp = f;"), Base + 1 + F.getNumBoundVars());
+  // Calling through fp instantiates nothing.
+  EXPECT_EQ(varsWithUse("fp = f; fp(c, c);"), Base + 1 + F.getNumBoundVars());
+  // `sink(&f)`: a call instance of sink, a full instance of f.
+  EXPECT_EQ(varsWithUse("sink(&f);"),
+            Base + Sink.getNumBoundVars() - Sink.getNumDontCareVars() + 1 +
+                F.getNumBoundVars());
+}
+
+TEST(CallInstance, DirectCallsSaveTheDontCaresAndKeepPositions) {
+  // `(&f)(...)` is the same call made through a designator, so it takes
+  // the full instance: the two programs differ by f's don't-cares (and the
+  // designator's pointer cell) per call, and classify alike.
+  const std::string Prelude = "void f(char *p, char *q, char **r) { *p = 0; }\n"
+                              "char *id(char *s) { return s; }\n";
+  const std::string Direct =
+      Prelude + "void g(char *a, char *b, char **c) { f(a, b, c); "
+                "f(b, a, c); *id(a) = 1; }\n";
+  const std::string Designated =
+      Prelude + "void g(char *a, char *b, char **c) { (&f)(a, b, c); "
+                "(&f)(b, a, c); *id(a) = 1; }\n";
+  XRig D, Full;
+  ASSERT_TRUE(D.analyze(Direct)) << D.Diags.renderAll();
+  ASSERT_TRUE(Full.analyze(Designated)) << Full.Diags.renderAll();
+  const unsigned DontCares = schemeOf(D, "f").getNumDontCareVars();
+  ASSERT_GT(DontCares, 0u);
+  EXPECT_EQ(Full.Inf->numQualVars() - D.Inf->numQualVars(),
+            2 * (DontCares + 1));
+  EXPECT_LT(D.Inf->numConstraints(), Full.Inf->numConstraints());
+
+  std::vector<ClassifiedPos> DP = D.Inf->classifiedPositions();
+  std::vector<ClassifiedPos> FP = Full.Inf->classifiedPositions();
+  ASSERT_EQ(DP.size(), FP.size());
+  for (size_t I = 0; I != DP.size(); ++I) {
+    EXPECT_EQ(DP[I].Pos.Fn->getName(), FP[I].Pos.Fn->getName());
+    EXPECT_EQ(DP[I].Pos.ParamIndex, FP[I].Pos.ParamIndex);
+    EXPECT_EQ(DP[I].Pos.Depth, FP[I].Pos.Depth);
+    EXPECT_EQ(DP[I].Class, FP[I].Class) << "position " << I;
+  }
+  EXPECT_EQ(D.Inf->renderAnnotatedPrototypes(),
+            Full.Inf->renderAnnotatedPrototypes());
+  EXPECT_EQ(D.classOf("g", 0), PosClass::MustNonConst);
+  EXPECT_EQ(D.classOf("g", 1), PosClass::MustNonConst);
 }

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <random>
 
@@ -282,6 +283,64 @@ TEST_F(SchemeEdge, EmptyBodyGeneralizesToNothing) {
   EXPECT_EQ(S.instantiate(Sys, Factory).getShape(), Body.getShape());
 }
 
+TEST_F(SchemeEdge, CallInstanceLeavesOutParameterOnlyVariables) {
+  // fn(p, q) -> r with p <= r: q occurs once, inside a parameter, in no
+  // canned constraint, so a call instance gives it no variable. p (canned),
+  // r (the result) and the function's own qualifier stay observable, and a
+  // full instance still copies all four.
+  ConstraintSystem Sys(QS);
+  TypeCtor Fn2{"fn2",
+               {Variance::Contravariant, Variance::Contravariant,
+                Variance::Covariant}};
+  Watermark Mark = takeWatermark(Sys);
+  QualExpr P = var(Sys), Q = var(Sys), R = var(Sys);
+  Sys.addLeq(P, R, {"p to result"});
+  QualType Body = Factory.make(
+      var(Sys), &Fn2,
+      {Factory.make(P, &Int), Factory.make(Q, &Int), Factory.make(R, &Int)});
+  QualScheme S = QualScheme::generalize(Sys, Body, Mark);
+  EXPECT_EQ(S.getNumBoundVars(), 4u);
+  EXPECT_EQ(S.getNumDontCareVars(), 1u);
+
+  unsigned Before = Sys.getNumVars();
+  QualType Call = S.instantiateCall(Sys, Factory);
+  EXPECT_EQ(Sys.getNumVars() - Before, 3u);
+  EXPECT_TRUE(QualScheme::isDontCare(Call.getArg(1).getQual()));
+  EXPECT_FALSE(QualScheme::isDontCare(Call.getArg(0).getQual()));
+  EXPECT_FALSE(QualScheme::isDontCare(Call.getArg(2).getQual()));
+  EXPECT_FALSE(QualScheme::isDontCare(Call.getQual()));
+  Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Const})),
+             Call.getArg(0).getQual(), {"const into call param"});
+
+  Before = Sys.getNumVars();
+  QualType Full = S.instantiate(Sys, Factory);
+  EXPECT_EQ(Sys.getNumVars() - Before, 4u);
+  EXPECT_FALSE(QualScheme::isDontCare(Full.getArg(1).getQual()));
+
+  ASSERT_TRUE(Sys.solve());
+  EXPECT_TRUE(Sys.mustHave(Call.getArg(2).getQual().getVar(), Const));
+  EXPECT_FALSE(Sys.mustHave(Full.getArg(2).getQual().getVar(), Const));
+}
+
+TEST_F(SchemeEdge, RepeatedOrResultVariablesStayObservable) {
+  // A variable in two parameters, or in a parameter and the result, meets
+  // more than one flow at a call, so no call instance leaves it out.
+  ConstraintSystem Sys(QS);
+  TypeCtor Fn2{"fn2",
+               {Variance::Contravariant, Variance::Contravariant,
+                Variance::Covariant}};
+  Watermark Mark = takeWatermark(Sys);
+  QualExpr Shared = var(Sys), Through = var(Sys);
+  QualType Body = Factory.make(var(Sys), &Fn2,
+                               {Factory.make(Shared, &Int),
+                                Factory.make(Shared, &Int),
+                                Factory.make(Through, &Int)});
+  QualScheme S = QualScheme::generalize(Sys, Body, Mark);
+  EXPECT_EQ(S.getNumDontCareVars(), 0u);
+  QualType Call = S.instantiateCall(Sys, Factory);
+  EXPECT_EQ(Call.getArg(0).getQual(), Call.getArg(1).getQual());
+}
+
 /// A random post-watermark body over NumEnv older (environment) variables
 /// and NumFresh body variables. Operands index environment variables first,
 /// then body variables; -1 is a constant.
@@ -526,4 +585,194 @@ TEST(SchemeScratch, ReusedScratchCansLikeFreshScratch) {
         Env.push_back(Sys.freshVar());
     }
   }
+}
+
+namespace {
+
+/// The shapes of the call oracle's parameter and result types: a scalar,
+/// a pointer (invariant cell), and a pointer to a one-argument function.
+struct CallShapes {
+  TypeCtor Int{"int", {}};
+  TypeCtor Ref{"ref", {Variance::Invariant}};
+  TypeCtor Fn1{"fn1", {Variance::Contravariant, Variance::Covariant}};
+  std::deque<TypeCtor> Fns; // Function interfaces, by parameter count.
+
+  const TypeCtor *fn(unsigned NumParams) {
+    std::vector<Variance> V(NumParams, Variance::Contravariant);
+    V.push_back(Variance::Covariant);
+    Fns.emplace_back("fn" + std::to_string(NumParams), V);
+    return &Fns.back();
+  }
+
+  /// A random type whose qualifiers \p Qual supplies, parents first.
+  template <typename QualFn>
+  QualType random(std::mt19937 &Rng, QualTypeFactory &Factory, QualFn &Qual,
+                  unsigned Depth) {
+    QualExpr Q = Qual();
+    switch (Depth < 2 ? Rng() % 3 : 0) {
+    case 0:
+      return Factory.make(Q, &Int);
+    case 1:
+      return Factory.make(Q, &Ref, {random(Rng, Factory, Qual, Depth + 1)});
+    default: {
+      QualType Param = random(Rng, Factory, Qual, Depth + 1);
+      QualType Result = random(Rng, Factory, Qual, Depth + 1);
+      return Factory.make(Q, &Ref,
+                          {Factory.make(Qual(), &Fn1, {Param, Result})});
+    }
+    }
+  }
+};
+
+/// Structural flow A <= B as constraint generation makes it for an
+/// argument (constinf::ConstraintGen::flowInto): variance-directed, cell
+/// contents invariant, and no constraint at a QualScheme::DontCare level.
+void flowArgument(ConstraintSystem &Sys, QualType A, QualType B, bool Both) {
+  if (A.isNull() || B.isNull() || A.getCtor() != B.getCtor())
+    return;
+  if (!QualScheme::isDontCare(A.getQual()) &&
+      !QualScheme::isDontCare(B.getQual())) {
+    if (Both)
+      Sys.addEq(A.getQual(), B.getQual(), {"argument"});
+    else
+      Sys.addLeq(A.getQual(), B.getQual(), {"argument"});
+  }
+  for (unsigned I = 0, E = A.getNumArgs(); I != E; ++I) {
+    Variance V = Both ? Variance::Invariant : A.getCtor()->getVariance(I);
+    if (V == Variance::Contravariant)
+      flowArgument(Sys, B.getArg(I), A.getArg(I), false);
+    else
+      flowArgument(Sys, A.getArg(I), B.getArg(I), V == Variance::Invariant);
+  }
+}
+
+/// One side of the call oracle, built from \p Seed: environment, a random
+/// function body generalized to a scheme, then two direct calls, each
+/// flowing one caller-owned argument into every parameter and the result
+/// into two caller-owned receivers (as `y = (*f() = x)` uses it twice; a
+/// result position is never a don't-care), with random constant bounds on
+/// every variable that exists before the first instance. Only \p AtCall
+/// differs between the sides: call instances or full instances.
+struct CallSide {
+  ConstraintSystem Sys;
+  unsigned NumBefore = 0;
+  unsigned DontCares = 0;
+
+  CallSide(const QualifierSet &QS, QualTypeFactory &Factory,
+           CallShapes &Shapes, uint32_t Seed, bool AtCall)
+      : Sys(QS) {
+    std::mt19937 Rng(Seed);
+    const uint64_t Used = QS.usedBits();
+    RandomBody B = makeBody(Rng, Used);
+    std::vector<QualVarId> Env, Fresh;
+    for (unsigned I = 0; I != B.NumEnv; ++I)
+      Env.push_back(Sys.freshVar());
+    Watermark Mark = takeWatermark(Sys);
+    for (unsigned I = 0; I != B.NumFresh; ++I)
+      Fresh.push_back(Sys.freshVar());
+    for (const RandomBody::Item &C : B.Cons) {
+      auto Operand = [&](int I) {
+        if (I < 0)
+          return QualExpr::makeConst(LatticeValue(C.Bits));
+        return QualExpr::makeVar(unsigned(I) < B.NumEnv ? Env[I]
+                                                        : Fresh[I - B.NumEnv]);
+      };
+      Sys.addLeqMasked(Operand(C.Lhs), Operand(C.Rhs), C.Mask, {"body"});
+    }
+
+    // A position holds a variable no body constraint mentions or a random
+    // body variable, so some occur once and some repeat across parameters
+    // and the result.
+    auto BodyQual = [&] {
+      return QualExpr::makeVar(Rng() % 2 ? Sys.freshVar()
+                                         : Fresh[Rng() % B.NumFresh]);
+    };
+    const unsigned NumParams = 1 + Rng() % 3;
+    std::vector<QualType> Args;
+    for (unsigned I = 0; I != NumParams + 1; ++I)
+      Args.push_back(Shapes.random(Rng, Factory, BodyQual, 0));
+    QualType Body = Factory.make(BodyQual(), Shapes.fn(NumParams), Args);
+    FreeVarSet Escapes(Mark.FirstVar);
+    Escapes.insert(Escapes.end(), B.Escaping.begin(), B.Escaping.end());
+    QualScheme S = QualScheme::generalize(Sys, Body, Mark, &Escapes);
+    DontCares = S.getNumDontCareVars();
+
+    // The callers' arguments and receivers, then the context's bounds.
+    std::vector<std::vector<QualType>> Actuals(2);
+    for (std::vector<QualType> &Site : Actuals)
+      for (unsigned I = 0; I != NumParams + 2; ++I)
+        Site.push_back(Factory.spread(Sys, Args[std::min(I, NumParams)]));
+    NumBefore = Sys.getNumVars();
+    for (QualVarId V = 0; V != NumBefore; ++V) {
+      if (Rng() % 4 == 0)
+        Sys.addLeq(QualExpr::makeConst(LatticeValue(Rng() & Used)),
+                   QualExpr::makeVar(V), {"context seed"});
+      if (Rng() % 4 == 0)
+        Sys.addLeq(QualExpr::makeVar(V),
+                   QualExpr::makeConst(LatticeValue(Rng() & Used)),
+                   {"context cap"});
+    }
+
+    // Instances first, so every constant-bound constraint (the only
+    // violation sites) has the same id on both sides.
+    std::vector<QualType> Uses;
+    for (int Site = 0; Site != 2; ++Site)
+      Uses.push_back(AtCall ? S.instantiateCall(Sys, Factory)
+                            : S.instantiate(Sys, Factory));
+    for (int Site = 0; Site != 2; ++Site) {
+      for (unsigned I = 0; I != NumParams; ++I)
+        flowArgument(Sys, Actuals[Site][I], Uses[Site].getArg(I), false);
+      for (unsigned R = NumParams; R != NumParams + 2; ++R)
+        flowArgument(Sys, Uses[Site].getArg(NumParams), Actuals[Site][R],
+                     false);
+    }
+  }
+};
+
+} // namespace
+
+TEST(SchemeOracle, CallInstancesSolveLikeFullInstances) {
+  QualifierSet QS;
+  QS.add("const", Polarity::Positive);
+  QS.add("nonzero", Polarity::Negative);
+  QS.add("tainted", Polarity::Positive);
+  QualTypeFactory Factory;
+  CallShapes Shapes;
+  std::mt19937 Seeds(4099);
+  unsigned DontCares = 0, Violations = 0;
+  for (int Trial = 0; Trial != 400; ++Trial) {
+    SCOPED_TRACE("trial " + std::to_string(Trial));
+    const uint32_t Seed = Seeds();
+    CallSide Call(QS, Factory, Shapes, Seed, /*AtCall=*/true);
+    CallSide Full(QS, Factory, Shapes, Seed, /*AtCall=*/false);
+    ASSERT_EQ(Call.NumBefore, Full.NumBefore);
+    ASSERT_EQ(Call.DontCares, Full.DontCares);
+    DontCares += Call.DontCares;
+    EXPECT_EQ(Full.Sys.getNumVars() - Call.Sys.getNumVars(),
+              2 * Call.DontCares);
+
+    EXPECT_EQ(Call.Sys.solve(), Full.Sys.solve());
+    for (QualVarId V = 0; V != Call.NumBefore; ++V)
+      for (QualifierId Q = 0; Q != QS.size(); ++Q) {
+        EXPECT_EQ(Call.Sys.mayHave(V, Q), Full.Sys.mayHave(V, Q))
+            << "var " << V << " qualifier " << Q;
+        EXPECT_EQ(Call.Sys.mustHave(V, Q), Full.Sys.mustHave(V, Q))
+            << "var " << V << " qualifier " << Q;
+      }
+
+    std::vector<Violation> CV = Call.Sys.collectViolations();
+    std::vector<Violation> FV = Full.Sys.collectViolations();
+    ASSERT_EQ(CV.size(), FV.size());
+    Violations += CV.size();
+    ViolationExplainer CallExplainer(Call.Sys), FullExplainer(Full.Sys);
+    for (size_t K = 0; K != CV.size(); ++K) {
+      EXPECT_EQ(CV[K].Cause, FV[K].Cause);
+      EXPECT_EQ(CV[K].OffendingBits, FV[K].OffendingBits);
+      EXPECT_EQ(CV[K].Actual.bits(), FV[K].Actual.bits());
+      EXPECT_EQ(CallExplainer.explain(CV[K]), FullExplainer.explain(FV[K]));
+    }
+  }
+  // The oracle must exercise both sides of the claim.
+  EXPECT_GT(DontCares, 400u) << DontCares;
+  EXPECT_GT(Violations, 400u) << Violations;
 }

@@ -4,10 +4,10 @@
 // (Foster, Fähndrich, Aiken; PLDI 1999).
 //
 // End-to-end coverage for serve/Transport: the socket path (stale socket
-// replaced, any other file left alone, ':' allowed), multi-client byte
-// identity against stdio, cross-connection invalidate and shutdown
-// semantics, and socket-level hostile input (the hardening expectations
-// of tests/hardening_test.cpp carried onto the wire).
+// replaced, a live one or any other file left alone, ':' allowed),
+// multi-client byte identity against stdio, cross-connection invalidate
+// and shutdown semantics, and socket-level hostile input (the hardening
+// expectations of tests/hardening_test.cpp carried onto the wire).
 //
 //===----------------------------------------------------------------------===//
 
@@ -240,6 +240,27 @@ TEST(Transport, OpenReplacesAStaleSocket) {
   EXPECT_EQ(recvAll(Fd), "{\"id\":1,\"ok\":true}\n");
   ::close(Fd);
   Serve.join();
+}
+
+TEST(Transport, OpenRefusesALiveSocket) {
+  // A second server at a live server's path fails with the path named and
+  // leaves the first one reachable.
+  LiveServer Live;
+  ASSERT_TRUE(Live.Opened);
+  {
+    Server S(ServerConfig{});
+    Transport T(S, Live.Path);
+    std::string Error;
+    EXPECT_FALSE(T.open(Error));
+    EXPECT_NE(Error.find(Live.Path), std::string::npos) << Error;
+  }
+  ASSERT_TRUE(std::filesystem::is_socket(Live.Path));
+  int Fd = Live.connect();
+  ASSERT_GE(Fd, 0);
+  std::string Req = analyzeLine(1, "int live(int *p) { return *p; }");
+  sendAll(Fd, Req);
+  EXPECT_EQ(recvLines(Fd, 1), stdioReference(Req));
+  ::close(Fd);
 }
 
 TEST(Transport, MultiClientByteIdenticalToStdio) {
