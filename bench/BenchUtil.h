@@ -18,8 +18,7 @@
 #ifndef QUALS_BENCH_BENCHUTIL_H
 #define QUALS_BENCH_BENCHUTIL_H
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 #include "gen/SynthGen.h"
 #include "support/Timer.h"
@@ -76,18 +75,10 @@ inline synth::SynthProgram generate(const BenchmarkSpec &Spec) {
   return synth::generateProgram(P);
 }
 
-/// Front-end state for one analyzed program (kept alive for the inference).
-struct Compiled {
-  SourceManager SM;
-  std::unique_ptr<DiagnosticEngine> Diags;
-  cfront::CAstContext Ast;
-  cfront::CTypeContext Types;
-  StringInterner Idents;
-  cfront::TranslationUnit TU;
+/// One analyzed program's front end, kept alive for the inference.
+struct Compiled : cfront::FrontEnd {
   double CompileSeconds = 0;
   bool Ok = false;
-
-  Compiled() : Diags(std::make_unique<DiagnosticEngine>(SM)) {}
 };
 
 /// Parses and analyzes \p Source, timing the front end ("compile time").
@@ -95,15 +86,13 @@ inline std::unique_ptr<Compiled> compile(const std::string &Name,
                                          const std::string &Source) {
   auto C = std::make_unique<Compiled>();
   Timer T;
-  bool ParseOk = cfront::parseCSource(C->SM, Name, Source, C->Ast, C->Types,
-                                      C->Idents, *C->Diags, C->TU);
-  cfront::CSema Sema(C->Ast, C->Types, C->Idents, *C->Diags);
-  bool SemaOk = Sema.analyze(C->TU);
+  bool ParseOk = C->parse(Name, Source);
+  bool SemaOk = C->analyze();
   C->CompileSeconds = T.seconds();
   C->Ok = ParseOk && SemaOk;
   if (!C->Ok)
     std::fprintf(stderr, "front end failed on %s:\n%s\n", Name.c_str(),
-                 C->Diags->renderAll().c_str());
+                 C->Diags.renderAll().c_str());
   return C;
 }
 
@@ -125,13 +114,13 @@ inline InferRun inferTimed(Compiled &C, bool Polymorphic,
   for (unsigned I = 0; I != Repeats; ++I) {
     constinf::ConstInference::Options Opts;
     Opts.Polymorphic = Polymorphic;
-    constinf::ConstInference Inf(C.TU, *C.Diags, Opts);
+    constinf::ConstInference Inf(C.TU, C.Diags, Opts);
     Timer T;
     Run.Ok = Inf.run();
     Total += T.seconds();
     if (!Run.Ok) {
       std::fprintf(stderr, "inference failed:\n%s\n",
-                   C.Diags->renderAll().c_str());
+                   C.Diags.renderAll().c_str());
       return Run;
     }
     if (I == 0) {

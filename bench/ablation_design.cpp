@@ -95,13 +95,13 @@ int main() {
     std::vector<std::string> Row{Spec.Name};
     std::string Total;
     for (const Config &C : Configs) {
-      ConstInference Inf(Compiledp->TU, *Compiledp->Diags, C.Opts);
+      ConstInference Inf(Compiledp->TU, Compiledp->Diags, C.Opts);
       if (!Inf.run()) {
         // Ablations that weaken soundness can surface contradictions on
         // correct programs (e.g. casts-keep-flow turns legal const-removal
         // casts into errors). Report that as "err" rather than aborting.
         Row.push_back("err");
-        Compiledp->Diags->clear();
+        Compiledp->Diags.clear();
         continue;
       }
       ConstCounts Counts = Inf.counts();

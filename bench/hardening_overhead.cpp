@@ -20,8 +20,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "gen/SynthGen.h"
 #include "support/Diagnostics.h"
 
@@ -48,18 +47,8 @@ void BM_ParsePipeline(benchmark::State &State) {
       synth::paramsForLines(1, static_cast<unsigned>(State.range(0)));
   std::string Source = synth::generateProgram(P).Source;
   for (auto _ : State) {
-    SourceManager SM;
-    DiagnosticEngine Diags(SM);
-    cfront::CAstContext Ast;
-    cfront::CTypeContext Types;
-    StringInterner Idents;
-    cfront::TranslationUnit TU;
-    bool Ok = cfront::parseCSource(SM, "bench.c", Source, Ast, Types,
-                                   Idents, Diags, TU);
-    if (Ok) {
-      cfront::CSema Sema(Ast, Types, Idents, Diags);
-      Ok = Sema.analyze(TU);
-    }
+    cfront::FrontEnd FE;
+    bool Ok = FE.parse("bench.c", Source) && FE.analyze();
     benchmark::DoNotOptimize(Ok);
   }
   State.SetBytesProcessed(int64_t(State.iterations()) * Source.size());
@@ -74,14 +63,8 @@ void BM_DepthBailout(benchmark::State &State) {
   Source.append(Depth, ')');
   Source += "; }\n";
   for (auto _ : State) {
-    SourceManager SM;
-    DiagnosticEngine Diags(SM);
-    cfront::CAstContext Ast;
-    cfront::CTypeContext Types;
-    StringInterner Idents;
-    cfront::TranslationUnit TU;
-    bool Ok = cfront::parseCSource(SM, "deep.c", Source, Ast, Types,
-                                   Idents, Diags, TU);
+    cfront::FrontEnd FE;
+    bool Ok = FE.parse("deep.c", Source);
     benchmark::DoNotOptimize(Ok);
   }
   State.SetBytesProcessed(int64_t(State.iterations()) * Source.size());

@@ -14,8 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 
 #include <cstdio>
@@ -110,25 +109,18 @@ static void report(TranslationUnit &TU, DiagnosticEngine &Diags,
 int main() {
   std::printf("== const inference example ==\n\n%s\n", Program);
 
-  SourceManager SM;
-  DiagnosticEngine Diags(SM);
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-  if (!parseCSource(SM, "example.c", Program, Ast, Types, Idents, Diags,
-                    TU)) {
-    std::printf("parse failed:\n%s\n", Diags.renderAll().c_str());
+  FrontEnd FE;
+  if (!FE.parse("example.c", Program)) {
+    std::printf("parse failed:\n%s\n", FE.Diags.renderAll().c_str());
     return 1;
   }
-  CSema Sema(Ast, Types, Idents, Diags);
-  if (!Sema.analyze(TU)) {
-    std::printf("sema failed:\n%s\n", Diags.renderAll().c_str());
+  if (!FE.analyze()) {
+    std::printf("sema failed:\n%s\n", FE.Diags.renderAll().c_str());
     return 1;
   }
 
-  report(TU, Diags, /*Polymorphic=*/false);
-  report(TU, Diags, /*Polymorphic=*/true);
+  report(FE.TU, FE.Diags, /*Polymorphic=*/false);
+  report(FE.TU, FE.Diags, /*Polymorphic=*/true);
 
   std::printf("note how polymorphism lets find_char keep an unconstrained\n"
               "parameter even though replace_char writes through its "

@@ -20,8 +20,7 @@
 
 #include "apps/FlowNonNull.h"
 #include "apps/NonNull.h"
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 
 #include <cstdio>
 
@@ -63,27 +62,20 @@ int branch_trouble(int flag) {
 int main() {
   std::printf("== nonnull checking example ==\n\n%s\n", Program);
 
-  SourceManager SM;
-  DiagnosticEngine Diags(SM);
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-  if (!parseCSource(SM, "nonnull.c", Program, Ast, Types, Idents, Diags,
-                    TU) ) {
-    std::printf("parse failed:\n%s\n", Diags.renderAll().c_str());
+  FrontEnd FE;
+  if (!FE.parse("nonnull.c", Program)) {
+    std::printf("parse failed:\n%s\n", FE.Diags.renderAll().c_str());
     return 1;
   }
-  CSema Sema(Ast, Types, Idents, Diags);
-  if (!Sema.analyze(TU)) {
-    std::printf("sema failed:\n%s\n", Diags.renderAll().c_str());
+  if (!FE.analyze()) {
+    std::printf("sema failed:\n%s\n", FE.Diags.renderAll().c_str());
     return 1;
   }
 
-  auto show = [&SM](const char *Title, const auto &Warnings) {
+  auto show = [&FE](const char *Title, const auto &Warnings) {
     std::printf("-- %s: %zu warning(s) --\n", Title, Warnings.size());
     for (const auto &W : Warnings) {
-      PresumedLoc P = SM.getPresumedLoc(W.Loc);
+      PresumedLoc P = FE.SM.getPresumedLoc(W.Loc);
       std::printf("  %s:%u: %s\n",
                   std::string(P.Filename).c_str(), P.Line,
                   W.Message.c_str());
@@ -92,12 +84,12 @@ int main() {
   };
 
   NonNullChecker Insensitive;
-  Insensitive.analyze(TU);
+  Insensitive.analyze(FE.TU);
   show("flow-insensitive (the paper's framework as-is)",
        Insensitive.warnings());
 
   FlowNonNullChecker Flow;
-  Flow.analyze(TU);
+  Flow.analyze(FE.TU);
   show("flow-sensitive (the Section 6 proposal, implemented)",
        Flow.warnings());
 

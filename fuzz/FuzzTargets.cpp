@@ -7,8 +7,7 @@
 
 #include "FuzzTargets.h"
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 #include "lambda/Parser.h"
 #include "lambda/QualInfer.h"
@@ -46,22 +45,13 @@ static Limits fuzzLimits() {
 int fuzz::runCFront(const uint8_t *Data, size_t Size) {
   std::string Source = toSource(Data, Size);
 
-  SourceManager SM;
-  DiagnosticEngine Diags(SM, fuzzLimits());
-  cfront::CAstContext Ast;
-  cfront::CTypeContext Types;
-  StringInterner Idents;
-  cfront::TranslationUnit TU;
-  if (!cfront::parseCSource(SM, "<fuzz>", std::move(Source), Ast, Types,
-                            Idents, Diags, TU))
-    return 0;
-  cfront::CSema Sema(Ast, Types, Idents, Diags);
-  if (!Sema.analyze(TU))
+  cfront::FrontEnd FE(fuzzLimits());
+  if (!FE.parse("<fuzz>", std::move(Source)) || !FE.analyze())
     return 0;
 
   constinf::ConstInference::Options InfOpts;
   InfOpts.Polymorphic = true;
-  constinf::ConstInference Inf(TU, Diags, InfOpts);
+  constinf::ConstInference Inf(FE.TU, FE.Diags, InfOpts);
   (void)Inf.run();
   return 0;
 }

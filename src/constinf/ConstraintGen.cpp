@@ -6,47 +6,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "constinf/ConstraintGen.h"
+#include "qual/Subtype.h"
 
 using namespace quals;
 using namespace quals::constinf;
 using namespace quals::cfront;
-
-void ConstraintGen::flowInto(QualType A, QualType B,
-                             const ConstraintOrigin &Origin) {
-  if (A.isNull() || B.isNull())
-    return;
-  if (A.getCtor() != B.getCtor())
-    return; // Conversion: drop the association (Section 4.2 casts/implicit).
-  if (!QualScheme::isDontCare(A.getQual()) &&
-      !QualScheme::isDontCare(B.getQual()))
-    Sys.addLeq(A.getQual(), B.getQual(), Origin);
-  for (unsigned I = 0, E = A.getNumArgs(); I != E; ++I) {
-    switch (A.getCtor()->getVariance(I)) {
-    case Variance::Covariant:
-      flowInto(A.getArg(I), B.getArg(I), Origin);
-      break;
-    case Variance::Contravariant:
-      flowInto(B.getArg(I), A.getArg(I), Origin);
-      break;
-    case Variance::Invariant:
-      flowBoth(A.getArg(I), B.getArg(I), Origin);
-      break;
-    }
-  }
-}
-
-void ConstraintGen::flowBoth(QualType A, QualType B,
-                             const ConstraintOrigin &Origin) {
-  if (A.isNull() || B.isNull())
-    return;
-  if (A.getCtor() != B.getCtor())
-    return;
-  if (!QualScheme::isDontCare(A.getQual()) &&
-      !QualScheme::isDontCare(B.getQual()))
-    Sys.addEq(A.getQual(), B.getQual(), Origin);
-  for (unsigned I = 0, E = A.getNumArgs(); I != E; ++I)
-    flowBoth(A.getArg(I), B.getArg(I), Origin);
-}
 
 void ConstraintGen::requireNonConstCell(QualType LType, SourceLoc Loc,
                                         InternedReason &Why) {
@@ -98,7 +62,8 @@ void ConstraintGen::genInitInto(CQualType CellType, QualType CellContents,
   const auto *IL = dyn_cast<CInitList>(Init);
   if (!IL) {
     QualType V = rvalue(Init);
-    flowInto(V, CellContents, ConstraintOrigin(Init->getLoc(), InitFlow));
+    decomposeLeq(Sys, V, CellContents,
+                 ConstraintOrigin(Init->getLoc(), InitFlow));
     return;
   }
   const CType *Ty = CellType.getType();
@@ -179,7 +144,8 @@ void ConstraintGen::genStmt(const CStmt *S) {
     const auto *R = cast<CReturnStmt>(S);
     if (R->getValue() && !CurrentRet.isNull()) {
       QualType V = rvalue(R->getValue());
-      flowInto(V, CurrentRet, ConstraintOrigin(S->getLoc(), ReturnFlow));
+      decomposeLeq(Sys, V, CurrentRet,
+                   ConstraintOrigin(S->getLoc(), ReturnFlow));
     } else if (R->getValue()) {
       rvalue(R->getValue());
     }
@@ -276,7 +242,8 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
       QualType R = rvalue(B->getRhs());
       if (!L.isNull() && L.getCtor() == Ctors.ref()) {
         requireNonConstCell(L, E->getLoc(), AssignTarget);
-        flowInto(R, L.getArg(0), ConstraintOrigin(E->getLoc(), AssignFlow));
+        decomposeLeq(Sys, R, L.getArg(0),
+                     ConstraintOrigin(E->getLoc(), AssignFlow));
         return L.getArg(0);
       }
       return R;
@@ -314,8 +281,8 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     if (!T.isNull() && !F.isNull() && T.shapeEquals(F)) {
       QualType Join = Factory.spread(Sys, T);
       ConstraintOrigin Origin(E->getLoc(), BranchJoin);
-      flowInto(T, Join, Origin);
-      flowInto(F, Join, Origin);
+      decomposeLeq(Sys, T, Join, Origin);
+      decomposeLeq(Sys, F, Join, Origin);
       return Join;
     }
     // Shape mismatch (e.g. "p ? p : 0"): keep the pointer-ish side.
@@ -348,8 +315,8 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     for (unsigned I = 0, N = Args.size(); I != N; ++I) {
       QualType A = rvalue(Args[I]);
       if (!FnTy.isNull() && I < NumParams) {
-        flowInto(A, FnTy.getArg(I),
-                 ConstraintOrigin(Args[I]->getLoc(), ArgumentFlow));
+        decomposeLeq(Sys, A, FnTy.getArg(I),
+                     ConstraintOrigin(Args[I]->getLoc(), ArgumentFlow));
       } else if (CalleeUnknown && ConservativeLibraries) {
         // Extra argument to an undefined/variadic function: conservatively
         // non-const at every pointer level (Section 4.2). In summary mode a
@@ -393,7 +360,8 @@ QualType ConstraintGen::genExpr(const CExpr *E) {
     QualType Result =
         Translator.freshRValueType(C->getTargetType(), E->getLoc());
     if (!CastsSeverFlow)
-      flowInto(Op, Result, ConstraintOrigin(E->getLoc(), CastFlow));
+      decomposeLeq(Sys, Op, Result,
+                   ConstraintOrigin(E->getLoc(), CastFlow));
     return Result;
   }
   case CExpr::Kind::SizeOf: {

@@ -65,11 +65,6 @@ public:
   /// Emits constraints for a global variable's initializer.
   void genGlobalInit(const cfront::VarDecl *VD);
 
-  /// Structural flow A <= B where the shapes match; silently stops at shape
-  /// mismatches (conversions drop the association). A level where either
-  /// side is QualScheme::DontCare adds no constraint.
-  void flowInto(QualType A, QualType B, const ConstraintOrigin &Origin);
-
 private:
   ConstraintSystem &Sys;
   QualTypeFactory &Factory;
@@ -107,7 +102,6 @@ private:
   /// r-value type of \p E (auto-dereference of l-values).
   QualType rvalue(const cfront::CExpr *E);
 
-  void flowBoth(QualType A, QualType B, const ConstraintOrigin &Origin);
   /// Flows initializer \p Init into the contents of a cell of C type
   /// \p CellType, recursing through braced lists by array element and
   /// struct field.

@@ -29,6 +29,41 @@ bool QualifierSet::lookup(std::string_view Name, QualifierId &Id) const {
   return false;
 }
 
+bool quals::parseQualifierSpec(std::string_view Spec, QualifierSet &QS,
+                               std::string &Error) {
+  while (!Spec.empty()) {
+    size_t Comma = Spec.find(',');
+    std::string_view Name = Spec.substr(0, Comma);
+    Spec = Comma == std::string_view::npos ? std::string_view()
+                                           : Spec.substr(Comma + 1);
+    Polarity Pol = Polarity::Positive;
+    if (size_t Colon = Name.find(':'); Colon != std::string_view::npos) {
+      std::string_view Suffix = Name.substr(Colon + 1);
+      Name = Name.substr(0, Colon);
+      if (Suffix != "neg") {
+        Error = "unknown suffix ':" + std::string(Suffix) +
+                "' on qualifier '" + std::string(Name) +
+                "' (only ':neg' is allowed)";
+        return false;
+      }
+      Pol = Polarity::Negative;
+    }
+    if (Name.empty())
+      continue;
+    QualifierId Existing;
+    if (QS.lookup(Name, Existing)) {
+      Error = "duplicate qualifier '" + std::string(Name) + "'";
+      return false;
+    }
+    if (QS.size() == 64) {
+      Error = "more than 64 qualifiers";
+      return false;
+    }
+    QS.add(std::string(Name), Pol);
+  }
+  return true;
+}
+
 LatticeValue
 QualifierSet::valueWithPresent(const std::vector<QualifierId> &Ids) const {
   LatticeValue V = bottom();

@@ -154,6 +154,18 @@ private:
   std::vector<Qualifier> Qualifiers;
 };
 
+/// The qualifiers of the paper's demonstration language, as the lambda
+/// tools register them when no spec is given.
+inline constexpr std::string_view DefaultQualifierSpec =
+    "const,nonzero:neg,dynamic,tainted";
+
+/// Adds the qualifiers of \p Spec to \p QS: comma-separated items, each
+/// `name` (positive) or `name:neg` (negative); empty names are skipped.
+/// Returns false with a message in \p Error on more than 64 qualifiers, a
+/// duplicate name, or any suffix other than `:neg`.
+bool parseQualifierSpec(std::string_view Spec, QualifierSet &QS,
+                        std::string &Error);
+
 } // namespace quals
 
 #endif // QUALS_QUAL_QUALIFIER_H

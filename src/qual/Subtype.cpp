@@ -6,8 +6,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "qual/Subtype.h"
+#include "qual/TypeScheme.h"
 
 using namespace quals;
+
+/// False when either qualifier is QualScheme::DontCare: the level takes no
+/// constraint.
+static bool relates(QualType A, QualType B) {
+  return !QualScheme::isDontCare(A.getQual()) &&
+         !QualScheme::isDontCare(B.getQual());
+}
 
 bool quals::decomposeLeq(ConstraintSystem &Sys, QualType A, QualType B,
                          const ConstraintOrigin &Origin) {
@@ -15,7 +23,8 @@ bool quals::decomposeLeq(ConstraintSystem &Sys, QualType A, QualType B,
     return A.isNull() == B.isNull();
   if (A.getCtor() != B.getCtor())
     return false;
-  Sys.addLeq(A.getQual(), B.getQual(), Origin);
+  if (relates(A, B))
+    Sys.addLeq(A.getQual(), B.getQual(), Origin);
   bool Ok = true;
   for (unsigned I = 0, E = A.getNumArgs(); I != E; ++I) {
     switch (A.getCtor()->getVariance(I)) {
@@ -39,7 +48,8 @@ bool quals::decomposeEq(ConstraintSystem &Sys, QualType A, QualType B,
     return A.isNull() == B.isNull();
   if (A.getCtor() != B.getCtor())
     return false;
-  Sys.addEq(A.getQual(), B.getQual(), Origin);
+  if (relates(A, B))
+    Sys.addEq(A.getQual(), B.getQual(), Origin);
   bool Ok = true;
   for (unsigned I = 0, E = A.getNumArgs(); I != E; ++I)
     Ok &= decomposeEq(Sys, A.getArg(I), B.getArg(I), Origin);

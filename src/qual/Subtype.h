@@ -17,7 +17,9 @@
 ///   Invariant      arg_1 = arg_2         (SubRef -- sound ref subtyping)
 ///
 /// After decomposition only atomic lattice constraints remain, which the
-/// ConstraintSystem solves in linear time (Section 3.1).
+/// ConstraintSystem solves in linear time (Section 3.1). A level where
+/// either side's qualifier is QualScheme::DontCare (a call instance's
+/// unobservable variable) takes no constraint; its arguments still do.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +30,10 @@
 
 namespace quals {
 
-/// Adds the atomic constraints for \p A <= \p B. Returns false (adding
-/// nothing further) if the shapes disagree -- callers that ran standard type
-/// checking first will never see that, but the API stays total.
+/// Adds the atomic constraints for \p A <= \p B. Where the shapes disagree
+/// it adds nothing for that pair or below it, goes on with the rest, and
+/// returns false -- callers that ran standard type checking first never see
+/// that; const inference ignores it, since a C conversion drops the flow.
 bool decomposeLeq(ConstraintSystem &Sys, QualType A, QualType B,
                   const ConstraintOrigin &Origin);
 

@@ -7,8 +7,7 @@
 
 #include "serve/Pipelines.h"
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 #include "lambda/Parser.h"
 #include "lambda/QualInfer.h"
@@ -40,30 +39,19 @@ void runC(const AnalyzeJob &Job, CachedResult &R) {
   using namespace quals::cfront;
   using namespace quals::constinf;
 
-  SourceManager SM;
-  DiagnosticEngine Diags(SM, Job.Lim);
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-  if (!parseCSource(SM, Job.Name, Job.Source, Ast, Types, Idents, Diags, TU)) {
-    R.Err += Diags.renderAll();
-    R.ExitCode = 1;
-    return;
-  }
-  CSema Sema(Ast, Types, Idents, Diags);
-  if (!Sema.analyze(TU)) {
-    R.Err += Diags.renderAll();
+  FrontEnd FE(Job.Lim);
+  if (!FE.parse(Job.Name, Job.Source) || !FE.analyze()) {
+    R.Err += FE.Diags.renderAll();
     R.ExitCode = 1;
     return;
   }
 
   ConstInference::Options InfOpts;
   InfOpts.Polymorphic = Job.Polymorphic;
-  ConstInference Inf(TU, Diags, InfOpts);
+  ConstInference Inf(FE.TU, FE.Diags, InfOpts);
   if (!Inf.run()) {
     appendf(R.Err, "qualsd: const errors detected:\n%s",
-            Diags.renderAll().c_str());
+            FE.Diags.renderAll().c_str());
     R.ExitCode = 2;
     return;
   }
@@ -82,10 +70,10 @@ void runLambda(const AnalyzeJob &Job, CachedResult &R) {
   using namespace quals::lambda;
 
   QualifierSet QS;
-  QualifierId ConstQual = QS.add("const", Polarity::Positive);
-  QS.add("nonzero", Polarity::Negative);
-  QS.add("dynamic", Polarity::Positive);
-  QS.add("tainted", Polarity::Positive);
+  std::string SpecError; // Never set: the default spec parses.
+  parseQualifierSpec(DefaultQualifierSpec, QS, SpecError);
+  QualifierId ConstQual = 0;
+  QS.lookup("const", ConstQual);
 
   SourceManager SM;
   DiagnosticEngine Diags(SM, Job.Lim);

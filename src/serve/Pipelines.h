@@ -7,15 +7,16 @@
 ///
 /// \file
 /// The analysis pipelines the server runs on a cache miss, mirroring the
-/// batch tools (qualcc's analyzeUnit, qualcheck's checkOneFile) with two
+/// batch tools (qualcc's analyzeUnit, qualcheck's checkOneFile, with the
+/// same front end and the same default qualifier spec) with two
 /// server-driven differences:
 ///
-/// \li **Full isolation.** Every call builds a fresh context -- its own
-///     SourceManager, DiagnosticEngine, arenas, interner, constraint
-///     system -- and tears it all down on return, exactly like one
-///     tools/BatchDriver task. Nothing is retained between requests
-///     except the result cache; the soak test
-///     (tests/server_soak_test.cpp) holds this line.
+/// \li **Full isolation.** Every call builds a fresh context -- for C one
+///     cfront::FrontEnd (its own SourceManager, DiagnosticEngine, arenas,
+///     interner) plus the inference's constraint system -- and tears it
+///     all down on return, exactly like one tools/BatchDriver task.
+///     Nothing is retained between requests except the result cache; the
+///     soak test (tests/server_soak_test.cpp) holds this line.
 /// \li **Deterministic output.** No wall-clock timings in the report, so
 ///     the same (source, config) pair always produces the same bytes --
 ///     the property that makes results cacheable (docs/SERVER.md).

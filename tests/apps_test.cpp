@@ -16,8 +16,7 @@
 #include "apps/BindingTime.h"
 #include "apps/NonNull.h"
 #include "apps/Taint.h"
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 
 #include <gtest/gtest.h>
 
@@ -139,23 +138,12 @@ TEST(TaintTest, MayBeTaintedQueries) {
 // NonNull checking for C
 //===----------------------------------------------------------------------===//
 
-struct NullRig {
-  SourceManager SM;
-  DiagnosticEngine Diags{SM};
-  cfront::CAstContext Ast;
-  cfront::CTypeContext Types;
-  StringInterner Idents;
-  cfront::TranslationUnit TU;
+struct NullRig : cfront::FrontEnd {
   NonNullChecker Checker;
 
   bool analyze(const std::string &Source) {
-    if (!cfront::parseCSource(SM, "null.c", Source, Ast, Types, Idents,
-                              Diags, TU))
-      return false;
-    cfront::CSema Sema(Ast, Types, Idents, Diags);
-    if (!Sema.analyze(TU))
-      return false;
-    return Checker.analyze(TU);
+    return parse("null.c", Source) && FrontEnd::analyze() &&
+           Checker.analyze(TU);
   }
 };
 

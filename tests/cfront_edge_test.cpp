@@ -12,8 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 
 #include <gtest/gtest.h>
 
@@ -22,23 +21,11 @@ using namespace quals::cfront;
 
 namespace {
 
-struct ERig {
-  SourceManager SM;
-  DiagnosticEngine Diags{SM};
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-
+struct ERig : FrontEnd {
   bool parse(const std::string &Source) {
-    return parseCSource(SM, "edge.c", Source, Ast, Types, Idents, Diags, TU);
+    return FrontEnd::parse("edge.c", Source);
   }
-  bool sema(const std::string &Source) {
-    if (!parse(Source))
-      return false;
-    CSema S(Ast, Types, Idents, Diags);
-    return S.analyze(TU);
-  }
+  bool sema(const std::string &Source) { return parse(Source) && analyze(); }
   VarDecl *global(std::string_view Name) {
     auto It = TU.GlobalMap.find(Name);
     return It == TU.GlobalMap.end() ? nullptr : It->second;

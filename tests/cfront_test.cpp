@@ -5,8 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 
 #include <gtest/gtest.h>
 
@@ -18,23 +17,13 @@ using namespace quals::cfront;
 namespace {
 
 /// One parse+sema pipeline per test.
-struct CRig {
-  SourceManager SM;
-  DiagnosticEngine Diags{SM};
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-
+struct CRig : FrontEnd {
   bool parse(const std::string &Source) {
-    return parseCSource(SM, "test.c", Source, Ast, Types, Idents, Diags, TU);
+    return FrontEnd::parse("test.c", Source);
   }
 
   bool parseAndAnalyze(const std::string &Source) {
-    if (!parse(Source))
-      return false;
-    CSema Sema(Ast, Types, Idents, Diags);
-    return Sema.analyze(TU);
+    return parse(Source) && analyze();
   }
 
   FunctionDecl *fn(std::string_view Name) {
@@ -456,8 +445,7 @@ TEST(CAstContextTest, DeclIdsAreDensePerKind) {
                       "int f(int x, int y) { int l = x; return l + y; }\n"
                       "int h(struct s *sp) { return sp->a; }\n"));
   ASSERT_TRUE(R.parse("int k(void) { return f(1, 2); }\n"));
-  CSema Sema(R.Ast, R.Types, R.Idents, R.Diags);
-  ASSERT_TRUE(Sema.analyze(R.TU)) << R.Diags.renderAll();
+  ASSERT_TRUE(R.analyze()) << R.Diags.renderAll();
   EXPECT_EQ(R.TU.Context, &R.Ast);
 
   // Every declaration reachable from the unit, including the completed
@@ -644,8 +632,7 @@ TEST(CSemaTest, MultiBufferWholeProgram) {
   ASSERT_TRUE(R.parse("int shared(int x);"));
   ASSERT_TRUE(R.parse("int shared(int x) { return x; }"));
   ASSERT_TRUE(R.parse("int user(void) { return shared(1); }"));
-  CSema Sema(R.Ast, R.Types, R.Idents, R.Diags);
-  ASSERT_TRUE(Sema.analyze(R.TU)) << R.Diags.renderAll();
+  ASSERT_TRUE(R.analyze()) << R.Diags.renderAll();
   EXPECT_TRUE(R.fn("shared")->isDefined());
 }
 
@@ -691,8 +678,7 @@ TEST(CSemaTest, UseBeforeDeclarationAcrossBuffers) {
   CRig R;
   ASSERT_TRUE(R.parse("int user(void) { return later(counter); }"));
   ASSERT_TRUE(R.parse("int counter;\nint later(int x) { return x; }"));
-  CSema Sema(R.Ast, R.Types, R.Idents, R.Diags);
-  ASSERT_TRUE(Sema.analyze(R.TU)) << R.Diags.renderAll();
+  ASSERT_TRUE(R.analyze()) << R.Diags.renderAll();
   ASSERT_NE(R.fn("later"), nullptr);
   EXPECT_TRUE(R.fn("later")->isDefined());
   EXPECT_FALSE(R.fn("later")->isImplicit());

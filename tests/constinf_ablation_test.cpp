@@ -12,9 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
-#include "constinf/ConstInfer.h"
+#include "CTestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -24,37 +22,13 @@ using namespace quals::constinf;
 
 namespace {
 
-struct AblRig {
-  SourceManager SM;
-  DiagnosticEngine Diags{SM};
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-  std::unique_ptr<ConstInference> Inf;
-
+struct AblRig : ConstRig {
   bool analyze(const std::string &Source,
                const ConstInference::Options &Opts) {
-    if (TU.Decls.empty()) {
-      if (!parseCSource(SM, "abl.c", Source, Ast, Types, Idents, Diags, TU))
-        return false;
-      CSema Sema(Ast, Types, Idents, Diags);
-      if (!Sema.analyze(TU))
-        return false;
-    }
+    if (TU.Decls.empty() && !(parse("abl.c", Source) && FrontEnd::analyze()))
+      return false;
     Diags.clear();
-    Inf = std::make_unique<ConstInference>(TU, Diags, Opts);
-    return Inf->run();
-  }
-
-  PosClass classOf(std::string_view Fn, int ParamIndex,
-                   unsigned Depth = 0) {
-    for (const InterestingPos &P : Inf->positions())
-      if (P.Fn->getName() == Fn && P.ParamIndex == ParamIndex &&
-          P.Depth == Depth)
-        return Inf->classify(P);
-    ADD_FAILURE() << "position not found: " << Fn << "#" << ParamIndex;
-    return PosClass::MustNonConst;
+    return infer(Opts);
   }
 };
 

@@ -16,9 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
-#include "constinf/ConstInfer.h"
+#include "CTestUtil.h"
 #include "gen/SynthGen.h"
 
 #include <gtest/gtest.h>
@@ -29,38 +27,13 @@ using namespace quals::constinf;
 
 namespace {
 
-struct XRig {
-  XRig() : Diags(SM) {}
-  explicit XRig(Limits L) : Diags(SM, L) {}
-
-  SourceManager SM;
-  DiagnosticEngine Diags;
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-  std::unique_ptr<ConstInference> Inf;
+struct XRig : ConstRig {
+  using ConstRig::ConstRig;
 
   bool analyze(const std::string &Source, bool Polymorphic = true) {
-    if (!parseCSource(SM, "x.c", Source, Ast, Types, Idents, Diags, TU))
-      return false;
-    CSema Sema(Ast, Types, Idents, Diags);
-    if (!Sema.analyze(TU))
-      return false;
     ConstInference::Options Opts;
     Opts.Polymorphic = Polymorphic;
-    Inf = std::make_unique<ConstInference>(TU, Diags, Opts);
-    return Inf->run();
-  }
-
-  PosClass classOf(std::string_view Fn, int ParamIndex,
-                   unsigned Depth = 0) {
-    for (const InterestingPos &P : Inf->positions())
-      if (P.Fn->getName() == Fn && P.ParamIndex == ParamIndex &&
-          P.Depth == Depth)
-        return Inf->classify(P);
-    ADD_FAILURE() << "missing position " << Fn << "#" << ParamIndex;
-    return PosClass::MustNonConst;
+    return parse("x.c", Source) && FrontEnd::analyze() && infer(Opts);
   }
 };
 

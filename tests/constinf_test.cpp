@@ -13,9 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
-#include "constinf/ConstInfer.h"
+#include "CTestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -26,46 +24,15 @@ using namespace quals::constinf;
 namespace {
 
 /// Parse + sema + const inference pipeline for one program.
-struct InfRig {
-  SourceManager SM;
-  DiagnosticEngine Diags{SM};
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-  std::unique_ptr<ConstInference> Inf;
-
+struct InfRig : ConstRig {
   bool frontEnd(const std::string &Source) {
-    if (!parseCSource(SM, "test.c", Source, Ast, Types, Idents, Diags, TU))
-      return false;
-    CSema Sema(Ast, Types, Idents, Diags);
-    return Sema.analyze(TU);
+    return parse("test.c", Source) && FrontEnd::analyze();
   }
 
   bool analyze(const std::string &Source, bool Polymorphic = true) {
-    if (!frontEnd(Source))
-      return false;
     ConstInference::Options Opts;
     Opts.Polymorphic = Polymorphic;
-    Inf = std::make_unique<ConstInference>(TU, Diags, Opts);
-    return Inf->run();
-  }
-
-  /// Finds the interesting position for parameter \p ParamIndex of \p Fn at
-  /// pointer depth \p Depth (-1 = return).
-  const InterestingPos *pos(std::string_view Fn, int ParamIndex,
-                            unsigned Depth = 0) {
-    for (const InterestingPos &P : Inf->positions())
-      if (P.Fn->getName() == Fn && P.ParamIndex == ParamIndex &&
-          P.Depth == Depth)
-        return &P;
-    return nullptr;
-  }
-
-  PosClass classOf(std::string_view Fn, int ParamIndex, unsigned Depth = 0) {
-    const InterestingPos *P = pos(Fn, ParamIndex, Depth);
-    EXPECT_NE(P, nullptr) << "no position " << Fn << "#" << ParamIndex;
-    return P ? Inf->classify(*P) : PosClass::MustNonConst;
+    return frontEnd(Source) && infer(Opts);
   }
 };
 

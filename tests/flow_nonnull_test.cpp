@@ -15,8 +15,7 @@
 
 #include "apps/FlowNonNull.h"
 #include "apps/NonNull.h"
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 
 #include <gtest/gtest.h>
 
@@ -25,22 +24,12 @@ using namespace quals::apps;
 
 namespace {
 
-struct FlowRig {
-  SourceManager SM;
-  DiagnosticEngine Diags{SM};
-  cfront::CAstContext Ast;
-  cfront::CTypeContext Types;
-  StringInterner Idents;
-  cfront::TranslationUnit TU;
+struct FlowRig : cfront::FrontEnd {
   FlowNonNullChecker Flow;
   NonNullChecker Insensitive;
 
   bool parse(const std::string &Source) {
-    if (!cfront::parseCSource(SM, "flow.c", Source, Ast, Types, Idents,
-                              Diags, TU))
-      return false;
-    cfront::CSema Sema(Ast, Types, Idents, Diags);
-    return Sema.analyze(TU);
+    return FrontEnd::parse("flow.c", Source) && analyze();
   }
 };
 

@@ -15,8 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 #include "gen/SynthGen.h"
 
@@ -30,21 +29,13 @@ using namespace quals::synth;
 namespace {
 
 ConstCounts analyzeCounts(const SynthProgram &Prog, bool Poly) {
-  SourceManager SM;
-  DiagnosticEngine Diags(SM);
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-  EXPECT_TRUE(parseCSource(SM, "gen.c", Prog.Source, Ast, Types, Idents,
-                           Diags, TU))
-      << Diags.renderAll();
-  CSema Sema(Ast, Types, Idents, Diags);
-  EXPECT_TRUE(Sema.analyze(TU)) << Diags.renderAll();
+  FrontEnd FE;
+  EXPECT_TRUE(FE.parse("gen.c", Prog.Source)) << FE.Diags.renderAll();
+  EXPECT_TRUE(FE.analyze()) << FE.Diags.renderAll();
   ConstInference::Options Opts;
   Opts.Polymorphic = Poly;
-  ConstInference Inf(TU, Diags, Opts);
-  EXPECT_TRUE(Inf.run()) << Diags.renderAll();
+  ConstInference Inf(FE.TU, FE.Diags, Opts);
+  EXPECT_TRUE(Inf.run()) << FE.Diags.renderAll();
   return Inf.counts();
 }
 

@@ -14,8 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 #include "lambda/Parser.h"
 #include "lambda/QualInfer.h"
@@ -42,26 +41,19 @@ struct CRun {
 /// Runs the full qualcc pipeline over \p Source under \p Lim; must return
 /// (the point of this test suite) regardless of input.
 CRun runC(const std::string &Source, Limits Lim = Limits()) {
-  SourceManager SM;
-  DiagnosticEngine Diags(SM, Lim);
-  cfront::CAstContext Ast;
-  cfront::CTypeContext Types;
-  StringInterner Idents;
-  cfront::TranslationUnit TU;
+  cfront::FrontEnd FE(Lim);
   CRun R;
-  R.Parsed = cfront::parseCSource(SM, "hostile.c", Source, Ast, Types,
-                                  Idents, Diags, TU);
+  R.Parsed = FE.parse("hostile.c", Source);
   if (R.Parsed) {
-    cfront::CSema Sema(Ast, Types, Idents, Diags);
-    R.SemaOk = Sema.analyze(TU);
+    R.SemaOk = FE.analyze();
     if (R.SemaOk) {
-      constinf::ConstInference Inf(TU, Diags, {});
+      constinf::ConstInference Inf(FE.TU, FE.Diags, {});
       R.InferOk = Inf.run();
     }
   }
-  R.NumErrors = Diags.getNumErrors();
-  R.Bailed = Diags.shouldBail();
-  R.Rendered = Diags.renderAll();
+  R.NumErrors = FE.Diags.getNumErrors();
+  R.Bailed = FE.Diags.shouldBail();
+  R.Rendered = FE.Diags.renderAll();
   return R;
 }
 

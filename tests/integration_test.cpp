@@ -13,8 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 
 #include <gtest/gtest.h>
@@ -82,24 +81,10 @@ const char *Client =
     "  printf(\"%s\\n\", line);\n"
     "}\n";
 
-struct IntRig {
-  SourceManager SM;
-  DiagnosticEngine Diags{SM};
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-
+struct IntRig : FrontEnd {
   bool load() {
-    if (!parseCSource(SM, "lib.h", Header, Ast, Types, Idents, Diags, TU))
-      return false;
-    if (!parseCSource(SM, "lib.c", Library, Ast, Types, Idents, Diags, TU))
-      return false;
-    if (!parseCSource(SM, "client.c", Client, Ast, Types, Idents, Diags,
-                      TU))
-      return false;
-    CSema Sema(Ast, Types, Idents, Diags);
-    return Sema.analyze(TU);
+    return parse("lib.h", Header) && parse("lib.c", Library) &&
+           parse("client.c", Client) && analyze();
   }
 };
 

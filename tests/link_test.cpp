@@ -13,9 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
-#include "constinf/ConstInfer.h"
+#include "CTestUtil.h"
 #include "gen/SynthGen.h"
 #include "link/Linker.h"
 #include "link/Qsum.h"
@@ -36,34 +34,20 @@ using namespace quals;
 
 namespace {
 
-/// Front-end state for one analyzed TU, kept alive for the inference.
-struct Unit {
-  SourceManager SM;
-  std::unique_ptr<DiagnosticEngine> Diags;
-  cfront::CAstContext Ast;
-  cfront::CTypeContext Types;
-  StringInterner Idents;
-  cfront::TranslationUnit TU;
-  std::unique_ptr<constinf::ConstInference> Inf;
-
-  Unit() : Diags(std::make_unique<DiagnosticEngine>(SM)) {}
-
+/// One TU (or the whole program, for the reference) and its inference.
+struct Unit : constinf::ConstRig {
   bool analyze(const std::vector<std::string> &Sources, bool SummaryMode) {
     for (size_t I = 0; I != Sources.size(); ++I)
-      if (!cfront::parseCSource(SM, "tu" + std::to_string(I) + ".c",
-                                std::string(Sources[I]), Ast, Types, Idents,
-                                *Diags, TU))
+      if (!parse("tu" + std::to_string(I) + ".c", Sources[I]))
         return false;
-    cfront::CSema Sema(Ast, Types, Idents, *Diags);
-    if (!Sema.analyze(TU))
+    if (!FrontEnd::analyze())
       return false;
     constinf::ConstInference::Options Opts;
     // Summary interfaces are monomorphic (qualcc --emit-summary forces
     // --mono), so the whole-program reference must be monomorphic too.
     Opts.Polymorphic = false;
     Opts.SummaryMode = SummaryMode;
-    Inf = std::make_unique<constinf::ConstInference>(TU, *Diags, Opts);
-    return Inf->run();
+    return infer(Opts);
   }
 };
 
@@ -72,7 +56,7 @@ link::TuSummary summarize(const std::string &Name, const std::string &Source,
                           uint64_t ContentHash = 0) {
   Unit U;
   EXPECT_TRUE(U.analyze({Source}, /*SummaryMode=*/true))
-      << U.Diags->renderAll();
+      << U.Diags.renderAll();
   if (!ContentHash)
     ContentHash = hashBytes(Source.data(), Source.size());
   return link::buildSummary(*U.Inf, U.SM, Name, ContentHash,
@@ -93,7 +77,7 @@ wholeProgramKeys(const std::vector<std::string> &Sources,
                  constinf::ConstCounts *Counts = nullptr) {
   Unit U;
   EXPECT_TRUE(U.analyze(Sources, /*SummaryMode=*/false))
-      << U.Diags->renderAll();
+      << U.Diags.renderAll();
   std::vector<std::string> Keys;
   for (const constinf::InterestingPos &P : U.Inf->positions())
     Keys.push_back(posKey(std::string(P.Fn->getName()), P.ParamIndex,
@@ -301,7 +285,7 @@ TEST(SummaryBuilder, ShapeFromCTypeMatchesTranslation) {
   for (const std::string &Source : Sources) {
     Unit U;
     U.analyze({Source}, /*SummaryMode=*/true); // Rejected examples too.
-    ASSERT_TRUE(U.Inf) << U.Diags->renderAll();
+    ASSERT_TRUE(U.Inf) << U.Diags.renderAll();
     constinf::RefTranslator &TR = U.Inf->translator();
     for (const cfront::FunctionDecl *F : U.TU.Functions) {
       EXPECT_EQ(constinf::shapeOf(F),

@@ -19,8 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 #include "gen/SynthGen.h"
 #include "support/TextIO.h"
@@ -60,21 +59,13 @@ struct Outcome {
 Outcome analyze(const std::string &Name, const std::string &Source,
                 bool Polymorphic) {
   Outcome O;
-  SourceManager SM;
-  DiagnosticEngine Diags(SM);
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-  if (!parseCSource(SM, Name, Source, Ast, Types, Idents, Diags, TU))
-    return O;
-  CSema Sema(Ast, Types, Idents, Diags);
-  if (!Sema.analyze(TU))
+  FrontEnd FE;
+  if (!FE.parse(Name, Source) || !FE.analyze())
     return O;
   O.FrontEndOk = true;
   ConstInference::Options Opts;
   Opts.Polymorphic = Polymorphic;
-  ConstInference Inf(TU, Diags, Opts);
+  ConstInference Inf(FE.TU, FE.Diags, Opts);
   O.Accepted = Inf.run();
   if (!O.Accepted)
     return O;

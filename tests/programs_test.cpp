@@ -15,8 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "LambdaTestUtil.h"
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 
 #include <gtest/gtest.h>
@@ -131,26 +130,19 @@ TEST(Corpus, ObservationOneStripPreservesStandardTyping) {
 TEST(Corpus, AnnotatedPrototypesHandleDoublePointers) {
   using namespace quals::cfront;
   using namespace quals::constinf;
-  SourceManager SM;
-  DiagnosticEngine Diags(SM);
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-  ASSERT_TRUE(parseCSource(
-      SM, "dp.c",
+  FrontEnd FE;
+  ASSERT_TRUE(FE.parse(
+      "dp.c",
       "int walk(char **names) {\n"
       "  int n = 0;\n"
       "  while (*names) { n++; names = names + 1; }\n"
       "  return n;\n"
       "}\n"
-      "void clobber(char **names) { *names = (char *)0; }\n",
-      Ast, Types, Idents, Diags, TU));
-  CSema Sema(Ast, Types, Idents, Diags);
-  ASSERT_TRUE(Sema.analyze(TU));
+      "void clobber(char **names) { *names = (char *)0; }\n"));
+  ASSERT_TRUE(FE.analyze());
   ConstInference::Options Opts;
-  ConstInference Inf(TU, Diags, Opts);
-  ASSERT_TRUE(Inf.run()) << Diags.renderAll();
+  ConstInference Inf(FE.TU, FE.Diags, Opts);
+  ASSERT_TRUE(Inf.run()) << FE.Diags.renderAll();
   std::string Protos = Inf.renderAnnotatedPrototypes();
   // walk only reads: both pointer levels may be const.
   EXPECT_NE(Protos.find("walk(const char *const *"), std::string::npos)

@@ -116,6 +116,25 @@ TEST_F(QualTypeTest, MismatchedShapesRejected) {
   EXPECT_FALSE(decomposeLeq(Sys, I, R, {"bad"}));
 }
 
+TEST_F(QualTypeTest, DontCareLevelTakesNoConstraint) {
+  // A call instance's don't-care position relates to nothing; the levels
+  // below it still do, in both walks.
+  ConstraintSystem Sys(QS);
+  QualType C1 = intTy(Sys), C2 = intTy(Sys);
+  QualType R1 = Factory.make(QualExpr::makeVar(Sys.freshVar()), &Ref, {C1});
+  QualType R2 =
+      Factory.make(QualExpr::makeVar(QualScheme::DontCare), &Ref, {C2});
+  // Only the contents' equality: two constraints each time.
+  ASSERT_TRUE(decomposeLeq(Sys, R1, R2, {"sub"}));
+  EXPECT_EQ(Sys.getNumConstraints(), 2u);
+  ASSERT_TRUE(decomposeEq(Sys, R2, R1, {"eq"}));
+  EXPECT_EQ(Sys.getNumConstraints(), 4u);
+  Sys.addLeq(QualExpr::makeConst(QS.valueWithPresent({Const})), C2.getQual(),
+             {"c2 const"});
+  ASSERT_TRUE(Sys.solve());
+  EXPECT_TRUE(Sys.mustHave(C1.getQual().getVar(), Const));
+}
+
 TEST_F(QualTypeTest, SpreadCreatesFreshVariablesEverywhere) {
   ConstraintSystem Sys(QS);
   QualType I = intTy(Sys);

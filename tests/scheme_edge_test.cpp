@@ -624,28 +624,6 @@ struct CallShapes {
   }
 };
 
-/// Structural flow A <= B as constraint generation makes it for an
-/// argument (constinf::ConstraintGen::flowInto): variance-directed, cell
-/// contents invariant, and no constraint at a QualScheme::DontCare level.
-void flowArgument(ConstraintSystem &Sys, QualType A, QualType B, bool Both) {
-  if (A.isNull() || B.isNull() || A.getCtor() != B.getCtor())
-    return;
-  if (!QualScheme::isDontCare(A.getQual()) &&
-      !QualScheme::isDontCare(B.getQual())) {
-    if (Both)
-      Sys.addEq(A.getQual(), B.getQual(), {"argument"});
-    else
-      Sys.addLeq(A.getQual(), B.getQual(), {"argument"});
-  }
-  for (unsigned I = 0, E = A.getNumArgs(); I != E; ++I) {
-    Variance V = Both ? Variance::Invariant : A.getCtor()->getVariance(I);
-    if (V == Variance::Contravariant)
-      flowArgument(Sys, B.getArg(I), A.getArg(I), false);
-    else
-      flowArgument(Sys, A.getArg(I), B.getArg(I), V == Variance::Invariant);
-  }
-}
-
 /// One side of the call oracle, built from \p Seed: environment, a random
 /// function body generalized to a scheme, then two direct calls, each
 /// flowing one caller-owned argument into every parameter and the result
@@ -721,10 +699,11 @@ struct CallSide {
                             : S.instantiate(Sys, Factory));
     for (int Site = 0; Site != 2; ++Site) {
       for (unsigned I = 0; I != NumParams; ++I)
-        flowArgument(Sys, Actuals[Site][I], Uses[Site].getArg(I), false);
+        decomposeLeq(Sys, Actuals[Site][I], Uses[Site].getArg(I),
+                     {"argument"});
       for (unsigned R = NumParams; R != NumParams + 2; ++R)
-        flowArgument(Sys, Uses[Site].getArg(NumParams), Actuals[Site][R],
-                     false);
+        decomposeLeq(Sys, Uses[Site].getArg(NumParams), Actuals[Site][R],
+                     {"argument"});
     }
   }
 };

@@ -5,8 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 #include "gen/SynthGen.h"
 
@@ -30,30 +29,23 @@ struct PipelineResult {
 
 PipelineResult runPipeline(const SynthProgram &Prog, bool Polymorphic) {
   PipelineResult Result;
-  SourceManager SM;
-  DiagnosticEngine Diags(SM);
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
-  Result.ParseOk =
-      parseCSource(SM, "gen.c", Prog.Source, Ast, Types, Idents, Diags, TU);
+  FrontEnd FE;
+  Result.ParseOk = FE.parse("gen.c", Prog.Source);
   if (!Result.ParseOk) {
-    Result.Errors = Diags.renderAll();
+    Result.Errors = FE.Diags.renderAll();
     return Result;
   }
-  CSema Sema(Ast, Types, Idents, Diags);
-  Result.SemaOk = Sema.analyze(TU);
+  Result.SemaOk = FE.analyze();
   if (!Result.SemaOk) {
-    Result.Errors = Diags.renderAll();
+    Result.Errors = FE.Diags.renderAll();
     return Result;
   }
   ConstInference::Options Opts;
   Opts.Polymorphic = Polymorphic;
-  ConstInference Inf(TU, Diags, Opts);
+  ConstInference Inf(FE.TU, FE.Diags, Opts);
   Result.InferOk = Inf.run();
   if (!Result.InferOk)
-    Result.Errors = Diags.renderAll();
+    Result.Errors = FE.Diags.renderAll();
   else
     Result.Counts = Inf.counts();
   return Result;

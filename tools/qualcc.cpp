@@ -36,8 +36,7 @@
 
 #include "apps/FlowNonNull.h"
 #include "apps/NonNull.h"
-#include "cfront/CParser.h"
-#include "cfront/CSema.h"
+#include "cfront/FrontEnd.h"
 #include "constinf/ConstInfer.h"
 #include "link/Qsum.h"
 #include "link/SummaryBuilder.h"
@@ -98,12 +97,7 @@ struct QualccOptions {
 /// output into \p R. Runs on a batch pool worker at -jN.
 static void analyzeUnit(const std::vector<std::string> &Paths,
                         const QualccOptions &Opts, batch::FileResult &R) {
-  SourceManager SM;
-  DiagnosticEngine Diags(SM, Opts.Lim);
-  CAstContext Ast;
-  CTypeContext Types;
-  StringInterner Idents;
-  TranslationUnit TU;
+  FrontEnd FE(Opts.Lim);
 
   // Sources are read before parsing: the summary content hash covers the
   // unit's raw bytes (streamed, so it keys identically however the bytes
@@ -148,16 +142,14 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
     }
   }
   for (size_t I = 0; I != Paths.size(); ++I) {
-    if (!parseCSource(SM, Paths[I], std::move(Sources[I]), Ast, Types,
-                      Idents, Diags, TU)) {
-      R.Err += Diags.renderAll();
+    if (!FE.parse(Paths[I], std::move(Sources[I]))) {
+      R.Err += FE.Diags.renderAll();
       R.ExitCode = 1;
       return;
     }
   }
-  CSema Sema(Ast, Types, Idents, Diags);
-  if (!Sema.analyze(TU)) {
-    R.Err += Diags.renderAll();
+  if (!FE.analyze()) {
+    R.Err += FE.Diags.renderAll();
     R.ExitCode = 1;
     return;
   }
@@ -166,11 +158,11 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
   ConstInference::Options InfOpts;
   InfOpts.Polymorphic = Opts.Polymorphic;
   InfOpts.SummaryMode = Opts.emitSummary();
-  ConstInference Inf(TU, Diags, InfOpts);
+  ConstInference Inf(FE.TU, FE.Diags, InfOpts);
   Timer InferTimer;
   if (!Inf.run()) {
     appendf(R.Err, "qualcc: const errors detected:\n%s",
-            Diags.renderAll().c_str());
+            FE.Diags.renderAll().c_str());
     if (Opts.PrintStats)
       R.Out += renderSolverStats(Inf.solverStats());
     R.ExitCode = 2;
@@ -180,7 +172,7 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
 
   if (Opts.emitSummary()) {
     link::TuSummary Summary = link::buildSummary(
-        Inf, SM, Paths[0], ContentHash, link::summaryConfigHash());
+        Inf, FE.SM, Paths[0], ContentHash, link::summaryConfigHash());
     std::string WriteErr;
     if (!link::writeFileAtomic(SummaryOut, link::serializeSummary(Summary),
                                WriteErr)) {
@@ -230,10 +222,10 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
           "%u\n",
           C.Declared, C.PossibleConst, C.Total);
 
-  auto printWarnings = [&SM, &R](const char *Title, const auto &Warnings) {
+  auto printWarnings = [&FE, &R](const char *Title, const auto &Warnings) {
     appendf(R.Out, "%s: %zu warning(s)\n", Title, Warnings.size());
     for (const auto &W : Warnings) {
-      PresumedLoc P = SM.getPresumedLoc(W.Loc);
+      PresumedLoc P = FE.SM.getPresumedLoc(W.Loc);
       if (P.isValid())
         appendf(R.Out, "  %s:%u:%u: %s\n",
                 std::string(P.Filename).c_str(), P.Line, P.Column,
@@ -244,12 +236,12 @@ static void analyzeUnit(const std::vector<std::string> &Paths,
   };
   if (Opts.RunNonNull) {
     quals::apps::NonNullChecker Checker;
-    Checker.analyze(TU);
+    Checker.analyze(FE.TU);
     printWarnings("nonnull (flow-insensitive)", Checker.warnings());
   }
   if (Opts.RunFlowNonNull) {
     quals::apps::FlowNonNullChecker Checker;
-    Checker.analyze(TU);
+    Checker.analyze(FE.TU);
     printWarnings("nonnull (flow-sensitive, Section 6)",
                   Checker.warnings());
   }

@@ -37,7 +37,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 using namespace quals;
 using namespace quals::lambda;
@@ -49,37 +48,21 @@ struct CheckOptions {
   bool Run = false;
   bool Trace = false;
   bool PrintStats = false;
-  std::string QualSpec = "const,nonzero:neg,dynamic,tainted";
+  /// The --quals set, parsed once; every file reads it.
+  QualifierSet Quals;
   Limits Lim;
 };
 
 } // namespace
 
-/// Checks one program in a fully isolated context (own qualifier set,
-/// source manager, AST arena, interner, constraint system), buffering all
-/// output into \p R. Runs on a batch pool worker at -jN.
+/// Checks one program in a fully isolated context (own source manager, AST
+/// arena, interner, constraint system; the qualifier set is only read),
+/// buffering all output into \p R. Runs on a batch pool worker at -jN.
 static void checkOneFile(const std::string &Path, const CheckOptions &Opts,
                          batch::FileResult &R) {
-  QualifierSet QS;
+  const QualifierSet &QS = Opts.Quals;
   QualifierId ConstQual = ~0u;
-  {
-    std::stringstream Spec(Opts.QualSpec);
-    std::string Item;
-    while (std::getline(Spec, Item, ',')) {
-      bool Negative = false;
-      size_t Colon = Item.find(':');
-      if (Colon != std::string::npos) {
-        Negative = Item.substr(Colon + 1) == "neg";
-        Item = Item.substr(0, Colon);
-      }
-      if (Item.empty())
-        continue;
-      QualifierId Id =
-          QS.add(Item, Negative ? Polarity::Negative : Polarity::Positive);
-      if (Item == "const")
-        ConstQual = Id;
-    }
-  }
+  QS.lookup("const", ConstQual);
 
   std::string Source, ReadErr;
   if (!readFileBytes(Path, Source, ReadErr)) {
@@ -171,6 +154,7 @@ static const char *kOptionsHelp =
 
 int main(int argc, char **argv) {
   CheckOptions Opts;
+  std::string QualSpec(DefaultQualifierSpec);
   std::vector<std::string> Files;
   ToolFlags Common("qualcheck", "file.q... [@response-file]", kOptionsHelp);
 
@@ -188,7 +172,7 @@ int main(int argc, char **argv) {
     else if (!std::strcmp(argv[I], "--stats"))
       Opts.PrintStats = true;
     else if (!std::strcmp(argv[I], "--quals") && I + 1 < argc)
-      Opts.QualSpec = argv[++I];
+      QualSpec = argv[++I];
     else if (argv[I][0] == '-')
       return Common.usageError(argv[I]);
     else if (!batch::expandArg(argv[I], Files, Error))
@@ -196,6 +180,9 @@ int main(int argc, char **argv) {
   }
   if (Files.empty())
     return Common.fail("no input file");
+  std::string SpecError;
+  if (!parseQualifierSpec(QualSpec, Opts.Quals, SpecError))
+    return Common.fail("--quals: " + SpecError);
   unsigned Jobs = Common.jobs();
   Opts.Lim = Common.limits();
   Common.activate();

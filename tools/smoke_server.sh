@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # smoke_server.sh - end-to-end exercise of the qualsd analysis server.
 #
-#   smoke_server.sh <qualsd-binary> <qualcc-binary> <programs-dir>
+#   smoke_server.sh <qualsd> <qualcc> <qualcheck> <programs-dir>
 #
 # Asserts the serving guarantees (docs/SERVER.md) over the real binary:
 # (a) warm answers are byte-identical to cold ones -- within one process
@@ -9,8 +9,9 @@
 # response and in --metrics=json counters, which qualsd routes to *stderr*
 # so stdout stays pure NDJSON responses (JSON validation skipped without
 # python3); (c) a `shutdown` request stops the daemon with exit 0 and
-# nothing after its response; (d) a served analyze matches what qualcc
-# prints for the same file; (e) the editor loop: analyze a buffer, edit one
+# nothing after its response; (d) a served analyze matches what qualcc or
+# qualcheck prints for the same file, on every example in every
+# configuration; (e) the editor loop: analyze a buffer, edit one
 # function, analyze-delta the edit -- the response is byte-identical to a
 # cold analyze of the edited buffer on a fresh daemon, and the stats/metrics
 # count the one analyze-delta request (docs/SERVER.md); (f) the
@@ -28,14 +29,15 @@
 
 set -euo pipefail
 
-if [ $# -ne 3 ]; then
-    echo "usage: $0 <qualsd> <qualcc> <programs-dir>" >&2
+if [ $# -ne 4 ]; then
+    echo "usage: $0 <qualsd> <qualcc> <qualcheck> <programs-dir>" >&2
     exit 2
 fi
 
 QUALSD=$1
 QUALCC=$2
-PROGRAMS=$3
+QUALCHECK=$3
+PROGRAMS=$4
 FAILED=0
 
 WORKDIR=$(mktemp -d)
@@ -145,22 +147,53 @@ else
     echo "NOTE: python3 unavailable; metrics JSON validation skipped" >&2
 fi
 
-# --- (d) served bytes match the batch tool -------------------------------
-# qualsd omits the timing banner, so compare against qualcc --quiet, whose
-# report is exactly the deterministic remainder.
-CFILE=$(ls "$PROGRAMS"/*.c | head -1)
-"$QUALCC" --quiet "$CFILE" >"$WORKDIR/cc.out" 2>/dev/null || true
-printf '{"id":1,"method":"analyze","params":{"path":"%s"}}\n' "$CFILE" \
-    | "$QUALSD" >"$WORKDIR/sd.out"
+# --- (d) served bytes match the batch tools ------------------------------
+# Every example in every configuration the protocol offers: each .c file x
+# {poly, mono} x {protos or not} against qualcc --quiet with the matching
+# --mono/--protos (qualsd omits the timing banner, which is exactly what
+# --quiet drops), each .q file x {poly, mono} against qualcheck [--mono].
+# stdout, exit code and stderr (after swapping the tool's line prefix for
+# "qualsd:") must all match.
 if command -v python3 >/dev/null 2>&1; then
-    python3 - "$WORKDIR/sd.out" "$WORKDIR/cc.out" <<'PYEOF' || FAILED=1
-import json, sys
+    python3 - "$QUALSD" "$QUALCC" "$QUALCHECK" "$PROGRAMS" \
+        <<'PYEOF' || FAILED=1
+import glob, json, re, subprocess, sys
 
-resp = json.loads(open(sys.argv[1]).read())
-expected = open(sys.argv[2]).read()
-assert resp["ok"], resp
-assert resp["stdout"] == expected, (resp["stdout"], expected)
+qualsd, qualcc, qualcheck, programs = sys.argv[1:5]
+cases = []  # (tool command, request params, tool's stderr prefix)
+for path in sorted(glob.glob(programs + "/*.c")):
+    for mono in (False, True):
+        for protos in (False, True):
+            flags = ["--quiet"] + ["--mono"] * mono + ["--protos"] * protos
+            cases.append(([qualcc] + flags + [path],
+                          {"path": path, "mono": mono, "protos": protos},
+                          "qualcc:"))
+for path in sorted(glob.glob(programs + "/*.q")):
+    for mono in (False, True):
+        cases.append(([qualcheck] + ["--mono"] * mono + [path],
+                      {"path": path, "language": "lambda", "mono": mono},
+                      "qualcheck:"))
+requests = "".join(
+    json.dumps({"id": i + 1, "method": "analyze", "params": params}) + "\n"
+    for i, (_, params, _) in enumerate(cases))
+served = subprocess.run([qualsd], input=requests, capture_output=True,
+                        text=True, check=True).stdout.splitlines()
+assert len(served) == len(cases), (len(served), len(cases))
+failed = 0
+for (cmd, _, prefix), line in zip(cases, served):
+    resp = json.loads(line)
+    tool = subprocess.run(cmd, capture_output=True, text=True)
+    want = (tool.stdout, tool.returncode,
+            re.sub("(?m)^" + prefix, "qualsd:", tool.stderr))
+    got = (resp.get("stdout"), resp.get("exit"), resp.get("stderr"))
+    if not resp["ok"] or got != want:
+        print("FAIL: qualsd differs from", " ".join(cmd), file=sys.stderr)
+        print("  served:", got, "\n  tool:  ", want, file=sys.stderr)
+        failed += 1
+sys.exit(1 if failed else 0)
 PYEOF
+else
+    echo "NOTE: python3 unavailable; served-vs-tool comparison skipped" >&2
 fi
 
 # --- (e) edit loop: analyze, edit one function, analyze-delta ------------
